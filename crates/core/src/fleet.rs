@@ -77,9 +77,9 @@
 
 use crate::scheduler::SchedulerSlot;
 use crate::server::{
-    AnswerTx, CloudConfig, CloudMachine, CloudPort, CloudServer, CloudStats, EdgeMachine,
-    FrameResult, ProbeReply, ProbeTx, SessionConfig, SessionReport, SharedFrameScratch, ToCloud,
-    UploadSizeCache,
+    assert_frame_size, AnswerTx, CloudConfig, CloudMachine, CloudPort, CloudServer, CloudStats,
+    EdgeMachine, FrameResult, ProbeReply, ProbeTx, SessionConfig, SessionReport,
+    SharedFrameScratch, ToCloud, UploadSizeCache,
 };
 use crate::strategies::{OffloadPolicy, Policy};
 use crate::DifficultCaseDiscriminator;
@@ -331,6 +331,7 @@ impl FleetSpec {
         assert!(self.horizon_s > 0.0, "arrival window must be > 0");
         assert!(self.scene_pool > 0, "scene pool must be non-empty");
         assert!(self.shards >= 1, "need at least one cloud shard");
+        assert_frame_size(self.frame_size);
         for (name, n) in [
             ("device", self.device_mix.len()),
             ("link", self.link_mix.len()),
@@ -930,10 +931,9 @@ where
     // One upload-size memo for the whole fleet: sessions cycle a shared
     // scene pool, and encoded size is a pure function of (scene,
     // resolution), so after `scene_pool` cold renders every upload's
-    // sizing is a hash lookup. The scene pools outlive every session,
-    // which is what keeps the address-keyed cache valid — and sharing it
-    // across shard workers stays deterministic for the same reason: every
-    // fill writes the same value for a key, whoever gets there first.
+    // sizing is a hash lookup. Sharing it across shard workers stays
+    // deterministic because every fill writes the same value for a key,
+    // whoever gets there first.
     let size_cache: UploadSizeCache = Arc::new(Mutex::new(HashMap::new()));
     let threads = fleet_threads(spec);
     crate::par::ordered_map_with(threads, spec.shards, |shard| {
@@ -1341,6 +1341,17 @@ mod tests {
             shards: 2,
             ..FleetSpec::new(40)
         }
+    }
+
+    /// Unvalidated, this is a shard-thread panic at the first upload — and
+    /// an edge-only fleet never notices at all.
+    #[test]
+    #[should_panic(expected = "frame_size must be positive")]
+    fn zero_frame_size_fails_validation() {
+        let _ = run_fleet(&FleetSpec {
+            frame_size: (0, 96),
+            ..tiny_spec()
+        });
     }
 
     #[test]

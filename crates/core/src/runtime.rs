@@ -316,6 +316,25 @@ mod tests {
         assert!(r.total_time_s > 0.0);
     }
 
+    /// Edge-only never renders, so only the session's validation can catch
+    /// this.
+    #[test]
+    #[should_panic(expected = "frame_size must be positive")]
+    fn zero_frame_size_fails_before_any_frame() {
+        let (test, small, big) = fixture();
+        let _ = run_system(
+            &test,
+            &small,
+            &big,
+            &helmet_disc(),
+            RuntimeMode::EdgeOnly,
+            &RuntimeConfig {
+                frame_size: (0, 0),
+                ..Default::default()
+            },
+        );
+    }
+
     #[test]
     fn cloud_only_uploads_everything_and_is_slowest() {
         let (test, small, big) = fixture();

@@ -355,6 +355,18 @@ impl SessionConfig {
     }
 }
 
+/// Rejects a frame size the renderer cannot draw. Called wherever a
+/// configuration carrying one is validated, so a zero dimension fails on
+/// the caller's thread instead of at the session's first upload.
+pub(crate) fn assert_frame_size(frame_size: (usize, usize)) {
+    assert!(
+        frame_size.0 > 0 && frame_size.1 > 0,
+        "frame_size must be positive in both dimensions, got {}x{}",
+        frame_size.0,
+        frame_size.1
+    );
+}
+
 /// Handle to one submitted frame, returned by [`EdgeSession::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrameTicket(u64);
@@ -1216,10 +1228,10 @@ pub(crate) struct EdgeMachine<'a> {
     /// count is a pure function of the key — the fleet engine shares one
     /// cache across its whole population (sessions cycle a small scene
     /// pool, so renders would otherwise dominate wall-clock by ~500×).
-    /// Keys use the `Arc<Scene>` address: only valid while the caller
-    /// keeps every cached scene alive, which the fleet engine does for
-    /// the duration of a run. `None` (every other deployment) renders
-    /// per upload exactly as before.
+    /// Keys use the `Arc<Scene>` address, and every entry holds its
+    /// scene, so an address cannot be freed and reused while the cache
+    /// answers for it. `None` (every other deployment) renders per upload
+    /// exactly as before.
     size_cache: Option<UploadSizeCache>,
     /// Edge half of the model-update loop: stash → apply-between-frames →
     /// probation → rollback. Inert (and cost-free) unless the cloud
@@ -1227,9 +1239,9 @@ pub(crate) struct EdgeMachine<'a> {
     updates: UpdateClient,
 }
 
-/// Shared upload-size memo: `(scene address, width, height)` → encoded
-/// bytes. See [`EdgeMachine::size_cache`].
-pub(crate) type UploadSizeCache = Arc<Mutex<HashMap<(usize, usize, usize), usize>>>;
+/// Shared upload-size memo: `(scene address, width, height)` → the scene
+/// at that address and its encoded bytes. See [`EdgeMachine::size_cache`].
+pub(crate) type UploadSizeCache = Arc<Mutex<HashMap<(usize, usize, usize), (Arc<Scene>, usize)>>>;
 
 /// Per-frame working buffers the fleet engine shares across all sessions
 /// of one cloud shard in compact-metrics mode: the counting scratch and
@@ -1555,6 +1567,7 @@ impl<'a> EdgeMachine<'a> {
         policy: Box<dyn OffloadPolicy + 'a>,
         admission: bool,
     ) -> EdgeMachine<'a> {
+        assert_frame_size(cfg.frame_size);
         let rng = StdRng::seed_from_u64(cfg.seed ^ 0xed6e);
         let metrics = SessionMetrics::Full(Box::new(FullMetrics {
             map: MapEvaluator::new(cfg.num_classes, cfg.ap_protocol),
@@ -1588,7 +1601,7 @@ impl<'a> EdgeMachine<'a> {
     }
 
     /// Installs a shared upload-size memo (fleet engine only); see
-    /// [`EdgeMachine::size_cache`] for the validity contract.
+    /// [`EdgeMachine::size_cache`].
     pub(crate) fn set_size_cache(&mut self, cache: UploadSizeCache) {
         self.size_cache = Some(cache);
     }
@@ -1617,23 +1630,19 @@ impl<'a> EdgeMachine<'a> {
     /// only skips recomputing a pure function.
     fn upload_size(&self, scene: &Scene, shared: Option<&Arc<Scene>>) -> usize {
         let (w, h) = self.cfg.frame_size;
-        let key = match (&self.size_cache, shared) {
-            (Some(_), Some(arc)) => Some((Arc::as_ptr(arc) as usize, w, h)),
-            _ => None,
-        };
-        if let (Some(cache), Some(key)) = (&self.size_cache, key) {
-            if let Some(&bytes) = cache.lock().expect("size cache poisoned").get(&key) {
+        let memo = self.size_cache.as_ref().zip(shared);
+        let key = |arc: &Arc<Scene>| (Arc::as_ptr(arc) as usize, w, h);
+        if let Some((cache, arc)) = memo {
+            if let Some(&(_, bytes)) = cache.lock().expect("size cache poisoned").get(&key(arc)) {
                 return bytes;
             }
         }
-        let bytes = encoded_size_bytes(&render(
-            &scene.render_spec(self.cfg.frame_size.0, self.cfg.frame_size.1),
-        ));
-        if let (Some(cache), Some(key)) = (&self.size_cache, key) {
+        let bytes = encoded_size_bytes(&render(&scene.render_spec(w, h)));
+        if let Some((cache, arc)) = memo {
             cache
                 .lock()
                 .expect("size cache poisoned")
-                .insert(key, bytes);
+                .insert(key(arc), (Arc::clone(arc), bytes));
         }
         bytes
     }
@@ -2109,6 +2118,47 @@ mod tests {
             frame_size: (96, 96),
             ..SessionConfig::new(2)
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "frame_size must be positive")]
+    fn zero_frame_size_fails_at_connect() {
+        let (_, small, big) = fixture();
+        let mut cloud = CloudServer::spawn(CloudConfig::default(), big);
+        // no frame is ever submitted: the configuration itself is refused
+        let _ = cloud.connect(
+            SessionConfig {
+                frame_size: (96, 0),
+                ..SessionConfig::new(2)
+            },
+            &small,
+            Box::new(disc()),
+        );
+    }
+
+    #[test]
+    fn size_memo_entries_hold_their_scene() {
+        let (data, small, _) = fixture();
+        let cache = UploadSizeCache::default();
+        let mut m = EdgeMachine::new(0, small_session(), &small, Box::new(disc()), false);
+        m.set_size_cache(Arc::clone(&cache));
+        let scene = Arc::new(data.scenes()[0].clone());
+        let bytes = m.upload_size(&scene, Some(&scene));
+        assert_eq!(bytes, m.upload_size(&scene, Some(&scene)));
+        assert_eq!(
+            bytes,
+            encoded_size_bytes(&render(&scene.render_spec(96, 96)))
+        );
+        // The entry owns a reference: the address it is keyed by cannot be
+        // freed, so no later scene can be allocated there and alias it.
+        assert_eq!(Arc::strong_count(&scene), 2);
+        let cache = cache.lock().unwrap();
+        assert_eq!(cache.len(), 1);
+        assert!(cache.values().all(|(held, _)| Arc::ptr_eq(held, &scene)));
+        // a scene that is not pool-shared is never memoised
+        drop(cache);
+        m.upload_size(&data.scenes()[1], None);
+        assert_eq!(m.size_cache.as_ref().unwrap().lock().unwrap().len(), 1);
     }
 
     #[test]

@@ -132,6 +132,11 @@ impl GrayImage {
         &self.pixels[y * self.width..(y + 1) * self.width]
     }
 
+    /// Raw pixel slice, row-major, for the in-place kernels.
+    pub(crate) fn as_bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.pixels
+    }
+
     /// Applies `f` to every pixel value in place.
     pub fn map_in_place<F: FnMut(u8) -> u8>(&mut self, mut f: F) {
         for p in &mut self.pixels {
@@ -184,7 +189,7 @@ impl GrayImage {
     ///
     /// # Panics
     ///
-    /// Panics if `factor` is zero or not smaller than both dimensions.
+    /// Panics if `factor` is zero or larger than either dimension.
     pub fn downscale(&self, factor: usize) -> GrayImage {
         assert!(factor > 0, "factor must be positive");
         assert!(

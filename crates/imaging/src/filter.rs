@@ -26,34 +26,79 @@ pub fn gaussian_kernel(sigma: f64) -> Vec<f64> {
     kernel
 }
 
-fn convolve_1d(
-    src: &[f64],
-    width: usize,
-    height: usize,
-    kernel: &[f64],
-    horizontal: bool,
-) -> Vec<f64> {
-    let radius = (kernel.len() / 2) as i64;
-    let mut out = vec![0.0; src.len()];
-    for y in 0..height as i64 {
-        for x in 0..width as i64 {
-            let mut acc = 0.0;
-            for (ki, &k) in kernel.iter().enumerate() {
-                let off = ki as i64 - radius;
-                let (sx, sy) = if horizontal {
-                    (x + off, y)
-                } else {
-                    (x, y + off)
-                };
-                // clamp-to-edge boundary
-                let sx = sx.clamp(0, width as i64 - 1);
-                let sy = sy.clamp(0, height as i64 - 1);
-                acc += k * src[(sy * width as i64 + sx) as usize];
+/// Quantises an intensity to a pixel: `v.round().clamp(0.0, 255.0) as u8`
+/// without the call into libm that `round` is on a baseline x86-64 target.
+///
+/// Rounding is monotone and fixes 0 and 255, so clamping first gives the
+/// same pixel; inside `[0, 255]` the truncation and the fractional part are
+/// exact, and round-half-away-from-zero is "one more when the fraction
+/// reaches a half". NaN stays NaN through the clamp and casts to 0 both ways.
+#[inline]
+pub(crate) fn to_pixel(v: f64) -> u8 {
+    let c = v.clamp(0.0, 255.0);
+    let floor = c as u8;
+    floor + (c - floor as f64 >= 0.5) as u8
+}
+
+/// `acc[i] += k * src[i]`: one kernel tap applied to a whole row.
+#[inline]
+fn add_tap(acc: &mut [f64], k: f64, src: &[f64]) {
+    for (a, &s) in acc.iter_mut().zip(src) {
+        *a += k * s;
+    }
+}
+
+/// Separable Gaussian blur of `img` in place; see [`gaussian_blur`].
+///
+/// Every output pixel accumulates `k * src` from zero in kernel order on
+/// both passes, so the result does not depend on how the loops are nested.
+/// Here the taps are the outer loop and `x` the inner one: the horizontal
+/// pass reads a clamp-padded copy of the row, so no tap needs a clamp, and
+/// its output lives only in a ring of `2r + 1` rows — exactly the rows the
+/// vertical pass of one output row reads. Output row `y` overwrites source
+/// row `y` after the horizontal pass has consumed it.
+pub(crate) fn blur_in_place(img: &mut GrayImage, sigma: f64) {
+    assert!(
+        sigma.is_finite() && sigma >= 0.0,
+        "sigma must be non-negative"
+    );
+    if sigma == 0.0 {
+        return;
+    }
+    let kernel = gaussian_kernel(sigma);
+    let (taps, radius) = (kernel.len(), kernel.len() / 2);
+    let (w, h) = (img.width(), img.height());
+    let pixels = img.as_bytes_mut();
+    // Horizontal-pass row `y` is kept in ring slot `y % taps`.
+    let mut ring = vec![0.0; taps * w];
+    let mut padded = vec![0.0; w + 2 * radius];
+    let mut acc = vec![0.0; w];
+    let mut filtered = 0;
+    for y in 0..h {
+        while filtered <= (y + radius).min(h - 1) {
+            let src = &pixels[filtered * w..][..w];
+            padded[..radius].fill(src[0] as f64);
+            for (d, &s) in padded[radius..].iter_mut().zip(src) {
+                *d = s as f64;
             }
-            out[(y * width as i64 + x) as usize] = acc;
+            padded[radius + w..].fill(src[w - 1] as f64);
+            let out = &mut ring[(filtered % taps) * w..][..w];
+            out.fill(0.0);
+            for (ki, &k) in kernel.iter().enumerate() {
+                add_tap(out, k, &padded[ki..ki + w]);
+            }
+            filtered += 1;
+        }
+        acc.fill(0.0);
+        for (ki, &k) in kernel.iter().enumerate() {
+            // clamp-to-edge boundary
+            let sy = (y + ki).saturating_sub(radius).min(h - 1);
+            add_tap(&mut acc, k, &ring[(sy % taps) * w..][..w]);
+        }
+        for (p, &v) in pixels[y * w..][..w].iter_mut().zip(&acc) {
+            *p = to_pixel(v);
         }
     }
-    out
 }
 
 /// Applies separable Gaussian blur with the given sigma (in pixels).
@@ -76,25 +121,23 @@ fn convolve_1d(
 ///
 /// Panics if `sigma` is negative or not finite.
 pub fn gaussian_blur(img: &GrayImage, sigma: f64) -> GrayImage {
+    let mut out = img.clone();
+    blur_in_place(&mut out, sigma);
+    out
+}
+
+/// Sensor noise on `img` in place; see [`add_gaussian_noise`]. One draw per
+/// pixel, row-major.
+pub(crate) fn noise_in_place<R: Rng + ?Sized>(img: &mut GrayImage, std_dev: f64, rng: &mut R) {
     assert!(
-        sigma.is_finite() && sigma >= 0.0,
-        "sigma must be non-negative"
+        std_dev.is_finite() && std_dev >= 0.0,
+        "std_dev must be non-negative"
     );
-    if sigma == 0.0 {
-        return img.clone();
+    if std_dev == 0.0 {
+        return;
     }
-    let kernel = gaussian_kernel(sigma);
-    let (w, h) = (img.width(), img.height());
-    let src: Vec<f64> = img.as_bytes().iter().map(|&p| p as f64).collect();
-    let tmp = convolve_1d(&src, w, h, &kernel, true);
-    let out = convolve_1d(&tmp, w, h, &kernel, false);
-    GrayImage::from_pixels(
-        w,
-        h,
-        out.into_iter()
-            .map(|v| v.round().clamp(0.0, 255.0) as u8)
-            .collect(),
-    )
+    let normal = Normal::new(0.0, std_dev).expect("validated std_dev");
+    img.map_in_place(|p| to_pixel(p as f64 + normal.sample(rng)));
 }
 
 /// Adds zero-mean Gaussian sensor noise with the given standard deviation.
@@ -107,20 +150,20 @@ pub fn add_gaussian_noise<R: Rng + ?Sized>(
     std_dev: f64,
     rng: &mut R,
 ) -> GrayImage {
-    assert!(
-        std_dev.is_finite() && std_dev >= 0.0,
-        "std_dev must be non-negative"
-    );
-    if std_dev == 0.0 {
-        return img.clone();
+    let mut out = img.clone();
+    noise_in_place(&mut out, std_dev, rng);
+    out
+}
+
+/// Illumination gain on `img` in place; see [`scale_illumination`]. A pixel
+/// has 256 possible values, so the gain is applied to those and looked up.
+pub(crate) fn illuminate_in_place(img: &mut GrayImage, gain: f64) {
+    assert!(gain.is_finite() && gain >= 0.0, "gain must be non-negative");
+    let mut lut = [0u8; 256];
+    for (p, out) in lut.iter_mut().enumerate() {
+        *out = to_pixel(p as f64 * gain);
     }
-    let normal = Normal::new(0.0, std_dev).expect("validated std_dev");
-    let pixels = img
-        .as_bytes()
-        .iter()
-        .map(|&p| (p as f64 + normal.sample(rng)).round().clamp(0.0, 255.0) as u8)
-        .collect();
-    GrayImage::from_pixels(img.width(), img.height(), pixels)
+    img.map_in_place(|p| lut[p as usize]);
 }
 
 /// Applies a global illumination scale (e.g. insufficient light on a building
@@ -130,13 +173,9 @@ pub fn add_gaussian_noise<R: Rng + ?Sized>(
 ///
 /// Panics if `gain` is negative or not finite.
 pub fn scale_illumination(img: &GrayImage, gain: f64) -> GrayImage {
-    assert!(gain.is_finite() && gain >= 0.0, "gain must be non-negative");
-    let pixels = img
-        .as_bytes()
-        .iter()
-        .map(|&p| (p as f64 * gain).round().clamp(0.0, 255.0) as u8)
-        .collect();
-    GrayImage::from_pixels(img.width(), img.height(), pixels)
+    let mut out = img.clone();
+    illuminate_in_place(&mut out, gain);
+    out
 }
 
 #[cfg(test)]
@@ -157,6 +196,29 @@ mod tests {
             // centre is the max
             let mid = k[k.len() / 2];
             assert!(k.iter().all(|&v| v <= mid + 1e-12));
+        }
+    }
+
+    #[test]
+    fn to_pixel_is_round_then_clamp() {
+        let reference = |v: f64| v.round().clamp(0.0, 255.0) as u8;
+        let mut probes = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -0.0,
+        ];
+        for n in -2..=257 {
+            for frac in [0.0, 0.25, 0.5, 0.75] {
+                let v = n as f64 + frac;
+                probes.extend([v.next_down(), v, v.next_up()]);
+            }
+        }
+        for v in probes {
+            assert_eq!(to_pixel(v), reference(v), "{v:?}");
         }
     }
 

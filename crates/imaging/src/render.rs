@@ -8,7 +8,8 @@
 //! statistics co-vary with scene difficulty, exactly as in the paper's HELMET
 //! footage (blur, water stains, insufficient light).
 
-use crate::{add_gaussian_noise, gaussian_blur, scale_illumination, GrayImage};
+use crate::filter::{blur_in_place, illuminate_in_place, noise_in_place, to_pixel};
+use crate::GrayImage;
 use detcore::BBox;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,24 +81,115 @@ fn lattice_value(seed: u64, cx: i64, cy: i64) -> f64 {
     (h & 0xff) as f64
 }
 
-/// Smooth value noise at pixel `(x, y)` with the given cell size.
-fn value_noise(seed: u64, x: usize, y: usize, cell: usize) -> f64 {
-    let fx = x as f64 / cell as f64;
-    let fy = y as f64 / cell as f64;
-    let cx = fx.floor() as i64;
-    let cy = fy.floor() as i64;
-    let tx = fx - cx as f64;
-    let ty = fy - cy as f64;
-    // smoothstep interpolation between the four corners
-    let sx = tx * tx * (3.0 - 2.0 * tx);
-    let sy = ty * ty * (3.0 - 2.0 * ty);
-    let v00 = lattice_value(seed, cx, cy);
-    let v10 = lattice_value(seed, cx + 1, cy);
-    let v01 = lattice_value(seed, cx, cy + 1);
-    let v11 = lattice_value(seed, cx + 1, cy + 1);
-    let a = v00 + (v10 - v00) * sx;
-    let b = v01 + (v11 - v01) * sx;
-    a + (b - a) * sy
+/// Lattice cell and smoothstep weight of pixel coordinate `p` along one axis.
+#[inline]
+fn lattice_pos(p: usize, cell: usize) -> (i64, f64) {
+    let f = p as f64 / cell as f64;
+    let c = f.floor() as i64;
+    let t = f - c as f64;
+    (c, t * t * (3.0 - 2.0 * t))
+}
+
+/// Interpolates lattice row `cy` along x at every column of `columns`.
+fn lerp_lattice_row(seed: u64, cy: i64, columns: &[(i64, f64)], out: &mut [f64]) {
+    let (mut at, mut left, mut right) = (i64::MIN, 0.0, 0.0);
+    for (o, &(cx, sx)) in out.iter_mut().zip(columns) {
+        if cx != at {
+            left = lattice_value(seed, cx, cy);
+            right = lattice_value(seed, cx + 1, cy);
+            at = cx;
+        }
+        *o = left + (right - left) * sx;
+    }
+}
+
+/// One octave of smooth value noise over a strip of pixel columns, produced
+/// a row at a time.
+///
+/// The value at `(x, y)` interpolates the four lattice corners around it:
+/// first along x on lattice rows `cy` and `cy + 1`, then along y between
+/// those two. Both x-interpolations depend only on the column and the
+/// lattice row, so they are computed once per lattice row and a pixel costs
+/// the one remaining interpolation.
+struct NoiseRows {
+    seed: u64,
+    cell: usize,
+    /// `lattice_pos` of every column.
+    columns: Vec<(i64, f64)>,
+    /// The lattice row `top` and `bottom` currently hold: `cy` and `cy + 1`.
+    cy: Option<i64>,
+    top: Vec<f64>,
+    bottom: Vec<f64>,
+    values: Vec<f64>,
+}
+
+impl NoiseRows {
+    fn new(seed: u64, cell: usize, width: usize) -> Self {
+        NoiseRows {
+            seed,
+            cell,
+            columns: (0..width).map(|x| lattice_pos(x, cell)).collect(),
+            cy: None,
+            top: vec![0.0; width],
+            bottom: vec![0.0; width],
+            values: vec![0.0; width],
+        }
+    }
+
+    /// The noise along pixel row `y`.
+    fn row(&mut self, y: usize) -> &[f64] {
+        let (cy, sy) = lattice_pos(y, self.cell);
+        if self.cy != Some(cy) {
+            if self.cy == Some(cy - 1) {
+                std::mem::swap(&mut self.top, &mut self.bottom);
+            } else {
+                lerp_lattice_row(self.seed, cy, &self.columns, &mut self.top);
+            }
+            lerp_lattice_row(self.seed, cy + 1, &self.columns, &mut self.bottom);
+            self.cy = Some(cy);
+        }
+        for ((v, &a), &b) in self.values.iter_mut().zip(&self.top).zip(&self.bottom) {
+            *v = a + (b - a) * sy;
+        }
+        &self.values
+    }
+}
+
+/// Background: two octaves of value noise around mid-grey.
+fn draw_background(pixels: &mut [u8], width: usize, seed: u64) {
+    let mut coarse = NoiseRows::new(seed, 24, width);
+    let mut fine = NoiseRows::new(seed ^ 0xabcd, 5, width);
+    for (y, row) in pixels.chunks_exact_mut(width).enumerate() {
+        let (coarse, fine) = (coarse.row(y), fine.row(y));
+        for ((p, &coarse), &fine) in row.iter_mut().zip(coarse).zip(fine) {
+            *p = to_pixel(70.0 + 0.45 * coarse + 0.25 * fine);
+        }
+    }
+}
+
+/// An object: a textured rectangle with a contrasting border.
+fn draw_object(pixels: &mut [u8], width: usize, height: usize, obj: &ObjectRenderSpec) {
+    let (x0, y0, x1, y1) = obj.bbox.to_pixels(width, height);
+    if x1 <= x0 || y1 <= y0 {
+        return;
+    }
+    let (w, h) = (x1 - x0, y1 - y0);
+    let border = (w.min(h) / 8).max(1);
+    let base = obj.base_intensity as f64;
+    // strong edge: objects contribute high-frequency content
+    let edge = to_pixel(255.0 - base * 0.8);
+    let mut texture = NoiseRows::new(obj.texture_seed, 4, w);
+    for y in 0..h {
+        let row = &mut pixels[(y0 + y) * width + x0..][..w];
+        row.fill(edge);
+        if y < border || y >= h - border || w <= 2 * border {
+            continue;
+        }
+        let inner = border..w - border;
+        for (p, &tex) in row[inner.clone()].iter_mut().zip(&texture.row(y)[inner]) {
+            *p = to_pixel(base * 0.7 + tex * 0.3);
+        }
+    }
 }
 
 /// Renders a frame from a [`RenderSpec`].
@@ -125,48 +217,20 @@ pub fn render(spec: &RenderSpec) -> GrayImage {
         "frame dimensions must be positive"
     );
     let mut img = GrayImage::new(spec.width, spec.height);
-    // Background: two octaves of value noise around mid-grey.
-    for y in 0..spec.height {
-        for x in 0..spec.width {
-            let coarse = value_noise(spec.background_seed, x, y, 24);
-            let fine = value_noise(spec.background_seed ^ 0xabcd, x, y, 5);
-            let v = 70.0 + 0.45 * coarse + 0.25 * fine;
-            img.set(x, y, v.round().clamp(0.0, 255.0) as u8);
-        }
-    }
-    // Objects: textured rectangles with a contrasting border.
+    draw_background(img.as_bytes_mut(), spec.width, spec.background_seed);
     for obj in &spec.objects {
-        let (x0, y0, x1, y1) = obj.bbox.to_pixels(spec.width, spec.height);
-        if x1 <= x0 || y1 <= y0 {
-            continue;
-        }
-        let border = (((x1 - x0).min(y1 - y0)) / 8).max(1);
-        for y in y0..y1 {
-            for x in x0..x1 {
-                let on_border =
-                    x < x0 + border || x >= x1 - border || y < y0 + border || y >= y1 - border;
-                let tex = value_noise(obj.texture_seed, x - x0, y - y0, 4);
-                let base = obj.base_intensity as f64;
-                let v = if on_border {
-                    // strong edge: objects contribute high-frequency content
-                    255.0 - base * 0.8
-                } else {
-                    base * 0.7 + tex * 0.3
-                };
-                img.set(x, y, v.round().clamp(0.0, 255.0) as u8);
-            }
-        }
+        draw_object(img.as_bytes_mut(), spec.width, spec.height, obj);
     }
     // Camera effects, in physical order: optics blur, illumination, sensor noise.
-    let mut out = gaussian_blur(&img, spec.blur_sigma);
+    blur_in_place(&mut img, spec.blur_sigma);
     if (spec.illumination - 1.0).abs() > f64::EPSILON {
-        out = scale_illumination(&out, spec.illumination);
+        illuminate_in_place(&mut img, spec.illumination);
     }
     if spec.noise_std > 0.0 {
         let mut rng = StdRng::seed_from_u64(spec.noise_seed);
-        out = add_gaussian_noise(&out, spec.noise_std, &mut rng);
+        noise_in_place(&mut img, spec.noise_std, &mut rng);
     }
-    out
+    img
 }
 
 #[cfg(test)]
