@@ -6,7 +6,9 @@
 //!    prediction computed from *ground-truth* features against the labels
 //!    from [`crate::label_dataset`].
 
-use crate::{CaseKind, DifficultCaseDiscriminator, LabeledExample, Thresholds};
+use crate::{
+    CaseKind, DifficultCaseDiscriminator, LabeledExample, Thresholds, PREDICTION_THRESHOLD,
+};
 use datagen::Dataset;
 use modelzoo::Detector;
 use serde::{Deserialize, Serialize};
@@ -90,96 +92,96 @@ pub struct Calibration {
 /// Panics if the dataset is empty.
 pub fn calibrate_conf_threshold(dataset: &Dataset, small: &(dyn Detector + Sync)) -> (f64, u64) {
     assert!(!dataset.is_empty(), "cannot calibrate on an empty dataset");
-    // Fan the detection work out across the harness workers (dataset order).
+    // Each block of scenes folds into its own loss sums through one reused
+    // detection buffer; no detection is retained.
     let scenes = dataset.scenes();
-    let dets: Vec<detcore::ImageDetections> =
-        crate::par::ordered_map(scenes.len(), |i| small.detect(&scenes[i]));
-    conf_threshold_from(score_profiles(
-        dets.iter().zip(scenes.iter().map(|s| s.num_objects())),
-    ))
+    let blocks = crate::par::ordered_blocks(scenes.len(), |range| {
+        let mut loss = CountingLoss::new();
+        let mut dets = detcore::ImageDetections::new();
+        for scene in &scenes[range] {
+            small.detect_into(scene, &mut dets);
+            loss.add_image(&dets, scene.num_objects());
+        }
+        loss
+    });
+    CountingLoss::best(blocks)
 }
 
-/// Flat (structure-of-arrays) per-image score profiles: every image's
-/// scores sorted ascending in one buffer, with offsets and true counts.
-struct ScoreProfiles {
-    scores: Vec<f64>,
-    /// `num_images + 1` offsets into `scores`.
-    offsets: Vec<u32>,
-    true_counts: Vec<u32>,
-}
-
-fn score_profiles<'a>(
-    images: impl Iterator<Item = (&'a detcore::ImageDetections, usize)>,
-) -> ScoreProfiles {
-    let mut profiles = ScoreProfiles {
-        scores: Vec::new(),
-        offsets: vec![0],
-        true_counts: Vec::new(),
-    };
-    for (dets, n_true) in images {
-        let start = profiles.scores.len();
-        profiles.scores.extend(dets.iter().map(|d| d.score()));
-        profiles.scores[start..].sort_by(|a, b| a.partial_cmp(b).expect("finite scores"));
-        profiles.offsets.push(profiles.scores.len() as u32);
-        profiles.true_counts.push(n_true as u32);
-    }
-    profiles
-}
-
-/// Eq. 1's threshold scan.
+/// Eq. 1's loss `Σ |N_est(t) − N_true|` at every threshold of the scan,
+/// folded one image at a time.
 ///
-/// The seed scanned thresholds in the outer loop with one binary search per
-/// (threshold, image) pair; this sweeps each image's ascending scores once
-/// against the ascending threshold grid with a moving pointer. Per-image
-/// loss terms are integers, so accumulating per image instead of per
-/// threshold produces the same 41 loss sums exactly, and the
-/// strictly-smaller selection over the same threshold order picks the same
-/// `(threshold, loss)`.
-fn conf_threshold_from(profiles: ScoreProfiles) -> (f64, u64) {
-    let thresholds: Vec<f64> = {
-        let mut v = Vec::new();
+/// Each image's ascending scores are swept once against the ascending
+/// threshold grid with a moving pointer. Per-image loss terms are integers,
+/// so the sums of any partition of the images add up to the same 41 totals
+/// exactly, and the strictly-smaller selection over the same threshold
+/// order picks the same `(threshold, loss)` as a scan of the whole set.
+struct CountingLoss {
+    /// `(threshold, loss sum)` in scan order.
+    cells: Vec<(f64, u64)>,
+    /// Scratch: the current image's scores, ascending.
+    scores: Vec<f64>,
+}
+
+impl CountingLoss {
+    fn new() -> CountingLoss {
+        let mut cells = Vec::new();
         let mut t = 0.05;
         while t <= 0.451 {
-            v.push(t);
+            cells.push((t, 0));
             t += 0.01;
         }
-        v
-    };
-    let mut losses = vec![0u64; thresholds.len()];
-    for img in 0..profiles.true_counts.len() {
-        let scores =
-            &profiles.scores[profiles.offsets[img] as usize..profiles.offsets[img + 1] as usize];
-        let n_true = profiles.true_counts[img] as usize;
+        let scores = Vec::new();
+        CountingLoss { cells, scores }
+    }
+
+    fn add_image(&mut self, dets: &detcore::ImageDetections, n_true: usize) {
+        let scores = &mut self.scores;
+        scores.clear();
+        scores.extend(dets.iter().map(|d| d.score()));
+        scores.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite scores"));
         // `idx` tracks `partition_point(|s| s < t)` as `t` ascends.
         let mut idx = 0usize;
-        for (ti, &t) in thresholds.iter().enumerate() {
-            while idx < scores.len() && scores[idx] < t {
+        for (t, loss) in &mut self.cells {
+            while idx < scores.len() && scores[idx] < *t {
                 idx += 1;
             }
             let n_est = scores.len() - idx;
-            losses[ti] += n_est.abs_diff(n_true) as u64;
+            *loss += n_est.abs_diff(n_true) as u64;
         }
     }
-    let mut best = (0.20, u64::MAX);
-    for (&t, &loss) in thresholds.iter().zip(&losses) {
-        if loss < best.1 {
-            best = (t, loss);
+
+    /// Adds the parts' sums up and returns the first threshold of the scan
+    /// with the smallest loss, and that loss.
+    fn best(parts: impl IntoIterator<Item = CountingLoss>) -> (f64, u64) {
+        let mut total = CountingLoss::new();
+        for part in parts {
+            for (sum, (_, loss)) in total.cells.iter_mut().zip(part.cells) {
+                sum.1 += loss;
+            }
         }
+        let mut best = (0.20, u64::MAX);
+        for (t, loss) in total.cells {
+            if loss < best.1 {
+                best = (t, loss);
+            }
+        }
+        best
     }
-    best
 }
 
 /// Grid-searches the count and area thresholds on ground-truth features,
 /// maximising accuracy against the difficulty labels (Sec. V-D).
 ///
 /// The naive grid re-classifies every example for all `6 × 31` cells; this
-/// version visits the same cells in the same order but, for each count
-/// threshold, sorts the not-count-difficult examples by minimum area once
-/// and reads every area cell's confusion counts off prefix sums. The
-/// winning cell and its [`BinaryStats`] are identical to the naive scan
-/// (the accuracy of each cell is the same integer-count division, and the
-/// strictly-greater tie-break is evaluated in the same cell order); the
-/// naive implementation stays in the tests as the oracle.
+/// version visits the same cells in the same order but sorts the examples
+/// by minimum area once, keeps for each count threshold the
+/// not-count-difficult ones (still sorted) and reads every area cell's
+/// confusion counts off prefix sums. The winning cell and its
+/// [`BinaryStats`] are identical to the naive scan (the accuracy of each
+/// cell is the same integer-count division, which does not depend on how
+/// equal areas are ordered, and the strictly-greater tie-break is
+/// evaluated in the same cell order); the naive implementation stays in
+/// the tests as the oracle.
 pub fn calibrate_count_area(examples: &[LabeledExample]) -> (usize, f64, BinaryStats) {
     assert!(!examples.is_empty(), "cannot calibrate on zero examples");
     let total = examples.len();
@@ -188,38 +190,44 @@ pub fn calibrate_count_area(examples: &[LabeledExample]) -> (usize, f64, BinaryS
     // `classify_true_features` treats a missing minimum area as
     // never-difficult-by-area; +inf encodes that (no finite threshold
     // exceeds it).
+    let mut by_area: Vec<(f64, bool, usize)> = examples
+        .iter()
+        .map(|e| {
+            let area = e.true_min_area.unwrap_or(f64::INFINITY);
+            (area, e.label.is_difficult(), e.true_count)
+        })
+        .collect();
+    by_area.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite or inf areas"));
+
     let mut best: Option<(usize, f64, f64)> = None; // (count, area, accuracy)
-    let mut rest: Vec<(f64, bool)> = Vec::with_capacity(total);
+    let mut rest: Vec<f64> = Vec::with_capacity(total);
+    // prefix_pos[i] = difficult labels among the i smallest-area rest.
+    let mut prefix_pos: Vec<usize> = Vec::with_capacity(total + 1);
     for count in 1..=6usize {
         // Examples with more objects than the threshold are predicted
         // difficult regardless of area.
         let mut count_tp = 0usize;
         let mut count_fp = 0usize;
         rest.clear();
-        for e in examples {
-            if e.true_count > count {
-                if e.label.is_difficult() {
+        prefix_pos.clear();
+        prefix_pos.push(0);
+        for &(area, difficult, true_count) in &by_area {
+            if true_count > count {
+                if difficult {
                     count_tp += 1;
                 } else {
                     count_fp += 1;
                 }
             } else {
-                let area = e.true_min_area.unwrap_or(f64::INFINITY);
-                rest.push((area, e.label.is_difficult()));
+                rest.push(area);
+                prefix_pos.push(prefix_pos[rest.len() - 1] + usize::from(difficult));
             }
-        }
-        rest.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite or inf areas"));
-        // prefix_pos[i] = difficult labels among the i smallest-area rest.
-        let mut prefix_pos = Vec::with_capacity(rest.len() + 1);
-        prefix_pos.push(0usize);
-        for (_, difficult) in &rest {
-            prefix_pos.push(prefix_pos.last().unwrap() + usize::from(*difficult));
         }
 
         let mut area = 0.01;
         while area <= 0.61 {
             // Among `rest`, predicted difficult iff min_area < threshold.
-            let below = rest.partition_point(|&(a, _)| a < area);
+            let below = rest.partition_point(|&a| a < area);
             let tp = count_tp + prefix_pos[below];
             let fp = count_fp + (below - prefix_pos[below]);
             let fn_ = positives - tp;
@@ -254,24 +262,53 @@ pub fn calibrate_count_area(examples: &[LabeledExample]) -> (usize, f64, BinaryS
 
 /// Runs the complete calibration: confidence threshold by regression, then
 /// count/area thresholds by grid search over labelled training data.
+///
+/// Two passes over blocks of scenes (see [`crate::par`]), equal to
+/// [`crate::detect_all`] → Eq. 1 scan → [`crate::label_dataset_with`] →
+/// [`calibrate_count_area`] exactly (the detectors are deterministic). The
+/// first keeps what labelling will need — the small model's detections and
+/// the big model's predicted-object count, read off one reused buffer —
+/// and folds the small model's scores into the block's Eq. 1 sums; once
+/// those pick `t_conf`, the second labels every scene.
 pub fn calibrate(
     train: &Dataset,
     small: &(dyn Detector + Sync),
     big: &(dyn Detector + Sync),
 ) -> (Calibration, Vec<LabeledExample>) {
+    calibrate_with(crate::par::harness_workers(train.len()), train, small, big)
+}
+
+/// [`calibrate`] with an explicit worker count.
+fn calibrate_with(
+    workers: usize,
+    train: &Dataset,
+    small: &(dyn Detector + Sync),
+    big: &(dyn Detector + Sync),
+) -> (Calibration, Vec<LabeledExample>) {
     assert!(!train.is_empty(), "cannot calibrate on an empty dataset");
-    // One (parallel) detection pass over the training set feeds both the
-    // confidence-threshold scan and the difficulty labelling; the detectors
-    // are deterministic, so results equal the two-pass form exactly.
-    let results = crate::detect_all(train, small, big);
     let scenes = train.scenes();
-    let (conf, counting_loss) = conf_threshold_from(score_profiles(
-        scenes
+    let blocks = crate::par::ordered_blocks_with(workers, scenes.len(), |range| {
+        let mut loss = CountingLoss::new();
+        let mut big_dets = detcore::ImageDetections::new();
+        let detected: Vec<(detcore::ImageDetections, usize)> = scenes[range]
             .iter()
-            .zip(&results)
-            .map(|(scene, (small_dets, _))| (small_dets, scene.num_objects())),
-    ));
-    let examples = crate::label_dataset_with(train, &results, conf);
+            .map(|scene| {
+                let small_dets = small.detect(scene);
+                loss.add_image(&small_dets, scene.num_objects());
+                big.detect_into(scene, &mut big_dets);
+                (small_dets, big_dets.count_above(PREDICTION_THRESHOLD))
+            })
+            .collect();
+        (detected, loss)
+    });
+    let (detected, losses): (Vec<_>, Vec<_>) = blocks.into_iter().unzip();
+    let (conf, counting_loss) = CountingLoss::best(losses);
+
+    let detected = crate::par::concat(detected);
+    let examples = crate::par::ordered_map_with(workers, scenes.len(), |i| {
+        let (small_dets, n_big) = &detected[i];
+        crate::labeling::label_scene_counted(&scenes[i], small_dets, *n_big, conf)
+    });
     let (count, area, train_stats) = calibrate_count_area(&examples);
     (
         Calibration {
@@ -327,28 +364,135 @@ mod tests {
         best.expect("grid is non-empty")
     }
 
+    fn assert_matches_naive(examples: &[LabeledExample], shape: &str) {
+        let fast = calibrate_count_area(examples);
+        let naive = naive_count_area(examples);
+        assert_eq!(fast.0, naive.0, "{shape}");
+        assert_eq!(fast.1.to_bits(), naive.1.to_bits(), "{shape}");
+        assert_eq!(fast.2, naive.2, "{shape}");
+    }
+
     #[test]
     fn count_area_grid_matches_naive_oracle() {
         let (ds, small, big) = setup();
         let examples = crate::label_dataset(&ds, &small, &big, 0.2);
-        let (count, area, stats) = calibrate_count_area(&examples);
-        let (count_ref, area_ref, stats_ref) = naive_count_area(&examples);
-        assert_eq!(count, count_ref);
-        assert_eq!(area.to_bits(), area_ref.to_bits());
-        assert_eq!(stats, stats_ref);
+        assert_matches_naive(&examples, "labelled VOC");
 
-        // Edge shapes: missing min areas and all-one-label sets.
-        let degenerate: Vec<LabeledExample> = examples
-            .iter()
-            .map(|e| LabeledExample {
-                true_min_area: None,
-                ..*e
-            })
-            .collect();
-        let fast = calibrate_count_area(&degenerate);
-        let naive = naive_count_area(&degenerate);
-        assert_eq!((fast.0, fast.1.to_bits()), (naive.0, naive.1.to_bits()));
-        assert_eq!(fast.2, naive.2);
+        // Edge shapes. Each rewrites one field of every example.
+        let reshaped = |f: &dyn Fn(usize, &LabeledExample) -> LabeledExample| {
+            (examples.iter().enumerate())
+                .map(|(i, e)| f(i, e))
+                .collect::<Vec<_>>()
+        };
+        let no_areas = reshaped(&|_, e| LabeledExample {
+            true_min_area: None,
+            ..*e
+        });
+        assert_matches_naive(&no_areas, "all-None areas");
+        // Three distinct areas, two of them on grid thresholds: every
+        // prefix boundary falls inside a run of ties with mixed labels.
+        let tied = reshaped(&|i, e| LabeledExample {
+            true_min_area: Some([0.03, 0.05, 0.2][i % 3]),
+            ..*e
+        });
+        assert_matches_naive(&tied, "tied areas");
+        let crowded = reshaped(&|i, e| LabeledExample {
+            true_count: 7 + i % 3,
+            ..*e
+        });
+        assert_matches_naive(&crowded, "every true_count > 6");
+        for e in examples.iter().take(8) {
+            assert_matches_naive(std::slice::from_ref(e), "a single example");
+        }
+    }
+
+    /// The four small/big pairs of the paper's tables.
+    const PAIRS: [(ModelKind, ModelKind); 4] = [
+        (ModelKind::VggLiteSsd, ModelKind::SsdVgg16),
+        (ModelKind::MobileNetV1Ssd, ModelKind::SsdVgg16),
+        (ModelKind::MobileNetV2Ssd, ModelKind::SsdVgg16),
+        (ModelKind::YoloMobileNetV1, ModelKind::YoloV4),
+    ];
+
+    /// `calibrate` composed from public pieces, nothing fused: retain every
+    /// detection pair, scan Eq. 1 the seed's way (thresholds outermost, one
+    /// count per image), label, grid-search.
+    fn two_pass_reference(
+        train: &Dataset,
+        small: &SimDetector,
+        big: &SimDetector,
+    ) -> (Calibration, Vec<LabeledExample>) {
+        let results = crate::detect_all(train, small, big);
+        let (mut conf, mut counting_loss) = (0.20, u64::MAX);
+        let mut t = 0.05;
+        while t <= 0.451 {
+            let loss: u64 = train
+                .iter()
+                .zip(&results)
+                .map(|(scene, (s, _))| s.count_above(t).abs_diff(scene.num_objects()) as u64)
+                .sum();
+            if loss < counting_loss {
+                (conf, counting_loss) = (t, loss);
+            }
+            t += 0.01;
+        }
+        let examples = crate::label_dataset_with(train, &results, conf);
+        let (count, area, train_stats) = calibrate_count_area(&examples);
+        let thresholds = Thresholds { conf, count, area };
+        (
+            Calibration {
+                thresholds,
+                counting_loss,
+                train_stats,
+            },
+            examples,
+        )
+    }
+
+    fn calibration_bits(cal: &Calibration) -> [u64; 9] {
+        let stats = cal.train_stats;
+        [
+            cal.thresholds.conf.to_bits(),
+            cal.thresholds.count as u64,
+            cal.thresholds.area.to_bits(),
+            cal.counting_loss,
+            stats.accuracy.to_bits(),
+            stats.precision.to_bits(),
+            stats.recall.to_bits(),
+            stats.f1.to_bits(),
+            stats.predicted_positive_rate.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn fused_calibrate_equals_two_pass_reference_for_any_worker_count() {
+        let profiles = [
+            (DatasetProfile::voc(), SplitId::Voc07),
+            (DatasetProfile::coco18(), SplitId::Coco18),
+            (DatasetProfile::helmet(), SplitId::Helmet),
+        ];
+        for (profile, split) in profiles {
+            // 3 scenes: fewer than the 5 workers.
+            for scenes in [3, 150] {
+                let train = Dataset::generate("t", &profile, scenes, 29);
+                let classes = train.taxonomy().len();
+                for pair in PAIRS {
+                    let small = SimDetector::new(pair.0, split, classes);
+                    let big = SimDetector::new(pair.1, split, classes);
+                    let (cal_ref, examples_ref) = two_pass_reference(&train, &small, &big);
+                    let at = format!("{split:?} {pair:?} {scenes} scenes");
+                    for workers in [1, 2, 5] {
+                        let (cal, examples) = calibrate_with(workers, &train, &small, &big);
+                        let at = format!("{at} {workers} workers");
+                        assert_eq!(calibration_bits(&cal), calibration_bits(&cal_ref), "{at}");
+                        assert_eq!(examples, examples_ref, "{at}");
+                    }
+                    let (conf, loss) = calibrate_conf_threshold(&train, &small);
+                    assert_eq!(conf.to_bits(), cal_ref.thresholds.conf.to_bits(), "{at}");
+                    assert_eq!(loss, cal_ref.counting_loss, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //! `(time, session)` event order to one shard's sessions therefore yields
 //! *exactly* the message sequence that shard observes in a single-threaded
 //! drive, so each shard group runs its own virtual-time queue on its own
-//! scoped worker ([`FleetSpec::threads`], fanned out over the vendored
-//! crossbeam channels like [`crate::par::ordered_map`]) and the per-shard
-//! outcomes are merged in shard / session-index order. **[`FleetReport`]
+//! scoped worker ([`FleetSpec::threads`]; the workers claim shards one at
+//! a time off [`crate::par`]'s cursor, the calling thread among them) and
+//! the per-shard outcomes are merged in shard / session-index order. **[`FleetReport`]
 //! is bit-identical for every thread count** — pinned by the
 //! threads ∈ {1, 2, 4} sweep in `tests/fleet.rs` against the threaded
 //! reference deployment; parallelism changes wall-clock time only. A

@@ -58,9 +58,20 @@ pub fn label_scene_with(
     big_dets: &detcore::ImageDetections,
     t_conf: f64,
 ) -> LabeledExample {
-    let n_small = small_dets.count_above(PREDICTION_THRESHOLD);
     let n_big = big_dets.count_above(PREDICTION_THRESHOLD);
-    let label = if n_big > n_small {
+    label_scene_counted(scene, small_dets, n_big, t_conf)
+}
+
+/// [`label_scene_with`] where all that was kept of the big model's output
+/// is `n_big`, the objects it predicts (score ≥ [`PREDICTION_THRESHOLD`]).
+pub(crate) fn label_scene_counted(
+    scene: &Scene,
+    small_dets: &detcore::ImageDetections,
+    n_big: usize,
+    t_conf: f64,
+) -> LabeledExample {
+    let features = SemanticFeatures::extract(small_dets, t_conf);
+    let label = if n_big > features.predicted_count {
         CaseKind::Difficult
     } else {
         CaseKind::Easy
@@ -69,7 +80,7 @@ pub fn label_scene_with(
         scene_id: scene.id,
         true_count: scene.num_objects(),
         true_min_area: scene.min_area_ratio(),
-        features: SemanticFeatures::extract(small_dets, t_conf),
+        features,
         label,
     }
 }
