@@ -44,9 +44,10 @@
 //! is bit-identical for every thread count** — pinned by the
 //! threads ∈ {1, 2, 4} sweep in `tests/fleet.rs` against the threaded
 //! reference deployment; parallelism changes wall-clock time only. A
-//! shard drive that panics (e.g. a poisoned inline mailbox) is caught at
-//! the shard boundary and surfaced as a typed [`FleetError`] instead of
-//! tearing the process down.
+//! shard drive that panics (e.g. a user detector failing mid-frame) is
+//! caught at the shard boundary and surfaced as a typed [`FleetError`]
+//! instead of tearing the process down; everything the drive owned —
+//! its machines and its mailbox — is dropped with it.
 //!
 //! # Population layer
 //!
@@ -78,12 +79,11 @@
 use crate::scheduler::SchedulerSlot;
 use crate::server::{
     assert_frame_size, AnswerTx, CloudConfig, CloudMachine, CloudPort, CloudServer, CloudStats,
-    EdgeMachine, FrameResult, ProbeReply, ProbeTx, SessionConfig, SessionReport,
+    EdgeMachine, FrameResult, FromCloud, ProbeReply, ProbeTx, SessionConfig, SessionReport,
     SharedFrameScratch, ToCloud, UploadSizeCache,
 };
 use crate::strategies::{OffloadPolicy, Policy};
 use crate::DifficultCaseDiscriminator;
-use bytes::Bytes;
 use datagen::{Dataset, DatasetProfile, Scene, SplitId};
 use modelzoo::{Detector, ModelKind, SimDetector};
 use rand::rngs::StdRng;
@@ -92,7 +92,7 @@ use serde::{Deserialize, Serialize};
 use simnet::{DeviceModel, LinkModel, LinkTrace};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Classes in the fleet's synthetic monitoring workload (HELMET-like:
 /// person, helmet).
@@ -581,56 +581,28 @@ impl<'p> Schedule<'p> {
     }
 }
 
-/// Panic message every inline-mailbox access uses on a poisoned lock: a
-/// *previous* frame panicked while the shard held the mailbox. The shard
-/// drive's [`shard_guard`] converts this into a typed [`FleetError`], so
-/// one poisoned shard fails the run with a diagnostic instead of a bare
-/// `PoisonError` unwrap.
-const MAILBOX_POISONED: &str =
-    "inline mailbox poisoned: an earlier frame panicked mid-reply on this shard";
-
-/// The in-process mailbox one inline session shares with its cloud shard:
-/// answers and probe replies land here synchronously (the shard's
-/// `AnswerTx`/`ProbeTx` sinks push from inside `CloudMachine::handle`)
-/// and the session's port pops them right after. One allocation per
-/// session — both reply paths share the `Arc`.
+/// The in-process mailbox of one shard drive: answers and probe replies
+/// land here synchronously (the sessions' `AnswerTx`/`ProbeTx` sinks push
+/// from inside `CloudMachine::handle`) and the driven session's port pops
+/// them right after, as the typed values the cloud produced. One per
+/// shard, not per session: depth-1 driving means only the session being
+/// stepped ever has anything in flight, so whatever is in the mailbox is
+/// its own.
 #[derive(Default)]
-struct InlineMailbox {
-    answers: VecDeque<(u64, Bytes)>,
+struct ShardMailbox {
+    answers: VecDeque<FromCloud>,
     probe: Option<ProbeReply>,
 }
 
-/// Handle to one session's [`InlineMailbox`]; cloning shares the mailbox
-/// (the cloud-side sinks hold clones).
-#[derive(Default, Clone)]
-struct InlineInfra {
-    mailbox: Arc<Mutex<InlineMailbox>>,
-}
+/// Handle to a shard's [`ShardMailbox`]; the cloud-side sinks hold clones.
+/// The lock exists only because sinks must be `Send`: a shard is driven
+/// by one thread, so it is never contended, and a panic while it is held
+/// unwinds the whole drive — mailbox included — so a poisoned lock has no
+/// later reader.
+type SharedMailbox = Arc<Mutex<ShardMailbox>>;
 
-impl InlineInfra {
-    fn pop_answer(&self) -> Option<(u64, Bytes)> {
-        self.mailbox
-            .lock()
-            .expect(MAILBOX_POISONED)
-            .answers
-            .pop_front()
-    }
-
-    fn take_probe(&self) -> Option<ProbeReply> {
-        self.mailbox.lock().expect(MAILBOX_POISONED).probe.take()
-    }
-
-    fn push_answer(&self, ticket: u64, frame: Bytes) {
-        self.mailbox
-            .lock()
-            .expect(MAILBOX_POISONED)
-            .answers
-            .push_back((ticket, frame));
-    }
-
-    fn put_probe(&self, reply: ProbeReply) {
-        self.mailbox.lock().expect(MAILBOX_POISONED).probe = Some(reply);
-    }
+fn lock_mailbox(shared: &SharedMailbox) -> MutexGuard<'_, ShardMailbox> {
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The inline [`CloudPort`]: `send` *is* the cloud's message handler, so
@@ -639,7 +611,7 @@ impl InlineInfra {
 /// guarantees every recv follows the send that produced its reply.
 struct InlinePort<'c, 'a> {
     cloud: &'c mut CloudMachine<'a>,
-    infra: &'c InlineInfra,
+    mailbox: &'c SharedMailbox,
 }
 
 impl CloudPort for InlinePort<'_, '_> {
@@ -647,21 +619,13 @@ impl CloudPort for InlinePort<'_, '_> {
         self.cloud.handle(msg)
     }
 
-    fn recv_answer(&mut self) -> Option<(u64, Bytes)> {
-        self.infra.pop_answer()
+    fn recv_answer(&mut self) -> Option<FromCloud> {
+        lock_mailbox(self.mailbox).answers.pop_front()
     }
 
     fn recv_probe(&mut self) -> Option<ProbeReply> {
-        self.infra.take_probe()
+        lock_mailbox(self.mailbox).probe.take()
     }
-}
-
-/// One live session in the event core: its state machine plus mailbox.
-/// Boxed so the fleet's `Vec<Option<...>>` stays one pointer per planned
-/// session regardless of machine size.
-struct LiveSession<'a> {
-    m: EdgeMachine<'a>,
-    infra: InlineInfra,
 }
 
 /// Index into the shared scene pool for session `session`'s frame
@@ -730,27 +694,27 @@ fn scene_at<'a>(
 }
 
 /// Registers an inline session with its shard, wiring the shard's reply
-/// paths straight into the session's mailbox.
-fn register_inline(cloud: &mut CloudMachine<'_>, id: u64, link: LinkModel, infra: &InlineInfra) {
-    let answers = infra.clone();
-    let probes = infra.clone();
+/// paths straight into the shard's mailbox.
+fn register_inline(cloud: &mut CloudMachine<'_>, id: u64, link: LinkModel, shared: &SharedMailbox) {
+    let answers = Arc::clone(shared);
+    let probes = Arc::clone(shared);
     cloud.handle(ToCloud::Register {
         session: id,
         link,
-        resp_tx: AnswerTx::Sink(Box::new(move |ticket, frame| {
-            answers.push_answer(ticket, frame);
+        resp_tx: AnswerTx::Sink(Box::new(move |msg| {
+            lock_mailbox(&answers).answers.push_back(msg);
             true
         })),
         probe_tx: ProbeTx::Sink(Box::new(move |reply| {
-            probes.put_probe(reply);
+            lock_mailbox(&probes).probe = Some(reply);
             true
         })),
     });
 }
 
-/// A fleet run failed: one shard's drive panicked (a poisoned inline
-/// mailbox after an earlier mid-frame panic, an unresolved frame, a
-/// machine invariant violation). The run surfaces the first failing
+/// A fleet run failed: one shard's drive panicked (a detector failing
+/// mid-frame, an unresolved frame, a machine invariant violation). The
+/// run surfaces the first failing
 /// shard (lowest id) with its panic diagnostic instead of tearing the
 /// process down — remaining shards complete normally.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -769,10 +733,10 @@ impl std::fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
-/// Runs one shard's drive with a panic boundary: any panic inside —
-/// including the descriptive mutex-poison panics of [`InlineInfra`] —
-/// becomes a typed [`FleetError`] naming the shard, so callers of the
-/// public run functions see `Result`, not an unwinding thread.
+/// Runs one shard's drive with a panic boundary: any panic inside becomes
+/// a typed [`FleetError`] naming the shard and carrying the panic's own
+/// message, so callers of the public run functions see `Result`, not an
+/// unwinding thread.
 fn shard_guard<T>(shard: usize, f: impl FnOnce() -> T) -> Result<T, FleetError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
         let message = payload
@@ -862,7 +826,10 @@ fn drive_shard<C: ShardConsumer>(
     let admission = spec.cloud.queue_limit.is_some();
     let n = pop.sessions.len();
     let group = n.saturating_sub(shard).div_ceil(spec.shards);
-    let mut lives: Vec<Option<Box<LiveSession<'_>>>> = (0..group).map(|_| None).collect();
+    // Boxed so the `Vec` stays one pointer per planned session regardless
+    // of machine size.
+    let mut lives: Vec<Option<Box<EdgeMachine<'_>>>> = (0..group).map(|_| None).collect();
+    let mailbox = SharedMailbox::default();
     // Per-frame scratch shared across the shard's sessions in compact
     // mode (single-threaded per shard, so the lock is uncontended).
     let scratch: SharedFrameScratch = SharedFrameScratch::default();
@@ -877,32 +844,34 @@ fn drive_shard<C: ShardConsumer>(
         let slot = i / spec.shards;
         if step.frame == 0 {
             let cfg = spec.session_config(p, i);
-            let infra = InlineInfra::default();
-            register_inline(&mut cloud, i as u64, cfg.link.clone(), &infra);
+            register_inline(&mut cloud, i as u64, cfg.link.clone(), &mailbox);
             let mut m = EdgeMachine::new(i as u64, cfg, small, spec.build_policy(p), admission);
             m.set_size_cache(Arc::clone(size_cache));
             if mode == MetricsMode::Compact {
                 m.set_compact_metrics(Arc::clone(&scratch));
             }
-            lives[slot] = Some(Box::new(LiveSession { m, infra }));
+            lives[slot] = Some(Box::new(m));
         }
         let live = lives[slot]
             .as_mut()
             .expect("live between first and last frame");
-        live.m.advance_to(step.time);
+        live.advance_to(step.time);
         let scene = scene_at(pools, spec.drift.as_ref(), i, step.frame, step.time);
         let mut port = InlinePort {
             cloud: &mut cloud,
-            infra: &live.infra,
+            mailbox: &mailbox,
         };
-        let ticket = live.m.submit_inner(&mut port, scene, Some(scene));
+        let ticket = live.submit_inner(&mut port, scene, Some(scene));
         let result = live
-            .m
             .poll(&mut port, ticket)
             .expect("depth-1 driving resolves every frame");
+        debug_assert!(
+            lock_mailbox(&mailbox).answers.is_empty(),
+            "depth-1 driving leaves no answer behind for the next session"
+        );
         consumer.on_frame(p.tenant, &result);
         if step.frame + 1 == p.frames {
-            let report = live.m.drain(&mut port);
+            let report = live.drain(&mut port);
             port.send(ToCloud::Deregister { session: i as u64 });
             consumer.on_session(step.session, p.tenant, report);
             lives[slot] = None;
@@ -913,8 +882,8 @@ fn drive_shard<C: ShardConsumer>(
 
 /// Drives the whole fleet, one worker per shard group (see
 /// [`fleet_threads`]), and returns every shard's `(consumer, stats)` in
-/// shard order. Each shard runs behind [`shard_guard`]; the first
-/// failing shard's error is returned after all drives complete.
+/// shard order; the first failing shard's error is returned after all
+/// drives complete.
 fn run_event_core<C, F>(
     spec: &FleetSpec,
     pop: &Population,
@@ -926,8 +895,27 @@ where
     F: Fn() -> C + Sync,
 {
     let (pools, small, big) = workload(spec);
-    let small: &(dyn Detector + Sync) = &small;
-    let big: &(dyn Detector + Sync) = &big;
+    drive_shards(spec, pop, mode, &pools, &small, &big, make)
+        .into_iter()
+        .collect()
+}
+
+/// [`run_event_core`] over a given workload: every shard's outcome in
+/// shard order, each drive behind its own [`shard_guard`] so one failing
+/// shard leaves the others' results intact.
+fn drive_shards<C, F>(
+    spec: &FleetSpec,
+    pop: &Population,
+    mode: MetricsMode,
+    pools: &[Vec<Arc<Scene>>],
+    small: &(dyn Detector + Sync),
+    big: &(dyn Detector + Sync),
+    make: F,
+) -> Vec<Result<(C, CloudStats), FleetError>>
+where
+    C: ShardConsumer,
+    F: Fn() -> C + Sync,
+{
     // One upload-size memo for the whole fleet: sessions cycle a shared
     // scene pool, and encoded size is a pure function of (scene,
     // resolution), so after `scene_pool` cold renders every upload's
@@ -944,7 +932,7 @@ where
                 pop,
                 shard,
                 mode,
-                &pools,
+                pools,
                 small,
                 big,
                 &size_cache,
@@ -953,8 +941,6 @@ where
             (consumer, stats)
         })
     })
-    .into_iter()
-    .collect()
 }
 
 /// Collects per-session reports with their global session ids.
@@ -1171,15 +1157,16 @@ struct TenantAccum {
     total_gt: u64,
 }
 
-/// The aggregate path's per-shard consumer: latency samples tagged by
+/// The aggregate path's per-shard consumer: one latency column per
 /// tenant, running per-tenant sums, and fleet-wide counters. Everything
 /// here merges across shards without loss: the counters are exact
-/// integer sums, the horizon is an `f64` max, and the samples are
-/// re-sorted globally before any quantile is read — so per-shard
-/// accumulation followed by a shard-ordered merge is bit-identical to
-/// the single-threaded fold.
+/// integer sums, the horizon is an `f64` max, and each tenant's columns
+/// are concatenated and sorted before any quantile is read — so per-shard
+/// accumulation followed by a merge is bit-identical to the
+/// single-threaded fold.
 struct Aggregate {
-    samples: Vec<(u32, f32)>,
+    /// Frame latencies by tenant, in the order the shard resolved them.
+    columns: Vec<Vec<f32>>,
     accums: Vec<TenantAccum>,
     uplink_bytes: u64,
     link_fallbacks: u64,
@@ -1190,7 +1177,7 @@ struct Aggregate {
 impl Aggregate {
     fn new(tenants: usize) -> Aggregate {
         Aggregate {
-            samples: Vec::new(),
+            columns: vec![Vec::new(); tenants],
             accums: vec![TenantAccum::default(); tenants],
             uplink_bytes: 0,
             link_fallbacks: 0,
@@ -1198,29 +1185,11 @@ impl Aggregate {
             completed_horizon_s: 0.0,
         }
     }
-
-    /// Folds another shard's aggregate into this one (called in shard
-    /// order, though every merged quantity is order-independent).
-    fn merge(&mut self, other: Aggregate) {
-        self.samples.extend(other.samples);
-        for (a, b) in self.accums.iter_mut().zip(other.accums) {
-            a.sessions += b.sessions;
-            a.frames += b.frames;
-            a.uploads += b.uploads;
-            a.deadline_misses += b.deadline_misses;
-            a.detected += b.detected;
-            a.total_gt += b.total_gt;
-        }
-        self.uplink_bytes += other.uplink_bytes;
-        self.link_fallbacks += other.link_fallbacks;
-        self.admission_fallbacks += other.admission_fallbacks;
-        self.completed_horizon_s = self.completed_horizon_s.max(other.completed_horizon_s);
-    }
 }
 
 impl ShardConsumer for Aggregate {
     fn on_frame(&mut self, tenant: u32, result: &FrameResult) {
-        self.samples.push((tenant, result.breakdown.total() as f32));
+        self.columns[tenant as usize].push(result.breakdown.total() as f32);
         self.completed_horizon_s = self.completed_horizon_s.max(result.completed_at);
     }
 
@@ -1238,6 +1207,17 @@ impl ShardConsumer for Aggregate {
     }
 }
 
+/// Moves every column into one exactly-sized buffer (freeing each as it
+/// goes) and sorts it ascending.
+fn merge_sorted(columns: Vec<Vec<f32>>) -> Vec<f32> {
+    let mut merged = Vec::with_capacity(columns.iter().map(Vec::len).sum());
+    for column in columns {
+        merged.extend(column);
+    }
+    merged.sort_unstable_by(f32::total_cmp);
+    merged
+}
+
 /// Runs the fleet through the event core and aggregates: p50/p99/p999
 /// latency, per-tenant breakdowns, a deadline-miss curve, and per-shard
 /// cloud stats. Memory stays O(frames) for the latency samples plus
@@ -1253,24 +1233,56 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
 /// before/after memory measurement and as the conservative fallback.
 pub fn run_fleet_with(spec: &FleetSpec, mode: MetricsMode) -> Result<FleetReport, FleetError> {
     let pop = Population::generate(spec);
-    let shards = run_event_core(spec, &pop, mode, || Aggregate::new(spec.tenants))?;
-    let mut agg = Aggregate::new(spec.tenants);
-    let mut cloud = Vec::with_capacity(spec.shards);
-    for (shard_agg, stats) in shards {
-        agg.merge(shard_agg);
-        cloud.push(stats);
+    let (mut aggs, cloud): (Vec<Aggregate>, Vec<CloudStats>) =
+        run_event_core(spec, &pop, mode, || Aggregate::new(spec.tenants))?
+            .into_iter()
+            .unzip();
+    // Every merged quantity is order-independent: integer sums, an `f64`
+    // max, and latency multisets that are sorted before they are read.
+    let mut accums = vec![TenantAccum::default(); spec.tenants];
+    let (mut uplink_bytes, mut link_fallbacks, mut admission_fallbacks) = (0, 0, 0);
+    let mut completed_horizon_s = 0.0f64;
+    for agg in &aggs {
+        for (a, b) in accums.iter_mut().zip(&agg.accums) {
+            a.sessions += b.sessions;
+            a.frames += b.frames;
+            a.uploads += b.uploads;
+            a.deadline_misses += b.deadline_misses;
+            a.detected += b.detected;
+            a.total_gt += b.total_gt;
+        }
+        uplink_bytes += agg.uplink_bytes;
+        link_fallbacks += agg.link_fallbacks;
+        admission_fallbacks += agg.admission_fallbacks;
+        completed_horizon_s = completed_horizon_s.max(agg.completed_horizon_s);
     }
-    let Aggregate {
-        mut samples,
-        accums,
-        uplink_bytes,
-        link_fallbacks,
-        admission_fallbacks,
-        completed_horizon_s,
-    } = agg;
-    // Global quantiles and the miss curve over every frame's latency.
-    let mut all: Vec<f32> = samples.iter().map(|&(_, l)| l).collect();
-    all.sort_unstable_by(f32::total_cmp);
+    // Per-tenant quantiles over each tenant's merged column (only tenants
+    // that submitted frames appear), then global quantiles and the miss
+    // curve over all of them.
+    let mut tenants = Vec::new();
+    let mut sorted_columns = Vec::new();
+    for (tenant, a) in accums.iter().enumerate() {
+        let sorted = merge_sorted(
+            aggs.iter_mut()
+                .map(|agg| std::mem::take(&mut agg.columns[tenant]))
+                .collect(),
+        );
+        if sorted.is_empty() {
+            continue;
+        }
+        tenants.push(TenantReport {
+            tenant: tenant as u32,
+            sessions: a.sessions,
+            frames: a.frames,
+            uploads: a.uploads,
+            deadline_misses: a.deadline_misses,
+            detected: a.detected,
+            total_gt: a.total_gt,
+            latency: quantiles_of(&sorted),
+        });
+        sorted_columns.push(sorted);
+    }
+    let all = merge_sorted(sorted_columns);
     let latency = quantiles_of(&all);
     let miss_curve = MISS_GRID
         .iter()
@@ -1285,27 +1297,6 @@ pub fn run_fleet_with(spec: &FleetSpec, mode: MetricsMode) -> Result<FleetReport
             },
         })
         .collect();
-    // Per-tenant quantiles: partition the samples by tenant once.
-    samples.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    let mut tenants = Vec::new();
-    let mut lo = 0;
-    while lo < samples.len() {
-        let tenant = samples[lo].0;
-        let hi = samples[lo..].partition_point(|&(t, _)| t == tenant) + lo;
-        let sorted: Vec<f32> = samples[lo..hi].iter().map(|&(_, l)| l).collect();
-        let a = &accums[tenant as usize];
-        tenants.push(TenantReport {
-            tenant,
-            sessions: a.sessions,
-            frames: a.frames,
-            uploads: a.uploads,
-            deadline_misses: a.deadline_misses,
-            detected: a.detected,
-            total_gt: a.total_gt,
-            latency: quantiles_of(&sorted),
-        });
-        lo = hi;
-    }
     let frames = accums.iter().map(|a| a.frames).sum::<u64>();
     let uploads = accums.iter().map(|a| a.uploads).sum::<u64>();
     Ok(FleetReport {
@@ -1529,28 +1520,86 @@ mod tests {
         assert_eq!(quantile(&[], 0.9), 0.0);
     }
 
+    /// A big model that fails on its `fail_on`-th call (1-based; `0` never
+    /// fails) — stands in for a buggy user implementation behind the
+    /// public [`Detector`] trait.
+    struct FailsOnNthCall {
+        inner: SimDetector,
+        calls: std::sync::atomic::AtomicUsize,
+        fail_on: usize,
+    }
+
+    impl Detector for FailsOnNthCall {
+        fn name(&self) -> &'static str {
+            "fails-on-nth-call"
+        }
+        fn detect(&self, scene: &Scene) -> detcore::ImageDetections {
+            let call = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
+            if call == self.fail_on {
+                panic!("big model failed on call {call}");
+            }
+            self.inner.detect(scene)
+        }
+        fn flops(&self) -> u64 {
+            self.inner.flops()
+        }
+        fn model_size_bytes(&self) -> u64 {
+            self.inner.model_size_bytes()
+        }
+    }
+
     #[test]
-    fn poisoned_inline_mailbox_surfaces_as_typed_error() {
-        let infra = InlineInfra::default();
-        // Poison the mailbox the way a mid-reply panic would: die while
-        // holding the lock.
-        let poisoner = infra.clone();
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = poisoner.mailbox.lock().unwrap();
-            panic!("frame handler died mid-reply");
-        }));
-        // Every subsequent mailbox access reports the poison through the
-        // shard boundary as a typed error naming the shard.
-        let err = shard_guard(3, || infra.pop_answer()).expect_err("poison must surface");
-        assert_eq!(err.shard, 3);
-        assert!(
-            err.message.contains("poisoned"),
-            "diagnostic names the poison, got: {}",
-            err.message
-        );
-        assert!(err.to_string().contains("shard 3"));
-        // A healthy drive still returns Ok.
-        assert!(run_fleet(&tiny_spec()).is_ok());
+    fn panicking_detector_fails_its_shard_and_spares_the_others() {
+        // One thread drives the shards in order, so the big model's call
+        // count is deterministic and the failing call can be aimed.
+        let spec = FleetSpec {
+            shards: 3,
+            threads: 1,
+            ..tiny_spec()
+        };
+        let pop = Population::generate(&spec);
+        let (pools, small, big) = workload(&spec);
+        let drive = |fail_on: usize| {
+            let big = FailsOnNthCall {
+                inner: big.clone(),
+                calls: Default::default(),
+                fail_on,
+            };
+            let make = CollectSessions::default;
+            drive_shards(
+                &spec,
+                &pop,
+                MetricsMode::Compact,
+                &pools,
+                &small,
+                &big,
+                make,
+            )
+        };
+        let healthy: Vec<CloudStats> = drive(0)
+            .into_iter()
+            .map(|r| r.expect("healthy drive").1)
+            .collect();
+        assert!(healthy.iter().all(|s| s.served > 2), "every shard uploads");
+        // Aim at shard 1's third upload: shard 0 has finished by then,
+        // shard 2 has not started.
+        let fail_on = healthy[0].served + 3;
+        let outcomes = drive(fail_on);
+        assert_eq!(outcomes.len(), 3);
+        for shard in [0, 2] {
+            let Ok((sessions, stats)) = &outcomes[shard] else {
+                panic!("shard {shard} must complete");
+            };
+            assert_eq!(stats, &healthy[shard]);
+            assert!(!sessions.reports.is_empty());
+        }
+        let err = outcomes[1].as_ref().err().expect("shard 1 must fail");
+        let expected = FleetError {
+            shard: 1,
+            message: format!("big model failed on call {fail_on}"),
+        };
+        assert_eq!(err, &expected, "the panic payload reaches the caller");
+        assert!(err.to_string().contains("shard 1"));
     }
 
     #[test]

@@ -168,6 +168,4 @@ pub use server::{
 };
 pub use strategies::{Decision, OffloadPolicy, Policy, PolicyInput, QuantileStream, ScoreKind};
 pub use system::{SmallBigSystem, SmallBigSystemBuilder};
-pub use update::{
-    CalibrationSnapshot, CalibrationUpdate, UpdateConfig, UPDATE_FORMAT, UPDATE_TICKET,
-};
+pub use update::{CalibrationSnapshot, CalibrationUpdate, UpdateConfig, UPDATE_FORMAT};

@@ -10,8 +10,8 @@
 //! * [`CloudServer::connect`] opens an [`EdgeSession`]: an edge device with
 //!   its own virtual clock, link model, RNG stream and offload policy.
 //! * [`EdgeSession::submit`] pushes one frame through the edge pipeline and
-//!   returns a [`FrameTicket`]; difficult cases are serialized as real
-//!   length-prefixed wire frames and queued to the cloud.
+//!   returns a [`FrameTicket`]; difficult cases are queued to the cloud
+//!   as typed messages (they become wire frames only on a transport).
 //! * [`EdgeSession::poll`] blocks until a ticket's frame is resolved;
 //!   [`EdgeSession::drain`] resolves everything outstanding and snapshots a
 //!   [`SessionReport`].
@@ -130,11 +130,11 @@
 //! history, and the rollout policy (holdout + divergence bound).
 //!
 //! Rollout piggybacks the answer path: the artifact rides the session's
-//! response channel under the reserved ticket [`crate::UPDATE_TICKET`],
-//! pushed immediately before the next answer to any session still on an
-//! older version — so a session that was offline (or simply quiet) through
+//! response channel as its own message kind, shared by reference, pushed
+//! immediately before the next answer to any session still on an older
+//! version — so a session that was offline (or simply quiet) through
 //! several epochs receives the *current* artifact on its next answer, and
-//! lost updates need no separate retry machinery. Edges stash the frame
+//! lost updates need no separate retry machinery. Edges stash the artifact
 //! on receipt and apply it **atomically between frames**
 //! ([`crate::OffloadPolicy::apply_calibration`]); each apply opens a
 //! probation window, and if the upload fraction over that window diverges
@@ -182,8 +182,7 @@ use crate::scheduler::{
     AutoscaleConfig, Autoscaler, QueuedFrame, Scheduler, SchedulerConfig, SchedulerSlot,
 };
 use crate::strategies::{Decision, OffloadPolicy, PolicyInput};
-use crate::update::{UpdateClient, UpdatePublisher};
-use crate::wire::{decode_frame, encode_frame};
+use crate::update::{CalibrationUpdate, UpdateClient, UpdatePublisher};
 use crossbeam::channel::{self, Receiver, Sender};
 use datagen::Scene;
 use detcore::{
@@ -528,20 +527,32 @@ pub(crate) struct ProbeReply {
     pub(crate) queue_depth: usize,
 }
 
+/// What the cloud hands a session on its answer path. Both kinds cross the
+/// seam between [`CloudMachine`] and [`EdgeMachine`] as typed values: bytes
+/// exist only where a socket does ([`crate::transport`] encodes in its
+/// sink and decodes in its inbound pump).
+pub(crate) enum FromCloud {
+    /// The big model's answer to one uploaded frame.
+    Answer(SubmitResponse),
+    /// A pushed calibration artifact, shared with every session it goes to.
+    Update(Arc<CalibrationUpdate>),
+}
+
 /// Where a session's answers go: the in-process channel its
-/// [`EdgeSession`] polls, or a transport sink that writes the
-/// already-encoded frame straight onto the connection *from the worker
-/// thread* — no forwarder-thread hop, no extra context switch per answer.
+/// [`EdgeSession`] polls, or a sink called *on the worker thread* — the
+/// fleet core's shard mailbox, or a transport connection the sink encodes
+/// onto directly (no forwarder-thread hop, no extra context switch per
+/// answer).
 pub(crate) enum AnswerTx {
-    Chan(Sender<(u64, bytes::Bytes)>),
-    Sink(Box<dyn FnMut(u64, bytes::Bytes) -> bool + Send>),
+    Chan(Sender<FromCloud>),
+    Sink(Box<dyn FnMut(FromCloud) -> bool + Send>),
 }
 
 impl AnswerTx {
-    pub(crate) fn send(&mut self, ticket: u64, frame: bytes::Bytes) -> bool {
+    pub(crate) fn send(&mut self, msg: FromCloud) -> bool {
         match self {
-            AnswerTx::Chan(tx) => tx.send((ticket, frame)).is_ok(),
-            AnswerTx::Sink(f) => f(ticket, frame),
+            AnswerTx::Chan(tx) => tx.send(msg).is_ok(),
+            AnswerTx::Sink(f) => f(msg),
         }
     }
 }
@@ -564,8 +575,8 @@ impl ProbeTx {
 /// Control-plane messages into the cloud worker. Frame headers travel as
 /// the typed [`SubmitRequest`] (each consumer encodes for its own wire if
 /// it has one); the scene rides along as a shared [`Arc`] so submitting
-/// never deep-copies it. Answers carry their ticket next to the encoded
-/// frame so transports can route them without re-parsing the payload.
+/// never deep-copies it. Answers come back the same way, as typed
+/// [`FromCloud`] values.
 pub(crate) enum ToCloud {
     Register {
         session: u64,
@@ -823,15 +834,11 @@ impl CloudWorker<'_> {
                     let pushed = self.pushed.entry(q.req.session).or_insert(0);
                     if *pushed < update.version {
                         *pushed = update.version;
-                        let _ = handles
-                            .resp_tx
-                            .send(crate::UPDATE_TICKET, encode_frame(update));
+                        let _ = handles.resp_tx.send(FromCloud::Update(Arc::clone(update)));
                     }
                 }
-                // A session that hung up just loses its reply. The ticket
-                // rides beside the encoded frame so transports can route
-                // the answer without parsing it.
-                let _ = handles.resp_tx.send(resp.ticket, encode_frame(&resp));
+                // A session that hung up just loses its reply.
+                let _ = handles.resp_tx.send(FromCloud::Answer(resp));
             }
         }
         n
@@ -1146,7 +1153,7 @@ pub(crate) trait CloudPort {
     fn send(&mut self, msg: ToCloud) -> bool;
     /// Blocks for the next answer routed to this session; `None` once the
     /// cloud is gone and its buffered answers are exhausted.
-    fn recv_answer(&mut self) -> Option<(u64, bytes::Bytes)>;
+    fn recv_answer(&mut self) -> Option<FromCloud>;
     /// Blocks for the reply to the admission probe just sent (probes are
     /// strictly request/reply); `None` when the cloud is gone.
     fn recv_probe(&mut self) -> Option<ProbeReply>;
@@ -1157,7 +1164,7 @@ pub(crate) trait CloudPort {
 /// ends).
 pub(crate) struct ChannelPort {
     tx: Sender<ToCloud>,
-    rx: Receiver<(u64, bytes::Bytes)>,
+    rx: Receiver<FromCloud>,
     probe_rx: Receiver<ProbeReply>,
 }
 
@@ -1166,7 +1173,7 @@ impl CloudPort for ChannelPort {
         self.tx.send(msg).is_ok()
     }
 
-    fn recv_answer(&mut self) -> Option<(u64, bytes::Bytes)> {
+    fn recv_answer(&mut self) -> Option<FromCloud> {
         self.rx.recv().ok()
     }
 
@@ -1878,14 +1885,7 @@ impl<'a> EdgeMachine<'a> {
         // keep absorbing buffered answers.
         let _ = port.send(ToCloud::Flush { session: self.id });
         while self.pending.contains_key(&ticket.0) {
-            match port.recv_answer() {
-                Some((crate::UPDATE_TICKET, bytes)) => self.stash_update(&bytes),
-                Some((_, bytes)) => self.absorb_response(&bytes),
-                None => panic!(
-                    "cloud server shut down with {} of this session's frames unresolved",
-                    self.pending.len()
-                ),
-            }
+            self.absorb_next(port);
         }
         self.done.remove(&ticket.0)
     }
@@ -1896,14 +1896,7 @@ impl<'a> EdgeMachine<'a> {
             // As in `poll`: a dead worker already flushed its answers.
             let _ = port.send(ToCloud::Flush { session: self.id });
             while !self.pending.is_empty() {
-                match port.recv_answer() {
-                    Some((crate::UPDATE_TICKET, bytes)) => self.stash_update(&bytes),
-                    Some((_, bytes)) => self.absorb_response(&bytes),
-                    None => panic!(
-                        "cloud server shut down with {} of this session's frames unresolved",
-                        self.pending.len()
-                    ),
-                }
+                self.absorb_next(port);
             }
         }
         self.done.clear();
@@ -1931,16 +1924,22 @@ impl<'a> EdgeMachine<'a> {
         }
     }
 
-    /// Stashes a pushed [`CalibrationUpdate`] for the between-frames apply.
-    fn stash_update(&mut self, bytes: &bytes::Bytes) {
-        let update: crate::CalibrationUpdate =
-            decode_frame(bytes).expect("cloud sends well-formed update frames");
-        self.updates.stash(update);
+    /// Blocks for the next message on the answer path while frames are
+    /// pending: an update is stashed for the between-frames apply, an
+    /// answer resolves its frame.
+    fn absorb_next<P: CloudPort>(&mut self, port: &mut P) {
+        match port.recv_answer() {
+            Some(FromCloud::Update(update)) => self.updates.stash(update),
+            Some(FromCloud::Answer(resp)) => self.absorb_response(resp),
+            None => panic!(
+                "cloud server shut down with {} of this session's frames unresolved",
+                self.pending.len()
+            ),
+        }
     }
 
     /// Applies one cloud answer: downlink timing, deadline check, metrics.
-    fn absorb_response(&mut self, bytes: &bytes::Bytes) {
-        let resp: SubmitResponse = decode_frame(bytes).expect("cloud sends well-formed frames");
+    fn absorb_response(&mut self, resp: SubmitResponse) {
         self.last_cloud_queue = Some(resp.queue_depth);
         let p = self
             .pending
@@ -2403,6 +2402,175 @@ mod tests {
             (report, cloud.shutdown())
         };
         assert_eq!(run(false), run(true));
+    }
+
+    // Channel hosts hand answers over typed while socket hosts encode and
+    // decode them, so every host-equality pin (TCP ≡ channel, process ≡
+    // in-memory) rests on the JSON frame codec being exact for these two
+    // messages. Pinned here directly, float by float.
+    mod answer_codec {
+        use super::*;
+        use crate::wire::{decode_frame, encode_frame};
+        use crate::{CalibrationUpdate, UPDATE_FORMAT};
+        use detcore::{BBox, ClassId, Detection};
+        use proptest::prelude::*;
+
+        /// Finite `f64`s that stress a text codec: signed zeros, the
+        /// subnormal range, the normal range's ends, values that need all
+        /// 17 significant digits, an integer-valued float — then arbitrary
+        /// finite bit patterns.
+        fn arb_f64() -> impl Strategy<Value = f64> {
+            const EDGES: [f64; 12] = [
+                0.0,
+                -0.0,
+                5e-324,
+                -5e-324,
+                f64::MIN_POSITIVE,
+                -f64::MIN_POSITIVE / 2.0,
+                f64::MAX,
+                f64::MIN,
+                0.1 + 0.2,
+                1.0 / 3.0,
+                -1e-7 / 3.0,
+                9_007_199_254_740_992.0,
+            ];
+            (0usize..2 * EDGES.len(), any::<u64>()).prop_map(|(pick, bits)| {
+                // Clearing the exponent's top bit keeps every pattern finite.
+                let finite = f64::from_bits(bits & !(1 << 62));
+                EDGES.get(pick).copied().unwrap_or(finite)
+            })
+        }
+
+        /// Scores live in `[0, 1]`: its edges, then 53-bit fractions.
+        fn arb_score() -> impl Strategy<Value = f64> {
+            const EDGES: [f64; 7] = [
+                0.0,
+                -0.0,
+                5e-324,
+                f64::MIN_POSITIVE,
+                0.1 + 0.2,
+                0.999_999_999_999_999_9,
+                1.0,
+            ];
+            (0usize..2 * EDGES.len(), any::<u64>()).prop_map(|(pick, bits)| {
+                let fraction = (bits >> 11) as f64 / (1u64 << 53) as f64;
+                EDGES.get(pick).copied().unwrap_or(fraction)
+            })
+        }
+
+        fn arb_detection() -> impl Strategy<Value = Detection> {
+            (
+                any::<u16>(),
+                arb_score(),
+                (arb_f64(), arb_f64(), arb_f64(), arb_f64()),
+            )
+                .prop_map(|(class, score, (x0, y0, x1, y1))| {
+                    Detection::new(ClassId(class), score, BBox::from_corners(x0, y0, x1, y1))
+                })
+        }
+
+        fn arb_response(dets: std::ops::Range<usize>) -> impl Strategy<Value = SubmitResponse> {
+            let edges = prop::sample::select(vec![0, 1, u64::MAX - 1]);
+            let depths = prop::sample::select(vec![0, 1, 64, usize::MAX]);
+            (
+                (edges, any::<u64>(), any::<bool>()),
+                prop::collection::vec(arb_detection(), dets),
+                (arb_f64(), arb_f64(), arb_f64()),
+                depths,
+            )
+                .prop_map(|((edge, ticket, pick_edge), dets, times, queue_depth)| {
+                    SubmitResponse {
+                        ticket: if pick_edge { edge } else { ticket },
+                        dets: ImageDetections::from_vec(dets),
+                        sent_at: times.0,
+                        infer_s: times.1,
+                        uplink_s: times.2,
+                        queue_depth,
+                    }
+                })
+        }
+
+        fn response_bits(r: &SubmitResponse) -> Vec<u64> {
+            let mut bits = vec![
+                r.ticket,
+                r.sent_at.to_bits(),
+                r.infer_s.to_bits(),
+                r.uplink_s.to_bits(),
+                r.queue_depth as u64,
+                r.dets.len() as u64,
+            ];
+            for d in r.dets.iter() {
+                let b = d.bbox();
+                bits.push(d.class().0 as u64);
+                bits.extend(
+                    [d.score(), b.x_min(), b.y_min(), b.x_max(), b.y_max()].map(f64::to_bits),
+                );
+            }
+            bits
+        }
+
+        fn arb_update() -> impl Strategy<Value = CalibrationUpdate> {
+            (
+                (any::<u64>(), any::<u64>(), 0usize..7, any::<u32>()),
+                (arb_f64(), arb_f64(), arb_f64(), arb_f64()),
+                prop::collection::vec(arb_f64(), 0..300),
+            )
+                .prop_map(|(ints, floats, quantile_scores)| CalibrationUpdate {
+                    format: UPDATE_FORMAT,
+                    version: ints.0,
+                    epoch: ints.1,
+                    thresholds: crate::Thresholds {
+                        conf: floats.0,
+                        count: ints.2,
+                        area: floats.1,
+                    },
+                    quantile_scores,
+                    examples: ints.3 as usize,
+                    accuracy: floats.2,
+                    holdout: ints.2 + 1,
+                    divergence: floats.3,
+                })
+        }
+
+        fn update_bits(u: &CalibrationUpdate) -> Vec<u64> {
+            let mut bits = vec![
+                u.format as u64,
+                u.version,
+                u.epoch,
+                u.thresholds.conf.to_bits(),
+                u.thresholds.count as u64,
+                u.thresholds.area.to_bits(),
+                u.examples as u64,
+                u.accuracy.to_bits(),
+                u.holdout as u64,
+                u.divergence.to_bits(),
+                u.quantile_scores.len() as u64,
+            ];
+            bits.extend(u.quantile_scores.iter().map(|s| s.to_bits()));
+            bits
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn answers_round_trip_bit_for_bit(
+                empty in arb_response(0..1),
+                typical in arb_response(1..40),
+                crowded in arb_response(200..201),
+            ) {
+                for resp in [empty, typical, crowded] {
+                    let back: SubmitResponse = decode_frame(&encode_frame(&resp)).expect("decodes");
+                    prop_assert_eq!(response_bits(&back), response_bits(&resp));
+                }
+            }
+
+            #[test]
+            fn calibration_updates_round_trip_bit_for_bit(update in arb_update()) {
+                let back: CalibrationUpdate = decode_frame(&encode_frame(&update)).expect("decodes");
+                prop_assert_eq!(update_bits(&back), update_bits(&update));
+            }
+        }
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   [`crate::wire::decode_frame_with_limit`] under [`MAX_HELLO_BYTES`].
 //! * [`RemoteCloud`] — the edge-side bridge. It speaks the session layer's
 //!   own channel protocol, so [`RemoteCloud::attach`] returns a completely
-//!   ordinary [`EdgeSession`]: the session code path is byte-for-byte the
-//!   in-process one, which is what makes transport reports bit-identical
-//!   to the channel path by construction.
+//!   ordinary [`EdgeSession`]: the session code path is the in-process
+//!   one, and transport reports are bit-identical to the channel path
+//!   because the answer codec round-trips every field exactly (pinned by
+//!   a property test next to the message types).
 //! * [`serve`] / [`serve_connection`] — the cloud side. **Each registered
 //!   session gets its own dedicated cloud worker** (shared-nothing
 //!   sharding): a session's results are then a pure function of its own
@@ -73,11 +74,15 @@
 //! `[1 tag byte][8-byte LE session id][standard wire frame]` and answers
 //! add the ticket:
 //! `[1 tag byte][8-byte LE session id][8-byte LE ticket][standard wire
-//! frame]` — routing lives entirely in the envelope, so the edge's shared
-//! inbound pump demuxes answers to their sessions without parsing
-//! payloads. Answers travel as the cloud worker's already-encoded response
-//! frames, forwarded opaquely — the edge decodes exactly the bytes the
-//! worker produced.
+//! frame]` — routing lives entirely in the envelope, so an answer that
+//! names no pending frame is dropped without being parsed.
+//!
+//! This module is the only place an answer is ever bytes. Cloud workers
+//! and edge sessions exchange typed messages; the connection's reply sink
+//! encodes each one as the worker hands it over, and the edge's inbound
+//! pump decodes each frame once, before routing it. A payload that does
+//! not decode poisons the connection like any other framing fault, so a
+//! waiting session fails with its "cloud server shut down" diagnostic.
 //! Worker answers are always JSON regardless of the negotiated encoding:
 //! the uplink (scene submissions) is the byte budget this system
 //! economizes, and transcoding the downlink would burn cloud CPU without
@@ -102,7 +107,8 @@
 
 use crate::scheduler::SchedulerSlot;
 use crate::server::{
-    cloud_loop, AnswerTx, CloudMachine, ProbeReply, ProbeTx, SubmitRequest, SubmitResponse, ToCloud,
+    cloud_loop, AnswerTx, CloudMachine, FromCloud, ProbeReply, ProbeTx, SubmitRequest,
+    SubmitResponse, ToCloud,
 };
 use crate::wire::{self, Encoding, FrameReader, WireError};
 use crate::{CloudConfig, CloudStats, EdgeSession, OffloadPolicy, SessionConfig};
@@ -160,10 +166,10 @@ mod tag {
     pub const PROBE_REPLY_MUX: u8 = 13;
     /// `[tag][8-byte LE session][inner frame]` — a pushed
     /// [`CalibrationUpdate`](crate::CalibrationUpdate) riding the answer
-    /// path (reserved ticket [`crate::UPDATE_TICKET`]). Session-prefixed on
-    /// mux *and* plain connections: update frames are not answers to a
-    /// pending submit, so the edge routes them by session alone. Peers
-    /// that predate the model-update loop ignore the tag.
+    /// path. Session-prefixed on mux *and* plain connections: update
+    /// frames are not answers to a pending submit, so the edge routes them
+    /// by session alone. Peers that predate the model-update loop ignore
+    /// the tag.
     pub const UPDATE: u8 = 14;
 }
 
@@ -387,9 +393,9 @@ fn msg_mux(t: u8, session: u64, inner: &[u8]) -> Vec<u8> {
 
 /// Builds a mux answer frame:
 /// `[ANSWER_MUX][8-byte LE session][8-byte LE ticket][inner bytes]`. The
-/// ticket lives in the envelope so the edge's inbound pump routes the
-/// answer by (session, ticket) alone — the payload is parsed exactly once,
-/// by the session that owns it.
+/// ticket lives in the envelope so the edge's inbound pump finds the
+/// pending frame by (session, ticket) alone and parses the payload only
+/// when there is one.
 fn msg_mux_answer(session: u64, ticket: u64, inner: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(17 + inner.len());
     payload.push(tag::ANSWER_MUX);
@@ -1058,7 +1064,7 @@ struct ConnState {
     pending: VecDeque<Pending>,
     fresh_tx: Option<Box<dyn FrameTx>>,
     fresh_rx: Option<Box<dyn FrameRx>>,
-    resp_tx: HashMap<u64, Sender<(u64, Bytes)>>,
+    resp_tx: HashMap<u64, Sender<FromCloud>>,
     probe_tx: HashMap<u64, Sender<ProbeReply>>,
     dead: bool,
 }
@@ -1098,7 +1104,7 @@ impl ConnShared {
         &self,
         session: u64,
         payload: Vec<u8>,
-        resp_tx: Sender<(u64, Bytes)>,
+        resp_tx: Sender<FromCloud>,
         probe_tx: Sender<ProbeReply>,
     ) -> u64 {
         let mut st = self.lock();
@@ -1119,11 +1125,7 @@ impl ConnShared {
     /// counters, so on multiplexed connections the hint disambiguates).
     /// Returns whether it was present (a duplicate replayed answer is
     /// dropped) and the owning session's response channel.
-    fn take_submit(
-        &self,
-        session: Option<u64>,
-        ticket: u64,
-    ) -> (bool, Option<Sender<(u64, Bytes)>>) {
+    fn take_submit(&self, session: Option<u64>, ticket: u64) -> (bool, Option<Sender<FromCloud>>) {
         let mut st = self.lock();
         let idx = st.pending.iter().position(|p| {
             matches!(p, Pending::Submit { session: s, ticket: t, .. }
@@ -1146,7 +1148,7 @@ impl ConnShared {
     /// the one being answered.
     /// The response channel of a registered session, for frames routed by
     /// session alone (calibration updates).
-    fn update_tx(&self, session: u64) -> Option<Sender<(u64, Bytes)>> {
+    fn update_tx(&self, session: u64) -> Option<Sender<FromCloud>> {
         self.lock().resp_tx.get(&session).cloned()
     }
 
@@ -1441,49 +1443,55 @@ fn out_pump(mut ftx: Box<dyn FrameTx>, rx: Receiver<ToCloud>, shared: Arc<ConnSh
     let _ = ftx.send(&msg_bare(tag::BYE));
 }
 
-fn deliver_answer(session: Option<u64>, inner: Bytes, shared: &ConnShared) -> bool {
-    // Worker answers travel as the cloud worker's already-encoded JSON
-    // frames regardless of the negotiated encoding (see module docs). A
-    // legacy (non-mux) answer carries no envelope ticket, so routing it
-    // means parsing it here.
-    let Ok(resp) = wire::decode_frame::<SubmitResponse>(&inner) else {
+/// A legacy (non-mux) answer carries no envelope ticket, so routing it
+/// means parsing it first; the parsed answer is what the session receives.
+/// Worker answers are JSON regardless of the negotiated encoding (see the
+/// module docs). A payload that does not parse poisons the connection.
+fn deliver_answer(inner: &Bytes, shared: &ConnShared) -> bool {
+    let Ok(resp) = wire::decode_frame::<SubmitResponse>(inner) else {
         return false;
     };
-    let (known, tx) = shared.take_submit(session, resp.ticket);
+    let (known, tx) = shared.take_submit(None, resp.ticket);
     if known {
         if let Some(tx) = tx {
-            return tx.send((resp.ticket, inner)).is_ok();
+            return tx.send(FromCloud::Answer(resp)).is_ok();
         }
     }
     true
 }
 
 /// Mux answers carry (session, ticket) in the envelope
-/// ([`msg_mux_answer`]), so the shared inbound pump routes them without
-/// touching the payload — the owning session performs the one and only
-/// parse. An envelope that names no pending frame is ignored, exactly like
-/// a stale legacy answer.
-fn deliver_answer_mux(session: u64, ticket: u64, inner: Bytes, shared: &ConnShared) -> bool {
+/// ([`msg_mux_answer`]), so the pump looks the pending frame up first: an
+/// envelope that names none is ignored unparsed, exactly like a stale
+/// legacy answer. One that does is parsed here, once, and a payload that
+/// does not parse poisons the connection as a legacy one would.
+fn deliver_answer_mux(session: u64, ticket: u64, inner: &Bytes, shared: &ConnShared) -> bool {
     let (known, tx) = shared.take_submit(Some(session), ticket);
     if known {
+        let Ok(resp) = wire::decode_frame::<SubmitResponse>(inner) else {
+            return false;
+        };
         if let Some(tx) = tx {
-            return tx.send((ticket, inner)).is_ok();
+            return tx.send(FromCloud::Answer(resp)).is_ok();
         }
     }
     true
 }
 
-/// Routes a pushed calibration update to its session's response channel
-/// under the reserved ticket — never tracked in `pending` (an update is
-/// not an answer and is never replayed by the transport; a lost update is
-/// re-delivered by the cloud at the next version, which supersedes it). An
-/// update for an unknown or already-detached session is dropped, like a
-/// stale answer.
-fn deliver_update(session: u64, inner: Bytes, shared: &ConnShared) -> bool {
+/// Routes a pushed calibration update to its session's response channel —
+/// never tracked in `pending` (an update is not an answer and is never
+/// replayed by the transport; a lost update is re-delivered by the cloud
+/// at the next version, which supersedes it). An update for an unknown or
+/// already-detached session is dropped unparsed, like a stale answer; a
+/// payload that does not parse poisons the connection.
+fn deliver_update(session: u64, inner: &Bytes, shared: &ConnShared) -> bool {
     if let Some(tx) = shared.update_tx(session) {
+        let Ok(update) = wire::decode_frame::<crate::CalibrationUpdate>(inner) else {
+            return false;
+        };
         // A disconnected session channel just means the session is gone;
         // the connection itself stays healthy.
-        let _ = tx.send((crate::UPDATE_TICKET, inner));
+        let _ = tx.send(FromCloud::Update(Arc::new(update)));
     }
     true
 }
@@ -1511,9 +1519,9 @@ fn handle_inbound(frame: &Bytes, shared: &ConnShared) -> bool {
         return false;
     };
     match t {
-        tag::ANSWER => deliver_answer(None, inner, shared),
+        tag::ANSWER => deliver_answer(&inner, shared),
         tag::ANSWER_MUX => match split_mux_answer(&inner) {
-            Some((session, ticket, inner)) => deliver_answer_mux(session, ticket, inner, shared),
+            Some((session, ticket, inner)) => deliver_answer_mux(session, ticket, &inner, shared),
             None => false,
         },
         tag::PROBE_REPLY => deliver_probe_reply(None, &inner, shared),
@@ -1522,7 +1530,7 @@ fn handle_inbound(frame: &Bytes, shared: &ConnShared) -> bool {
             None => false,
         },
         tag::UPDATE => match split_mux(&inner) {
-            Some((session, inner)) => deliver_update(session, inner, shared),
+            Some((session, inner)) => deliver_update(session, &inner, shared),
             None => false,
         },
         _ => true,
@@ -1571,8 +1579,8 @@ fn in_pump(mut frx: Box<dyn FrameRx>, shared: Arc<ConnShared>) {
 /// onto a [`Transport`].
 ///
 /// The bridge translates the session layer's channel messages to wire
-/// frames on a pump thread and routes answers back, so a session attached
-/// here runs byte-for-byte the in-process code path — reports over any
+/// frames on a pump thread and decodes and routes answers back, so a
+/// session attached here runs the in-process code path — reports over any
 /// transport are bit-identical to the channel path.
 ///
 /// Drop (or [`drain`](EdgeSession::drain) and drop) every attached session
@@ -2042,31 +2050,28 @@ pub fn serve_connection(
                             SessionExec::Threaded(SessionWorker { ctx, handle })
                         }
                     });
-                    // Replies are written straight from the worker thread
-                    // (no forwarder-thread hop — on a busy host each hop is
-                    // a context switch per answer). The worker's answer
-                    // frame is forwarded opaquely (always JSON — see module
-                    // docs); mux connections prefix the session id AND the
-                    // ticket, so the edge routes the answer straight to its
-                    // session without parsing the payload on its (shared)
-                    // inbound pump. A blocked peer blocks the write — and
-                    // therefore the worker and its bounded queue — which is
-                    // exactly the backpressure cascade the channels gave.
+                    // Replies are encoded and written straight from the
+                    // worker thread (no forwarder-thread hop — on a busy
+                    // host each hop is a context switch per answer), always
+                    // as JSON (see module docs); mux connections prefix the
+                    // session id AND the ticket, so the edge finds the
+                    // pending frame from the envelope. Calibration pushes
+                    // are not answers to a pending submit: they ship under
+                    // their own session-prefixed tag on mux and plain
+                    // connections alike. A blocked peer blocks the write —
+                    // and therefore the worker and its bounded queue —
+                    // which is exactly the backpressure cascade the
+                    // channels gave.
                     let ftx_a = Arc::clone(&ftx);
-                    let resp_tx = AnswerTx::Sink(Box::new(move |ticket, b: Bytes| {
-                        // Calibration pushes ride the answer path under the
-                        // reserved ticket but are not answers to a pending
-                        // submit: they ship under their own session-prefixed
-                        // tag on mux and plain connections alike.
-                        let payload = if ticket == crate::UPDATE_TICKET {
-                            msg_mux(tag::UPDATE, session, &b)
-                        } else if mux {
-                            msg_mux_answer(session, ticket, &b)
-                        } else {
-                            let mut p = Vec::with_capacity(1 + b.len());
-                            p.push(tag::ANSWER);
-                            p.extend_from_slice(&b);
-                            p
+                    let resp_tx = AnswerTx::Sink(Box::new(move |reply| {
+                        let payload = match reply {
+                            FromCloud::Update(update) => {
+                                msg_mux(tag::UPDATE, session, &wire::encode_frame(&*update))
+                            }
+                            FromCloud::Answer(resp) if mux => {
+                                msg_mux_answer(session, resp.ticket, &wire::encode_frame(&resp))
+                            }
+                            FromCloud::Answer(resp) => msg(tag::ANSWER, &resp, Encoding::Json),
                         };
                         send_locked(&ftx_a, &payload).is_ok()
                     }));
@@ -2358,6 +2363,126 @@ mod tests {
         assert_eq!(stats.connections, 1);
         assert_eq!(stats.aborted, 0);
         assert_eq!(stats.cloud.served, want_stats.served);
+    }
+
+    /// Runs one cloud-only session (id 7, one frame, ticket 0) against a
+    /// scripted cloud on a [`memory_pair`]: the script completes the
+    /// handshake, then answers the session's SUBMIT with `replies`
+    /// verbatim. Returns what the session's waiting `poll` did.
+    fn poll_against_scripted_cloud(
+        mux: bool,
+        replies: Vec<Vec<u8>>,
+    ) -> std::thread::Result<Option<crate::FrameResult>> {
+        use datagen::{Dataset, DatasetProfile, SplitId};
+        use modelzoo::{ModelKind, SimDetector};
+
+        let (local, remote) = memory_pair();
+        let cloud = std::thread::spawn(move || {
+            let (mut tx, mut rx) = Box::new(remote).split();
+            let hello = parse_hello(&rx.recv().unwrap().unwrap()).unwrap();
+            let welcome = Welcome {
+                protocol: PROTOCOL_VERSION,
+                session: hello.session,
+                admission: false,
+                encoding: Some(Encoding::Json.name().to_string()),
+                mux: Some(mux),
+            };
+            tx.send(&msg(tag::WELCOME, &welcome, Encoding::Json))
+                .unwrap();
+            while let Ok(Some(frame)) = rx.recv() {
+                if frame.first() == Some(&tag::SUBMIT) {
+                    for reply in &replies {
+                        let _ = tx.send(reply);
+                    }
+                }
+            }
+        });
+        let opts = ConnectOptions {
+            mux,
+            ..ConnectOptions::default()
+        };
+        let remote = RemoteCloud::connect(Box::new(local), 7, opts).unwrap();
+        assert_eq!(remote.mux(), mux);
+        let data = Dataset::generate("script", &DatasetProfile::helmet(), 1, 9);
+        let small = SimDetector::new(ModelKind::VggLiteSsd, SplitId::Helmet, 2);
+        let cfg = SessionConfig {
+            frame_size: (32, 32),
+            ..SessionConfig::new(2)
+        };
+        let mut sess = remote.attach(cfg, &small, Box::new(crate::Policy::CloudOnly));
+        let ticket = sess.submit(&data.scenes()[0]);
+        let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sess.poll(ticket)));
+        drop(sess);
+        remote.close();
+        cloud.join().unwrap();
+        polled
+    }
+
+    /// A well-formed answer to ticket 0, as the cloud's sink would encode it.
+    fn valid_answer_frame() -> Bytes {
+        let resp: SubmitResponse = serde_json::from_str(
+            r#"{"dets":{"dets":[]},"infer_s":0.01,"queue_depth":1,"sent_at":1.5,"ticket":0,"uplink_s":0.25}"#,
+        )
+        .unwrap();
+        wire::encode_frame(&resp)
+    }
+
+    #[test]
+    fn malformed_answer_path_payloads_poison_the_connection() {
+        let valid_update = wire::encode_frame(&crate::CalibrationUpdate::factory(
+            crate::Thresholds::paper(),
+        ));
+        let not_json = {
+            let payload = b"\xff\xfe neither JSON nor binary";
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(payload);
+            Bytes::from(frame)
+        };
+        let wrong_shape = wire::encode_frame(&vec![1u32, 2, 3]);
+        let truncated = |frame: &Bytes| frame.slice(..frame.len() / 2);
+        type Envelope = fn(&[u8]) -> Vec<u8>;
+        let kinds: [(&str, bool, Bytes, Envelope); 3] = [
+            ("legacy answer", false, valid_answer_frame(), |inner| {
+                [&[tag::ANSWER][..], inner].concat()
+            }),
+            ("mux answer", true, valid_answer_frame(), |inner| {
+                msg_mux_answer(7, 0, inner)
+            }),
+            ("update", false, valid_update, |inner| {
+                msg_mux(tag::UPDATE, 7, inner)
+            }),
+        ];
+        for (kind, mux, valid, envelope) in kinds {
+            for (fault, inner) in [
+                ("truncated", truncated(&valid)),
+                ("not JSON", not_json.clone()),
+                ("wrong shape", wrong_shape.clone()),
+            ] {
+                let payload = poll_against_scripted_cloud(mux, vec![envelope(&inner)])
+                    .expect_err("the waiting session must fail");
+                let message = payload
+                    .downcast_ref::<String>()
+                    .expect("the session's own diagnostic");
+                assert_eq!(
+                    message, "cloud server shut down with 1 of this session's frames unresolved",
+                    "{kind}, {fault}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stale_mux_answer_is_ignored_unparsed() {
+        // An envelope naming no pending frame is dropped without its
+        // payload being looked at — garbage there must not poison the
+        // connection, and the real answer behind it still resolves.
+        let stale = msg_mux_answer(7, 99, b"never parsed");
+        let unknown_session = msg_mux(tag::UPDATE, 8, b"never parsed");
+        let answer = msg_mux_answer(7, 0, &valid_answer_frame());
+        let result = poll_against_scripted_cloud(true, vec![stale, unknown_session, answer])
+            .expect("the connection stays healthy")
+            .expect("the frame resolves");
+        assert_eq!(result.decision, crate::Decision::Upload);
     }
 
     #[test]

@@ -35,24 +35,16 @@
 //!
 //! Determinism: epochs are pure functions of virtual arrival time, the
 //! refit is a deterministic grid search over the accumulated examples in
-//! served order, and update frames piggyback the answer path (reserved
-//! ticket [`UPDATE_TICKET`]) with zero extra virtual time and zero RNG
-//! draws — so an update-free run is bit-identical to a build without this
-//! module, and an update-enabled run replays bit-identically from its
-//! seeds.
+//! served order, and updates piggyback the answer path (as their own
+//! message kind, one shared `Arc` per version) with zero extra virtual
+//! time and zero RNG draws — so an update-free run is bit-identical to a
+//! build without this module, and an update-enabled run replays
+//! bit-identically from its seeds.
 
 use crate::{calibrate_count_area, LabeledExample, Thresholds};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// Reserved ticket value marking a calibration-update frame on the
-/// cloud→edge answer path.
-///
-/// Real tickets count up from zero, so the all-ones value can never
-/// collide with a frame answer; transports and sessions route `(ticket,
-/// frame)` pairs untouched, and the edge intercepts this ticket before
-/// frame-answer decoding.
-pub const UPDATE_TICKET: u64 = u64::MAX;
+use std::sync::Arc;
 
 /// The [`CalibrationUpdate::format`] value written by this build.
 ///
@@ -202,7 +194,9 @@ pub(crate) struct UpdatePublisher {
     examples: Vec<LabeledExample>,
     /// Difficulty scores of those frames (wire-header order = served order).
     scores: Vec<f64>,
-    current: Option<CalibrationUpdate>,
+    /// The newest artifact, shared by reference with every session it is
+    /// pushed to.
+    current: Option<Arc<CalibrationUpdate>>,
     /// Refits produced so far (mirrors the current version).
     pub(crate) published: u64,
 }
@@ -221,7 +215,7 @@ impl UpdatePublisher {
     }
 
     /// The most recent artifact, if any refit has fired.
-    pub(crate) fn current(&self) -> Option<&CalibrationUpdate> {
+    pub(crate) fn current(&self) -> Option<&Arc<CalibrationUpdate>> {
         self.current.as_ref()
     }
 
@@ -241,7 +235,7 @@ impl UpdatePublisher {
         example: LabeledExample,
         score: f64,
         arrival_s: f64,
-    ) -> Option<CalibrationUpdate> {
+    ) -> Option<Arc<CalibrationUpdate>> {
         let idx = (arrival_s / self.cfg.epoch_s) as u64;
         let fresh = if idx > self.epoch && self.examples.len() >= self.cfg.min_examples {
             Some(self.refit(idx))
@@ -254,14 +248,14 @@ impl UpdatePublisher {
         fresh
     }
 
-    fn refit(&mut self, epoch: u64) -> CalibrationUpdate {
+    fn refit(&mut self, epoch: u64) -> Arc<CalibrationUpdate> {
         let (count, area, stats) = calibrate_count_area(&self.examples);
         let examples = self.examples.len();
         let mut quantile_scores = std::mem::take(&mut self.scores);
         quantile_scores.sort_by(|a, b| a.partial_cmp(b).expect("finite difficulty scores"));
         self.examples.clear();
         self.published += 1;
-        let update = CalibrationUpdate {
+        let update = Arc::new(CalibrationUpdate {
             format: UPDATE_FORMAT,
             version: self.published,
             epoch,
@@ -279,8 +273,8 @@ impl UpdatePublisher {
             accuracy: stats.accuracy,
             holdout: self.cfg.holdout,
             divergence: self.cfg.divergence,
-        };
-        self.current = Some(update.clone());
+        });
+        self.current = Some(Arc::clone(&update));
         update
     }
 }
@@ -289,8 +283,9 @@ impl UpdatePublisher {
 /// probation → (on divergence) rollback.
 #[derive(Debug)]
 pub(crate) struct UpdateClient {
-    /// Newest update received but not yet applied.
-    pending: Option<CalibrationUpdate>,
+    /// Newest update received but not yet applied (the cloud's own `Arc`
+    /// when edge and cloud share a process).
+    pending: Option<Arc<CalibrationUpdate>>,
     /// Rollout version currently in force (0 = factory calibration).
     pub(crate) active_version: u64,
     /// Updates applied over the session's lifetime.
@@ -332,7 +327,8 @@ impl UpdateClient {
     /// Only an update strictly newer than both the active version and any
     /// already-stashed one is kept (versions are monotone per cloud, so a
     /// stale frame — e.g. replayed after a reconnect — is a no-op).
-    pub(crate) fn stash(&mut self, update: CalibrationUpdate) {
+    pub(crate) fn stash(&mut self, update: impl Into<Arc<CalibrationUpdate>>) {
+        let update = update.into();
         if update.version > self.active_version
             && self
                 .pending
@@ -345,7 +341,7 @@ impl UpdateClient {
 
     /// Takes the stashed update, if any (the caller applies it to its
     /// policy and reports back via [`UpdateClient::note_applied`]).
-    pub(crate) fn take_pending(&mut self) -> Option<CalibrationUpdate> {
+    pub(crate) fn take_pending(&mut self) -> Option<Arc<CalibrationUpdate>> {
         self.pending.take()
     }
 
