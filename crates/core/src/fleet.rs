@@ -33,8 +33,11 @@
 //! Shards are independent by construction: session `i` only ever talks to
 //! shard `i % shards`, shard RNG streams are disjoint (each shard's
 //! [`CloudConfig`] seed is derived from the shard id), and the only state
-//! crossing shard groups — the upload-size memo — is a pure-function
-//! cache whose fill order cannot change any value. Restricting the global
+//! crossing shard groups is the run's pool memo: write-once cells, one per
+//! pool scene and quantity (either model's detections, the encoded upload
+//! size), each holding a pure function of its scene, so whichever worker
+//! fills a cell first writes the value every other worker would have, and
+//! every later read takes no lock. Restricting the global
 //! `(time, session)` event order to one shard's sessions therefore yields
 //! *exactly* the message sequence that shard observes in a single-threaded
 //! drive, so each shard group runs its own virtual-time queue on its own
@@ -78,13 +81,14 @@
 
 use crate::scheduler::SchedulerSlot;
 use crate::server::{
-    assert_frame_size, AnswerTx, CloudConfig, CloudMachine, CloudPort, CloudServer, CloudStats,
-    EdgeMachine, FrameResult, FromCloud, ProbeReply, ProbeTx, SessionConfig, SessionReport,
-    SharedFrameScratch, ToCloud, UploadSizeCache,
+    assert_frame_size, encoded_upload_bytes, AnswerTx, CloudConfig, CloudMachine, CloudPort,
+    CloudServer, CloudStats, EdgeMachine, FrameResult, FromCloud, ProbeReply, ProbeTx,
+    SessionConfig, SessionReport, SharedFrameScratch, ToCloud,
 };
 use crate::strategies::{OffloadPolicy, Policy};
 use crate::DifficultCaseDiscriminator;
 use datagen::{Dataset, DatasetProfile, Scene, SplitId};
+use detcore::ImageDetections;
 use modelzoo::{Detector, ModelKind, SimDetector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,7 +96,7 @@ use serde::{Deserialize, Serialize};
 use simnet::{DeviceModel, LinkModel, LinkTrace};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Classes in the fleet's synthetic monitoring workload (HELMET-like:
 /// person, helmet).
@@ -205,7 +209,11 @@ pub struct FleetSpec {
     /// Resolution frames are rendered at for upload sizing.
     pub frame_size: (usize, usize),
     /// Distinct synthetic scenes the fleet cycles through (shared
-    /// `Arc<Scene>`s; per-session offset decorrelates neighbours).
+    /// `Arc<Scene>`s; per-session offset decorrelates neighbours). The
+    /// pool also bounds the detector and render work of a run: each pool
+    /// scene a run shows is detected once per model and rendered once,
+    /// however many frames show it, and scenes it never shows cost
+    /// nothing.
     pub scene_pool: usize,
     /// Optional distribution drift: a piecewise-constant schedule of
     /// generative profiles over virtual time. Each phase gets its own
@@ -693,6 +701,133 @@ fn scene_at<'a>(
     &pool[scene_index(session, frame, pool.len())]
 }
 
+/// One run's memo over every scene of every pool: per scene, the small
+/// model's detections, the big model's detections and the encoded upload
+/// size at [`FleetSpec::frame_size`], each computed by the first frame that
+/// needs it and read without a lock by every later frame, on any shard
+/// worker. A run pays only for the scenes it shows.
+///
+/// All three are pure functions of the scene (detectors are deterministic,
+/// so is `render`), so whichever worker fills a cell first cannot change a
+/// value, and a second worker asking for a cell being filled waits for it
+/// instead of computing it again. Scenes are found by address: the pools
+/// own every keyed `Arc<Scene>` for as long as the memo is used, so no
+/// other scene can live at a keyed address, and a scene outside the pools
+/// goes to the model (or the renderer) every time.
+pub(crate) struct PoolMemo {
+    slots: HashMap<usize, MemoSlot>,
+    frame_size: (usize, usize),
+}
+
+/// The write-once cells of one pool scene.
+#[derive(Default)]
+struct MemoSlot {
+    small: OnceLock<ImageDetections>,
+    big: OnceLock<ImageDetections>,
+    upload_bytes: OnceLock<usize>,
+}
+
+impl PoolMemo {
+    fn new(pools: &[Vec<Arc<Scene>>], frame_size: (usize, usize)) -> PoolMemo {
+        let slots = pools
+            .iter()
+            .flatten()
+            .map(|scene| (Arc::as_ptr(scene) as usize, MemoSlot::default()))
+            .collect();
+        PoolMemo { slots, frame_size }
+    }
+
+    fn slot(&self, scene: &Scene) -> Option<&MemoSlot> {
+        self.slots.get(&(scene as *const Scene as usize))
+    }
+
+    /// `scene`'s encoded upload size at `frame_size`: memoised for a pool
+    /// scene at the run's frame size, rendered otherwise.
+    pub(crate) fn upload_bytes(&self, scene: &Scene, frame_size: (usize, usize)) -> usize {
+        match self.slot(scene) {
+            Some(slot) if frame_size == self.frame_size => *slot
+                .upload_bytes
+                .get_or_init(|| encoded_upload_bytes(scene, frame_size)),
+            _ => encoded_upload_bytes(scene, frame_size),
+        }
+    }
+
+    /// The small model seen through the memo.
+    fn small<'m, D>(&'m self, model: &'m D) -> Memoised<'m, D> {
+        Memoised {
+            memo: self,
+            model,
+            cell: |slot| &slot.small,
+        }
+    }
+
+    /// The big model seen through the memo.
+    fn big<'m, D>(&'m self, model: &'m D) -> Memoised<'m, D> {
+        Memoised {
+            memo: self,
+            model,
+            cell: |slot| &slot.big,
+        }
+    }
+}
+
+/// A model seen through a [`PoolMemo`]: a pool scene's detections are
+/// computed once per run and copied out of its cell after that; any other
+/// scene goes to the model.
+struct Memoised<'m, D> {
+    memo: &'m PoolMemo,
+    model: &'m D,
+    cell: fn(&MemoSlot) -> &OnceLock<ImageDetections>,
+}
+
+impl<D: Detector> Memoised<'_, D> {
+    fn memoised(&self, scene: &Scene) -> Option<&ImageDetections> {
+        let cell = (self.cell)(self.memo.slot(scene)?);
+        Some(cell.get_or_init(|| self.model.detect(scene)))
+    }
+}
+
+impl<D: Detector> Detector for Memoised<'_, D> {
+    fn name(&self) -> &'static str {
+        self.model.name()
+    }
+
+    fn detect(&self, scene: &Scene) -> ImageDetections {
+        match self.memoised(scene) {
+            Some(dets) => dets.clone(),
+            None => self.model.detect(scene),
+        }
+    }
+
+    fn detect_into(&self, scene: &Scene, out: &mut ImageDetections) {
+        match self.memoised(scene) {
+            Some(dets) => {
+                out.clear();
+                out.extend(dets.iter().copied());
+            }
+            None => self.model.detect_into(scene, out),
+        }
+    }
+
+    fn flops(&self) -> u64 {
+        self.model.flops()
+    }
+
+    fn model_size_bytes(&self) -> u64 {
+        self.model.model_size_bytes()
+    }
+}
+
+/// What every shard drive of a run reads: the drift-phase scene pools, the
+/// two models (memoised in [`run_event_core`], though any [`Detector`]
+/// drives) and the memo the edges size their uploads through.
+struct Workload<'w> {
+    pools: &'w [Vec<Arc<Scene>>],
+    small: &'w (dyn Detector + Sync),
+    big: &'w (dyn Detector + Sync),
+    memo: &'w PoolMemo,
+}
+
 /// Registers an inline session with its shard, wiring the shard's reply
 /// paths straight into the shard's mailbox.
 fn register_inline(cloud: &mut CloudMachine<'_>, id: u64, link: LinkModel, shared: &SharedMailbox) {
@@ -809,20 +944,17 @@ trait ShardConsumer: Send {
 /// `i` lives at slot `i / shards`). The message sequence this produces
 /// is exactly the full fleet schedule restricted to this shard, which is
 /// why per-shard drives compose bit-identically (see the module docs).
-#[allow(clippy::too_many_arguments)]
 fn drive_shard<C: ShardConsumer>(
     spec: &FleetSpec,
     pop: &Population,
     shard: usize,
     mode: MetricsMode,
-    pools: &[Vec<Arc<Scene>>],
-    small: &(dyn Detector + Sync),
-    big: &(dyn Detector + Sync),
-    size_cache: &UploadSizeCache,
+    w: &Workload<'_>,
     consumer: &mut C,
 ) -> CloudStats {
     let cfg = spec.shard_config(shard);
-    let mut cloud = CloudMachine::new(big, &cfg, SchedulerSlot::from_config(&cfg.scheduler), None);
+    let sched = SchedulerSlot::from_config(&cfg.scheduler);
+    let mut cloud = CloudMachine::new(w.big, &cfg, sched, None);
     let admission = spec.cloud.queue_limit.is_some();
     let n = pop.sessions.len();
     let group = n.saturating_sub(shard).div_ceil(spec.shards);
@@ -845,8 +977,8 @@ fn drive_shard<C: ShardConsumer>(
         if step.frame == 0 {
             let cfg = spec.session_config(p, i);
             register_inline(&mut cloud, i as u64, cfg.link.clone(), &mailbox);
-            let mut m = EdgeMachine::new(i as u64, cfg, small, spec.build_policy(p), admission);
-            m.set_size_cache(Arc::clone(size_cache));
+            let mut m = EdgeMachine::new(i as u64, cfg, w.small, spec.build_policy(p), admission);
+            m.set_size_cache(w.memo);
             if mode == MetricsMode::Compact {
                 m.set_compact_metrics(Arc::clone(&scratch));
             }
@@ -856,7 +988,7 @@ fn drive_shard<C: ShardConsumer>(
             .as_mut()
             .expect("live between first and last frame");
         live.advance_to(step.time);
-        let scene = scene_at(pools, spec.drift.as_ref(), i, step.frame, step.time);
+        let scene = scene_at(w.pools, spec.drift.as_ref(), i, step.frame, step.time);
         let mut port = InlinePort {
             cloud: &mut cloud,
             mailbox: &mailbox,
@@ -894,8 +1026,18 @@ where
     C: ShardConsumer,
     F: Fn() -> C + Sync,
 {
+    // Sessions cycle the pools, so nearly every frame repeats a (model,
+    // scene) pair and an upload size an earlier frame computed: the memo
+    // computes each once per run.
     let (pools, small, big) = workload(spec);
-    drive_shards(spec, pop, mode, &pools, &small, &big, make)
+    let memo = PoolMemo::new(&pools, spec.frame_size);
+    let w = Workload {
+        pools: &pools,
+        small: &memo.small(&small),
+        big: &memo.big(&big),
+        memo: &memo,
+    };
+    drive_shards(spec, pop, mode, &w, make)
         .into_iter()
         .collect()
 }
@@ -907,37 +1049,17 @@ fn drive_shards<C, F>(
     spec: &FleetSpec,
     pop: &Population,
     mode: MetricsMode,
-    pools: &[Vec<Arc<Scene>>],
-    small: &(dyn Detector + Sync),
-    big: &(dyn Detector + Sync),
+    w: &Workload<'_>,
     make: F,
 ) -> Vec<Result<(C, CloudStats), FleetError>>
 where
     C: ShardConsumer,
     F: Fn() -> C + Sync,
 {
-    // One upload-size memo for the whole fleet: sessions cycle a shared
-    // scene pool, and encoded size is a pure function of (scene,
-    // resolution), so after `scene_pool` cold renders every upload's
-    // sizing is a hash lookup. Sharing it across shard workers stays
-    // deterministic because every fill writes the same value for a key,
-    // whoever gets there first.
-    let size_cache: UploadSizeCache = Arc::new(Mutex::new(HashMap::new()));
-    let threads = fleet_threads(spec);
-    crate::par::ordered_map_with(threads, spec.shards, |shard| {
+    crate::par::ordered_map_with(fleet_threads(spec), spec.shards, |shard| {
         shard_guard(shard, || {
             let mut consumer = make();
-            let stats = drive_shard(
-                spec,
-                pop,
-                shard,
-                mode,
-                pools,
-                small,
-                big,
-                &size_cache,
-                &mut consumer,
-            );
+            let stats = drive_shard(spec, pop, shard, mode, w, &mut consumer);
             (consumer, stats)
         })
     })
@@ -1559,21 +1681,26 @@ mod tests {
         };
         let pop = Population::generate(&spec);
         let (pools, small, big) = workload(&spec);
+        let memo = PoolMemo::new(&pools, spec.frame_size);
         let drive = |fail_on: usize| {
             let big = FailsOnNthCall {
                 inner: big.clone(),
                 calls: Default::default(),
                 fail_on,
             };
-            let make = CollectSessions::default;
+            // Unmemoised, so every upload reaches the failing model.
+            let w = Workload {
+                pools: &pools,
+                small: &small,
+                big: &big,
+                memo: &memo,
+            };
             drive_shards(
                 &spec,
                 &pop,
                 MetricsMode::Compact,
-                &pools,
-                &small,
-                &big,
-                make,
+                &w,
+                CollectSessions::default,
             )
         };
         let healthy: Vec<CloudStats> = drive(0)
@@ -1613,5 +1740,200 @@ mod tests {
                 message: "boom 9".to_string()
             }
         );
+    }
+
+    /// Two drift phases, so the memo spans two pools.
+    fn drifting_spec() -> FleetSpec {
+        FleetSpec {
+            drift: Some(datagen::DriftSchedule::day_night(
+                DatasetProfile::helmet(),
+                15.0,
+            )),
+            ..tiny_spec()
+        }
+    }
+
+    /// Every field of every detection, floats by their bits.
+    fn det_bits(dets: &ImageDetections) -> Vec<u64> {
+        dets.iter()
+            .flat_map(|d| {
+                let b = d.bbox();
+                let floats = [d.score(), b.x_min(), b.y_min(), b.x_max(), b.y_max()];
+                std::iter::once(d.class().0 as u64).chain(floats.map(f64::to_bits))
+            })
+            .collect()
+    }
+
+    /// A model that counts its calls per scene address.
+    struct CountingDetector {
+        inner: SimDetector,
+        calls: Mutex<HashMap<usize, usize>>,
+    }
+
+    impl CountingDetector {
+        fn new(inner: SimDetector) -> CountingDetector {
+            CountingDetector {
+                inner,
+                calls: Mutex::default(),
+            }
+        }
+
+        fn calls(&self) -> HashMap<usize, usize> {
+            self.calls.lock().unwrap().clone()
+        }
+    }
+
+    impl Detector for CountingDetector {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+        fn detect(&self, scene: &Scene) -> ImageDetections {
+            let address = scene as *const Scene as usize;
+            *self.calls.lock().unwrap().entry(address).or_default() += 1;
+            self.inner.detect(scene)
+        }
+        fn flops(&self) -> u64 {
+            self.inner.flops()
+        }
+        fn model_size_bytes(&self) -> u64 {
+            self.inner.model_size_bytes()
+        }
+    }
+
+    #[test]
+    fn memoised_detections_equal_the_models_bit_for_bit() {
+        let spec = drifting_spec();
+        let (pools, small, big) = workload(&spec);
+        assert_eq!(pools.len(), 2, "one pool per drift phase");
+        let memo = PoolMemo::new(&pools, spec.frame_size);
+        for (model, memoised) in [(&small, memo.small(&small)), (&big, memo.big(&big))] {
+            let mut out = ImageDetections::with_capacity(256);
+            let buffer = out.as_slice().as_ptr();
+            for scene in pools.iter().flatten() {
+                let expected = det_bits(&model.detect(scene));
+                // The first call fills the cell, the second reads it.
+                for _ in 0..2 {
+                    assert_eq!(det_bits(&memoised.detect(scene)), expected);
+                    memoised.detect_into(scene, &mut out);
+                    assert_eq!(det_bits(&out), expected);
+                    assert_eq!(
+                        out.as_slice().as_ptr(),
+                        buffer,
+                        "detect_into keeps the buffer"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_detects_each_shown_pool_scene_once_per_model() {
+        // Far more scenes than the 120 frames show.
+        let spec = FleetSpec {
+            scene_pool: 1024,
+            threads: 2,
+            ..drifting_spec()
+        };
+        let pop = Population::generate(&spec);
+        let (pools, small, big) = workload(&spec);
+        let memo = PoolMemo::new(&pools, spec.frame_size);
+        let (small, big) = (CountingDetector::new(small), CountingDetector::new(big));
+        let w = Workload {
+            pools: &pools,
+            small: &memo.small(&small),
+            big: &memo.big(&big),
+            memo: &memo,
+        };
+        for outcome in drive_shards(
+            &spec,
+            &pop,
+            MetricsMode::Compact,
+            &w,
+            CollectSessions::default,
+        ) {
+            outcome.expect("healthy drive");
+        }
+        let mut shown = std::collections::HashSet::new();
+        let mut schedule = Schedule::new(&pop.sessions, spec.frame_interval_s);
+        while let Some(step) = schedule.next() {
+            let i = step.session as usize;
+            let scene = scene_at(&pools, spec.drift.as_ref(), i, step.frame, step.time);
+            shown.insert(Arc::as_ptr(scene) as usize);
+        }
+        assert!(
+            shown.len() < memo.slots.len() / 4,
+            "most scenes stay unshown"
+        );
+        let (small, big) = (small.calls(), big.calls());
+        assert!(
+            small.values().chain(big.values()).all(|&calls| calls == 1),
+            "each (model, scene) pair is detected once, on either worker"
+        );
+        assert_eq!(
+            small
+                .keys()
+                .copied()
+                .collect::<std::collections::HashSet<_>>(),
+            shown,
+            "the small model sees every shown scene"
+        );
+        assert!(!big.is_empty(), "the run uploads");
+        for (address, slot) in &memo.slots {
+            let seen = shown.contains(address);
+            assert_eq!(slot.small.get().is_some(), seen);
+            assert_eq!(slot.big.get().is_some(), big.contains_key(address));
+            assert!(seen || !big.contains_key(address));
+            assert!(
+                seen || slot.upload_bytes.get().is_none(),
+                "an unshown scene is never rendered"
+            );
+        }
+    }
+
+    #[test]
+    fn a_scene_outside_the_pools_goes_to_the_model() {
+        let spec = tiny_spec();
+        let (pools, small, _) = workload(&spec);
+        let memo = PoolMemo::new(&pools, spec.frame_size);
+        let counting = CountingDetector::new(small.clone());
+        let memoised = memo.small(&counting);
+        let pooled = &pools[0][0];
+        // The same scene at another address.
+        let outside = Scene::clone(pooled);
+        let expected = det_bits(&small.detect(pooled));
+        let mut out = ImageDetections::new();
+        for _ in 0..2 {
+            assert_eq!(det_bits(&memoised.detect(&outside)), expected);
+            memoised.detect_into(&outside, &mut out);
+            assert_eq!(det_bits(&out), expected);
+        }
+        assert_eq!(
+            counting.calls()[&(&outside as *const Scene as usize)],
+            4,
+            "every call reaches the model"
+        );
+        assert!(memo.slot(&outside).is_none());
+        assert!(memo.slot(pooled).unwrap().small.get().is_none());
+    }
+
+    #[test]
+    fn memoised_upload_bytes_equal_a_fresh_render() {
+        let spec = drifting_spec();
+        let (pools, _, _) = workload(&spec);
+        let memo = PoolMemo::new(&pools, spec.frame_size);
+        let rendered = |scene: &Scene, (w, h): (usize, usize)| {
+            imaging::encoded_size_bytes(&imaging::render(&scene.render_spec(w, h)))
+        };
+        for scene in pools.iter().flatten() {
+            let bytes = rendered(scene, spec.frame_size);
+            assert_eq!(memo.upload_bytes(scene, spec.frame_size), bytes);
+            assert_eq!(memo.slot(scene).unwrap().upload_bytes.get(), Some(&bytes));
+            assert_eq!(memo.upload_bytes(scene, spec.frame_size), bytes);
+        }
+        // The cells hold the run's frame size; any other size renders.
+        let scene = &pools[0][0];
+        let other = (48, 64);
+        assert_ne!(rendered(scene, other), rendered(scene, spec.frame_size));
+        assert_eq!(memo.upload_bytes(scene, other), rendered(scene, other));
     }
 }

@@ -178,6 +178,7 @@
 //! ```
 
 use crate::features::PREDICTION_THRESHOLD;
+use crate::fleet::PoolMemo;
 use crate::scheduler::{
     AutoscaleConfig, Autoscaler, QueuedFrame, Scheduler, SchedulerConfig, SchedulerSlot,
 };
@@ -1230,25 +1231,25 @@ pub(crate) struct EdgeMachine<'a> {
     next_ticket: u64,
     pending: HashMap<u64, PendingUpload>,
     done: HashMap<u64, FrameResult>,
-    /// Optional shared memo of upload sizes, keyed by scene identity and
-    /// render resolution. `render` is deterministic, so the encoded byte
-    /// count is a pure function of the key — the fleet engine shares one
-    /// cache across its whole population (sessions cycle a small scene
-    /// pool, so renders would otherwise dominate wall-clock by ~500×).
-    /// Keys use the `Arc<Scene>` address, and every entry holds its
-    /// scene, so an address cannot be freed and reused while the cache
-    /// answers for it. `None` (every other deployment) renders per upload
-    /// exactly as before.
-    size_cache: Option<UploadSizeCache>,
+    /// Optional run-wide memo of upload sizes (the fleet engine's
+    /// [`PoolMemo`]): a pool scene's encoded bytes at the run's frame size
+    /// are rendered once per run and read without a lock after that, by
+    /// every session on every shard worker. `render` is deterministic, so
+    /// the memo only skips recomputing a pure function; a scene outside
+    /// the pools or a different frame size renders as without it. `None`
+    /// (every other deployment) renders per upload exactly as before.
+    size_cache: Option<&'a PoolMemo>,
     /// Edge half of the model-update loop: stash → apply-between-frames →
     /// probation → rollback. Inert (and cost-free) unless the cloud
     /// actually pushes updates.
     updates: UpdateClient,
 }
 
-/// Shared upload-size memo: `(scene address, width, height)` → the scene
-/// at that address and its encoded bytes. See [`EdgeMachine::size_cache`].
-pub(crate) type UploadSizeCache = Arc<Mutex<HashMap<(usize, usize, usize), (Arc<Scene>, usize)>>>;
+/// Encoded upload size of `scene` at `frame_size`: render + entropy-model
+/// encode, the cost every uploaded frame is charged on the link.
+pub(crate) fn encoded_upload_bytes(scene: &Scene, (w, h): (usize, usize)) -> usize {
+    encoded_size_bytes(&render(&scene.render_spec(w, h)))
+}
 
 /// Per-frame working buffers the fleet engine shares across all sessions
 /// of one cloud shard in compact-metrics mode: the counting scratch and
@@ -1607,10 +1608,10 @@ impl<'a> EdgeMachine<'a> {
         }
     }
 
-    /// Installs a shared upload-size memo (fleet engine only); see
+    /// Installs the run's upload-size memo (fleet engine only); see
     /// [`EdgeMachine::size_cache`].
-    pub(crate) fn set_size_cache(&mut self, cache: UploadSizeCache) {
-        self.size_cache = Some(cache);
+    pub(crate) fn set_size_cache(&mut self, memo: &'a PoolMemo) {
+        self.size_cache = Some(memo);
     }
 
     /// Switches this session to compact metrics (fleet engine only): no
@@ -1630,28 +1631,14 @@ impl<'a> EdgeMachine<'a> {
         };
     }
 
-    /// Encoded upload size of this frame: render + entropy-model encode,
-    /// memoised through the shared cache when one is installed and the
-    /// scene is pool-shared (cache keys need a stable scene address).
-    /// Bit-identical either way — `render` is deterministic, so the memo
-    /// only skips recomputing a pure function.
-    fn upload_size(&self, scene: &Scene, shared: Option<&Arc<Scene>>) -> usize {
-        let (w, h) = self.cfg.frame_size;
-        let memo = self.size_cache.as_ref().zip(shared);
-        let key = |arc: &Arc<Scene>| (Arc::as_ptr(arc) as usize, w, h);
-        if let Some((cache, arc)) = memo {
-            if let Some(&(_, bytes)) = cache.lock().expect("size cache poisoned").get(&key(arc)) {
-                return bytes;
-            }
+    /// Encoded upload size of this frame, read from the run's memo when one
+    /// is installed. Bit-identical either way — `render` is deterministic,
+    /// so the memo only skips recomputing a pure function.
+    fn upload_size(&self, scene: &Scene) -> usize {
+        match self.size_cache {
+            Some(memo) => memo.upload_bytes(scene, self.cfg.frame_size),
+            None => encoded_upload_bytes(scene, self.cfg.frame_size),
         }
-        let bytes = encoded_size_bytes(&render(&scene.render_spec(w, h)));
-        if let Some((cache, arc)) = memo {
-            cache
-                .lock()
-                .expect("size cache poisoned")
-                .insert(key(arc), (Arc::clone(arc), bytes));
-        }
-        bytes
     }
 
     pub(crate) fn id(&self) -> u64 {
@@ -1772,7 +1759,7 @@ impl<'a> EdgeMachine<'a> {
                     return ticket;
                 }
             }
-            let frame_bytes = self.upload_size(scene, shared);
+            let frame_bytes = self.upload_size(scene);
             // Traced links drive the uplink from the edge (retransmitting
             // against the virtual clock); static links let the cloud draw
             // the transfer in arrival order, exactly as the seed did.
@@ -2133,31 +2120,6 @@ mod tests {
             &small,
             Box::new(disc()),
         );
-    }
-
-    #[test]
-    fn size_memo_entries_hold_their_scene() {
-        let (data, small, _) = fixture();
-        let cache = UploadSizeCache::default();
-        let mut m = EdgeMachine::new(0, small_session(), &small, Box::new(disc()), false);
-        m.set_size_cache(Arc::clone(&cache));
-        let scene = Arc::new(data.scenes()[0].clone());
-        let bytes = m.upload_size(&scene, Some(&scene));
-        assert_eq!(bytes, m.upload_size(&scene, Some(&scene)));
-        assert_eq!(
-            bytes,
-            encoded_size_bytes(&render(&scene.render_spec(96, 96)))
-        );
-        // The entry owns a reference: the address it is keyed by cannot be
-        // freed, so no later scene can be allocated there and alias it.
-        assert_eq!(Arc::strong_count(&scene), 2);
-        let cache = cache.lock().unwrap();
-        assert_eq!(cache.len(), 1);
-        assert!(cache.values().all(|(held, _)| Arc::ptr_eq(held, &scene)));
-        // a scene that is not pool-shared is never memoised
-        drop(cache);
-        m.upload_size(&data.scenes()[1], None);
-        assert_eq!(m.size_cache.as_ref().unwrap().lock().unwrap().len(), 1);
     }
 
     #[test]
