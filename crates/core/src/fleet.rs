@@ -34,10 +34,14 @@
 //! shard `i % shards`, shard RNG streams are disjoint (each shard's
 //! [`CloudConfig`] seed is derived from the shard id), and the only state
 //! crossing shard groups is the run's pool memo: write-once cells, one per
-//! pool scene and quantity (either model's detections, the encoded upload
-//! size), each holding a pure function of its scene, so whichever worker
-//! fills a cell first writes the value every other worker would have, and
-//! every later read takes no lock. Restricting the global
+//! pool scene and quantity (either model's detections and their count, the
+//! encoded upload size), each holding a pure function of its scene, so
+//! whichever worker fills a cell first writes the value every other worker
+//! would have, and every later read takes no lock. Nothing else is shared:
+//! a shard's sessions register with [`AnswerTx::Outbox`], so its
+//! [`CloudMachine`] leaves each reply in its own outbox and the driven
+//! session takes it on the same call stack — no mailbox, no lock, no boxed
+//! sink per session. Restricting the global
 //! `(time, session)` event order to one shard's sessions therefore yields
 //! *exactly* the message sequence that shard observes in a single-threaded
 //! drive, so each shard group runs its own virtual-time queue on its own
@@ -50,7 +54,7 @@
 //! shard drive that panics (e.g. a user detector failing mid-frame) is
 //! caught at the shard boundary and surfaced as a typed [`FleetError`]
 //! instead of tearing the process down; everything the drive owned —
-//! its machines and its mailbox — is dropped with it.
+//! its machines and any reply still in an outbox — is dropped with it.
 //!
 //! # Population layer
 //!
@@ -71,7 +75,10 @@
 //! path ([`run_fleet`]) drives sessions in compact-metrics mode: the
 //! per-session `MapEvaluator` (detection records + match scratch, the
 //! dominant per-session cost) is dropped entirely — [`FleetReport`]
-//! never reads mAP — and per-frame scratch buffers are shared per shard.
+//! never reads mAP. In either mode a session owns no per-frame scratch:
+//! the buffers that score a frame are per thread, shared by every session
+//! the thread drives, and a compact session reads a repeated (pool scene,
+//! model) frame's count from the pool memo instead of scoring it again.
 //! Counting metrics stay exact integer sums, so
 //! [`run_fleet_with`]`(spec, `[`MetricsMode::Full`]`)` and the compact
 //! default produce bit-identical reports (pinned in `tests/fleet.rs`);
@@ -79,24 +86,24 @@
 //! differs. [`run_fleet_sessions`] keeps full metrics, so its per-session
 //! reports stay bit-identical to the reference deployment.
 
+use crate::intmap::IntMap;
 use crate::scheduler::SchedulerSlot;
 use crate::server::{
-    assert_frame_size, encoded_upload_bytes, AnswerTx, CloudConfig, CloudMachine, CloudPort,
-    CloudServer, CloudStats, EdgeMachine, FrameResult, FromCloud, ProbeReply, ProbeTx,
-    SessionConfig, SessionReport, SharedFrameScratch, ToCloud,
+    assert_frame_size, encoded_upload_bytes, AnswerTx, CloudConfig, CloudMachine, CloudServer,
+    CloudStats, EdgeMachine, FrameResult, ProbeTx, SessionConfig, SessionReport, ToCloud,
 };
 use crate::strategies::{OffloadPolicy, Policy};
 use crate::DifficultCaseDiscriminator;
 use datagen::{Dataset, DatasetProfile, Scene, SplitId};
-use detcore::ImageDetections;
+use detcore::{count_detected, CountingConfig, ImageCount, ImageDetections};
 use modelzoo::{Detector, ModelKind, SimDetector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use simnet::{DeviceModel, LinkModel, LinkTrace};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::collections::BinaryHeap;
+use std::sync::{Arc, OnceLock};
 
 /// Classes in the fleet's synthetic monitoring workload (HELMET-like:
 /// person, helmet).
@@ -210,10 +217,11 @@ pub struct FleetSpec {
     pub frame_size: (usize, usize),
     /// Distinct synthetic scenes the fleet cycles through (shared
     /// `Arc<Scene>`s; per-session offset decorrelates neighbours). The
-    /// pool also bounds the detector and render work of a run: each pool
-    /// scene a run shows is detected once per model and rendered once,
-    /// however many frames show it, and scenes it never shows cost
-    /// nothing.
+    /// pool also bounds the detector, render and counting work of a run:
+    /// each pool scene a run shows is detected once per model, rendered
+    /// once, and (in [`MetricsMode::Compact`]) has each model's
+    /// detections counted once, however many frames show it, and scenes it
+    /// never shows cost nothing.
     pub scene_pool: usize,
     /// Optional distribution drift: a piecewise-constant schedule of
     /// generative profiles over virtual time. Each phase gets its own
@@ -369,9 +377,8 @@ impl FleetSpec {
     /// Materializes the full [`SessionConfig`] for one planned session.
     fn session_config(&self, p: &PlannedSession, index: usize) -> SessionConfig {
         let link = &self.link_mix[p.link as usize];
-        let mut cfg = SessionConfig::new(NUM_CLASSES);
-        cfg.edge = self.device_mix[p.device as usize].device.clone();
-        cfg.link = link.link.clone();
+        let edge = self.device_mix[p.device as usize].device.clone();
+        let mut cfg = SessionConfig::on(edge, link.link.clone(), NUM_CLASSES);
         cfg.link_trace = link.trace.clone();
         cfg.frame_size = self.frame_size;
         cfg.seed = session_seed(self.seed, index);
@@ -589,53 +596,6 @@ impl<'p> Schedule<'p> {
     }
 }
 
-/// The in-process mailbox of one shard drive: answers and probe replies
-/// land here synchronously (the sessions' `AnswerTx`/`ProbeTx` sinks push
-/// from inside `CloudMachine::handle`) and the driven session's port pops
-/// them right after, as the typed values the cloud produced. One per
-/// shard, not per session: depth-1 driving means only the session being
-/// stepped ever has anything in flight, so whatever is in the mailbox is
-/// its own.
-#[derive(Default)]
-struct ShardMailbox {
-    answers: VecDeque<FromCloud>,
-    probe: Option<ProbeReply>,
-}
-
-/// Handle to a shard's [`ShardMailbox`]; the cloud-side sinks hold clones.
-/// The lock exists only because sinks must be `Send`: a shard is driven
-/// by one thread, so it is never contended, and a panic while it is held
-/// unwinds the whole drive — mailbox included — so a poisoned lock has no
-/// later reader.
-type SharedMailbox = Arc<Mutex<ShardMailbox>>;
-
-fn lock_mailbox(shared: &SharedMailbox) -> MutexGuard<'_, ShardMailbox> {
-    shared.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The inline [`CloudPort`]: `send` *is* the cloud's message handler, so
-/// a "blocking receive" is just popping the mailbox the handler filled on
-/// the same call stack. Never actually blocks — depth-1 driving
-/// guarantees every recv follows the send that produced its reply.
-struct InlinePort<'c, 'a> {
-    cloud: &'c mut CloudMachine<'a>,
-    mailbox: &'c SharedMailbox,
-}
-
-impl CloudPort for InlinePort<'_, '_> {
-    fn send(&mut self, msg: ToCloud) -> bool {
-        self.cloud.handle(msg)
-    }
-
-    fn recv_answer(&mut self) -> Option<FromCloud> {
-        lock_mailbox(self.mailbox).answers.pop_front()
-    }
-
-    fn recv_probe(&mut self) -> Option<ProbeReply> {
-        lock_mailbox(self.mailbox).probe.take()
-    }
-}
-
 /// Index into the shared scene pool for session `session`'s frame
 /// `frame`: each session starts at its own offset (`session % pool`) and
 /// cycles the pool from there, decorrelating neighbours while keeping
@@ -701,30 +661,41 @@ fn scene_at<'a>(
     &pool[scene_index(session, frame, pool.len())]
 }
 
-/// One run's memo over every scene of every pool: per scene, the small
-/// model's detections, the big model's detections and the encoded upload
-/// size at [`FleetSpec::frame_size`], each computed by the first frame that
-/// needs it and read without a lock by every later frame, on any shard
-/// worker. A run pays only for the scenes it shows.
+/// One run's memo over every scene of every pool: per scene, each model's
+/// detections and their [`ImageCount`] against the scene's ground truths,
+/// and the encoded upload size at [`FleetSpec::frame_size`], each computed
+/// by the first frame that needs it and read without a lock by every later
+/// frame, on any shard worker. A run pays only for the scenes it shows.
 ///
-/// All three are pure functions of the scene (detectors are deterministic,
-/// so is `render`), so whichever worker fills a cell first cannot change a
-/// value, and a second worker asking for a cell being filled waits for it
-/// instead of computing it again. Scenes are found by address: the pools
-/// own every keyed `Arc<Scene>` for as long as the memo is used, so no
-/// other scene can live at a keyed address, and a scene outside the pools
-/// goes to the model (or the renderer) every time.
+/// All five are pure functions of the scene (detectors are deterministic,
+/// so are counting and `render`), so whichever worker fills a cell first
+/// cannot change a value, and a second worker asking for a cell being
+/// filled waits for it instead of computing it again. Scenes are found by
+/// address: the pools own every keyed `Arc<Scene>` for as long as the memo
+/// is used, so no other scene can live at a keyed address, and a scene
+/// outside the pools goes to the model (or the renderer, or the counter)
+/// every time.
 pub(crate) struct PoolMemo {
-    slots: HashMap<usize, MemoSlot>,
+    slots: IntMap<usize, MemoSlot>,
     frame_size: (usize, usize),
+    /// The thresholds the count cells hold counts under: the sessions'
+    /// default.
+    counting: CountingConfig,
 }
 
 /// The write-once cells of one pool scene.
 #[derive(Default)]
 struct MemoSlot {
-    small: OnceLock<ImageDetections>,
-    big: OnceLock<ImageDetections>,
+    small: ModelCells,
+    big: ModelCells,
     upload_bytes: OnceLock<usize>,
+}
+
+/// One model's cells for one pool scene: its detections, and their count.
+#[derive(Default)]
+struct ModelCells {
+    dets: OnceLock<ImageDetections>,
+    count: OnceLock<ImageCount>,
 }
 
 impl PoolMemo {
@@ -734,7 +705,11 @@ impl PoolMemo {
             .flatten()
             .map(|scene| (Arc::as_ptr(scene) as usize, MemoSlot::default()))
             .collect();
-        PoolMemo { slots, frame_size }
+        PoolMemo {
+            slots,
+            frame_size,
+            counting: CountingConfig::default(),
+        }
     }
 
     fn slot(&self, scene: &Scene) -> Option<&MemoSlot> {
@@ -752,12 +727,35 @@ impl PoolMemo {
         }
     }
 
+    /// The count of `dets` against `scene`'s ground truths under
+    /// `counting`, read from the memo when `scene` is a pool scene, `dets`
+    /// equal (by value) a model's memoised detections of it, and
+    /// `counting` is the memo's. `None` otherwise: the caller counts
+    /// afresh. Each count cell is filled once per run, by the first frame
+    /// that needs it.
+    pub(crate) fn count(
+        &self,
+        scene: &Scene,
+        dets: &ImageDetections,
+        counting: &CountingConfig,
+    ) -> Option<ImageCount> {
+        if *counting != self.counting {
+            return None;
+        }
+        let slot = self.slot(scene)?;
+        [&slot.small, &slot.big].into_iter().find_map(|cells| {
+            let memoised = cells.dets.get().filter(|&memoised| memoised == dets)?;
+            let fresh = || count_detected(memoised, &scene.ground_truths(), counting);
+            Some(*cells.count.get_or_init(fresh))
+        })
+    }
+
     /// The small model seen through the memo.
     fn small<'m, D>(&'m self, model: &'m D) -> Memoised<'m, D> {
         Memoised {
             memo: self,
             model,
-            cell: |slot| &slot.small,
+            cells: |slot| &slot.small,
         }
     }
 
@@ -766,7 +764,7 @@ impl PoolMemo {
         Memoised {
             memo: self,
             model,
-            cell: |slot| &slot.big,
+            cells: |slot| &slot.big,
         }
     }
 }
@@ -777,13 +775,13 @@ impl PoolMemo {
 struct Memoised<'m, D> {
     memo: &'m PoolMemo,
     model: &'m D,
-    cell: fn(&MemoSlot) -> &OnceLock<ImageDetections>,
+    cells: fn(&MemoSlot) -> &ModelCells,
 }
 
 impl<D: Detector> Memoised<'_, D> {
     fn memoised(&self, scene: &Scene) -> Option<&ImageDetections> {
-        let cell = (self.cell)(self.memo.slot(scene)?);
-        Some(cell.get_or_init(|| self.model.detect(scene)))
+        let cells = (self.cells)(self.memo.slot(scene)?);
+        Some(cells.dets.get_or_init(|| self.model.detect(scene)))
     }
 }
 
@@ -820,31 +818,13 @@ impl<D: Detector> Detector for Memoised<'_, D> {
 
 /// What every shard drive of a run reads: the drift-phase scene pools, the
 /// two models (memoised in [`run_event_core`], though any [`Detector`]
-/// drives) and the memo the edges size their uploads through.
+/// drives) and the memo the edges size their uploads and count their
+/// frames through.
 struct Workload<'w> {
     pools: &'w [Vec<Arc<Scene>>],
     small: &'w (dyn Detector + Sync),
     big: &'w (dyn Detector + Sync),
     memo: &'w PoolMemo,
-}
-
-/// Registers an inline session with its shard, wiring the shard's reply
-/// paths straight into the shard's mailbox.
-fn register_inline(cloud: &mut CloudMachine<'_>, id: u64, link: LinkModel, shared: &SharedMailbox) {
-    let answers = Arc::clone(shared);
-    let probes = Arc::clone(shared);
-    cloud.handle(ToCloud::Register {
-        session: id,
-        link,
-        resp_tx: AnswerTx::Sink(Box::new(move |msg| {
-            lock_mailbox(&answers).answers.push_back(msg);
-            true
-        })),
-        probe_tx: ProbeTx::Sink(Box::new(move |reply| {
-            lock_mailbox(&probes).probe = Some(reply);
-            true
-        })),
-    });
 }
 
 /// A fleet run failed: one shard's drive panicked (a detector failing
@@ -918,13 +898,14 @@ fn fleet_threads_from(env_override: Option<&str>, spec: &FleetSpec) -> usize {
 /// module docs' memory section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricsMode {
-    /// Historical per-session state: a full `MapEvaluator` plus private
-    /// scratch per live session. What [`run_fleet_sessions`] uses, so
+    /// Historical per-session state: a full `MapEvaluator` per live
+    /// session. What [`run_fleet_sessions`] uses, so
     /// [`SessionReport::map_pct`] matches the reference deployment.
     Full,
-    /// Fleet-scale mode: no per-session mAP state, per-frame scratch
-    /// shared per shard. `SessionReport::map_pct` reads `0`; everything
-    /// [`FleetReport`] aggregates is bit-identical to [`MetricsMode::Full`].
+    /// Fleet-scale mode: no per-session mAP state, and a repeated (pool
+    /// scene, model) frame's count read from the pool memo.
+    /// `SessionReport::map_pct` reads `0`; everything [`FleetReport`]
+    /// aggregates is bit-identical to [`MetricsMode::Full`].
     Compact,
 }
 
@@ -961,10 +942,6 @@ fn drive_shard<C: ShardConsumer>(
     // Boxed so the `Vec` stays one pointer per planned session regardless
     // of machine size.
     let mut lives: Vec<Option<Box<EdgeMachine<'_>>>> = (0..group).map(|_| None).collect();
-    let mailbox = SharedMailbox::default();
-    // Per-frame scratch shared across the shard's sessions in compact
-    // mode (single-threaded per shard, so the lock is uncontended).
-    let scratch: SharedFrameScratch = SharedFrameScratch::default();
     let mut schedule = Schedule::for_sessions(
         &pop.sessions,
         spec.frame_interval_s,
@@ -976,12 +953,17 @@ fn drive_shard<C: ShardConsumer>(
         let slot = i / spec.shards;
         if step.frame == 0 {
             let cfg = spec.session_config(p, i);
-            register_inline(&mut cloud, i as u64, cfg.link.clone(), &mailbox);
-            let mut m = EdgeMachine::new(i as u64, cfg, w.small, spec.build_policy(p), admission);
-            m.set_size_cache(w.memo);
-            if mode == MetricsMode::Compact {
-                m.set_compact_metrics(Arc::clone(&scratch));
-            }
+            // The session's replies wait in the shard machine's outbox,
+            // which the machine itself hands back as the session's port.
+            cloud.handle(ToCloud::Register {
+                session: i as u64,
+                link: cfg.link.clone(),
+                resp_tx: AnswerTx::Outbox,
+                probe_tx: ProbeTx::Outbox,
+            });
+            let policy = spec.build_policy(p);
+            let mut m = EdgeMachine::new(i as u64, cfg, w.small, policy, admission, mode);
+            m.set_pool_memo(w.memo);
             lives[slot] = Some(Box::new(m));
         }
         let live = lives[slot]
@@ -989,22 +971,18 @@ fn drive_shard<C: ShardConsumer>(
             .expect("live between first and last frame");
         live.advance_to(step.time);
         let scene = scene_at(w.pools, spec.drift.as_ref(), i, step.frame, step.time);
-        let mut port = InlinePort {
-            cloud: &mut cloud,
-            mailbox: &mailbox,
-        };
-        let ticket = live.submit_inner(&mut port, scene, Some(scene));
+        let ticket = live.submit_inner(&mut cloud, scene, Some(scene));
         let result = live
-            .poll(&mut port, ticket)
+            .poll(&mut cloud, ticket)
             .expect("depth-1 driving resolves every frame");
         debug_assert!(
-            lock_mailbox(&mailbox).answers.is_empty(),
-            "depth-1 driving leaves no answer behind for the next session"
+            cloud.outbox_is_empty(),
+            "depth-1 driving leaves no reply behind for the next session"
         );
         consumer.on_frame(p.tenant, &result);
         if step.frame + 1 == p.frames {
-            let report = live.drain(&mut port);
-            port.send(ToCloud::Deregister { session: i as u64 });
+            let report = live.drain(&mut cloud);
+            cloud.handle(ToCloud::Deregister { session: i as u64 });
             consumer.on_session(step.session, p.tenant, report);
             lives[slot] = None;
         }
@@ -1446,6 +1424,9 @@ pub fn run_fleet_with(spec: &FleetSpec, mode: MetricsMode) -> Result<FleetReport
 #[cfg(test)]
 mod tests {
     use super::*;
+    use detcore::Detection;
+    use std::collections::HashMap;
+    use std::sync::Mutex;
 
     fn tiny_spec() -> FleetSpec {
         FleetSpec {
@@ -1880,8 +1861,8 @@ mod tests {
         assert!(!big.is_empty(), "the run uploads");
         for (address, slot) in &memo.slots {
             let seen = shown.contains(address);
-            assert_eq!(slot.small.get().is_some(), seen);
-            assert_eq!(slot.big.get().is_some(), big.contains_key(address));
+            assert_eq!(slot.small.dets.get().is_some(), seen);
+            assert_eq!(slot.big.dets.get().is_some(), big.contains_key(address));
             assert!(seen || !big.contains_key(address));
             assert!(
                 seen || slot.upload_bytes.get().is_none(),
@@ -1913,7 +1894,7 @@ mod tests {
             "every call reaches the model"
         );
         assert!(memo.slot(&outside).is_none());
-        assert!(memo.slot(pooled).unwrap().small.get().is_none());
+        assert!(memo.slot(pooled).unwrap().small.dets.get().is_none());
     }
 
     #[test]
@@ -1935,5 +1916,78 @@ mod tests {
         let other = (48, 64);
         assert_ne!(rendered(scene, other), rendered(scene, spec.frame_size));
         assert_eq!(memo.upload_bytes(scene, other), rendered(scene, other));
+    }
+
+    fn fresh_count(dets: &ImageDetections, scene: &Scene, counting: &CountingConfig) -> ImageCount {
+        count_detected(dets, &scene.ground_truths(), counting)
+    }
+
+    #[test]
+    fn memoised_counts_equal_a_fresh_count() {
+        let spec = drifting_spec();
+        let (pools, small, big) = workload(&spec);
+        let memo = PoolMemo::new(&pools, spec.frame_size);
+        let counting = CountingConfig::default();
+        for (model, memoised) in [(&small, memo.small(&small)), (&big, memo.big(&big))] {
+            for scene in pools.iter().flatten() {
+                let dets = model.detect(scene);
+                let expected = fresh_count(&dets, scene, &counting);
+                assert_eq!(
+                    memo.count(scene, &dets, &counting),
+                    None,
+                    "no count before the model's detections are memoised"
+                );
+                memoised.detect(scene);
+                // The first call fills the count cell, the second reads it.
+                for _ in 0..2 {
+                    assert_eq!(memo.count(scene, &dets, &counting), Some(expected));
+                }
+            }
+        }
+        let filled = |cells: &ModelCells| cells.count.get().is_some();
+        assert!(memo
+            .slots
+            .values()
+            .all(|slot| filled(&slot.small) && filled(&slot.big)));
+    }
+
+    #[test]
+    fn other_frames_fall_through_to_a_fresh_count() {
+        let spec = drifting_spec();
+        let (pools, small, _) = workload(&spec);
+        let memo = PoolMemo::new(&pools, spec.frame_size);
+        let memoised = memo.small(&small);
+        let counting = CountingConfig::default();
+        let scene = pools
+            .iter()
+            .flatten()
+            .find(|scene| !small.detect(scene).is_empty())
+            .expect("some pool scene has detections");
+        let dets = memoised.detect(scene);
+        assert!(memo.count(scene, &dets, &counting).is_some());
+
+        // Detections one score bit away from the cell's.
+        let mut nudged = dets.as_slice().to_vec();
+        let d = nudged[0];
+        let score = f64::from_bits(d.score().to_bits() ^ 1);
+        nudged[0] = Detection::new(d.class(), score, d.bbox());
+        let nudged = ImageDetections::from_vec(nudged);
+        assert_eq!(memo.count(scene, &nudged, &counting), None);
+
+        // The same scene at an address outside the pools.
+        let outside = Scene::clone(scene);
+        assert_eq!(memo.count(&outside, &dets, &counting), None);
+
+        // Thresholds other than the memo's.
+        let strict = CountingConfig {
+            score_threshold: 0.9,
+            ..counting
+        };
+        assert_eq!(memo.count(scene, &dets, &strict), None);
+        assert_ne!(
+            fresh_count(&dets, scene, &strict),
+            fresh_count(&dets, scene, &counting),
+            "the stricter thresholds count differently here"
+        );
     }
 }

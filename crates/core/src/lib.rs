@@ -129,6 +129,7 @@ mod calibrate;
 mod discriminator;
 mod features;
 pub mod fleet;
+mod intmap;
 mod labeling;
 pub mod par;
 mod persist;

@@ -178,7 +178,8 @@
 //! ```
 
 use crate::features::PREDICTION_THRESHOLD;
-use crate::fleet::PoolMemo;
+use crate::fleet::{MetricsMode, PoolMemo};
+use crate::intmap::IntMap;
 use crate::scheduler::{
     AutoscaleConfig, Autoscaler, QueuedFrame, Scheduler, SchedulerConfig, SchedulerSlot,
 };
@@ -200,8 +201,9 @@ use simnet::{
     RetryConfig, TimeWindow,
 };
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// How much edge compute runs (and is charged) before the offload decision.
@@ -336,10 +338,16 @@ pub struct SessionConfig {
 impl SessionConfig {
     /// Paper-testbed defaults for a `num_classes`-way workload.
     pub fn new(num_classes: usize) -> Self {
+        SessionConfig::on(DeviceModel::jetson_nano(), LinkModel::wlan(), num_classes)
+    }
+
+    /// [`SessionConfig::new`] on a given edge device and link, without
+    /// building (and dropping) the default ones.
+    pub(crate) fn on(edge: DeviceModel, link: LinkModel, num_classes: usize) -> Self {
         assert!(num_classes > 0, "need at least one class");
         SessionConfig {
-            edge: DeviceModel::jetson_nano(),
-            link: LinkModel::wlan(),
+            edge,
+            link,
             frame_size: (300, 300),
             discriminator_s: 0.0004,
             seed: 0x5417,
@@ -540,20 +548,26 @@ pub(crate) enum FromCloud {
 }
 
 /// Where a session's answers go: the in-process channel its
-/// [`EdgeSession`] polls, or a sink called *on the worker thread* — the
-/// fleet core's shard mailbox, or a transport connection the sink encodes
-/// onto directly (no forwarder-thread hop, no extra context switch per
-/// answer).
+/// [`EdgeSession`] polls; a sink called *on the worker thread*, which a
+/// transport connection encodes onto directly (no forwarder-thread hop, no
+/// extra context switch per answer); or the cloud machine's own
+/// [`Outbox`], which an inline host (the fleet core) empties right after
+/// the call that filled it — no channel, no lock, no boxed closure.
 pub(crate) enum AnswerTx {
     Chan(Sender<FromCloud>),
     Sink(Box<dyn FnMut(FromCloud) -> bool + Send>),
+    Outbox,
 }
 
 impl AnswerTx {
-    pub(crate) fn send(&mut self, msg: FromCloud) -> bool {
+    fn send(&mut self, msg: FromCloud, outbox: &mut Outbox) -> bool {
         match self {
             AnswerTx::Chan(tx) => tx.send(msg).is_ok(),
             AnswerTx::Sink(f) => f(msg),
+            AnswerTx::Outbox => {
+                outbox.answers.push_back(msg);
+                true
+            }
         }
     }
 }
@@ -562,15 +576,31 @@ impl AnswerTx {
 pub(crate) enum ProbeTx {
     Chan(Sender<ProbeReply>),
     Sink(Box<dyn FnMut(ProbeReply) -> bool + Send>),
+    Outbox,
 }
 
 impl ProbeTx {
-    pub(crate) fn send(&mut self, reply: ProbeReply) -> bool {
+    fn send(&mut self, reply: ProbeReply, outbox: &mut Outbox) -> bool {
         match self {
             ProbeTx::Chan(tx) => tx.send(reply).is_ok(),
             ProbeTx::Sink(f) => f(reply),
+            ProbeTx::Outbox => {
+                outbox.probe = Some(reply);
+                true
+            }
         }
     }
+}
+
+/// The replies a [`CloudMachine`] holds for sessions registered with
+/// [`AnswerTx::Outbox`] / [`ProbeTx::Outbox`]. One per machine, not per
+/// session: its inline host drives depth-1, so only the session being
+/// stepped ever has a reply waiting, and the host takes it on the same
+/// call stack (the machine's [`CloudPort`] impl).
+#[derive(Default)]
+pub(crate) struct Outbox {
+    answers: VecDeque<FromCloud>,
+    probe: Option<ProbeReply>,
 }
 
 /// Control-plane messages into the cloud worker. Frame headers travel as
@@ -734,7 +764,8 @@ struct CloudWorker<'a> {
     config: &'a CloudConfig,
     pool: Option<&'a DetectPool>,
     sched: SchedulerSlot,
-    sessions: HashMap<u64, SessionHandles>,
+    sessions: IntMap<u64, SessionHandles>,
+    outbox: Outbox,
     server_free_at: f64,
     next_seq: u64,
     batch: Vec<QueuedFrame>,
@@ -747,7 +778,7 @@ struct CloudWorker<'a> {
     /// Rollout version last pushed to each session; a session behind the
     /// current version receives the artifact right before its next answer
     /// (which is also how a session that missed epochs catches up).
-    pushed: HashMap<u64, u64>,
+    pushed: IntMap<u64, u64>,
 }
 
 impl CloudWorker<'_> {
@@ -835,11 +866,14 @@ impl CloudWorker<'_> {
                     let pushed = self.pushed.entry(q.req.session).or_insert(0);
                     if *pushed < update.version {
                         *pushed = update.version;
-                        let _ = handles.resp_tx.send(FromCloud::Update(Arc::clone(update)));
+                        let update = FromCloud::Update(Arc::clone(update));
+                        let _ = handles.resp_tx.send(update, &mut self.outbox);
                     }
                 }
                 // A session that hung up just loses its reply.
-                let _ = handles.resp_tx.send(FromCloud::Answer(resp));
+                let _ = handles
+                    .resp_tx
+                    .send(FromCloud::Answer(resp), &mut self.outbox);
             }
         }
         n
@@ -901,7 +935,8 @@ impl<'a> CloudMachine<'a> {
                 config,
                 pool,
                 sched,
-                sessions: HashMap::new(),
+                sessions: IntMap::default(),
+                outbox: Outbox::default(),
                 server_free_at: 0.0,
                 next_seq: 0,
                 batch: Vec::new(),
@@ -921,7 +956,7 @@ impl<'a> CloudMachine<'a> {
                     calibration_version: 0,
                 },
                 updates: config.updates.map(UpdatePublisher::new),
-                pushed: HashMap::new(),
+                pushed: IntMap::default(),
             },
             rng: StdRng::seed_from_u64(config.seed ^ 0xc10d),
         }
@@ -994,10 +1029,11 @@ impl<'a> CloudMachine<'a> {
                 }
                 if let Some(handles) = w.sessions.get_mut(&session) {
                     // A session that hung up just loses its reply.
-                    let _ = handles.probe_tx.send(ProbeReply {
+                    let reply = ProbeReply {
                         admitted,
                         queue_depth,
-                    });
+                    };
+                    let _ = handles.probe_tx.send(reply, &mut w.outbox);
                 }
             }
             // The session id exists for the transport layer to route
@@ -1025,6 +1061,30 @@ impl<'a> CloudMachine<'a> {
             self.w.stats.scale_changes = a.changes;
         }
         self.w.stats
+    }
+
+    /// Whether no reply waits in the machine's [`Outbox`].
+    pub(crate) fn outbox_is_empty(&self) -> bool {
+        self.w.outbox.answers.is_empty() && self.w.outbox.probe.is_none()
+    }
+}
+
+/// The inline [`CloudPort`]: `send` *is* the cloud's message handler, so a
+/// "blocking receive" is taking the reply the handler left in the
+/// machine's [`Outbox`] on the same call stack. Never actually blocks —
+/// depth-1 driving guarantees every recv follows the send that produced
+/// its reply.
+impl CloudPort for CloudMachine<'_> {
+    fn send(&mut self, msg: ToCloud) -> bool {
+        self.handle(msg)
+    }
+
+    fn recv_answer(&mut self) -> Option<FromCloud> {
+        self.w.outbox.answers.pop_front()
+    }
+
+    fn recv_probe(&mut self) -> Option<ProbeReply> {
+        self.w.outbox.probe.take()
     }
 }
 
@@ -1134,13 +1194,15 @@ impl CloudServer {
     }
 }
 
-/// A frame uploaded and awaiting its cloud answer.
+/// A frame uploaded and awaiting its cloud answer. The scene is the `Arc`
+/// already shared with the cloud; the frame is scored against it when it
+/// resolves.
 struct PendingUpload {
     entered_at: f64,
     sent_at: f64,
     breakdown: LatencyBreakdown,
     local_dets: ImageDetections,
-    gts: Vec<GroundTruth>,
+    scene: Arc<Scene>,
 }
 
 /// How an edge state machine reaches its cloud: the seam that lets the
@@ -1229,16 +1291,18 @@ pub(crate) struct EdgeMachine<'a> {
     uploads: usize,
     frames: usize,
     next_ticket: u64,
-    pending: HashMap<u64, PendingUpload>,
-    done: HashMap<u64, FrameResult>,
-    /// Optional run-wide memo of upload sizes (the fleet engine's
-    /// [`PoolMemo`]): a pool scene's encoded bytes at the run's frame size
-    /// are rendered once per run and read without a lock after that, by
-    /// every session on every shard worker. `render` is deterministic, so
-    /// the memo only skips recomputing a pure function; a scene outside
-    /// the pools or a different frame size renders as without it. `None`
-    /// (every other deployment) renders per upload exactly as before.
-    size_cache: Option<&'a PoolMemo>,
+    pending: IntMap<u64, PendingUpload>,
+    done: IntMap<u64, FrameResult>,
+    /// Optional run-wide memo (the fleet engine's [`PoolMemo`]): a pool
+    /// scene's encoded bytes at the run's frame size, and a compact
+    /// session's count of either model's detections of it, are computed
+    /// once per run and read without a lock after that, by every session
+    /// on every shard worker. Both are pure functions, so the memo only
+    /// skips recomputing them; a scene outside the pools, a different frame
+    /// size or counting config, or detections no model produced compute as
+    /// without it. `None` (every other deployment) computes per frame
+    /// exactly as before.
+    pool_memo: Option<&'a PoolMemo>,
     /// Edge half of the model-update loop: stash → apply-between-frames →
     /// probation → rollback. Inert (and cost-free) unless the cloud
     /// actually pushes updates.
@@ -1251,114 +1315,96 @@ pub(crate) fn encoded_upload_bytes(scene: &Scene, (w, h): (usize, usize)) -> usi
     encoded_size_bytes(&render(&scene.render_spec(w, h)))
 }
 
-/// Per-frame working buffers the fleet engine shares across all sessions
-/// of one cloud shard in compact-metrics mode: the counting scratch and
-/// the ground-truth staging vector. Every use is call-independent
-/// ([`count_detected_with`] and `ground_truths_into` clear before
-/// writing), so sharing only removes per-session retained capacity — it
-/// cannot change any result.
+/// Working buffers for scoring one frame: the counting scratch and the
+/// ground-truth staging vector. Every use clears them first
+/// ([`count_detected_with`] and `ground_truths_into` do), so which session
+/// or frame used them last cannot change a result.
 #[derive(Default)]
-pub(crate) struct FleetFrameScratch {
+struct FrameScratch {
     count: CountScratch,
     gts: Vec<GroundTruth>,
 }
 
-/// One [`FleetFrameScratch`] per shard, behind a mutex so [`EdgeMachine`]
-/// stays `Send`. Within a shard the lock is uncontended (the drive is
-/// single-threaded per shard); a poisoned lock means an earlier frame
-/// panicked mid-metric, and the descriptive panic here is converted into
-/// a typed fleet error by the shard drive.
-pub(crate) type SharedFrameScratch = Arc<Mutex<FleetFrameScratch>>;
-
-const SCRATCH_POISONED: &str =
-    "shared fleet frame scratch poisoned: an earlier frame panicked mid-metric";
-
-/// How a session accumulates quality metrics.
-///
-/// `Full` is the historical per-session state: a [`MapEvaluator`] (mAP
-/// over every served frame) plus a private counting scratch — what every
-/// deployment except the fleet's aggregate path uses, and what
-/// [`SessionReport::map_pct`] is computed from. `Compact` is the fleet
-/// engine's memory mode: mAP bookkeeping (detection records, match
-/// scratch — multiple KB per live session) is dropped entirely because
-/// [`crate::fleet::FleetReport`] never reads it, and the per-frame
-/// scratch is borrowed from the shard-shared [`FleetFrameScratch`]. The
-/// counting metric stays exact in both modes (running integer sums), so
-/// a compact fleet report is bit-identical to a full one.
-enum SessionMetrics {
-    /// Boxed so a compact fleet's [`EdgeMachine`]s don't carry the full
-    /// variant's footprint inline.
-    Full(Box<FullMetrics>),
-    Compact {
-        counter: DatasetCounter,
-        shared: SharedFrameScratch,
-    },
+thread_local! {
+    /// One [`FrameScratch`] per thread, shared by every session that thread
+    /// scores a frame for: no session retains per-frame capacity, and no
+    /// lock is taken.
+    static FRAME_SCRATCH: RefCell<FrameScratch> = RefCell::default();
 }
 
-/// The historical per-session metric state (see [`SessionMetrics::Full`]).
-struct FullMetrics {
-    map: MapEvaluator,
+/// How a session accumulates quality metrics: a running count of
+/// detected objects and, in [`MetricsMode::Full`], a [`MapEvaluator`]
+/// over every served frame, which [`SessionReport::map_pct`] is computed
+/// from. [`MetricsMode::Compact`] is the fleet engine's memory mode: the
+/// evaluator (detection records, match scratch — multiple KB per live
+/// session) is dropped because [`crate::fleet::FleetReport`] never reads
+/// mAP. The counting metric is an exact integer sum in both modes, so a
+/// compact fleet report is bit-identical to a full one.
+struct SessionMetrics {
+    /// Boxed so a compact fleet's [`EdgeMachine`]s don't carry the
+    /// evaluator's footprint inline.
+    map: Option<Box<MapEvaluator>>,
     counter: DatasetCounter,
-    scratch: CountScratch,
-    /// Reused per-frame ground-truth buffer: local frames borrow it
-    /// for metric accumulation (zero allocation when warm); uploads
-    /// clone it into their [`PendingUpload`], which costs what the
-    /// old per-frame `ground_truths()` allocation did.
-    gts: Vec<GroundTruth>,
 }
 
 impl SessionMetrics {
-    /// Takes the per-frame ground-truth buffer (returned via
-    /// [`SessionMetrics::put_gts`] before the frame completes).
-    fn take_gts(&mut self) -> Vec<GroundTruth> {
-        match self {
-            SessionMetrics::Full(full) => std::mem::take(&mut full.gts),
-            SessionMetrics::Compact { shared, .. } => {
-                std::mem::take(&mut shared.lock().expect(SCRATCH_POISONED).gts)
-            }
+    fn new(mode: MetricsMode, cfg: &SessionConfig) -> SessionMetrics {
+        let map = || Box::new(MapEvaluator::new(cfg.num_classes, cfg.ap_protocol));
+        SessionMetrics {
+            map: (mode == MetricsMode::Full).then(map),
+            counter: DatasetCounter::new(),
         }
     }
 
-    fn put_gts(&mut self, buf: Vec<GroundTruth>) {
-        match self {
-            SessionMetrics::Full(full) => full.gts = buf,
-            SessionMetrics::Compact { shared, .. } => {
-                shared.lock().expect(SCRATCH_POISONED).gts = buf;
-            }
-        }
-    }
-
-    /// Folds one served frame into the session's quality metrics.
-    fn record(&mut self, dets: &ImageDetections, gts: &[GroundTruth], counting: &CountingConfig) {
-        match self {
-            SessionMetrics::Full(full) => {
-                full.map.add_image(dets, gts);
-                full.counter
-                    .add(count_detected_with(dets, gts, counting, &mut full.scratch));
-            }
-            SessionMetrics::Compact { counter, shared } => {
-                let mut s = shared.lock().expect(SCRATCH_POISONED);
-                counter.add(count_detected_with(dets, gts, counting, &mut s.count));
-            }
-        }
+    /// Folds one served frame into the session's quality metrics. A
+    /// compact session reads the frame's count from the run's pool memo
+    /// when the memo holds it ([`PoolMemo::count`]); every other frame is
+    /// scored against the scene's ground truths here.
+    fn record(
+        &mut self,
+        dets: &ImageDetections,
+        scene: &Scene,
+        counting: &CountingConfig,
+        memo: Option<&PoolMemo>,
+    ) {
+        let memoised = memo.filter(|_| self.map.is_none());
+        let memoised = memoised.and_then(|memo| memo.count(scene, dets, counting));
+        let count = memoised.unwrap_or_else(|| {
+            FRAME_SCRATCH.with_borrow_mut(|s| {
+                scene.ground_truths_into(&mut s.gts);
+                if let Some(map) = &mut self.map {
+                    map.add_image(dets, &s.gts);
+                }
+                count_detected_with(dets, &s.gts, counting, &mut s.count)
+            })
+        });
+        self.counter.add(count);
     }
 
     /// End-to-end mAP (%) of the served results; `0` in compact mode,
     /// which keeps no mAP state (nothing downstream of the fleet's
     /// aggregate path reads it).
     fn map_pct(&self) -> f64 {
-        match self {
-            SessionMetrics::Full(full) => full.map.evaluate().map_percent(),
-            SessionMetrics::Compact { .. } => 0.0,
-        }
+        self.map
+            .as_ref()
+            .map_or(0.0, |map| map.evaluate().map_percent())
     }
+}
 
-    fn counter(&self) -> &DatasetCounter {
-        match self {
-            SessionMetrics::Full(full) => &full.counter,
-            SessionMetrics::Compact { counter, .. } => counter,
-        }
-    }
+/// How a frame was settled, beyond the detections served: the fallbacks
+/// a [`FrameResult`] flags, or none of them.
+enum Outcome {
+    /// The answer the decision planned: the local one, or the cloud's in
+    /// time.
+    Served(Decision),
+    /// The cloud's answer missed the deadline; the local one is served.
+    DeadlineMiss,
+    /// The traced link gave up before a round trip completed; the local
+    /// answer is served. `missed_deadline` when the deadline, not the
+    /// retry budget, made it give up.
+    LinkFallback { missed_deadline: bool },
+    /// The cloud refused the frame at admission; no uplink was spent.
+    AdmissionFallback,
 }
 
 /// How a traced transfer ended after retransmissions.
@@ -1462,7 +1508,7 @@ impl<'a> EdgeSession<'a> {
         })
         .expect("cloud server alive");
         EdgeSession {
-            m: EdgeMachine::new(id, cfg, small, policy, admission),
+            m: EdgeMachine::new(id, cfg, small, policy, admission, MetricsMode::Full),
             port: ChannelPort {
                 tx,
                 rx: resp_rx,
@@ -1567,22 +1613,19 @@ impl<'a> EdgeMachine<'a> {
     /// Builds the session state machine. The caller owns registration:
     /// a `ToCloud::Register` for `id` must reach the cloud (through
     /// whatever port this machine will be driven with) before the first
-    /// submit.
+    /// submit. `metrics` picks the session's quality bookkeeping (see
+    /// [`SessionMetrics`]); only the fleet engine asks for compact.
     pub(crate) fn new(
         id: u64,
         cfg: SessionConfig,
         small: &'a (dyn Detector + Sync),
         policy: Box<dyn OffloadPolicy + 'a>,
         admission: bool,
+        metrics: MetricsMode,
     ) -> EdgeMachine<'a> {
         assert_frame_size(cfg.frame_size);
         let rng = StdRng::seed_from_u64(cfg.seed ^ 0xed6e);
-        let metrics = SessionMetrics::Full(Box::new(FullMetrics {
-            map: MapEvaluator::new(cfg.num_classes, cfg.ap_protocol),
-            counter: DatasetCounter::new(),
-            scratch: CountScratch::new(),
-            gts: Vec::new(),
-        }));
+        let metrics = SessionMetrics::new(metrics, &cfg);
         EdgeMachine {
             id,
             cfg,
@@ -1601,41 +1644,24 @@ impl<'a> EdgeMachine<'a> {
             uploads: 0,
             frames: 0,
             next_ticket: 0,
-            pending: HashMap::new(),
-            done: HashMap::new(),
-            size_cache: None,
+            pending: IntMap::default(),
+            done: IntMap::default(),
+            pool_memo: None,
             updates: UpdateClient::new(),
         }
     }
 
-    /// Installs the run's upload-size memo (fleet engine only); see
-    /// [`EdgeMachine::size_cache`].
-    pub(crate) fn set_size_cache(&mut self, memo: &'a PoolMemo) {
-        self.size_cache = Some(memo);
-    }
-
-    /// Switches this session to compact metrics (fleet engine only): no
-    /// per-session [`MapEvaluator`], per-frame scratch borrowed from the
-    /// shard-shared [`FleetFrameScratch`]. Must be called before the
-    /// first submit; [`SessionReport::map_pct`] then reads `0`. See
-    /// [`SessionMetrics`] for why this is bit-identical everywhere the
-    /// fleet's aggregate path looks.
-    pub(crate) fn set_compact_metrics(&mut self, shared: SharedFrameScratch) {
-        debug_assert_eq!(
-            self.frames, 0,
-            "compact metrics must be set before any frame"
-        );
-        self.metrics = SessionMetrics::Compact {
-            counter: DatasetCounter::new(),
-            shared,
-        };
+    /// Installs the run's pool memo (fleet engine only); see
+    /// [`EdgeMachine::pool_memo`].
+    pub(crate) fn set_pool_memo(&mut self, memo: &'a PoolMemo) {
+        self.pool_memo = Some(memo);
     }
 
     /// Encoded upload size of this frame, read from the run's memo when one
     /// is installed. Bit-identical either way — `render` is deterministic,
     /// so the memo only skips recomputing a pure function.
     fn upload_size(&self, scene: &Scene) -> usize {
-        match self.size_cache {
+        match self.pool_memo {
             Some(memo) => memo.upload_bytes(scene, self.cfg.frame_size),
             None => encoded_upload_bytes(scene, self.cfg.frame_size),
         }
@@ -1686,8 +1712,6 @@ impl<'a> EdgeMachine<'a> {
         self.next_ticket += 1;
         self.frames += 1;
 
-        let mut gts = self.metrics.take_gts();
-        scene.ground_truths_into(&mut gts);
         let mut breakdown = LatencyBreakdown::default();
         let dets = self.small.detect(scene);
         match self.cfg.pipeline {
@@ -1751,11 +1775,8 @@ impl<'a> EdgeMachine<'a> {
                 let reply = port.recv_probe().expect("cloud server alive");
                 self.last_cloud_queue = Some(reply.queue_depth);
                 if !reply.admitted {
-                    self.admission_fallbacks += 1;
-                    self.resolve(
-                        ticket.0, decision, breakdown, dets, &gts, self.now, false, false, true,
-                    );
-                    self.metrics.put_gts(gts);
+                    let outcome = Outcome::AdmissionFallback;
+                    self.resolve(ticket.0, breakdown, dets, scene, self.now, outcome);
                     return ticket;
                 }
             }
@@ -1785,23 +1806,9 @@ impl<'a> EdgeMachine<'a> {
                 // The frame never reaches the cloud: serve the local answer
                 // once the edge stops retrying.
                 breakdown.retransmit_s = (at - self.now).max(0.0);
-                self.link_fallbacks += 1;
-                if missed_deadline {
-                    self.deadline_misses += 1;
-                }
                 self.now = self.now.max(at);
-                let completed_at = self.now;
-                self.resolve(
-                    ticket.0,
-                    decision,
-                    breakdown,
-                    dets,
-                    &gts,
-                    completed_at,
-                    missed_deadline,
-                    true,
-                    false,
-                );
+                let outcome = Outcome::LinkFallback { missed_deadline };
+                self.resolve(ticket.0, breakdown, dets, scene, self.now, outcome);
             } else {
                 let (sent_at, uplink_s) = match uplink {
                     None => (self.now, None),
@@ -1832,7 +1839,7 @@ impl<'a> EdgeMachine<'a> {
                     None => Arc::new(scene.clone()),
                 };
                 assert!(
-                    port.send(ToCloud::Frame(req, scene_arc)),
+                    port.send(ToCloud::Frame(req, Arc::clone(&scene_arc))),
                     "cloud server alive"
                 );
                 self.pending.insert(
@@ -1842,16 +1849,14 @@ impl<'a> EdgeMachine<'a> {
                         sent_at,
                         breakdown,
                         local_dets: dets,
-                        gts: gts.clone(),
+                        scene: scene_arc,
                     },
                 );
             }
         } else {
-            self.resolve(
-                ticket.0, decision, breakdown, dets, &gts, self.now, false, false, false,
-            );
+            let outcome = Outcome::Served(decision);
+            self.resolve(ticket.0, breakdown, dets, scene, self.now, outcome);
         }
-        self.metrics.put_gts(gts);
         ticket
     }
 
@@ -1892,8 +1897,8 @@ impl<'a> EdgeMachine<'a> {
             frames: self.frames,
             uploads: self.uploads,
             map_pct: self.metrics.map_pct(),
-            detected: self.metrics.counter().total_detected(),
-            total_gt: self.metrics.counter().total_gt(),
+            detected: self.metrics.counter.total_detected(),
+            total_gt: self.metrics.counter.total_gt(),
             total_time_s: self.now,
             upload_ratio: if self.frames == 0 {
                 0.0
@@ -1971,23 +1976,22 @@ impl<'a> EdgeMachine<'a> {
                     if !missed_deadline {
                         // Retries exhausted without a deadline: account the
                         // round trip the edge did wait for, serve local.
-                        self.link_fallbacks += 1;
                         breakdown.uplink_s = resp.uplink_s;
                         breakdown.cloud_infer_s = resp.infer_s
                             + (resp.sent_at - p.sent_at - resp.uplink_s - resp.infer_s).max(0.0);
                         breakdown.retransmit_s += (at - resp.sent_at).max(0.0);
                         let completed_at = at.max(p.sent_at);
                         self.now = self.now.max(completed_at);
+                        let outcome = Outcome::LinkFallback {
+                            missed_deadline: false,
+                        };
                         self.resolve(
                             resp.ticket,
-                            Decision::Upload,
                             breakdown,
                             p.local_dets,
-                            &p.gts,
+                            &p.scene,
                             completed_at,
-                            false,
-                            true,
-                            false,
+                            outcome,
                         );
                         return;
                     }
@@ -1997,7 +2001,7 @@ impl<'a> EdgeMachine<'a> {
                 }
             },
         };
-        let (missed, final_dets, completed_at) = match downlink {
+        let (outcome, final_dets, completed_at) = match downlink {
             Some((downlink_s, answer_at))
                 if !self
                     .cfg
@@ -2009,47 +2013,52 @@ impl<'a> EdgeMachine<'a> {
                 breakdown.cloud_infer_s = resp.infer_s
                     + (resp.sent_at - p.sent_at - resp.uplink_s - resp.infer_s).max(0.0);
                 breakdown.downlink_s = downlink_s;
-                (false, resp.dets, answer_at)
+                (Outcome::Served(Decision::Upload), resp.dets, answer_at)
             }
             _ => {
                 // The edge gives up waiting and serves the local result; the
                 // upload bandwidth is already spent.
-                self.deadline_misses += 1;
                 let deadline = self.cfg.deadline_s.expect("missed implies a deadline");
                 let waited = (p.entered_at + deadline - p.sent_at).max(0.0);
                 breakdown.uplink_s = waited;
-                (true, p.local_dets, p.sent_at + waited)
+                (Outcome::DeadlineMiss, p.local_dets, p.sent_at + waited)
             }
         };
         self.now = self.now.max(completed_at);
         self.resolve(
             resp.ticket,
-            Decision::Upload,
             breakdown,
             final_dets,
-            &p.gts,
+            &p.scene,
             completed_at,
-            missed,
-            false,
-            false,
+            outcome,
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Settles one frame: counts its outcome, folds it into the session's
+    /// latency and quality metrics, and files its [`FrameResult`].
     fn resolve(
         &mut self,
         ticket: u64,
-        decision: Decision,
         breakdown: LatencyBreakdown,
         dets: ImageDetections,
-        gts: &[GroundTruth],
+        scene: &Scene,
         completed_at: f64,
-        missed_deadline: bool,
-        link_fallback: bool,
-        admission_fallback: bool,
+        outcome: Outcome,
     ) {
+        use Decision::Upload;
+        let (decision, missed_deadline, link_fallback, admission_fallback) = match outcome {
+            Outcome::Served(decision) => (decision, false, false, false),
+            Outcome::DeadlineMiss => (Upload, true, false, false),
+            Outcome::LinkFallback { missed_deadline } => (Upload, missed_deadline, true, false),
+            Outcome::AdmissionFallback => (Upload, false, false, true),
+        };
+        self.deadline_misses += usize::from(missed_deadline);
+        self.link_fallbacks += usize::from(link_fallback);
+        self.admission_fallbacks += usize::from(admission_fallback);
         self.latency.add(breakdown);
-        self.metrics.record(&dets, gts, &self.cfg.counting);
+        self.metrics
+            .record(&dets, scene, &self.cfg.counting, self.pool_memo);
         self.done.insert(
             ticket,
             FrameResult {

@@ -1367,8 +1367,8 @@ fn out_pump(mut ftx: Box<dyn FrameTx>, rx: Receiver<ToCloud>, shared: Arc<ConnSh
                     probe_tx,
                 } => {
                     // Sessions attach to a transport bridge with channel-backed
-                    // reply handles (the `Sink` variants are the cloud side's
-                    // direct-write path and never cross a client connection).
+                    // reply handles (the `Sink` and `Outbox` variants are the
+                    // cloud side's and never cross a client connection).
                     let (AnswerTx::Chan(resp_tx), ProbeTx::Chan(probe_tx)) = (resp_tx, probe_tx)
                     else {
                         unreachable!("transport clients register with channel reply handles")
