@@ -26,6 +26,15 @@ pub struct GrayImage {
     pixels: Vec<u8>,
 }
 
+/// `width * height`, checked: a wrapped product would size a buffer that
+/// does not hold the image.
+fn pixel_count(width: usize, height: usize) -> usize {
+    assert!(width > 0 && height > 0, "image dimensions must be positive");
+    width
+        .checked_mul(height)
+        .unwrap_or_else(|| panic!("image dimensions {width}x{height} overflow usize"))
+}
+
 impl GrayImage {
     /// Creates a black image.
     ///
@@ -40,13 +49,12 @@ impl GrayImage {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or `width * height` overflows.
     pub fn filled(width: usize, height: usize, value: u8) -> Self {
-        assert!(width > 0 && height > 0, "image dimensions must be positive");
         GrayImage {
             width,
             height,
-            pixels: vec![value; width * height],
+            pixels: vec![value; pixel_count(width, height)],
         }
     }
 
@@ -54,10 +62,14 @@ impl GrayImage {
     ///
     /// # Panics
     ///
-    /// Panics if `pixels.len() != width * height` or a dimension is zero.
+    /// Panics if `pixels.len() != width * height`, a dimension is zero or
+    /// `width * height` overflows.
     pub fn from_pixels(width: usize, height: usize, pixels: Vec<u8>) -> Self {
-        assert!(width > 0 && height > 0, "image dimensions must be positive");
-        assert_eq!(pixels.len(), width * height, "pixel buffer size mismatch");
+        assert_eq!(
+            pixels.len(),
+            pixel_count(width, height),
+            "pixel buffer size mismatch"
+        );
         GrayImage {
             width,
             height,
@@ -250,6 +262,19 @@ mod tests {
     #[should_panic(expected = "mismatch")]
     fn bad_buffer_len_panics() {
         let _ = GrayImage::from_pixels(2, 2, vec![0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow usize")]
+    fn from_pixels_rejects_wrapping_dims() {
+        // `(1 << 63) * 2` wraps to 0, the length of the empty buffer
+        let _ = GrayImage::from_pixels(1 << 63, 2, vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow usize")]
+    fn filled_rejects_wrapping_dims() {
+        let _ = GrayImage::filled(1 << 63, 2, 0);
     }
 
     #[test]

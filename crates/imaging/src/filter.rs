@@ -1,7 +1,7 @@
 //! Image filters: Gaussian blur and sensor noise.
 
 use crate::GrayImage;
-use rand::Rng;
+use rand::{Rng, RngCore};
 use rand_distr::{Distribution, Normal};
 
 /// Builds a normalised 1-D Gaussian kernel for the given sigma.
@@ -126,8 +126,90 @@ pub fn gaussian_blur(img: &GrayImage, sigma: f64) -> GrayImage {
     out
 }
 
+/// Largest `|cos_turns(u) - cos(2π·u)|` over `[0, 1)`: the first Taylor term
+/// the polynomial leaves out, `(π/2)¹⁶ / 16!` ≈ 6.56e-11, plus its roundings.
+const COS_TURNS_MAX_ERR: f64 = 6.6e-11;
+
+/// The fast noise path's margin to a rounding step is `σ·r·GUARD_REL +
+/// GUARD_ABS`: at least 100× what [`COS_TURNS_MAX_ERR`] moves `σ·r·cos`, and
+/// far above the few ulps the roundings of `p + σ·(r·c)` add near a step.
+const GUARD_REL: f64 = 1e-8;
+const GUARD_ABS: f64 = 1e-9;
+const _: () = assert!(GUARD_REL >= 100.0 * COS_TURNS_MAX_ERR);
+
+/// Pixels whose draws are taken from the generator in one go.
+const NOISE_CHUNK: usize = 64;
+
+/// `cos(2π·u)` for `u` in `[0, 1)`, within [`COS_TURNS_MAX_ERR`], without a
+/// call into libm (`cos` and `floor` both are one on a baseline x86-64
+/// target) and without a branch, so a loop of it vectorises.
+///
+/// `4u` is exact, so are its truncation (the quadrant) and the fraction `f`
+/// of a quarter turn left over; odd quadrants fold onto the cosine through
+/// `sin θ = cos(π/2 − θ)`, and `1 − f` is exact too. What remains is
+/// `cos(t)` for `t` in `[0, π/2]`: its Taylor polynomial to `t¹⁴`.
+#[inline]
+fn cos_turns(u: f64) -> f64 {
+    let q = 4.0 * u;
+    let quadrant = q as i32 & 3;
+    let f = q - quadrant as f64;
+    // `1 − f` in odd quadrants: `f + (1 − 2f)` is exact
+    let f = f + (quadrant & 1) as f64 * (1.0 - 2.0 * f);
+    let t = f * std::f64::consts::FRAC_PI_2;
+    let s = t * t;
+    let c = 1.0
+        + s * (-1.0 / 2.0
+            + s * (1.0 / 24.0
+                + s * (-1.0 / 720.0
+                    + s * (1.0 / 40_320.0
+                        + s * (-1.0 / 3_628_800.0
+                            + s * (1.0 / 479_001_600.0 + s * (-1.0 / 87_178_291_200.0)))))));
+    // negative in quadrants 1 and 2
+    (1 - 2 * ((quadrant + 1) >> 1 & 1)) as f64 * c
+}
+
+/// [`to_pixel`]`(v)`, or `None` when `v` lies within `guard` of one of its
+/// steps.
+///
+/// The steps of `to_pixel` are the half-integers inside `[0, 255]`, and
+/// clamping moves no two values farther apart, so any value within `guard`
+/// of `v` quantises to the same pixel when the clamped `v` is farther than
+/// `guard` from its nearest half-integer. NaN never clears the guard.
+#[inline]
+fn to_pixel_clear_of_step(v: f64, guard: f64) -> Option<u8> {
+    let c = v.clamp(0.0, 255.0);
+    let floor = c as u8;
+    let frac = c - floor as f64;
+    ((frac - 0.5).abs() > guard).then_some(floor + (frac >= 0.5) as u8)
+}
+
+/// Serves a pixel's raw draws again, in order.
+struct Replay<'a>(&'a [u64]);
+
+impl RngCore for Replay<'_> {
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let (&word, rest) = self.0.split_first().expect("a noise draw is two words");
+        self.0 = rest;
+        word
+    }
+}
+
 /// Sensor noise on `img` in place; see [`add_gaussian_noise`]. One draw per
-/// pixel, row-major.
+/// pixel, row-major: the bytes and the generator's final state are those of
+/// `to_pixel(p + Normal::new(0.0, std_dev).sample(rng))` on every pixel.
+///
+/// That Box–Muller draw is `σ·(r·cos(2π·u2))` with `r = √(−2 ln u1)`. Here
+/// `r` is computed exactly as `rand_distr` does and the cosine by
+/// [`cos_turns`], whose error is at most [`COS_TURNS_MAX_ERR`]. A pixel is a
+/// step function of its value with steps only at `k + ½`, so the approximate
+/// value gives the same byte wherever it lies farther than the guard
+/// `σ·r·1e-8 + 1e-9` from every step: the guard is at least 100× the error
+/// bound (libm's own `cos` of the rounded `2π·u2` is within ~1e-15 of the
+/// true cosine), and saturated pixels are clear of every step. A value inside the
+/// guard (random draws land there about once in 10⁷ pixels at the noise
+/// levels the datasets use) is computed exactly instead: its two raw draws
+/// are replayed through `Normal::sample` itself.
 pub(crate) fn noise_in_place<R: Rng + ?Sized>(img: &mut GrayImage, std_dev: f64, rng: &mut R) {
     assert!(
         std_dev.is_finite() && std_dev >= 0.0,
@@ -137,7 +219,36 @@ pub(crate) fn noise_in_place<R: Rng + ?Sized>(img: &mut GrayImage, std_dev: f64,
         return;
     }
     let normal = Normal::new(0.0, std_dev).expect("validated std_dev");
-    img.map_in_place(|p| to_pixel(p as f64 + normal.sample(rng)));
+    let mut words = [0u64; 2 * NOISE_CHUNK];
+    let mut radius = [0.0; NOISE_CHUNK];
+    let mut cosine = [0.0; NOISE_CHUNK];
+    for pixels in img.as_bytes_mut().chunks_mut(NOISE_CHUNK) {
+        let n = pixels.len();
+        let words = &mut words[..2 * n];
+        words.fill_with(|| rng.next_u64());
+        // the uniforms as `rand_distr`'s Box–Muller takes them; `cosine`
+        // holds `u2` until the next pass
+        for ((r, u2), draw) in radius
+            .iter_mut()
+            .zip(&mut cosine)
+            .zip(words.chunks_exact(2))
+        {
+            let mut uniforms = Replay(draw);
+            let u1 = uniforms.gen::<f64>().max(f64::MIN_POSITIVE);
+            *u2 = uniforms.gen();
+            *r = (-2.0 * u1.ln()).sqrt();
+        }
+        for c in &mut cosine[..n] {
+            *c = cos_turns(*c);
+        }
+        let draws = radius.iter().zip(&cosine).zip(words.chunks_exact(2));
+        for (p, ((&r, &c), draw)) in pixels.iter_mut().zip(draws) {
+            let v = *p as f64;
+            let guard = std_dev * r * GUARD_REL + GUARD_ABS;
+            *p = to_pixel_clear_of_step(v + std_dev * (r * c), guard)
+                .unwrap_or_else(|| to_pixel(v + normal.sample(&mut Replay(draw))));
+        }
+    }
 }
 
 /// Adds zero-mean Gaussian sensor noise with the given standard deviation.
@@ -220,6 +331,30 @@ mod tests {
         for v in probes {
             assert_eq!(to_pixel(v), reference(v), "{v:?}");
         }
+    }
+
+    #[test]
+    fn cos_turns_within_its_error_bound() {
+        // the uniforms are multiples of 2⁻⁵³; a dense grid of them plus the
+        // grid points on and next to every quadrant edge
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let mut probes: Vec<f64> = (0..1 << 20).map(|i| i as f64 / (1 << 20) as f64).collect();
+        for q in 0..4 {
+            let edge = q as f64 / 4.0;
+            probes.extend([edge, edge + ulp, edge + 2.0 * ulp]);
+            if q > 0 {
+                probes.extend([edge - ulp, edge - 2.0 * ulp]);
+            }
+        }
+        probes.push(1.0 - ulp);
+        let mut worst: f64 = 0.0;
+        for u in probes {
+            let err = (cos_turns(u) - (std::f64::consts::TAU * u).cos()).abs();
+            assert!(err <= COS_TURNS_MAX_ERR, "u = {u:e}: error {err:e}");
+            worst = worst.max(err);
+        }
+        // and the bound is the polynomial's, not a loose one
+        assert!(worst > COS_TURNS_MAX_ERR / 2.0, "worst error {worst:e}");
     }
 
     #[test]

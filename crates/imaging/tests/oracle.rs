@@ -10,7 +10,8 @@ use imaging::{
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
+use rand_distr::{Distribution, Normal};
 
 /// Half the draws from `edge_cases`, half from `free`.
 fn edge_or_free<T: Clone>(
@@ -66,8 +67,17 @@ fn arb_gain() -> impl Strategy<Value = f64> {
     ])
 }
 
+/// Noise levels around every regime of the fast noise path: a draw that can
+/// never reach a step (1e-9), the datasets' range (0.5, 3), a draw that
+/// spans the whole pixel range (200), nearly every pixel saturated and so
+/// clear of every step (1e6), and a guard wider than half a step, so nearly
+/// every pixel takes the exact fallback (1e10).
+const NOISE_SWEEP: [f64; 6] = [1e-9, 0.5, 3.0, 200.0, 1e6, 1e10];
+
 fn arb_noise_std() -> impl Strategy<Value = f64> {
-    prop::sample::select(vec![0.0, 0.0, 0.4, 6.0, 400.0])
+    let mut levels = vec![0.0, 0.0, 0.4, 6.0, 400.0];
+    levels.extend(NOISE_SWEEP);
+    prop::sample::select(levels)
 }
 
 /// Object boxes: arbitrary (so they overlap and overdraw), reaching outside
@@ -187,5 +197,83 @@ proptest! {
         );
         // and both left the generator in the same place
         prop_assert_eq!(live_rng, reference_rng);
+    }
+}
+
+/// Serves a fixed list of raw words, in order.
+struct Words(std::vec::IntoIter<u64>);
+
+impl RngCore for Words {
+    fn next_u64(&mut self) -> u64 {
+        self.0.next().expect("one pair of words per pixel")
+    }
+}
+
+/// A `w`×`h` image of arbitrary pixels.
+fn random_image(w: usize, h: usize, rng: &mut StdRng) -> GrayImage {
+    GrayImage::from_pixels(w, h, (0..w * h).map(|_| rng.gen()).collect())
+}
+
+/// The two raw words Box–Muller turns into a value that lands on a rounding
+/// step of pixel `p`: a random `u2` and a nominal radius pick the step
+/// `k + ½` nearest a typical draw, and `u1` is solved for so that
+/// `p + σ·√(−2 ln u1)·cos(2π·u2)` is as close to it as `u1`'s 2⁻⁵³ grid
+/// allows. The bits below the grid are random.
+fn draws_onto_a_step(p: u8, std_dev: f64, rng: &mut StdRng) -> [u64; 2] {
+    const GRID: f64 = (1u64 << 53) as f64;
+    let cosine = |word: u64| (std::f64::consts::TAU * ((word >> 11) as f64 / GRID)).cos();
+    let mut u2_word = rng.next_u64();
+    let typical = p as f64 + std_dev * rng.gen_range(0.1..4.0) * cosine(u2_word);
+    let step = (typical - 0.5).round().clamp(0.0, 254.0) + 0.5;
+    let offset = step - p as f64;
+    if cosine(u2_word).signum() != offset.signum() {
+        // `u2 + ½` (mod 1): the same cosine, negated
+        u2_word ^= 1 << 63;
+    }
+    let r = offset / (std_dev * cosine(u2_word));
+    let u1 = (-0.5 * r * r).exp();
+    let grid_steps = ((u1 * GRID).round() as u64).clamp(1, (1 << 53) - 1);
+    [grid_steps << 11 | rng.next_u64() & 0x7ff, u2_word]
+}
+
+/// Random draws come within the fast path's guard of a step about once in
+/// 10⁷ pixels; these draws are aimed at the steps, so every pixel the
+/// solve can place there tests the exact fallback.
+#[test]
+fn add_gaussian_noise_matches_reference_on_draws_aimed_at_steps() {
+    let mut rng = StdRng::seed_from_u64(0xad5e);
+    for std_dev in NOISE_SWEEP {
+        let img = random_image(64, 64, &mut rng);
+        let words: Vec<u64> = img
+            .as_bytes()
+            .iter()
+            .flat_map(|&p| draws_onto_a_step(p, std_dev, &mut rng))
+            .collect();
+        if (0.5..=200.0).contains(&std_dev) {
+            // the solve really lands the exact values on their steps
+            let normal = Normal::new(0.0, std_dev).unwrap();
+            let mut draws = Words(words.clone().into_iter());
+            let on_a_step = img
+                .as_bytes()
+                .iter()
+                .filter(|&&p| {
+                    let v = p as f64 + normal.sample(&mut draws);
+                    (v - v.floor() - 0.5).abs() < 1e-9
+                })
+                .count();
+            assert!(
+                on_a_step * 10 >= img.len() * 9,
+                "std {std_dev}: {on_a_step}"
+            );
+        }
+        let live = add_gaussian_noise(&img, std_dev, &mut Words(words.clone().into_iter()));
+        let expected = reference::add_gaussian_noise(&img, std_dev, &mut Words(words.into_iter()));
+        let diverged = live
+            .as_bytes()
+            .iter()
+            .zip(expected.as_bytes())
+            .filter(|(a, b)| a != b)
+            .count();
+        assert_eq!(diverged, 0, "std {std_dev}: {diverged} pixels differ");
     }
 }
