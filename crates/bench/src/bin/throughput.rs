@@ -1105,7 +1105,6 @@ struct Report {
     harness: Harness,
     sessions: Sessions,
     transport: TransportBench,
-    cloud_pool: CloudPool,
     fleet: FleetBench,
 }
 
@@ -1161,32 +1160,6 @@ struct SchedulerBench {
     /// Push/dispatch/flush cycle over synthetic queued frames: the
     /// `Scheduler`-trait FIFO vs the inline loop it replaced.
     fifo_vs_inline: SchedulerRow,
-}
-
-#[derive(Debug, Serialize)]
-struct CloudPoolRow {
-    sessions: usize,
-    frames_per_session: usize,
-    max_batch: usize,
-    /// Inference-pool sizes swept (`CloudConfig::workers`).
-    workers: Vec<usize>,
-    /// Wall-clock frames/sec at each pool size (same order as `workers`).
-    fps: Vec<f64>,
-    /// time(workers = 1) / time(workers = w): > 1.0 means the pool pays
-    /// on this host, ≈ 1.0 means the simulated inference is too cheap for
-    /// fan-out to beat its handoff cost. Reports are asserted
-    /// bit-identical across all pool sizes first — virtual time must not
-    /// move.
-    speedup_vs_single: Vec<f64>,
-}
-
-#[derive(Debug, Serialize)]
-struct CloudPool {
-    /// One shared cloud server, several concurrent cloud-only sessions
-    /// with interleaved submits (so batches actually form), swept over
-    /// `workers` — the measurement PERFORMANCE.md's multi-core caveat
-    /// said was missing.
-    workers_sweep: CloudPoolRow,
 }
 
 #[derive(Debug, Serialize)]
@@ -2376,104 +2349,6 @@ fn main() {
         mux_fleet,
     };
 
-    // ---- Cloud inference pool: workers sweep -------------------------------
-    // One shared cloud server, several concurrent cloud-only sessions with
-    // submits interleaved across sessions so the worker actually forms
-    // batches, swept over `CloudConfig::workers`. Virtual time is
-    // wall-clock-independent by construction, so every pool size must
-    // produce bit-identical reports — asserted before timing. The fps
-    // columns then answer the question PERFORMANCE.md's multi-core caveat
-    // left open: does the pool pay at simulator inference costs?
-    let pool_workers = [1usize, 2, 4];
-    let pool_sessions = if quick { 3 } else { 4 };
-    let pool_max_batch = 4;
-    let pool_datasets: Vec<Dataset> = (0..pool_sessions)
-        .map(|s| {
-            Dataset::generate(
-                "bench-pool",
-                &DatasetProfile::helmet(),
-                transport_images,
-                47 + s as u64,
-            )
-        })
-        .collect();
-    let pool_run = |workers: usize| {
-        let mut cloud = smallbig_core::CloudServer::spawn(
-            smallbig_core::CloudConfig {
-                workers,
-                max_batch: pool_max_batch,
-                ..smallbig_core::CloudConfig::default()
-            },
-            transport_big(),
-        );
-        let mut sessions: Vec<_> = (0..pool_sessions as u64)
-            .map(|s| {
-                cloud.connect_as(
-                    s,
-                    transport_cfg(),
-                    &transport_small,
-                    Box::new(Policy::CloudOnly),
-                )
-            })
-            .collect();
-        for f in 0..transport_images {
-            let tickets: Vec<_> = sessions
-                .iter_mut()
-                .zip(&pool_datasets)
-                .map(|(sess, data)| sess.submit(&data.scenes()[f]))
-                .collect();
-            for (sess, ticket) in sessions.iter_mut().zip(tickets) {
-                sess.poll(ticket).expect("frame resolves");
-            }
-        }
-        let reports: Vec<_> = sessions.iter_mut().map(|s| s.drain()).collect();
-        drop(sessions);
-        cloud.shutdown();
-        reports
-    };
-    {
-        let want = pool_run(1);
-        for &w in &pool_workers[1..] {
-            assert_eq!(
-                pool_run(w),
-                want,
-                "a wall-clock inference pool of {w} workers moved virtual time"
-            );
-        }
-    }
-    eprintln!("# cloud-pool self-check passed: workers sweep is bit-identical at every pool size");
-    let pool_times = best_of_each(
-        repeats,
-        &mut [
-            &mut || {
-                sink(pool_run(pool_workers[0]));
-            },
-            &mut || {
-                sink(pool_run(pool_workers[1]));
-            },
-            &mut || {
-                sink(pool_run(pool_workers[2]));
-            },
-        ],
-    );
-    let pool_frames_total = pool_sessions * transport_images;
-    let workers_sweep = CloudPoolRow {
-        sessions: pool_sessions,
-        frames_per_session: transport_images,
-        max_batch: pool_max_batch,
-        workers: pool_workers.to_vec(),
-        fps: pool_times
-            .iter()
-            .map(|t| fps(pool_frames_total, *t))
-            .collect(),
-        speedup_vs_single: pool_times
-            .iter()
-            .map(|t| pool_times[0].as_secs_f64() / t.as_secs_f64())
-            .collect(),
-    };
-    eprintln!("cloud_pool/workers_sweep: {workers_sweep:?}");
-    let cloud_pool = CloudPool { workers_sweep };
-
     // ---- Fleet engine: population scale ------------------------------------
     // Conformance before speed: the event-driven virtual-time core must
     // reproduce the thread-per-session reference deployment bit for bit on
@@ -2650,7 +2525,6 @@ fn main() {
         harness,
         sessions,
         transport: transport_bench,
-        cloud_pool,
         fleet: fleet_bench,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");

@@ -935,7 +935,7 @@ fn drive_shard<C: ShardConsumer>(
 ) -> CloudStats {
     let cfg = spec.shard_config(shard);
     let sched = SchedulerSlot::from_config(&cfg.scheduler);
-    let mut cloud = CloudMachine::new(w.big, &cfg, sched, None);
+    let mut cloud = CloudMachine::new(w.big, &cfg, sched);
     let admission = spec.cloud.queue_limit.is_some();
     let n = pop.sessions.len();
     let group = n.saturating_sub(shard).div_ceil(spec.shards);

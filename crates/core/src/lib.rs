@@ -32,7 +32,7 @@
 //!   sessions ([`FifoBatcher`] by default — bit-identical to the
 //!   historical inline loop; [`DeadlineAware`] and [`DifficultyPriority`]
 //!   reorder batches; [`CloudConfig::queue_limit`] adds admission control
-//!   and [`CloudConfig::autoscale`] a deterministic autoscaler),
+//!   and [`CloudConfig::autoscale`] a deterministic capacity trajectory),
 //! * [`EdgeSession`] — one edge device: own virtual clock, own
 //!   [`simnet::LinkModel`], own RNG stream, own policy;
 //!   [`EdgeSession::submit`] / [`EdgeSession::poll`] /
@@ -50,8 +50,9 @@
 //!   loopback TCP stay bit-identical to the in-process channel path,
 //! * [`par`] — the deterministic fan-out the harness uses: pure per-image
 //!   work spreads over worker threads and merges back in order, so every
-//!   report stays bit-identical to a sequential run (`CloudConfig::workers`
-//!   gives the cloud server the same property for big-model inference).
+//!   report stays bit-identical to a sequential run. The cloud side runs
+//!   one machine per session or shard and gets its parallelism from
+//!   shards ([`fleet::FleetSpec::threads`]).
 //!
 //! # Batch example (the paper's protocol)
 //!

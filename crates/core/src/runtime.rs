@@ -13,7 +13,7 @@
 //! identical to the pre-session-layer implementation (guarded by
 //! `tests/api_equivalence.rs`).
 
-use crate::scheduler::{AutoscaleConfig, SchedulerConfig, SchedulerSlot};
+use crate::scheduler::{SchedulerConfig, SchedulerSlot};
 use crate::server::{cloud_loop, CloudConfig, EdgePipeline, SessionConfig};
 use crate::strategies::OffloadPolicy;
 use crate::{DifficultCaseDiscriminator, Policy};
@@ -85,10 +85,6 @@ pub struct RuntimeConfig {
     /// API is where admission control earns its keep. `None` (the
     /// default) admits everything and changes nothing.
     pub queue_limit: Option<usize>,
-    /// Deterministic autoscaling of the cloud's wall-clock inference pool.
-    /// `None` (the default) keeps the fixed pool; reports are
-    /// bit-identical either way.
-    pub autoscale: Option<AutoscaleConfig>,
 }
 
 impl Default for RuntimeConfig {
@@ -108,7 +104,6 @@ impl Default for RuntimeConfig {
             retry: RetryConfig::default(),
             scheduler: SchedulerConfig::Fifo,
             queue_limit: None,
-            autoscale: None,
         }
     }
 }
@@ -178,22 +173,15 @@ pub fn run_system(
     config: &RuntimeConfig,
 ) -> RuntimeReport {
     assert!(!test.is_empty(), "cannot run over an empty dataset");
-    if let Some(autoscale) = &config.autoscale {
-        // Fail on the caller's thread, as CloudServer::spawn does.
-        autoscale.assert_valid();
-    }
     let num_classes = test.taxonomy().len();
 
     let cloud_cfg = CloudConfig {
         device: config.cloud.clone(),
         seed: config.seed,
-        max_batch: 1,
-        workers: 1,
         faults: config.faults.clone(),
         scheduler: config.scheduler,
         queue_limit: config.queue_limit,
-        autoscale: config.autoscale,
-        updates: None,
+        ..CloudConfig::default()
     };
     let session_cfg = SessionConfig {
         edge: config.edge.clone(),

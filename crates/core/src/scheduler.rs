@@ -31,13 +31,11 @@
 //! *bit-identical* to the seed behaviour.
 //!
 //! [`AutoscaleConfig`] is the other half of the control plane: a
-//! deterministic autoscaler that grows and shrinks the *wall-clock*
-//! inference pool from the queue depth observed at each batch formation
-//! and from [`simnet::FaultPlan`] stall windows on the virtual clock.
-//! Scaling never touches virtual-time semantics — the batch's virtual
-//! duration comes from the device model either way, and results merge in
-//! queue order — so reports stay bit-identical for **any** scaling
-//! trajectory (guarded by `tests/scheduling.rs`).
+//! deterministic autoscaler that reports the capacity the queue called
+//! for, from the queue depth observed at each batch formation and from
+//! [`simnet::FaultPlan`] stall windows on the virtual clock. It sizes
+//! nothing — every cloud is one machine — so reports stay bit-identical
+//! with or without it (guarded by `tests/scheduling.rs`).
 
 use datagen::Scene;
 use std::borrow::Cow;
@@ -531,26 +529,25 @@ impl SchedulerSlot {
     }
 }
 
-/// Deterministic autoscaling of the cloud's inference pool.
+/// Deterministic autoscaling trajectory: the capacity the cloud's queue
+/// called for.
 ///
 /// At every batch formation the autoscaler observes the queue depth (the
 /// batch plus everything still waiting) and whether the batch's start
-/// instant falls inside a [`simnet::FaultPlan`] stall window, and sets the
-/// number of *active* wall-clock workers to
-/// `ceil(depth / frames_per_worker)`, clamped to
-/// `[min_workers, CloudConfig::workers]` — except during a stall, where it
-/// parks the pool at `min_workers` (the server cannot start batches
-/// anyway). Both inputs are virtual-time state, so the whole scaling
-/// trajectory is deterministic and is reported in
+/// instant falls inside a [`simnet::FaultPlan`] stall window. It calls
+/// for `max(min_workers, ceil(depth / frames_per_worker))` workers —
+/// except during a stall, where it parks at `min_workers` (the server
+/// cannot start batches anyway). Both inputs are virtual-time state, so
+/// the whole trajectory is deterministic and is reported in
 /// [`crate::CloudStats::peak_workers`] /
 /// [`crate::CloudStats::scale_changes`].
 ///
-/// Scaling affects wall-clock dispatch width only — never virtual time —
-/// so session reports are bit-identical for any trajectory.
+/// Every cloud is one machine, so the count sizes nothing: session
+/// reports are bit-identical with or without an autoscaler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct AutoscaleConfig {
-    /// Queued frames each active worker is expected to absorb; the pool
-    /// grows one worker per this many waiting frames.
+    /// Queued frames each worker is expected to absorb; the count grows
+    /// one worker per this many waiting frames.
     pub frames_per_worker: usize,
     /// Floor on active workers (also the stall-window parking level).
     pub min_workers: usize,
@@ -578,18 +575,14 @@ impl AutoscaleConfig {
         assert!(self.min_workers >= 1, "min_workers must be at least 1");
     }
 
-    /// The worker count desired for `depth` queued frames at an instant
-    /// that is (`stalled`) or is not inside a stall window, with the pool
-    /// capped at `max_workers`.
-    pub fn desired_workers(&self, depth: usize, stalled: bool, max_workers: usize) -> usize {
+    /// The worker count called for by `depth` queued frames at an instant
+    /// that is (`stalled`) or is not inside a stall window.
+    pub fn desired_workers(&self, depth: usize, stalled: bool) -> usize {
         self.assert_valid();
-        let floor = self.min_workers.min(max_workers);
         if stalled {
-            return floor;
+            return self.min_workers;
         }
-        depth
-            .div_ceil(self.frames_per_worker)
-            .clamp(floor, max_workers.max(1))
+        depth.div_ceil(self.frames_per_worker).max(self.min_workers)
     }
 }
 
@@ -597,27 +590,25 @@ impl AutoscaleConfig {
 #[derive(Debug)]
 pub(crate) struct Autoscaler {
     cfg: AutoscaleConfig,
-    max_workers: usize,
     active: usize,
     pub(crate) peak: usize,
     pub(crate) changes: usize,
 }
 
 impl Autoscaler {
-    pub(crate) fn new(cfg: AutoscaleConfig, max_workers: usize) -> Self {
-        let active = cfg.min_workers.min(max_workers).max(1);
+    pub(crate) fn new(cfg: AutoscaleConfig) -> Self {
         Autoscaler {
             cfg,
-            max_workers,
-            active,
-            peak: active,
+            active: cfg.min_workers,
+            peak: cfg.min_workers,
             changes: 0,
         }
     }
 
-    /// Observes one batch formation and returns the active worker count.
+    /// Observes one batch formation and returns the worker count it calls
+    /// for.
     pub(crate) fn observe(&mut self, depth: usize, stalled: bool) -> usize {
-        let desired = self.cfg.desired_workers(depth, stalled, self.max_workers);
+        let desired = self.cfg.desired_workers(depth, stalled);
         if desired != self.active {
             self.active = desired;
             self.changes += 1;
@@ -720,13 +711,13 @@ mod tests {
             frames_per_worker: 2,
             min_workers: 1,
         };
-        let mut a = Autoscaler::new(cfg, 4);
+        let mut a = Autoscaler::new(cfg);
         assert_eq!(a.observe(1, false), 1);
         assert_eq!(a.observe(5, false), 3);
-        assert_eq!(a.observe(100, false), 4, "clamped to the pool size");
+        assert_eq!(a.observe(100, false), 50, "one worker per 2 frames");
         assert_eq!(a.observe(100, true), 1, "stall parks at min_workers");
         assert_eq!(a.observe(2, false), 1);
-        assert_eq!(a.peak, 4);
+        assert_eq!(a.peak, 50);
         assert_eq!(a.changes, 3);
     }
 

@@ -63,12 +63,12 @@
 //!   encoding or transmitting anything
 //!   ([`SessionReport::admission_fallbacks`]), reusing the fallback
 //!   plumbing the degraded-network layer introduced.
-//! * **Autoscaling** — [`CloudConfig::autoscale`] grows and shrinks the
-//!   *wall-clock* inference pool deterministically from the queue depth at
-//!   each batch formation and from [`FaultPlan`] stall windows on the
-//!   virtual clock. Scaling never touches virtual time, and batch results
-//!   merge in queue order, so reports are bit-identical for any scaling
-//!   trajectory ([`CloudStats::peak_workers`] records what the pool did).
+//! * **Autoscaling** — [`CloudConfig::autoscale`] reports the capacity
+//!   the queue called for: a deterministic worker count derived from the
+//!   queue depth at each batch formation and from [`FaultPlan`] stall
+//!   windows on the virtual clock. It sizes nothing (every cloud is one
+//!   machine), so reports are bit-identical with or without it
+//!   ([`CloudStats::peak_workers`] records the trajectory).
 //!
 //! Sessions observe the control plane: every admission probe and every
 //! cloud answer carries the current queue depth, surfaced to policies as
@@ -229,14 +229,6 @@ pub struct CloudConfig {
     /// paper's one-at-a-time serving; larger values let the FIFO scheduler
     /// batch requests that queue up across sessions.
     pub max_batch: usize,
-    /// Big-model inference threads. `1` (the default) runs inference inline
-    /// on the scheduler thread; larger values fan each batch's frames out
-    /// over a pool of worker threads. Detectors are deterministic and
-    /// results are merged back in queue order before any response is sent,
-    /// so reports are **bit-identical for every worker count** — the pool
-    /// changes wall-clock speed only, never virtual-time semantics
-    /// (guarded by the `worker_pool_reports_bit_identical` test).
-    pub workers: usize,
     /// Scheduled faults. The cloud side consumes the *stall* windows: a
     /// batch that would start inside one is deferred to the window's end.
     /// Sessions consume their drop windows via
@@ -261,10 +253,11 @@ pub struct CloudConfig {
     /// refused. `None` (the default) admits everything and changes
     /// nothing — not even RNG draws.
     pub queue_limit: Option<usize>,
-    /// Deterministic autoscaling of the wall-clock inference pool within
-    /// `[min_workers, workers]`. `None` (the default) keeps the fixed
-    /// pool. Reports are bit-identical either way (scaling never touches
-    /// virtual time); [`CloudStats::peak_workers`] records the trajectory.
+    /// Deterministic autoscaling trajectory: with `Some`, the cloud reports
+    /// the worker count its queue called for at each batch formation
+    /// ([`CloudStats::peak_workers`], [`CloudStats::scale_changes`]). It
+    /// sizes nothing and never touches virtual time, so reports are
+    /// bit-identical either way. `None` (the default) records nothing.
     pub autoscale: Option<AutoscaleConfig>,
     /// The model-update loop: with `Some`, the cloud accumulates every
     /// served frame as a pseudo-label, refits discriminator thresholds on
@@ -283,7 +276,6 @@ impl Default for CloudConfig {
             device: DeviceModel::gpu_server(),
             seed: 0x5417,
             max_batch: 1,
-            workers: 1,
             faults: FaultPlan::new(),
             scheduler: SchedulerConfig::Fifo,
             queue_limit: None,
@@ -463,12 +455,11 @@ pub struct CloudStats {
     pub sessions: usize,
     /// Frames refused at admission ([`CloudConfig::queue_limit`]).
     pub admission_rejects: usize,
-    /// Highest number of active inference workers the autoscaler engaged
-    /// (`0` when autoscaling is disabled — the pool then stays at
-    /// [`CloudConfig::workers`]).
-    pub peak_workers: usize,
-    /// Autoscaler resizing events over the server's lifetime (`0` when
+    /// Highest worker count the autoscaler called for (`0` when
     /// autoscaling is disabled).
+    pub peak_workers: usize,
+    /// Changes in the autoscaler's worker count over the server's lifetime
+    /// (`0` when autoscaling is disabled).
     pub scale_changes: usize,
     /// Calibration refits published by the update loop (`0` when
     /// [`CloudConfig::updates`] is disabled).
@@ -634,73 +625,6 @@ pub(crate) enum ToCloud {
     Shutdown,
 }
 
-/// Handles to the big-model inference pool (present when
-/// [`CloudConfig::workers`] `> 1`).
-///
-/// Workers catch panics from `detect` and ship the payload back, so a
-/// panicking user [`Detector`] unwinds the scheduler (and then the whole
-/// server thread) instead of deadlocking a counted receive loop.
-pub(crate) struct DetectPool {
-    job_tx: Sender<(usize, Arc<Scene>)>,
-    done_rx: Receiver<(usize, std::thread::Result<ImageDetections>)>,
-}
-
-/// Runs big-model inference for one batch, returning results *in queue
-/// order* regardless of which worker finished first. Detectors are
-/// deterministic, so the merged output — and therefore every response and
-/// report downstream — is identical for any worker count.
-///
-/// `active_workers` bounds how many jobs are in flight at once (the
-/// autoscaler's wall-clock knob; `usize::MAX` keeps the historical
-/// send-everything dispatch). The indexed merge makes the bound invisible
-/// to results.
-fn detect_batch(
-    queue: &[QueuedFrame],
-    big: &(dyn Detector + Sync),
-    pool: Option<&DetectPool>,
-    active_workers: usize,
-    out: &mut Vec<Option<ImageDetections>>,
-) {
-    out.clear();
-    out.resize(queue.len(), None);
-    match pool {
-        None => {
-            for (i, q) in queue.iter().enumerate() {
-                out[i] = Some(big.detect(&q.scene));
-            }
-        }
-        Some(pool) => {
-            let n = queue.len();
-            let window = active_workers.max(1).min(n);
-            let mut next = window;
-            for (i, q) in queue.iter().take(window).enumerate() {
-                pool.job_tx
-                    .send((i, Arc::clone(&q.scene)))
-                    .expect("inference workers outlive the scheduler");
-            }
-            for _ in 0..n {
-                let (i, result) = pool
-                    .done_rx
-                    .recv()
-                    .expect("inference workers outlive the scheduler");
-                match result {
-                    Ok(dets) => out[i] = Some(dets),
-                    // Re-raise the worker's panic here so the server thread
-                    // fails loudly instead of waiting for a result that
-                    // will never arrive.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-                if next < n {
-                    pool.job_tx
-                        .send((next, Arc::clone(&queue[next].scene)))
-                        .expect("inference workers outlive the scheduler");
-                    next += 1;
-                }
-            }
-        }
-    }
-}
-
 /// Per-session handles the cloud worker keeps.
 struct SessionHandles {
     link: LinkModel,
@@ -708,68 +632,41 @@ struct SessionHandles {
     probe_tx: ProbeTx,
 }
 
-/// The cloud worker: FIFO over the control channel, delegating batch
-/// formation to the configured [`Scheduler`].
+/// The cloud worker: one [`CloudMachine`] draining the control channel,
+/// delegating batch formation to the configured [`Scheduler`].
 ///
 /// Determinism: everything the worker does is a pure function of the
 /// message order on `rx` (uplink jitter is drawn per frame in arrival
 /// order, and schedulers never draw randomness). Drive all sessions from
 /// one thread and the whole run is reproducible; the wall-clock speed of
-/// this thread never matters. With `workers > 1` only the *detect* calls
-/// fan out (see [`detect_batch`]); scheduling, timing and response order
-/// stay on this thread.
+/// this thread never matters.
 pub(crate) fn cloud_loop(
     rx: &Receiver<ToCloud>,
     big: &(dyn Detector + Sync),
     config: &CloudConfig,
     sched: SchedulerSlot,
 ) -> CloudStats {
-    assert!(config.workers >= 1, "workers must be at least 1");
-    if config.workers == 1 {
-        return cloud_scheduler(rx, big, config, sched, None);
-    }
-    std::thread::scope(|scope| {
-        let (job_tx, job_rx) = channel::unbounded::<(usize, Arc<Scene>)>();
-        let (done_tx, done_rx) =
-            channel::unbounded::<(usize, std::thread::Result<ImageDetections>)>();
-        for _ in 0..config.workers {
-            let job_rx = job_rx.clone();
-            let done_tx = done_tx.clone();
-            scope.spawn(move || {
-                while let Ok((i, scene)) = job_rx.recv() {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        big.detect(&scene)
-                    }));
-                    let failed = result.is_err();
-                    if done_tx.send((i, result)).is_err() || failed {
-                        break;
-                    }
-                }
-            });
+    let mut m = CloudMachine::new(big, config, sched);
+    while let Ok(msg) = rx.recv() {
+        if !m.handle(msg) {
+            break;
         }
-        drop(job_rx);
-        drop(done_tx);
-        let pool = DetectPool { job_tx, done_rx };
-        // `pool` (and its job sender) drops when this closure returns,
-        // disconnecting the workers so the scope can join them.
-        cloud_scheduler(rx, big, config, sched, Some(&pool))
-    })
+    }
+    m.finish()
 }
 
-/// The control-plane half of [`cloud_loop`]: admission, batch formation
-/// via the [`Scheduler`], autoscaling, and timing. Inference goes through
-/// [`detect_batch`] (inline or pooled).
+/// The state behind a [`CloudMachine`]: admission, batch formation via
+/// the [`Scheduler`], big-model inference, the autoscaler's trajectory,
+/// and timing.
 struct CloudWorker<'a> {
     big: &'a (dyn Detector + Sync),
     config: &'a CloudConfig,
-    pool: Option<&'a DetectPool>,
     sched: SchedulerSlot,
     sessions: IntMap<u64, SessionHandles>,
     outbox: Outbox,
     server_free_at: f64,
     next_seq: u64,
     batch: Vec<QueuedFrame>,
-    dets_scratch: Vec<Option<ImageDetections>>,
     autoscaler: Option<Autoscaler>,
     stats: CloudStats,
     /// The model-update loop's pseudo-label accumulator (`None` with
@@ -800,35 +697,23 @@ impl CloudWorker<'_> {
         // fault plan leaves the start untouched (the bit-identical path).
         let formed_at = self.server_free_at.max(latest_arrival);
         let start = self.config.faults.next_available(formed_at);
-        // Autoscaling observes virtual-time state only (queue depth at
-        // formation, stall windows) and feeds the wall-clock dispatch
-        // width — results merge in queue order, so any trajectory yields
-        // bit-identical reports.
-        let active_workers = match &mut self.autoscaler {
-            None => usize::MAX,
-            Some(a) => a.observe(
-                n + self.sched.len(),
-                self.config.faults.is_stalled(formed_at),
-            ),
-        };
+        // Depth *at formation*: what this batch's frames actually queued
+        // behind (a post-batch depth would read 0 after every flush and
+        // tell adaptive policies nothing).
+        let queue_depth = n + self.sched.len();
+        // The autoscaler observes virtual-time state only (queue depth at
+        // formation, stall windows) and sizes nothing, so its trajectory
+        // never reaches a report.
+        if let Some(a) = &mut self.autoscaler {
+            a.observe(queue_depth, self.config.faults.is_stalled(formed_at));
+        }
         let batch_s = self.config.device.batch_inference_time(self.big.flops(), n);
         self.server_free_at = start + batch_s;
         self.stats.batches += 1;
         self.stats.busy_s += batch_s;
         let per_frame_infer = batch_s / n as f64;
-        detect_batch(
-            &self.batch,
-            self.big,
-            self.pool,
-            active_workers,
-            &mut self.dets_scratch,
-        );
-        // Depth *at formation*: what this batch's frames actually queued
-        // behind (a post-batch depth would read 0 after every flush and
-        // tell adaptive policies nothing).
-        let queue_depth = n + self.sched.len();
-        for (q, dets) in self.batch.drain(..).zip(self.dets_scratch.iter_mut()) {
-            let dets = dets.take().expect("detect_batch fills every slot");
+        for q in self.batch.drain(..) {
+            let dets = self.big.detect(&q.scene);
             self.stats.served += 1;
             if let Some(publisher) = &mut self.updates {
                 // The big model's answer against the edge's reported small
@@ -893,29 +778,13 @@ impl CloudWorker<'_> {
     }
 }
 
-fn cloud_scheduler(
-    rx: &Receiver<ToCloud>,
-    big: &(dyn Detector + Sync),
-    config: &CloudConfig,
-    sched: SchedulerSlot,
-    pool: Option<&DetectPool>,
-) -> CloudStats {
-    let mut m = CloudMachine::new(big, config, sched, pool);
-    while let Ok(msg) = rx.recv() {
-        if !m.handle(msg) {
-            break;
-        }
-    }
-    m.finish()
-}
-
-/// One cloud worker as an inline state machine: feed it [`ToCloud`]
-/// messages in arrival order and it behaves exactly like [`cloud_loop`]
-/// draining a channel — same virtual clocks, same RNG stream, same
-/// responses, bit for bit. The transport layer runs one machine per
-/// session directly on a connection's reader thread (no worker thread, no
-/// queue, no context switch per frame); [`cloud_scheduler`] wraps one in
-/// a channel loop for the in-process path.
+/// One cloud — the big model and its queue — as an inline state machine:
+/// feed it [`ToCloud`] messages in arrival order and it answers on the
+/// same call stack, with the same virtual clocks, RNG stream and
+/// responses whoever drives it. Every host runs its clouds this way:
+/// [`cloud_loop`] drains a channel into one for the in-process path, the
+/// transport layer runs one per session directly on a connection's reader
+/// thread, and the fleet engine runs one per shard.
 pub(crate) struct CloudMachine<'a> {
     w: CloudWorker<'a>,
     rng: StdRng,
@@ -926,35 +795,20 @@ impl<'a> CloudMachine<'a> {
         big: &'a (dyn Detector + Sync),
         config: &'a CloudConfig,
         sched: SchedulerSlot,
-        pool: Option<&'a DetectPool>,
     ) -> CloudMachine<'a> {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
         CloudMachine {
             w: CloudWorker {
                 big,
                 config,
-                pool,
                 sched,
                 sessions: IntMap::default(),
                 outbox: Outbox::default(),
                 server_free_at: 0.0,
                 next_seq: 0,
                 batch: Vec::new(),
-                dets_scratch: Vec::new(),
-                autoscaler: config
-                    .autoscale
-                    .map(|cfg| Autoscaler::new(cfg, config.workers)),
-                stats: CloudStats {
-                    served: 0,
-                    batches: 0,
-                    busy_s: 0.0,
-                    sessions: 0,
-                    admission_rejects: 0,
-                    peak_workers: 0,
-                    scale_changes: 0,
-                    updates_published: 0,
-                    calibration_version: 0,
-                },
+                autoscaler: config.autoscale.map(Autoscaler::new),
+                stats: CloudStats::default(),
                 updates: config.updates.map(UpdatePublisher::new),
                 pushed: IntMap::default(),
             },
@@ -2276,39 +2130,6 @@ mod tests {
         assert_eq!(report.uploads, 5);
     }
 
-    #[test]
-    fn worker_pool_reports_bit_identical() {
-        // A multi-threaded inference pool must change wall-clock speed only:
-        // session reports and cloud stats are compared bit-for-bit against
-        // the single-worker run, across batching modes.
-        let run = |workers: usize, max_batch: usize| {
-            let (data, small, big) = fixture();
-            let mut cloud = CloudServer::spawn(
-                CloudConfig {
-                    workers,
-                    max_batch,
-                    ..CloudConfig::default()
-                },
-                big,
-            );
-            let mut a = cloud.connect(small_session(), &small, Box::new(disc()));
-            let mut b = cloud.connect(small_session(), &small, Box::new(Policy::CloudOnly));
-            for scene in data.iter() {
-                a.submit(scene);
-                b.submit(scene);
-            }
-            let (ra, rb) = (a.drain(), b.drain());
-            drop((a, b));
-            (ra, rb, cloud.shutdown())
-        };
-        for max_batch in [1, 4] {
-            let baseline = run(1, max_batch);
-            for workers in [2, 4] {
-                assert_eq!(run(workers, max_batch), baseline, "workers = {workers}");
-            }
-        }
-    }
-
     /// A detector whose `detect` panics — stands in for a buggy user
     /// implementation behind the public [`Detector`] trait.
     struct PanickyDetector(SimDetector);
@@ -2330,24 +2151,18 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "cloud")]
-    fn panicking_pooled_worker_fails_loudly_instead_of_deadlocking() {
+    fn panicking_big_model_fails_the_session_loudly() {
         let (data, small, _) = fixture();
         let big: Arc<dyn Detector + Send + Sync> = Arc::new(PanickyDetector(SimDetector::new(
             ModelKind::SsdVgg16,
             SplitId::Helmet,
             2,
         )));
-        let mut cloud = CloudServer::spawn(
-            CloudConfig {
-                workers: 2,
-                ..CloudConfig::default()
-            },
-            big,
-        );
+        let mut cloud = CloudServer::spawn(CloudConfig::default(), big);
         let mut session = cloud.connect(small_session(), &small, Box::new(Policy::CloudOnly));
-        // The worker's panic is forwarded to the scheduler, which unwinds;
-        // the session then fails its poll (or a later submit) instead of
-        // blocking forever on a result that cannot arrive.
+        // The detector's panic unwinds the cloud thread; the session then
+        // fails its poll (or a later submit) instead of blocking forever
+        // on a result that cannot arrive.
         let tickets: Vec<FrameTicket> = data.iter().take(3).map(|s| session.submit(s)).collect();
         for t in tickets {
             let _ = session.poll(t);

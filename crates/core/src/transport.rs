@@ -22,11 +22,12 @@
 //!   because the answer codec round-trips every field exactly (pinned by
 //!   a property test next to the message types).
 //! * [`serve`] / [`serve_connection`] — the cloud side. **Each registered
-//!   session gets its own dedicated cloud worker** (shared-nothing
-//!   sharding): a session's results are then a pure function of its own
-//!   frame stream, so a multi-process fleet is bit-identical to the same
-//!   sessions run in-process — regardless of how the OS interleaves the
-//!   processes. Per-worker [`CloudStats`] merge into a [`NodeStats`].
+//!   session gets its own dedicated cloud machine** (shared-nothing
+//!   sharding), run inline on its connection's reader thread: a session's
+//!   results are then a pure function of its own frame stream, so a
+//!   multi-process fleet is bit-identical to the same sessions run
+//!   in-process — regardless of how the OS interleaves the processes.
+//!   Per-session [`CloudStats`] merge into a [`NodeStats`].
 //! * Reconnect-with-backoff riding [`simnet::RetryConfig`]: give
 //!   [`ConnectOptions::dialer`] a redial closure and a dropped connection
 //!   is re-established with wall-clock backoff, the session re-registered
@@ -57,10 +58,10 @@
 //! A connection may carry **many sessions interleaved** (negotiated via
 //! [`Hello::mux`] / [`Welcome::mux`]): an edge node drives its whole
 //! device fleet over one TCP connection, and the cloud demuxes by session
-//! id to one dedicated worker per registered session — the same
-//! shared-nothing worker model as one-connection-per-session, so
-//! determinism is preserved: each worker still sees exactly its own
-//! session's frames in its own session's order. Answers on a multiplexed
+//! id to one dedicated machine per registered session — the same
+//! shared-nothing model as one-connection-per-session, so determinism is
+//! preserved: each machine still sees exactly its own session's frames in
+//! its own session's order. Answers on a multiplexed
 //! connection travel with an explicit session id prefix (tickets are
 //! per-session counters and would collide across sessions); non-mux
 //! connections keep the legacy tags so old peers interoperate.
@@ -77,9 +78,9 @@
 //! frame]` — routing lives entirely in the envelope, so an answer that
 //! names no pending frame is dropped without being parsed.
 //!
-//! This module is the only place an answer is ever bytes. Cloud workers
+//! This module is the only place an answer is ever bytes. Cloud machines
 //! and edge sessions exchange typed messages; the connection's reply sink
-//! encodes each one as the worker hands it over, and the edge's inbound
+//! encodes each one as the machine hands it over, and the edge's inbound
 //! pump decodes each frame once, before routing it. A payload that does
 //! not decode poisons the connection like any other framing fault, so a
 //! waiting session fails with its "cloud server shut down" diagnostic.
@@ -91,14 +92,15 @@
 //! ## Backpressure
 //!
 //! Every queue between a session and a socket is **bounded**
-//! ([`FRAME_QUEUE_CAP`]): the session→pump channel, the in-memory
-//! transport's frame queues, and the cloud's per-session worker queues.
-//! Answers take no queue at all — the worker writes them straight onto
-//! the connection, so a blocked peer blocks the write (and with it the
-//! worker and its bounded inbound queue). A slow reader therefore stalls
-//! its writer — memory stays bounded end to end and the stall propagates
-//! as backpressure (socket buffer fills → pump blocks → session blocks)
-//! instead of an unbounded queue quietly absorbing the backlog.
+//! ([`FRAME_QUEUE_CAP`]): the session→pump channel and the in-memory
+//! transport's frame queues. The cloud keeps no queue of its own: its
+//! reader thread hands each frame to the session's machine, which writes
+//! the answer straight onto the connection, so a blocked peer blocks the
+//! write — and with it the reader, which stops draining the socket. A
+//! slow reader therefore stalls its writer — memory stays bounded end to
+//! end and the stall propagates as backpressure (socket buffer fills →
+//! pump blocks → session blocks) instead of an unbounded queue quietly
+//! absorbing the backlog.
 //!
 //! On the way out, the edge's send pump greedily drains its bounded queue
 //! and delivers each run of frames as **one** coalesced write
@@ -107,8 +109,7 @@
 
 use crate::scheduler::SchedulerSlot;
 use crate::server::{
-    cloud_loop, AnswerTx, CloudMachine, FromCloud, ProbeReply, ProbeTx, SubmitRequest,
-    SubmitResponse, ToCloud,
+    AnswerTx, CloudMachine, FromCloud, ProbeReply, ProbeTx, SubmitRequest, SubmitResponse, ToCloud,
 };
 use crate::wire::{self, Encoding, FrameReader, WireError};
 use crate::{CloudConfig, CloudStats, EdgeSession, OffloadPolicy, SessionConfig};
@@ -141,9 +142,9 @@ pub const HELLO_MAGIC: u32 = 0x534d_4247;
 const IN_PUMP_TICK: Duration = Duration::from_millis(500);
 
 /// Capacity of every bounded frame queue on the transport path (the
-/// session→pump channel, in-memory transport queues, cloud worker
-/// queues). A queue at capacity blocks its producer — see the module
-/// docs' "Backpressure" section.
+/// session→pump channel and the in-memory transport queues). A queue at
+/// capacity blocks its producer — see the module docs' "Backpressure"
+/// section.
 pub const FRAME_QUEUE_CAP: usize = 64;
 
 mod tag {
@@ -1249,8 +1250,8 @@ fn reconnect_locked(st: &mut ConnState) -> bool {
                 replayed.insert(*session);
             }
         }
-        // Each replayed session's Flush went to the dead worker; re-issue
-        // it so the fresh worker dispatches the replayed frames. On a mux
+        // Each replayed session's Flush went to the dead machine; re-issue
+        // it so the fresh machine dispatches the replayed frames. On a mux
         // connection the flush is session-routed; legacy peers get the
         // body-less form they expect.
         if ok && !replayed.is_empty() {
@@ -1404,7 +1405,7 @@ fn out_pump(mut ftx: Box<dyn FrameTx>, rx: Receiver<ToCloud>, shared: Arc<ConnSh
                     (p, Some(g))
                 }
                 ToCloud::Flush { session } => {
-                    // Mux peers route the flush to one session's worker; legacy
+                    // Mux peers route the flush to one session's machine; legacy
                     // peers expect (and old clouds only understand) the
                     // body-less form, which flushes the connection's single
                     // session.
@@ -1812,9 +1813,9 @@ impl Default for ServeOptions {
 /// What one connection handler observed (see [`serve_connection`]).
 #[derive(Debug, Default)]
 pub struct ConnOutcome {
-    /// The connection's cloud worker stats, merged across its per-session
-    /// workers (`None` when the handshake failed or a worker panicked
-    /// before registering).
+    /// The connection's cloud stats, merged across its per-session
+    /// machines (`None` when the handshake failed, no session registered,
+    /// or the big model panicked).
     pub stats: Option<CloudStats>,
     /// Whether the peer registered a session.
     pub registered: bool,
@@ -1829,16 +1830,16 @@ pub struct ConnOutcome {
     pub hello_timed_out: bool,
 }
 
-/// Aggregate stats for one cloud node: per-connection worker stats merged,
+/// Aggregate stats for one cloud node: per-session machine stats merged,
 /// plus connection accounting.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NodeStats {
-    /// Sum/max-merge of every connection worker's [`CloudStats`].
+    /// Sum/max-merge of every session machine's [`CloudStats`].
     pub cloud: CloudStats,
     /// Registered connections that completed (including aborted ones).
     pub connections: usize,
     /// Registered connections that vanished without a `BYE` (killed edge
-    /// processes, mid-run reconnects).
+    /// processes, mid-run reconnects) or whose big model panicked.
     pub aborted: usize,
     /// Handshakes refused (version mismatch, oversized/malformed hello).
     pub refused: usize,
@@ -1846,7 +1847,7 @@ pub struct NodeStats {
     pub hello_timeouts: usize,
 }
 
-/// Sum/max-merges one worker's [`CloudStats`] into an aggregate (additive
+/// Sum/max-merges one machine's [`CloudStats`] into an aggregate (additive
 /// counters summed, high-water marks maxed).
 fn merge_cloud_stats(into: &mut CloudStats, s: &CloudStats) {
     into.served += s.served;
@@ -1924,12 +1925,15 @@ fn parse_hello(first: &Bytes) -> Result<Hello, Refused> {
     }
 }
 
-/// Serves one accepted connection to completion: handshake, then a
-/// dedicated cloud worker fed from the connection's frames.
+/// Serves one accepted connection to completion: handshake, then one
+/// dedicated cloud machine per registered session, fed from the
+/// connection's frames on this thread.
 ///
-/// The per-connection worker is what keeps a distributed fleet
-/// deterministic: the worker's state depends only on this connection's
-/// message order, never on how the OS interleaves other edges.
+/// The per-session machine is what keeps a distributed fleet
+/// deterministic: its state depends only on this connection's message
+/// order, never on how the OS interleaves other edges. A big model that
+/// panics drops the connection instead of the node: the outcome is then
+/// unclean and carries no stats.
 pub fn serve_connection(
     conn: Box<dyn Transport>,
     config: &CloudConfig,
@@ -1992,36 +1996,42 @@ pub fn serve_connection(
         a.assert_valid();
     }
 
-    // One dedicated cloud state machine per registered session, created
-    // lazily at its REGISTER — the shared-nothing sharding that keeps a
-    // fleet deterministic, whether sessions arrive on separate connections
-    // or multiplexed onto this one. With the default single-worker cloud
-    // the machine runs *inline on this reader thread*: every SUBMIT is
-    // handled (and its answer written) before the next frame is read, so
-    // a frame costs zero cross-thread handoffs. A multi-worker cloud
-    // needs real wall-clock detect parallelism, so it keeps the
-    // thread-per-session shape and pays the queue hop.
-    struct SessionWorker {
-        ctx: Sender<ToCloud>,
-        handle: JoinHandle<CloudStats>,
+    // A panicking big model unwinds out of `serve_sessions` together with
+    // this connection's machines. Catching it here, as the fleet's shard
+    // guard does, keeps the node serving: both halves of the connection
+    // drop, so the edge sees EOF, and the outcome reports an aborted
+    // connection without stats.
+    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        serve_sessions(frx, &ftx, config, &**big, encoding, mux, &mut outcome)
+    }));
+    match served {
+        Ok(stats) => outcome.stats = stats,
+        Err(_) => outcome.clean = false,
     }
-    enum SessionExec<'a> {
-        Inline(Box<CloudMachine<'a>>),
-        Threaded(SessionWorker),
-    }
-    impl SessionExec<'_> {
-        // Never used for Shutdown: inline machines are finish()ed at
-        // connection teardown, threaded workers get Shutdown there too.
-        fn deliver(&mut self, msg: ToCloud) -> bool {
-            match self {
-                SessionExec::Inline(m) => m.handle(msg),
-                SessionExec::Threaded(w) => w.ctx.send(msg).is_ok(),
-            }
-        }
-    }
-    let inline = config.workers == 1;
-    let mut workers: HashMap<u64, SessionExec> = HashMap::new();
-    let mut clean = false;
+    outcome
+}
+
+/// The post-handshake half of [`serve_connection`]: one dedicated cloud
+/// state machine per registered session, created lazily at its REGISTER —
+/// the shared-nothing sharding that keeps a fleet deterministic, whether
+/// sessions arrive on separate connections or multiplexed onto this one.
+/// Every machine runs *inline on this reader thread*: each SUBMIT is
+/// handled (and its answer written) before the next frame is read, so a
+/// frame costs zero cross-thread handoffs.
+///
+/// Records registration, the session count and a clean `BYE` in `outcome`
+/// as they happen, so a panic cannot lose them; returns the machines'
+/// merged stats.
+fn serve_sessions(
+    mut frx: Box<dyn FrameRx>,
+    ftx: &Arc<Mutex<Box<dyn FrameTx>>>,
+    config: &CloudConfig,
+    big: &(dyn Detector + Sync),
+    encoding: Encoding,
+    mux: bool,
+    outcome: &mut ConnOutcome,
+) -> Option<CloudStats> {
+    let mut machines: HashMap<u64, CloudMachine> = HashMap::new();
     while let Ok(Some(frame)) = frx.recv() {
         let Some((t, inner)) = split_msg(&frame) else {
             break;
@@ -2032,37 +2042,23 @@ pub fn serve_connection(
                     outcome.registered = true;
                     let session = r.session;
                     // A re-REGISTER for a live session (edge reconnect
-                    // replay) reuses its machine/worker; the Register
-                    // message swaps in the fresh reply handles.
-                    let worker = workers.entry(session).or_insert_with(|| {
-                        if inline {
-                            let sched = SchedulerSlot::from_config(&config.scheduler);
-                            SessionExec::Inline(Box::new(CloudMachine::new(
-                                &**big, config, sched, None,
-                            )))
-                        } else {
-                            let (ctx, crx) = channel::bounded::<ToCloud>(FRAME_QUEUE_CAP);
-                            let cfg = config.clone();
-                            let big2 = Arc::clone(big);
-                            let sched = SchedulerSlot::from_config(&cfg.scheduler);
-                            let handle =
-                                std::thread::spawn(move || cloud_loop(&crx, &*big2, &cfg, sched));
-                            SessionExec::Threaded(SessionWorker { ctx, handle })
-                        }
+                    // replay) reuses its machine; the Register message
+                    // swaps in the fresh reply handles.
+                    let machine = machines.entry(session).or_insert_with(|| {
+                        let sched = SchedulerSlot::from_config(&config.scheduler);
+                        CloudMachine::new(big, config, sched)
                     });
-                    // Replies are encoded and written straight from the
-                    // worker thread (no forwarder-thread hop — on a busy
-                    // host each hop is a context switch per answer), always
-                    // as JSON (see module docs); mux connections prefix the
-                    // session id AND the ticket, so the edge finds the
-                    // pending frame from the envelope. Calibration pushes
-                    // are not answers to a pending submit: they ship under
-                    // their own session-prefixed tag on mux and plain
-                    // connections alike. A blocked peer blocks the write —
-                    // and therefore the worker and its bounded queue —
+                    // Replies are encoded and written straight from this
+                    // thread, always as JSON (see module docs); mux
+                    // connections prefix the session id AND the ticket, so
+                    // the edge finds the pending frame from the envelope.
+                    // Calibration pushes are not answers to a pending
+                    // submit: they ship under their own session-prefixed
+                    // tag on mux and plain connections alike. A blocked
+                    // peer blocks the write — and with it this reader —
                     // which is exactly the backpressure cascade the
                     // channels gave.
-                    let ftx_a = Arc::clone(&ftx);
+                    let ftx_a = Arc::clone(ftx);
                     let resp_tx = AnswerTx::Sink(Box::new(move |reply| {
                         let payload = match reply {
                             FromCloud::Update(update) => {
@@ -2075,7 +2071,7 @@ pub fn serve_connection(
                         };
                         send_locked(&ftx_a, &payload).is_ok()
                     }));
-                    let ftx_p = Arc::clone(&ftx);
+                    let ftx_p = Arc::clone(ftx);
                     let probe_tx = ProbeTx::Sink(Box::new(move |r: ProbeReply| {
                         let reply = WireProbeReply {
                             admitted: r.admitted,
@@ -2089,25 +2085,27 @@ pub fn serve_connection(
                         };
                         send_locked(&ftx_p, &payload).is_ok()
                     }));
-                    worker.deliver(ToCloud::Register {
+                    let ok = machine.handle(ToCloud::Register {
                         session,
                         link: r.link,
                         resp_tx,
                         probe_tx,
-                    })
+                    });
+                    outcome.sessions = machines.len();
+                    ok
                 }
                 Err(_) => false,
             },
             tag::SUBMIT => match wire::decode_frame_as::<WireSubmit>(&inner, encoding) {
-                Ok(s) => match workers.get_mut(&s.header.session) {
-                    Some(w) => w.deliver(ToCloud::Frame(s.header, Arc::new(s.scene))),
+                Ok(s) => match machines.get_mut(&s.header.session) {
+                    Some(m) => m.handle(ToCloud::Frame(s.header, Arc::new(s.scene))),
                     None => false,
                 },
                 Err(_) => false,
             },
             tag::PROBE => match wire::decode_frame_as::<WireProbe>(&inner, encoding) {
-                Ok(p) => match workers.get_mut(&p.session) {
-                    Some(w) => w.deliver(ToCloud::Probe {
+                Ok(p) => match machines.get_mut(&p.session) {
+                    Some(m) => m.handle(ToCloud::Probe {
                         session: p.session,
                         now: p.now,
                     }),
@@ -2119,13 +2117,13 @@ pub fn serve_connection(
                 if inner.is_empty() {
                     // Legacy body-less flush: flush every session on this
                     // connection (a legacy connection carries exactly one).
-                    workers
+                    machines
                         .iter_mut()
-                        .all(|(s, w)| w.deliver(ToCloud::Flush { session: *s }))
+                        .all(|(s, m)| m.handle(ToCloud::Flush { session: *s }))
                 } else {
                     match wire::decode_frame_as::<WireFlush>(&inner, encoding) {
-                        Ok(fl) => match workers.get_mut(&fl.session) {
-                            Some(w) => w.deliver(ToCloud::Flush {
+                        Ok(fl) => match machines.get_mut(&fl.session) {
+                            Some(m) => m.handle(ToCloud::Flush {
                                 session: fl.session,
                             }),
                             None => false,
@@ -2135,14 +2133,14 @@ pub fn serve_connection(
                 }
             }
             tag::DEREGISTER => match wire::decode_frame_as::<WireDeregister>(&inner, encoding) {
-                Ok(d) => match workers.get_mut(&d.session) {
-                    Some(w) => w.deliver(ToCloud::Deregister { session: d.session }),
+                Ok(d) => match machines.get_mut(&d.session) {
+                    Some(m) => m.handle(ToCloud::Deregister { session: d.session }),
                     None => false,
                 },
                 Err(_) => false,
             },
             tag::BYE => {
-                clean = true;
+                outcome.clean = true;
                 false
             }
             _ => false,
@@ -2151,24 +2149,11 @@ pub fn serve_connection(
             break;
         }
     }
-    outcome.clean = clean;
-    outcome.sessions = workers.len();
     let mut merged: Option<CloudStats> = None;
-    for (_, w) in workers {
-        let stats = match w {
-            SessionExec::Inline(m) => Some(m.finish()),
-            SessionExec::Threaded(w) => {
-                let _ = w.ctx.send(ToCloud::Shutdown);
-                drop(w.ctx);
-                w.handle.join().ok()
-            }
-        };
-        if let Some(stats) = stats {
-            merge_cloud_stats(merged.get_or_insert_with(CloudStats::default), &stats);
-        }
+    for (_, m) in machines {
+        merge_cloud_stats(merged.get_or_insert_with(CloudStats::default), &m.finish());
     }
-    outcome.stats = merged;
-    outcome
+    merged
 }
 
 /// Runs a cloud node: accepts connections on `listener` and serves each on
@@ -2363,6 +2348,76 @@ mod tests {
         assert_eq!(stats.connections, 1);
         assert_eq!(stats.aborted, 0);
         assert_eq!(stats.cloud.served, want_stats.served);
+    }
+
+    /// A big model whose `detect` always panics — stands in for a buggy
+    /// user implementation behind the public [`Detector`] trait.
+    struct PanickyDetector(modelzoo::SimDetector);
+
+    impl Detector for PanickyDetector {
+        fn name(&self) -> &'static str {
+            "panicky"
+        }
+        fn detect(&self, _scene: &Scene) -> detcore::ImageDetections {
+            panic!("panicky detector always fails");
+        }
+        fn flops(&self) -> u64 {
+            self.0.flops()
+        }
+        fn model_size_bytes(&self) -> u64 {
+            self.0.model_size_bytes()
+        }
+    }
+
+    #[test]
+    fn panicking_big_model_aborts_its_connection_not_the_node() {
+        use datagen::{Dataset, DatasetProfile, SplitId};
+        use modelzoo::{ModelKind, SimDetector};
+
+        let big: Arc<dyn Detector + Send + Sync> = Arc::new(PanickyDetector(SimDetector::new(
+            ModelKind::SsdVgg16,
+            SplitId::Helmet,
+            2,
+        )));
+        let (mut listener, connector) = memory_listener();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let opts = ServeOptions {
+                expect_sessions: Some(1),
+                ..ServeOptions::default()
+            };
+            let stop = AtomicBool::new(false);
+            let stats = serve(&mut listener, &CloudConfig::default(), &big, &opts, &stop);
+            let _ = done_tx.send(stats);
+        });
+        let remote = RemoteCloud::connect(
+            Box::new(connector.connect().unwrap()),
+            0,
+            ConnectOptions::default(),
+        )
+        .unwrap();
+        let data = Dataset::generate("panic", &DatasetProfile::helmet(), 1, 9);
+        let small = SimDetector::new(ModelKind::VggLiteSsd, SplitId::Helmet, 2);
+        let cfg = SessionConfig {
+            frame_size: (32, 32),
+            ..SessionConfig::new(2)
+        };
+        let mut sess = remote.attach(cfg, &small, Box::new(crate::Policy::CloudOnly));
+        let ticket = sess.submit(&data.scenes()[0]);
+        let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sess.poll(ticket)));
+        assert!(polled.is_err(), "the waiting session must fail loudly");
+        drop(sess);
+        remote.close();
+        // The node outlives the panic: it counts the connection as aborted
+        // and stat-less, and that connection's session meets
+        // `expect_sessions`, so `serve` returns.
+        let stats = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("serve returns after the aborted connection");
+        server.join().expect("serve thread exits cleanly");
+        assert_eq!(stats.connections, 1);
+        assert_eq!(stats.aborted, 1);
+        assert_eq!(stats.cloud, CloudStats::default());
     }
 
     /// Runs one cloud-only session (id 7, one frame, ticket 0) against a

@@ -492,12 +492,10 @@ pub fn scheduling(cfg: &ExpConfig) -> Report {
     let drive = |scheduler: SchedulerConfig,
                  queue_limit: Option<usize>,
                  autoscale: Option<AutoscaleConfig>,
-                 workers: usize,
                  trace: Option<LinkTrace>| {
         let mut cloud = CloudServer::spawn(
             CloudConfig {
                 max_batch: 4,
-                workers,
                 scheduler,
                 queue_limit,
                 autoscale,
@@ -572,7 +570,7 @@ pub fn scheduling(cfg: &ExpConfig) -> Report {
     ]);
     for (scenario_name, trace) in &scenarios {
         for sched in schedulers {
-            let (r, _) = drive(sched, None, None, 1, trace.clone());
+            let (r, _) = drive(sched, None, None, trace.clone());
             t.add_row(vec![
                 format!("{scenario_name} / {}", sched.name()),
                 f2(r.map_pct),
@@ -585,7 +583,7 @@ pub fn scheduling(cfg: &ExpConfig) -> Report {
     }
     // Control-plane extras on the steady scenario: admission control and
     // the deterministic autoscaler.
-    let (adm, adm_stats) = drive(SchedulerConfig::Fifo, Some(2), None, 1, None);
+    let (adm, adm_stats) = drive(SchedulerConfig::Fifo, Some(2), None, None);
     t.add_row(vec![
         "steady / fifo + queue_limit 2".into(),
         f2(adm.map_pct),
@@ -601,11 +599,10 @@ pub fn scheduling(cfg: &ExpConfig) -> Report {
             frames_per_worker: 2,
             min_workers: 1,
         }),
-        4,
         None,
     );
     t.add_row(vec![
-        "steady / fifo + autoscale(4)".into(),
+        "steady / fifo + autoscale".into(),
         f2(auto.map_pct),
         f2(auto.upload_ratio * 100.0),
         format!("{}", auto.deadline_misses),
@@ -628,8 +625,8 @@ pub fn scheduling(cfg: &ExpConfig) -> Report {
         adm.admission_fallbacks, adm_stats.admission_rejects
     ))
     .with_note(format!(
-        "autoscale row is bit-identical to steady/fifo (scaling is wall-clock only): \
-         peak {} of 4 workers, {} resizes",
+        "autoscale row is bit-identical to steady/fifo (the trajectory sizes nothing): \
+         peak {} workers called for, {} resizes",
         auto_stats.peak_workers, auto_stats.scale_changes
     ))
     .with_note("deterministic: virtual clocks, seeded RNG streams, randomness-free schedulers")

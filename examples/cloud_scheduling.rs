@@ -8,8 +8,8 @@
 //! behind the flood, while the deadline-aware and difficulty-priority
 //! schedulers pull them forward. Admission control
 //! (`CloudConfig::queue_limit`) sheds load before any uplink is spent, and
-//! the autoscaler grows the wall-clock inference pool with the queue —
-//! without moving a single virtual timestamp.
+//! the autoscaler reports the capacity the queue called for — without
+//! moving a single virtual timestamp.
 //!
 //! Everything is deterministic: virtual clocks, seeded RNG streams, and
 //! schedulers that never draw randomness.
@@ -166,16 +166,15 @@ fn main() {
     }
 
     // ---- 3. Deterministic autoscaling under a cloud stall ----
-    // The pool grows with the queue and parks during the stall window; the
-    // report is bit-identical to the fixed pool because scaling is
-    // wall-clock only.
+    // The worker count grows with the queue and parks during the stall
+    // window; it sizes nothing, so the report is bit-identical to the run
+    // without an autoscaler.
     let stall = FaultPlan::new().with_stall(2.0, 3.0);
     let fixed = drive(
         &data,
         false,
         CloudConfig {
             max_batch: 4,
-            workers: 4,
             faults: stall.clone(),
             ..CloudConfig::default()
         },
@@ -185,7 +184,6 @@ fn main() {
         false,
         CloudConfig {
             max_batch: 4,
-            workers: 4,
             faults: stall,
             autoscale: Some(AutoscaleConfig {
                 frames_per_worker: 2,
@@ -199,8 +197,8 @@ fn main() {
         "autoscaling must never move a virtual timestamp"
     );
     println!(
-        "\nautoscaler (4-worker pool, cloud stall 2–5s): peak {} workers, {} resizes — \
-         report bit-identical to the fixed pool (asserted)",
+        "\nautoscaler (cloud stall 2–5s): peak {} workers, {} resizes — \
+         report bit-identical to the run without it (asserted)",
         scaled.1.peak_workers, scaled.1.scale_changes,
     );
 }

@@ -39,6 +39,7 @@ fn main() {
     let hello_ms = args
         .get_with("hello-timeout-ms", 5000u64, |v| v.parse().ok())
         .unwrap_or_else(|e| die(&e));
+    args.reject_unread().unwrap_or_else(|e| die(&e));
 
     let mut listener =
         TcpWireListener::bind(&listen).unwrap_or_else(|e| die(&format!("bind {listen}: {e}")));

@@ -40,6 +40,7 @@ fn main() {
     let edge_index = args
         .get_with("edge-index", 0usize, |v| v.parse().ok())
         .unwrap_or_else(|e| die(&e));
+    args.reject_unread().unwrap_or_else(|e| die(&e));
     if edge_index >= spec.edges {
         die(&format!(
             "--edge-index {edge_index} out of range for a {}-edge fleet",

@@ -92,6 +92,7 @@ fn main() {
         .get("edge-bin")
         .map(PathBuf::from)
         .unwrap_or_else(|| sibling_bin("edge-node"));
+    args.reject_unread().unwrap_or_else(|e| die(&e));
 
     let report = match mode {
         "memory" => run_fleet_in_memory(&spec),

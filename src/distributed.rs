@@ -13,7 +13,7 @@
 //!   `STATS`).
 //!
 //! Because every session's virtual-time result is a pure function of its
-//! own message stream (the cloud shards one worker per connection), the two
+//! own message stream (the cloud runs one machine per session), the two
 //! runners produce **bit-identical per-session reports** — pinned by
 //! `tests/transport.rs` and checkable any time with
 //! `smallbig-orchestrate --mode check`.
@@ -22,6 +22,7 @@
 //! connection-completion order and are *not* part of the bit-identity
 //! contract; compare [`DeploymentReport::sessions`], not the node stats.
 
+use std::cell::Cell;
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
@@ -227,13 +228,11 @@ pub struct CloudSpec {
     pub seed: u64,
     /// Maximum frames fused into one big-model batch.
     pub max_batch: usize,
-    /// Big-model inference threads (wall-clock only; never virtual time).
-    pub workers: usize,
     /// Which scheduler forms batches.
     pub scheduler: SchedulerConfig,
     /// Admission control queue limit, if any.
     pub queue_limit: Option<usize>,
-    /// Deterministic autoscaling of the inference pool, if any.
+    /// Deterministic autoscaling trajectory, if any.
     pub autoscale: Option<AutoscaleConfig>,
     /// Cloud-driven calibration update loop, if any (`None` keeps the
     /// deployment bit-identical to pre-update builds). Spec JSON written
@@ -248,7 +247,6 @@ impl Default for CloudSpec {
         CloudSpec {
             seed: base.seed,
             max_batch: base.max_batch,
-            workers: base.workers,
             scheduler: base.scheduler,
             queue_limit: base.queue_limit,
             autoscale: base.autoscale,
@@ -263,7 +261,6 @@ impl CloudSpec {
         CloudConfig {
             seed: self.seed,
             max_batch: self.max_batch,
-            workers: self.workers,
             scheduler: self.scheduler,
             queue_limit: self.queue_limit,
             autoscale: self.autoscale,
@@ -843,10 +840,13 @@ pub fn run_fleet_processes(
 // CLI argument helper (no external parser in the vendored world)
 // ---------------------------------------------------------------------------
 
-/// A minimal `--key value` argument bag shared by the node binaries.
+/// A minimal `--key value` argument bag shared by the node binaries. It
+/// remembers which keys were asked for, so a binary can reject the rest
+/// ([`CliArgs::reject_unread`]).
 #[derive(Debug, Default)]
 pub struct CliArgs {
-    pairs: Vec<(String, String)>,
+    /// `(key, value, read)` in command-line order.
+    pairs: Vec<(String, String, Cell<bool>)>,
 }
 
 impl CliArgs {
@@ -866,18 +866,36 @@ impl CliArgs {
             let Some(value) = it.next() else {
                 return Err(format!("--{name} is missing its value"));
             };
-            out.pairs.push((name.to_string(), value));
+            out.pairs.push((name.to_string(), value, Cell::new(false)));
         }
         Ok(out)
     }
 
-    /// The last value given for `key`, if any.
+    /// The last value given for `key`, if any. Marks every occurrence of
+    /// `key` as read.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+        let mut last = None;
+        for (k, v, read) in &self.pairs {
+            if k == key {
+                read.set(true);
+                last = Some(v.as_str());
+            }
+        }
+        last
+    }
+
+    /// Call once every flag the binary understands has been read: fails
+    /// naming the first flag nothing asked for, so a misspelt or retired
+    /// flag is an error rather than silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// `unknown flag --KEY` for the first unread key.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        match self.pairs.iter().find(|(_, _, read)| !read.get()) {
+            Some((key, _, _)) => Err(format!("unknown flag --{key}")),
+            None => Ok(()),
+        }
     }
 
     /// Parses the value for `key` with `parse`, or returns `default` when
@@ -903,7 +921,7 @@ impl CliArgs {
 /// `--spec-file PATH`) wins outright; otherwise individual flags
 /// (`--edges`, `--devices`, `--frames`, `--split`, `--policy`, `--link`,
 /// `--trace`, `--frame-px`, `--deadline-s`, `--scheduler`,
-/// `--queue-limit`, `--max-batch`, `--workers`, `--seed`,
+/// `--queue-limit`, `--max-batch`, `--seed`,
 /// `--dataset-seed`, `--encoding json|binary`, `--mux true|false`,
 /// `--update-epoch-s SECS` — enables the cloud's calibration update loop
 /// at that virtual-time cadence, default rollout policy —
@@ -935,7 +953,6 @@ pub fn deployment_spec_from_args(args: &CliArgs) -> Result<DeploymentSpec, Strin
         cloud: CloudSpec {
             seed: args.get_with("seed", base.cloud.seed, |v| v.parse().ok())?,
             max_batch: args.get_with("max-batch", base.cloud.max_batch, |v| v.parse().ok())?,
-            workers: args.get_with("workers", base.cloud.workers, |v| v.parse().ok())?,
             scheduler: args.get_with("scheduler", base.cloud.scheduler, parse_scheduler)?,
             queue_limit: args.get_with("queue-limit", base.cloud.queue_limit, |v| {
                 v.parse().ok().map(Some)
@@ -1085,6 +1102,25 @@ mod tests {
             SchedulerConfig::DifficultyPriority { lookahead: 3 }
         );
         assert_eq!(spec.cloud.queue_limit, Some(8));
+    }
+
+    #[test]
+    fn unread_flags_are_rejected_by_name() {
+        let check = |args: &[&str]| {
+            let args = CliArgs::parse(args.iter().map(|a| a.to_string()))?;
+            deployment_spec_from_args(&args)?;
+            args.reject_unread()
+        };
+        assert_eq!(check(&["--edges", "3", "--queue-limit", "2"]), Ok(()));
+        let unknown = |flag: &str| Err(format!("unknown flag --{flag}"));
+        assert_eq!(check(&["--workers", "4"]), unknown("workers"));
+        assert_eq!(
+            check(&["--edges", "3", "--queue_limit", "2"]),
+            unknown("queue_limit")
+        );
+        // `--spec` wins outright, so no fleet flag beside it is read.
+        let spec = serde_json::to_string(&DeploymentSpec::default()).unwrap();
+        assert_eq!(check(&["--spec", &spec, "--edges", "3"]), unknown("edges"));
     }
 
     #[test]

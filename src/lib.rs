@@ -35,10 +35,10 @@
 //! earliest-deadline-first and difficulty-priority batch formation,
 //! admission control ([`core::CloudConfig::queue_limit`]) that sheds
 //! over-limit frames to the edge before any uplink is spent, and a
-//! deterministic autoscaler ([`core::CloudConfig::autoscale`]) that sizes
-//! the wall-clock inference pool from queue depth and fault-plan stall
-//! windows without moving a single virtual timestamp (see
-//! `examples/cloud_scheduling.rs` and the `scheduling` experiment).
+//! deterministic autoscaler ([`core::CloudConfig::autoscale`]) that
+//! reports the capacity the queue called for, from queue depth and
+//! fault-plan stall windows, without moving a single virtual timestamp
+//! (see `examples/cloud_scheduling.rs` and the `scheduling` experiment).
 //!
 //! Networks need not be static: overlay any link with a
 //! [`simnet::LinkTrace`] (outages, diurnal ramps, Gilbert–Elliott bursty
@@ -233,10 +233,10 @@
 //!
 //! Every node takes the same fleet description (`--spec JSON`,
 //! `--spec-file PATH`, or individual flags — split, policy, link, trace,
-//! scheduler, admission, autoscaling, `--encoding json|binary`,
-//! `--mux true|false`); see [`distributed`] for the spec types, the
-//! in-memory reference runner and the process harness, and
-//! [`core::wire`] for the codecs and their negotiation.
+//! scheduler, admission, `--encoding json|binary`, `--mux true|false`;
+//! a flag a node does not read is an error); see [`distributed`] for the
+//! spec types, the in-memory reference runner and the process harness,
+//! and [`core::wire`] for the codecs and their negotiation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

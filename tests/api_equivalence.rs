@@ -282,7 +282,6 @@ fn run_system_equals_manual_single_session() {
             device: config.cloud.clone(),
             seed: config.seed,
             max_batch: 1,
-            workers: 1,
             ..CloudConfig::default()
         },
         big_arc,

@@ -394,54 +394,49 @@ fn session_drop_windows_force_retransmission() {
 
 /// Shutdown soak: `CloudServer::shutdown` while sessions still have
 /// in-flight frames on an outage-ridden traced link must drain without
-/// panic or deadlock — across inference-pool sizes — inside a wall-clock
-/// bound. The worker flushes every queued frame before exiting and the
-/// sessions absorb the buffered answers (with traced downlinks that
-/// themselves retransmit) afterwards.
+/// panic or deadlock inside a wall-clock bound. The worker flushes every
+/// queued frame before exiting and the sessions absorb the buffered
+/// answers (with traced downlinks that themselves retransmit) afterwards.
 #[test]
-fn shutdown_mid_outage_drains_across_worker_pools() {
-    for workers in [1usize, 2, 4] {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let handle = std::thread::spawn(move || {
-            let (test, small, big) = fixture();
-            let big: Arc<dyn Detector + Send + Sync> = Arc::new(big);
-            let mut cloud = CloudServer::spawn(
-                CloudConfig {
-                    workers,
-                    max_batch: 3,
-                    ..CloudConfig::default()
-                },
-                big,
-            );
-            let mut session = cloud.connect(
-                SessionConfig {
-                    frame_size: (96, 96),
-                    link_trace: Some(LinkTrace::step_outage(0.5, 2.0)),
-                    ..SessionConfig::new(2)
-                },
-                &small,
-                Box::new(Policy::CloudOnly),
-            );
-            // Pile up in-flight frames (some retransmitted through the
-            // outage) without polling any of them.
-            for scene in test.iter() {
-                session.submit(scene);
-            }
-            assert!(session.outstanding() > 0, "frames are in flight");
-            // Shut the cloud down mid-stream: it must flush every queued
-            // frame, and the session must drain from the buffered answers.
-            let stats = cloud.shutdown();
-            let report = session.drain();
-            assert_eq!(session.outstanding(), 0);
-            assert_eq!(stats.served, report.uploads);
-            assert_eq!(report.frames, test.len());
-            done_tx.send((workers, report)).expect("main thread alive");
-        });
-        let (w, report) = done_rx
-            .recv_timeout(Duration::from_secs(60))
-            .unwrap_or_else(|_| panic!("shutdown soak deadlocked with {workers} workers"));
-        handle.join().expect("soak thread panicked");
-        assert_eq!(w, workers);
-        assert!(report.uploads > 0, "the outage ended; uploads flowed");
-    }
+fn shutdown_mid_outage_drains_buffered_answers() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let (test, small, big) = fixture();
+        let big: Arc<dyn Detector + Send + Sync> = Arc::new(big);
+        let mut cloud = CloudServer::spawn(
+            CloudConfig {
+                max_batch: 3,
+                ..CloudConfig::default()
+            },
+            big,
+        );
+        let mut session = cloud.connect(
+            SessionConfig {
+                frame_size: (96, 96),
+                link_trace: Some(LinkTrace::step_outage(0.5, 2.0)),
+                ..SessionConfig::new(2)
+            },
+            &small,
+            Box::new(Policy::CloudOnly),
+        );
+        // Pile up in-flight frames (some retransmitted through the
+        // outage) without polling any of them.
+        for scene in test.iter() {
+            session.submit(scene);
+        }
+        assert!(session.outstanding() > 0, "frames are in flight");
+        // Shut the cloud down mid-stream: it must flush every queued
+        // frame, and the session must drain from the buffered answers.
+        let stats = cloud.shutdown();
+        let report = session.drain();
+        assert_eq!(session.outstanding(), 0);
+        assert_eq!(stats.served, report.uploads);
+        assert_eq!(report.frames, test.len());
+        done_tx.send(report).expect("main thread alive");
+    });
+    let report = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("shutdown soak deadlocked"));
+    handle.join().expect("soak thread panicked");
+    assert!(report.uploads > 0, "the outage ended; uploads flowed");
 }

@@ -11,9 +11,9 @@
 //!    (`tests/api_equivalence.rs` separately pins the whole stack against
 //!    the seed implementation.)
 //! 2. **Determinism.** Every scheduler, the admission-control path and the
-//!    autoscaler replay bit-identically, across 1/2/4 inference workers
-//!    and across runs — scaling trajectories and service orders are pure
-//!    functions of virtual-time state.
+//!    autoscaler replay bit-identically across runs — autoscaling
+//!    trajectories and service orders are pure functions of virtual-time
+//!    state.
 //! 3. **Admission contract.** A frame refused at the queue limit never
 //!    touches the cloud: zero uplink bytes, zero served frames, the local
 //!    answer served immediately. A limit that never binds changes nothing
@@ -233,14 +233,12 @@ fn explicit_fifo_batcher_is_bit_identical_to_default() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Deterministic replay across worker counts and runs
+// 2. Deterministic replay across runs
 // ---------------------------------------------------------------------------
 
-/// Every scheduler (and the autoscaler) replays bit-identically, and the
-/// inference-pool size — any fixed size, any autoscaling trajectory —
-/// never leaks into a report.
+/// Every scheduler (and the autoscaler) replays bit-identically.
 #[test]
-fn scheduler_replay_is_bit_identical_across_worker_counts() {
+fn scheduler_replay_is_bit_identical() {
     let configs = [
         (SchedulerConfig::Fifo, None),
         (SchedulerConfig::DeadlineAware { lookahead: 2 }, None),
@@ -254,24 +252,15 @@ fn scheduler_replay_is_bit_identical_across_worker_counts() {
         ),
     ];
     for (scheduler, autoscale) in configs {
-        let run = |workers: usize| {
-            let (ra, rb, stats) = burst_run(CloudConfig {
+        let run = || {
+            burst_run(CloudConfig {
                 max_batch: 4,
-                workers,
                 scheduler,
                 autoscale,
                 ..CloudConfig::default()
-            });
-            // Stats describing the wall-clock pool (peak/resizes) may
-            // legitimately differ across pool sizes; everything virtual
-            // must not.
-            (ra, rb, stats.served, stats.batches, stats.busy_s)
+            })
         };
-        let baseline = run(1);
-        assert_eq!(baseline, run(1), "replay must be deterministic");
-        for workers in [2, 4] {
-            assert_eq!(baseline, run(workers), "{scheduler:?} workers {workers}");
-        }
+        assert_eq!(run(), run(), "{scheduler:?} replay must be deterministic");
     }
 }
 
@@ -281,7 +270,6 @@ fn scheduler_replay_is_bit_identical_across_worker_counts() {
 fn autoscaling_trajectory_is_deterministic_and_reportless() {
     let config = |autoscale| CloudConfig {
         max_batch: 4,
-        workers: 4,
         faults: FaultPlan::new().with_stall(2.0, 3.0),
         autoscale,
         ..CloudConfig::default()

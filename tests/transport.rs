@@ -206,7 +206,6 @@ fn tcp_sessions_match_channel_path_across_configs() {
             DeploymentSpec {
                 cloud: CloudSpec {
                     max_batch: 3,
-                    workers: 2,
                     scheduler: SchedulerConfig::DeadlineAware { lookahead: 4 },
                     ..base.cloud.clone()
                 },
