@@ -468,9 +468,10 @@ impl SchedulerConfig {
 /// `take_batch` on the default path is a statically dispatched (and
 /// inlinable) call into the plain `Vec` FIFO, so the control-plane seam
 /// costs nothing unless a deployment actually plugs in a custom scheduler —
-/// those keep the object-safe boxed form. `BENCH_PR5` measured the boxed
-/// seam at ~10 ns/frame over the historical inline loop; this enum closes
-/// that gap for the configuration every test and deployment defaults to.
+/// those keep the object-safe boxed form. The boxed seam measured ~10
+/// ns/frame over the historical inline loop (PERFORMANCE.md, the note on
+/// the scheduling control plane); this enum closes that gap for the
+/// configuration every test and deployment defaults to.
 pub(crate) enum SchedulerSlot {
     /// The default FIFO, statically dispatched.
     Fifo(FifoBatcher),
@@ -563,16 +564,29 @@ impl Default for AutoscaleConfig {
 }
 
 impl AutoscaleConfig {
-    /// Panics with a config error if a field is out of range — called at
+    /// Checks every field's range.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.frames_per_worker < 1 {
+            return Err("frames_per_worker must be at least 1".into());
+        }
+        if self.min_workers < 1 {
+            return Err("min_workers must be at least 1".into());
+        }
+        Ok(())
+    }
+
+    /// Panics with [`AutoscaleConfig::validate`]'s error — called at
     /// [`crate::CloudServer::spawn`] time so a bad configuration fails on
     /// the caller's thread instead of killing the cloud worker at its
     /// first batch.
     pub(crate) fn assert_valid(&self) {
-        assert!(
-            self.frames_per_worker >= 1,
-            "frames_per_worker must be at least 1"
-        );
-        assert!(self.min_workers >= 1, "min_workers must be at least 1");
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
     }
 
     /// The worker count called for by `depth` queued frames at an instant

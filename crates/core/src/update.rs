@@ -141,19 +141,33 @@ impl Default for UpdateConfig {
 }
 
 impl UpdateConfig {
-    /// Panics with a config error if a field is out of range — called at
-    /// spawn time so a bad configuration fails on the caller's thread.
+    /// Checks every field's range.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.epoch_s > 0.0 && self.epoch_s.is_finite()) {
+            return Err("update epoch_s must be positive and finite".into());
+        }
+        if self.min_examples < 1 {
+            return Err("min_examples must be at least 1".into());
+        }
+        if self.holdout < 1 {
+            return Err("holdout must be at least 1".into());
+        }
+        if !(0.0..=1.0).contains(&self.divergence) {
+            return Err("divergence bound must be in [0, 1]".into());
+        }
+        Ok(())
+    }
+
+    /// Panics with [`UpdateConfig::validate`]'s error — called at spawn
+    /// time so a bad configuration fails on the caller's thread.
     pub(crate) fn assert_valid(&self) {
-        assert!(
-            self.epoch_s > 0.0 && self.epoch_s.is_finite(),
-            "update epoch_s must be positive and finite"
-        );
-        assert!(self.min_examples >= 1, "min_examples must be at least 1");
-        assert!(self.holdout >= 1, "holdout must be at least 1");
-        assert!(
-            (0.0..=1.0).contains(&self.divergence),
-            "divergence bound must be in [0, 1]"
-        );
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
     }
 }
 

@@ -396,6 +396,41 @@ impl DeploymentSpec {
         }
     }
 
+    /// Checks every field a run would otherwise trip over mid-flight: a
+    /// zero count, batch or frame size, a deadline the wire cannot carry,
+    /// or an out-of-range autoscale or update config.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending field, with its CLI flag where it has one.
+    pub fn validate(&self) -> Result<(), String> {
+        for (field, value) in [
+            ("edges (--edges)", self.edges),
+            ("devices_per_edge (--devices)", self.devices_per_edge),
+            ("frames_per_device (--frames)", self.frames_per_device),
+            ("cloud.max_batch (--max-batch)", self.cloud.max_batch),
+            ("edge.frame_px (--frame-px)", self.edge.frame_px),
+        ] {
+            if value == 0 {
+                return Err(format!("{field} must be at least 1"));
+            }
+        }
+        if let Some(d) = self.edge.deadline_s {
+            if !(d > 0.0 && d.is_finite()) {
+                return Err(format!(
+                    "edge.deadline_s (--deadline-s) must be positive and finite, got {d}"
+                ));
+            }
+        }
+        if let Some(a) = &self.cloud.autoscale {
+            a.validate().map_err(|e| format!("cloud.autoscale: {e}"))?;
+        }
+        if let Some(u) = &self.cloud.updates {
+            u.validate().map_err(|e| format!("cloud.updates: {e}"))?;
+        }
+        Ok(())
+    }
+
     /// The dataset device `session` streams.
     pub fn dataset(&self, session: u64) -> Dataset {
         let (profile, _, _) = self.split.materialize();
@@ -926,13 +961,22 @@ impl CliArgs {
 /// `--update-epoch-s SECS` — enables the cloud's calibration update loop
 /// at that virtual-time cadence, default rollout policy —
 /// and `--update-min-examples N`, the refit floor of an enabled loop)
-/// overlay [`DeploymentSpec::default`].
+/// overlay [`DeploymentSpec::default`]. Either way the result passes
+/// [`DeploymentSpec::validate`].
 ///
 /// # Errors
 ///
-/// Fails on an unreadable spec file, malformed JSON, or an invalid flag
-/// value.
+/// Fails on an unreadable spec file, malformed JSON, an invalid flag
+/// value, or a spec [`DeploymentSpec::validate`] rejects.
 pub fn deployment_spec_from_args(args: &CliArgs) -> Result<DeploymentSpec, String> {
+    let spec = spec_from_args(args)?;
+    spec.validate()
+        .map_err(|e| format!("invalid fleet spec: {e}"))?;
+    Ok(spec)
+}
+
+/// [`deployment_spec_from_args`] before validation.
+fn spec_from_args(args: &CliArgs) -> Result<DeploymentSpec, String> {
     let json = match (args.get("spec"), args.get("spec-file")) {
         (Some(j), _) => Some(j.to_string()),
         (None, Some(path)) => {
@@ -1121,6 +1165,48 @@ mod tests {
         // `--spec` wins outright, so no fleet flag beside it is read.
         let spec = serde_json::to_string(&DeploymentSpec::default()).unwrap();
         assert_eq!(check(&["--spec", &spec, "--edges", "3"]), unknown("edges"));
+    }
+
+    #[test]
+    fn values_that_would_hang_or_crash_a_run_are_rejected_by_name() {
+        let parse = |args: &[&str]| {
+            deployment_spec_from_args(&CliArgs::parse(args.iter().map(|a| a.to_string()))?)
+        };
+        let spec_json = |f: &dyn Fn(&mut DeploymentSpec)| {
+            let mut spec = DeploymentSpec::default();
+            f(&mut spec);
+            serde_json::to_string(&spec).unwrap()
+        };
+        let bad_autoscale = spec_json(&|s| {
+            s.cloud.autoscale = Some(AutoscaleConfig {
+                frames_per_worker: 0,
+                ..AutoscaleConfig::default()
+            })
+        });
+        let zero_batch = spec_json(&|s| s.cloud.max_batch = 0);
+        let cases: [(&[&str], &str); 11] = [
+            (&["--max-batch", "0"], "cloud.max_batch"),
+            (&["--frames", "0"], "frames_per_device"),
+            (&["--update-epoch-s", "0"], "epoch_s"),
+            (
+                &["--update-epoch-s", "1", "--update-min-examples", "0"],
+                "min_examples",
+            ),
+            (&["--deadline-s", "nan"], "edge.deadline_s"),
+            (&["--deadline-s", "inf"], "edge.deadline_s"),
+            (&["--edges", "0"], "edges"),
+            (&["--devices", "0"], "devices_per_edge"),
+            (&["--frame-px", "0"], "edge.frame_px"),
+            (&["--spec", &bad_autoscale], "frames_per_worker"),
+            (&["--spec", &zero_batch], "cloud.max_batch"),
+        ];
+        for (args, field) in cases {
+            match parse(args) {
+                Err(e) => assert!(e.contains(field), "{args:?}: `{e}` must name {field}"),
+                Ok(_) => panic!("{args:?} must be rejected"),
+            }
+        }
+        assert!(parse(&["--deadline-s", "0.25", "--update-epoch-s", "0.1"]).is_ok());
     }
 
     #[test]

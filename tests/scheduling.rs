@@ -4,10 +4,11 @@
 //!
 //! 1. **FIFO bit-identity.** The default [`FifoBatcher`] must reproduce the
 //!    pre-refactor inline batching loop exactly: a proptest drives the
-//!    trait implementation and a verbatim transcription of the old logic
-//!    through the same arrival/flush event sequences and requires the same
-//!    batch partition, and an end-to-end run compares `spawn` (default
-//!    config) against `spawn_with(FifoBatcher)` report-for-report.
+//!    trait implementation, boxed and monomorphized, and a verbatim
+//!    transcription of the old logic through the same arrival/flush event
+//!    sequences and requires the same batch partition, and an end-to-end
+//!    run compares `spawn` (default config) against
+//!    `spawn_with(FifoBatcher)` report-for-report.
 //!    (`tests/api_equivalence.rs` separately pins the whole stack against
 //!    the seed implementation.)
 //! 2. **Determinism.** Every scheduler, the admission-control path and the
@@ -58,43 +59,45 @@ impl InlineLoopOracle {
 }
 
 /// Drives a [`Scheduler`] exactly as the cloud worker does: push, then
-/// dispatch while `ready`; flush drains batch by batch.
-fn drive_scheduler(
-    sched: &mut dyn Scheduler,
+/// dispatch while `ready`; flush drains batch by batch. Generic so one body
+/// covers both dispatch forms the cloud contains: `S = dyn Scheduler` is the
+/// boxed custom-scheduler path, `S = FifoBatcher` the monomorphized path the
+/// default configuration takes.
+fn drive_scheduler<S: Scheduler + ?Sized>(
+    sched: &mut S,
     max_batch: usize,
     events: &[Option<u64>],
 ) -> Vec<Vec<u64>> {
-    let mut batches = Vec::new();
-    let mut out = Vec::new();
-    let mut drain = |sched: &mut dyn Scheduler, ready_only: bool, batches: &mut Vec<Vec<u64>>| loop {
-        if ready_only && !sched.ready(max_batch) {
-            break;
-        }
-        if sched.is_empty() {
-            break;
-        }
-        sched.take_batch(max_batch, &mut out);
-        if out.is_empty() {
-            break;
-        }
-        batches.push(out.iter().map(|f| f.ticket()).collect());
-    };
-    for event in events {
-        match event {
-            Some(ticket) => {
-                sched.push(QueuedFrame::synthetic(
-                    0,
-                    *ticket,
-                    *ticket as f64 * 0.01,
-                    0.0,
-                    None,
-                ));
-                drain(sched, true, &mut batches);
+    fn drain<S: Scheduler + ?Sized>(
+        sched: &mut S,
+        max_batch: usize,
+        ready_only: bool,
+        out: &mut Vec<QueuedFrame>,
+        batches: &mut Vec<Vec<u64>>,
+    ) {
+        while (!ready_only || sched.ready(max_batch)) && !sched.is_empty() {
+            sched.take_batch(max_batch, out);
+            if out.is_empty() {
+                break;
             }
-            None => drain(sched, false, &mut batches),
+            batches.push(out.iter().map(|f| f.ticket()).collect());
         }
     }
-    drain(sched, false, &mut batches);
+    let mut batches = Vec::new();
+    let mut out = Vec::new();
+    for event in events {
+        if let Some(ticket) = event {
+            sched.push(QueuedFrame::synthetic(
+                0,
+                *ticket,
+                *ticket as f64 * 0.01,
+                0.0,
+                None,
+            ));
+        }
+        drain(sched, max_batch, event.is_some(), &mut out, &mut batches);
+    }
+    drain(sched, max_batch, false, &mut out, &mut batches);
     batches
 }
 
@@ -130,9 +133,14 @@ proptest! {
         }
         oracle.flush(&mut expected);
 
-        let mut fifo = FifoBatcher::new();
-        let actual = drive_scheduler(&mut fifo, max_batch, &events);
-        prop_assert_eq!(actual, expected);
+        let boxed = drive_scheduler(
+            &mut FifoBatcher::new() as &mut dyn Scheduler,
+            max_batch,
+            &events,
+        );
+        prop_assert_eq!(&boxed, &expected);
+        let monomorphized = drive_scheduler(&mut FifoBatcher::new(), max_batch, &events);
+        prop_assert_eq!(&monomorphized, &expected);
     }
 }
 
