@@ -7,11 +7,13 @@
 //!    from [`crate::label_dataset`].
 
 use crate::{
-    CaseKind, DifficultCaseDiscriminator, LabeledExample, Thresholds, PREDICTION_THRESHOLD,
+    CaseKind, DifficultCaseDiscriminator, LabeledExample, SemanticFeatures, Thresholds,
+    PREDICTION_THRESHOLD,
 };
 use datagen::Dataset;
 use modelzoo::Detector;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering::Less;
 
 /// Binary-classification quality metrics (difficult = positive).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -173,74 +175,58 @@ impl CountingLoss {
 /// maximising accuracy against the difficulty labels (Sec. V-D).
 ///
 /// The naive grid re-classifies every example for all `6 × 31` cells; this
-/// version visits the same cells in the same order but sorts the examples
-/// by minimum area once, keeps for each count threshold the
-/// not-count-difficult ones (still sorted) and reads every area cell's
-/// confusion counts off prefix sums. The winning cell and its
-/// [`BinaryStats`] are identical to the naive scan (the accuracy of each
-/// cell is the same integer-count division, which does not depend on how
-/// equal areas are ordered, and the strictly-greater tie-break is
-/// evaluated in the same cell order); the naive implementation stays in
-/// the tests as the oracle.
+/// version visits the same cells in the same order but first tallies the
+/// examples by object count (0–6, or more) and by area bin — how many of
+/// the 31 area thresholds the example's minimum area is *not* below — in
+/// one pass, without sorting. Every cell's confusion counts are then sums
+/// of tallies. The winning cell and its [`BinaryStats`] are identical to
+/// the naive scan (each cell's accuracy is the same integer-count
+/// division, and the strictly-greater tie-break is evaluated in the same
+/// cell order); the naive implementation stays in the tests as the oracle.
 pub fn calibrate_count_area(examples: &[LabeledExample]) -> (usize, f64, BinaryStats) {
     assert!(!examples.is_empty(), "cannot calibrate on zero examples");
     let total = examples.len();
     let positives = examples.iter().filter(|e| e.label.is_difficult()).count();
 
-    // `classify_true_features` treats a missing minimum area as
-    // never-difficult-by-area; +inf encodes that (no finite threshold
-    // exceeds it).
-    let mut by_area: Vec<(f64, bool, usize)> = examples
-        .iter()
-        .map(|e| {
-            let area = e.true_min_area.unwrap_or(f64::INFINITY);
-            (area, e.label.is_difficult(), e.true_count)
-        })
-        .collect();
-    by_area.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite or inf areas"));
+    // The area thresholds in scan order, accumulated as the naive scan
+    // accumulates them.
+    let mut areas = Vec::new();
+    let mut area = 0.01;
+    while area <= 0.61 {
+        areas.push(area);
+        area += 0.02;
+    }
+    // tally[min(true_count, 7)][bin] = [easy, difficult] examples. An
+    // example is predicted difficult by area at threshold k iff
+    // `min_area < areas[k]`, i.e. iff k ≥ its bin; a missing area never
+    // is (`classify_true_features`), so it takes the last bin.
+    let mut tally = vec![vec![[0usize; 2]; areas.len() + 1]; 8];
+    let not_below = |a: f64| areas.partition_point(|t| a.partial_cmp(t) != Some(Less));
+    for e in examples {
+        let bin = e.true_min_area.map_or(areas.len(), not_below);
+        tally[e.true_count.min(7)][bin][usize::from(e.label.is_difficult())] += 1;
+    }
 
     let mut best: Option<(usize, f64, f64)> = None; // (count, area, accuracy)
-    let mut rest: Vec<f64> = Vec::with_capacity(total);
-    // prefix_pos[i] = difficult labels among the i smallest-area rest.
-    let mut prefix_pos: Vec<usize> = Vec::with_capacity(total + 1);
     for count in 1..=6usize {
         // Examples with more objects than the threshold are predicted
-        // difficult regardless of area.
-        let mut count_tp = 0usize;
-        let mut count_fp = 0usize;
-        rest.clear();
-        prefix_pos.clear();
-        prefix_pos.push(0);
-        for &(area, difficult, true_count) in &by_area {
-            if true_count > count {
-                if difficult {
-                    count_tp += 1;
-                } else {
-                    count_fp += 1;
-                }
-            } else {
-                rest.push(area);
-                prefix_pos.push(prefix_pos[rest.len() - 1] + usize::from(difficult));
-            }
+        // difficult regardless of area; the rest join bin by bin as the
+        // area threshold rises past them.
+        let (mut fp, mut tp) = (0usize, 0usize);
+        for &[easy, difficult] in tally[count + 1..].iter().flatten() {
+            (fp, tp) = (fp + easy, tp + difficult);
         }
-
-        let mut area = 0.01;
-        while area <= 0.61 {
-            // Among `rest`, predicted difficult iff min_area < threshold.
-            let below = rest.partition_point(|&a| a < area);
-            let tp = count_tp + prefix_pos[below];
-            let fp = count_fp + (below - prefix_pos[below]);
+        for (k, &area) in areas.iter().enumerate() {
+            for row in &tally[..=count] {
+                let [easy, difficult] = row[k];
+                (fp, tp) = (fp + easy, tp + difficult);
+            }
             let fn_ = positives - tp;
             let tn = total - tp - fp - fn_;
             let accuracy = (tp + tn) as f64 / total as f64;
-            let better = match &best {
-                None => true,
-                Some((_, _, b)) => accuracy > *b,
-            };
-            if better {
+            if best.is_none_or(|(_, _, b)| accuracy > b) {
                 best = Some((count, area, accuracy));
             }
-            area += 0.02;
         }
     }
     let (count, area, _) = best.expect("grid is non-empty");
@@ -266,16 +252,30 @@ pub fn calibrate_count_area(examples: &[LabeledExample]) -> (usize, f64, BinaryS
 /// Two passes over blocks of scenes (see [`crate::par`]), equal to
 /// [`crate::detect_all`] → Eq. 1 scan → [`crate::label_dataset_with`] →
 /// [`calibrate_count_area`] exactly (the detectors are deterministic). The
-/// first keeps what labelling will need — the small model's detections and
-/// the big model's predicted-object count, read off one reused buffer —
-/// and folds the small model's scores into the block's Eq. 1 sums; once
-/// those pick `t_conf`, the second labels every scene.
+/// first keeps what labelling will need — each small-model detection's
+/// score and box area, end to end in one buffer per block, and the big
+/// model's predicted-object count — and folds the small model's scores
+/// into the block's Eq. 1 sums; once those pick `t_conf`, the second
+/// labels every scene, block by block.
 pub fn calibrate(
     train: &Dataset,
     small: &(dyn Detector + Sync),
     big: &(dyn Detector + Sync),
 ) -> (Calibration, Vec<LabeledExample>) {
     calibrate_with(crate::par::harness_workers(train.len()), train, small, big)
+}
+
+/// What the first calibration pass keeps of one block of training scenes
+/// for labelling.
+struct DetectedBlock {
+    /// Index of the block's first scene in the dataset.
+    first_scene: usize,
+    /// Each small-model detection's `(score, box area)`, scene after
+    /// scene, in one buffer.
+    small_dets: Vec<(f64, f64)>,
+    /// Per scene: where its detections end in `small_dets`, and the big
+    /// model's predicted-object count.
+    scenes: Vec<(usize, usize)>,
 }
 
 /// [`calibrate`] with an explicit worker count.
@@ -289,26 +289,43 @@ fn calibrate_with(
     let scenes = train.scenes();
     let blocks = crate::par::ordered_blocks_with(workers, scenes.len(), |range| {
         let mut loss = CountingLoss::new();
+        let mut block = DetectedBlock {
+            first_scene: range.start,
+            small_dets: Vec::new(),
+            scenes: Vec::with_capacity(range.len()),
+        };
+        let mut small_dets = detcore::ImageDetections::new();
         let mut big_dets = detcore::ImageDetections::new();
-        let detected: Vec<(detcore::ImageDetections, usize)> = scenes[range]
-            .iter()
-            .map(|scene| {
-                let small_dets = small.detect(scene);
-                loss.add_image(&small_dets, scene.num_objects());
-                big.detect_into(scene, &mut big_dets);
-                (small_dets, big_dets.count_above(PREDICTION_THRESHOLD))
-            })
-            .collect();
-        (detected, loss)
+        for scene in &scenes[range] {
+            small.detect_into(scene, &mut small_dets);
+            loss.add_image(&small_dets, scene.num_objects());
+            big.detect_into(scene, &mut big_dets);
+            (block.small_dets).extend(small_dets.iter().map(|d| (d.score(), d.bbox().area())));
+            let n_big = big_dets.count_above(PREDICTION_THRESHOLD);
+            block.scenes.push((block.small_dets.len(), n_big));
+        }
+        (block, loss)
     });
-    let (detected, losses): (Vec<_>, Vec<_>) = blocks.into_iter().unzip();
+    let (blocks, losses): (Vec<_>, Vec<_>) = blocks.into_iter().unzip();
     let (conf, counting_loss) = CountingLoss::best(losses);
 
-    let detected = crate::par::concat(detected);
-    let examples = crate::par::ordered_map_with(workers, scenes.len(), |i| {
-        let (small_dets, n_big) = &detected[i];
-        crate::labeling::label_scene_counted(&scenes[i], small_dets, *n_big, conf)
+    let examples = crate::par::ordered_map_with(workers, blocks.len(), |b| {
+        let block = &blocks[b];
+        let mut start = 0;
+        (block.scenes.iter().enumerate())
+            .map(|(i, &(end, n_big))| {
+                let features =
+                    SemanticFeatures::from_scored_areas(&block.small_dets[start..end], conf);
+                start = end;
+                crate::labeling::label_scene_counted(
+                    &scenes[block.first_scene + i],
+                    features,
+                    n_big,
+                )
+            })
+            .collect()
     });
+    let examples = crate::par::concat(examples);
     let (count, area, train_stats) = calibrate_count_area(&examples);
     (
         Calibration {
@@ -396,6 +413,20 @@ mod tests {
             ..*e
         });
         assert_matches_naive(&tied, "tied areas");
+        // Every area exactly on a threshold as the scan accumulates it,
+        // and counts from 0 up: each example sits on a bin boundary.
+        let mut on_grid = Vec::new();
+        let mut area = 0.01;
+        while area <= 0.61 {
+            on_grid.push(area);
+            area += 0.02;
+        }
+        let on_steps = reshaped(&|i, e| LabeledExample {
+            true_count: i % 8,
+            true_min_area: Some(on_grid[i % on_grid.len()]),
+            ..*e
+        });
+        assert_matches_naive(&on_steps, "areas on the thresholds");
         let crowded = reshaped(&|i, e| LabeledExample {
             true_count: 7 + i % 3,
             ..*e

@@ -60,6 +60,26 @@ impl SemanticFeatures {
         }
     }
 
+    /// [`SemanticFeatures::extract`] over each detection's `(score, box
+    /// area)`, all that calibration keeps of the small model's output; the
+    /// counts and the minimum are taken as [`ImageDetections::count_above`]
+    /// and [`ImageDetections::min_area_above`] take them. `extract` keeps
+    /// its own code because it runs per frame on the serving path, where
+    /// it computes a box area only for the boxes that clear `t_conf`.
+    pub(crate) fn from_scored_areas(dets: &[(f64, f64)], t_conf: f64) -> SemanticFeatures {
+        assert!(
+            t_conf > 0.0 && t_conf <= PREDICTION_THRESHOLD,
+            "noise-filter threshold must be in (0, 0.5], got {t_conf}"
+        );
+        let above = |t: f64| dets.iter().filter(move |&&(score, _)| score >= t);
+        SemanticFeatures {
+            predicted_count: above(PREDICTION_THRESHOLD).count(),
+            estimated_count: above(t_conf).count(),
+            estimated_min_area: (above(t_conf).map(|&(_, area)| area))
+                .min_by(|a, b| a.partial_cmp(b).expect("areas are finite")),
+        }
+    }
+
     /// The step-1 shortcut (Sec. V-C-1): if the predicted count equals the
     /// estimated count, "the value of the threshold does not make a
     /// difference and there is no uncertain object" — presumably easy.

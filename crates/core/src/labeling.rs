@@ -58,19 +58,17 @@ pub fn label_scene_with(
     big_dets: &detcore::ImageDetections,
     t_conf: f64,
 ) -> LabeledExample {
-    let n_big = big_dets.count_above(PREDICTION_THRESHOLD);
-    label_scene_counted(scene, small_dets, n_big, t_conf)
+    let features = SemanticFeatures::extract(small_dets, t_conf);
+    label_scene_counted(scene, features, big_dets.count_above(PREDICTION_THRESHOLD))
 }
 
-/// [`label_scene_with`] where all that was kept of the big model's output
-/// is `n_big`, the objects it predicts (score ≥ [`PREDICTION_THRESHOLD`]).
+/// [`label_scene_with`] from the small model's `features` and `n_big`, the
+/// objects the big model predicts (score ≥ [`PREDICTION_THRESHOLD`]).
 pub(crate) fn label_scene_counted(
     scene: &Scene,
-    small_dets: &detcore::ImageDetections,
+    features: SemanticFeatures,
     n_big: usize,
-    t_conf: f64,
 ) -> LabeledExample {
-    let features = SemanticFeatures::extract(small_dets, t_conf);
     let label = if n_big > features.predicted_count {
         CaseKind::Difficult
     } else {

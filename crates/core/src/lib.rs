@@ -157,7 +157,7 @@ pub use labeling::{
 };
 pub use pipeline::{
     detect_all, discriminator_stats_on, discriminator_test_stats, evaluate, evaluate_detections,
-    evaluate_streaming, EvalConfig, EvalOutcome,
+    evaluate_streaming, DetectionPass, EvalConfig, EvalOutcome,
 };
 pub use runtime::{run_system, RuntimeConfig, RuntimeMode, RuntimeReport};
 pub use scheduler::{

@@ -3,12 +3,14 @@
 //! Computes everything the paper's tables report: per-model mAP, end-to-end
 //! mAP under a policy, detected-object totals, and the upload ratio.
 
+use std::sync::OnceLock;
+
 use crate::par::ordered_map;
-use crate::{CaseKind, Policy, PolicyInput, PREDICTION_THRESHOLD};
+use crate::{CaseKind, Decision, Policy, PolicyInput, PREDICTION_THRESHOLD};
 use datagen::Dataset;
 use detcore::{
     count_detected_with, ApProtocol, CountScratch, CountingConfig, DatasetCounter,
-    ImageContribution, ImageDetections, MapEvaluator,
+    ImageContribution, ImageDetections, MapEvaluator, MatchedRecords,
 };
 use modelzoo::Detector;
 use serde::{Deserialize, Serialize};
@@ -113,8 +115,8 @@ pub fn evaluate(
 }
 
 /// Runs both models over every scene of a dataset, fanning images out
-/// across the harness workers (see [`crate::par`]) and returning
-/// `(small, big)` detection pairs in dataset order.
+/// across the harness workers (see [`crate::par`]) and returning the
+/// `(small, big)` detection pairs in dataset order as a [`DetectionPass`].
 ///
 /// Detectors are deterministic, so callers that need the same detections
 /// more than once — [`evaluate_detections`] under several policies,
@@ -132,104 +134,246 @@ pub fn detect_all(
     test: &Dataset,
     small: &(dyn Detector + Sync),
     big: &(dyn Detector + Sync),
-) -> Vec<(ImageDetections, ImageDetections)> {
+) -> DetectionPass {
     let scenes = test.scenes();
-    ordered_map(scenes.len(), |i| {
-        (small.detect(&scenes[i]), big.detect(&scenes[i]))
-    })
+    DetectionPass {
+        pairs: ordered_map(scenes.len(), |i| {
+            (small.detect(&scenes[i]), big.detect(&scenes[i]))
+        }),
+        dataset: fingerprint(test),
+        score: OnceLock::new(),
+    }
+}
+
+/// Both models' detections over one dataset, as [`detect_all`] returns
+/// them: it derefs to the `(small, big)` pairs in dataset order.
+///
+/// Policies evaluated over one pass differ only in how they route images.
+/// The first [`evaluate_detections`] call therefore scores the pass under
+/// its [`EvalConfig`] and keeps the score: each image's matched mAP
+/// records, object counts and oracle label, plus both models' mAP. Every
+/// later call under that config only decides, sums the routed counts and
+/// finalises one end-to-end mAP. A call under another config scores the
+/// pass afresh and keeps nothing. The score is plain data, so a pass is
+/// `Send + Sync` and can be shared across threads behind an `Arc`.
+#[derive(Debug)]
+pub struct DetectionPass {
+    pairs: Vec<(ImageDetections, ImageDetections)>,
+    /// [`fingerprint`] of the dataset the pairs were detected on.
+    dataset: u64,
+    score: OnceLock<PassScore>,
+}
+
+impl std::ops::Deref for DetectionPass {
+    type Target = [(ImageDetections, ImageDetections)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.pairs
+    }
+}
+
+impl<'a> IntoIterator for &'a DetectionPass {
+    type Item = &'a (ImageDetections, ImageDetections);
+    type IntoIter = std::slice::Iter<'a, (ImageDetections, ImageDetections)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.pairs.iter()
+    }
+}
+
+impl DetectionPass {
+    /// Runs `f` on the pass's score under `config`: the kept one (scored
+    /// on first use) when `config` is the one it was scored under, a fresh
+    /// one otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `test` is not the dataset the pass was detected on.
+    fn scored<R>(&self, test: &Dataset, config: &EvalConfig, f: impl FnOnce(&PassScore) -> R) -> R {
+        assert_eq!(
+            self.dataset,
+            fingerprint(test),
+            "a detection pass is scored only against the dataset it was detected on"
+        );
+        let kept = self
+            .score
+            .get_or_init(|| PassScore::new(test, &self.pairs, config));
+        if kept.config == *config {
+            f(kept)
+        } else {
+            f(&PassScore::new(test, &self.pairs, config))
+        }
+    }
+}
+
+/// Digest of what scoring reads off a dataset's scenes: their number and
+/// order, ids, seeds (every scene is sampled from its seed) and object
+/// counts.
+fn fingerprint(test: &Dataset) -> u64 {
+    let mut h = test.taxonomy().len() as u64;
+    for scene in test.scenes() {
+        for v in [scene.id, scene.seed, scene.objects.len() as u64] {
+            h = (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+    h
+}
+
+/// What evaluation reads of a [`DetectionPass`] under one [`EvalConfig`].
+#[derive(Debug)]
+struct PassScore {
+    config: EvalConfig,
+    num_classes: usize,
+    /// Per image, [`Policy::Oracle`]'s label: difficult when the big model
+    /// predicts more objects than the small one.
+    labels: Vec<CaseKind>,
+    small: ModelScore,
+    big: ModelScore,
+}
+
+/// One model's side of a [`PassScore`].
+#[derive(Debug)]
+struct ModelScore {
+    /// The model's mAP evaluator, finalised into `map_pct` and then
+    /// stripped of its (non-`Sync`) sort cache.
+    records: MatchedRecords,
+    /// Per image, the records and ground truths it added to `records`.
+    contributions: Vec<ImageContribution>,
+    /// Per image, the objects the model detected.
+    detected: Vec<usize>,
+    counter: DatasetCounter,
+    map_pct: f64,
+}
+
+impl PassScore {
+    fn new(
+        test: &Dataset,
+        pairs: &[(ImageDetections, ImageDetections)],
+        config: &EvalConfig,
+    ) -> PassScore {
+        let labels = (pairs.iter())
+            .map(|(s, b)| {
+                if b.count_above(PREDICTION_THRESHOLD) > s.count_above(PREDICTION_THRESHOLD) {
+                    CaseKind::Difficult
+                } else {
+                    CaseKind::Easy
+                }
+            })
+            .collect();
+        PassScore {
+            config: *config,
+            num_classes: test.taxonomy().len(),
+            labels,
+            small: ModelScore::new(test, pairs.iter().map(|(s, _)| s), config),
+            big: ModelScore::new(test, pairs.iter().map(|(_, b)| b), config),
+        }
+    }
+
+    /// One [`PolicyInput`] per image, in dataset order.
+    fn policy_inputs<'a>(
+        &self,
+        test: &'a Dataset,
+        pass: &'a DetectionPass,
+    ) -> Vec<PolicyInput<'a>> {
+        (test.scenes().iter().zip(pass).zip(&self.labels))
+            .map(|((scene, (small_dets, _)), label)| PolicyInput {
+                scene,
+                small_dets,
+                label: Some(*label),
+                num_classes: self.num_classes,
+                link: None,
+                cloud_queue: None,
+            })
+            .collect()
+    }
+
+    /// The outcome of taking the big model's result on uploaded images and
+    /// the small model's on the rest.
+    fn route(&self, decisions: &[Decision]) -> EvalOutcome {
+        let n = self.labels.len();
+        assert_eq!(decisions.len(), n, "one decision per image required");
+        let routed = |i: usize| match decisions[i] {
+            Decision::Upload => &self.big,
+            Decision::Local => &self.small,
+        };
+        let uploads = decisions.iter().filter(|d| d.is_upload()).count();
+        // Routing every image to one model replays that model's records in
+        // their own order, so its mAP is the end-to-end mAP, bit for bit.
+        let e2e_map_pct = match uploads {
+            0 => self.small.map_pct,
+            u if u == n => self.big.map_pct,
+            _ => {
+                let mut e2e = MapEvaluator::new(self.num_classes, self.config.ap_protocol);
+                for i in 0..n {
+                    let model = routed(i);
+                    e2e.replay_contribution(&model.records, &model.contributions[i]);
+                }
+                e2e.evaluate().map_percent()
+            }
+        };
+        EvalOutcome {
+            big_map_pct: self.big.map_pct,
+            small_map_pct: self.small.map_pct,
+            e2e_map_pct,
+            big_detected: self.big.counter.total_detected(),
+            small_detected: self.small.counter.total_detected(),
+            e2e_detected: (0..n).map(|i| routed(i).detected[i]).sum(),
+            total_gt: self.big.counter.total_gt(),
+            upload_ratio: uploads as f64 / n as f64,
+            num_images: n,
+        }
+    }
+}
+
+impl ModelScore {
+    fn new<'a>(
+        test: &Dataset,
+        dets: impl Iterator<Item = &'a ImageDetections>,
+        config: &EvalConfig,
+    ) -> ModelScore {
+        let mut map = MapEvaluator::new(test.taxonomy().len(), config.ap_protocol);
+        let mut counter = DatasetCounter::new();
+        let mut count_scratch = CountScratch::new();
+        let mut gts = Vec::new();
+        let (contributions, detected) = (test.scenes().iter().zip(dets))
+            .map(|(scene, dets)| {
+                scene.ground_truths_into(&mut gts);
+                let mut contribution = ImageContribution::new();
+                map.add_image_recording(dets, &gts, &mut contribution);
+                let count = count_detected_with(dets, &gts, &config.counting, &mut count_scratch);
+                counter.add(count);
+                (contribution, count.detected)
+            })
+            .unzip();
+        ModelScore {
+            map_pct: map.evaluate().map_percent(),
+            records: map.into_matched(),
+            contributions,
+            detected,
+            counter,
+        }
+    }
 }
 
 /// [`evaluate`] over detections precomputed with [`detect_all`].
 ///
+/// Scores `pass` under `config` on the first call and reuses that score on
+/// every later call under the same config (see [`DetectionPass`]), so a
+/// policy sweep over one pass matches and counts each image once.
+///
 /// # Panics
 ///
-/// Panics if the dataset is empty or `results` does not line up with it.
+/// Panics if the dataset is empty or is not the one `pass` was detected on.
 pub fn evaluate_detections(
     test: &Dataset,
-    results: &[(ImageDetections, ImageDetections)],
+    pass: &DetectionPass,
     policy: &Policy,
     config: &EvalConfig,
 ) -> EvalOutcome {
     assert!(!test.is_empty(), "cannot evaluate an empty dataset");
-    let num_classes = test.taxonomy().len();
-    let scenes = test.scenes();
-    assert_eq!(
-        scenes.len(),
-        results.len(),
-        "one detection pair per scene required"
-    );
-
-    // Labels for the oracle policy (cheap: counts are already available).
-    let labels: Vec<CaseKind> = results
-        .iter()
-        .map(|(s, b)| {
-            if b.count_above(PREDICTION_THRESHOLD) > s.count_above(PREDICTION_THRESHOLD) {
-                CaseKind::Difficult
-            } else {
-                CaseKind::Easy
-            }
-        })
-        .collect();
-
-    let inputs: Vec<PolicyInput<'_>> = scenes
-        .iter()
-        .zip(results)
-        .zip(&labels)
-        .map(|((scene, (small_dets, _)), label)| PolicyInput {
-            scene,
-            small_dets,
-            label: Some(*label),
-            num_classes,
-            link: None,
-            cloud_queue: None,
-        })
-        .collect();
-    let decisions = policy.decide_all(&inputs);
-
-    let mut small_map = MapEvaluator::new(num_classes, config.ap_protocol);
-    let mut big_map = MapEvaluator::new(num_classes, config.ap_protocol);
-    let mut e2e_map = MapEvaluator::new(num_classes, config.ap_protocol);
-    let mut small_count = DatasetCounter::new();
-    let mut big_count = DatasetCounter::new();
-    let mut e2e_count = DatasetCounter::new();
-    let mut count_scratch = CountScratch::new();
-    let mut small_contrib = ImageContribution::new();
-    let mut big_contrib = ImageContribution::new();
-    let mut gts = Vec::new();
-    let mut uploads = 0usize;
-
-    for ((scene, (small_dets, big_dets)), decision) in scenes.iter().zip(results).zip(&decisions) {
-        scene.ground_truths_into(&mut gts);
-        // Matching is deterministic, so the end-to-end evaluators replay
-        // whichever per-model result the decision routes to instead of
-        // matching / counting the routed image a third time.
-        small_map.add_image_recording(small_dets, &gts, &mut small_contrib);
-        big_map.add_image_recording(big_dets, &gts, &mut big_contrib);
-        let small_c = count_detected_with(small_dets, &gts, &config.counting, &mut count_scratch);
-        let big_c = count_detected_with(big_dets, &gts, &config.counting, &mut count_scratch);
-        small_count.add(small_c);
-        big_count.add(big_c);
-        if decision.is_upload() {
-            uploads += 1;
-            e2e_map.replay_contribution(&big_map, &big_contrib);
-            e2e_count.add(big_c);
-        } else {
-            e2e_map.replay_contribution(&small_map, &small_contrib);
-            e2e_count.add(small_c);
-        }
-    }
-
-    EvalOutcome {
-        big_map_pct: big_map.evaluate().map_percent(),
-        small_map_pct: small_map.evaluate().map_percent(),
-        e2e_map_pct: e2e_map.evaluate().map_percent(),
-        big_detected: big_count.total_detected(),
-        small_detected: small_count.total_detected(),
-        e2e_detected: e2e_count.total_detected(),
-        total_gt: big_count.total_gt(),
-        upload_ratio: uploads as f64 / test.len() as f64,
-        num_images: test.len(),
-    }
+    pass.scored(test, config, |score| {
+        score.route(&policy.decide_all(&score.policy_inputs(test, pass)))
+    })
 }
 
 /// Evaluates a streaming [`crate::OffloadPolicy`] over a test dataset,
@@ -264,72 +408,16 @@ pub fn evaluate_streaming(
     config: &EvalConfig,
 ) -> EvalOutcome {
     assert!(!test.is_empty(), "cannot evaluate an empty dataset");
-    let num_classes = test.taxonomy().len();
-    let scenes = test.scenes();
-
     // Detectors are deterministic, so the per-frame detection work can fan
-    // out ahead of the strictly-sequential policy loop below without
-    // changing a single decision.
-    let results = detect_all(test, small, big);
-
-    let mut small_map = MapEvaluator::new(num_classes, config.ap_protocol);
-    let mut big_map = MapEvaluator::new(num_classes, config.ap_protocol);
-    let mut e2e_map = MapEvaluator::new(num_classes, config.ap_protocol);
-    let mut small_count = DatasetCounter::new();
-    let mut big_count = DatasetCounter::new();
-    let mut e2e_count = DatasetCounter::new();
-    let mut count_scratch = CountScratch::new();
-    let mut small_contrib = ImageContribution::new();
-    let mut big_contrib = ImageContribution::new();
-    let mut gts = Vec::new();
-    let mut uploads = 0usize;
-
-    for (scene, (small_dets, big_dets)) in scenes.iter().zip(&results) {
-        scene.ground_truths_into(&mut gts);
-        // Same label rule as the batch path (both models already ran here),
-        // so Policy::Oracle works identically in streaming form.
-        let label = if big_dets.count_above(PREDICTION_THRESHOLD)
-            > small_dets.count_above(PREDICTION_THRESHOLD)
-        {
-            CaseKind::Difficult
-        } else {
-            CaseKind::Easy
-        };
-        let decision = policy.decide(&PolicyInput {
-            scene,
-            small_dets,
-            label: Some(label),
-            num_classes,
-            link: None,
-            cloud_queue: None,
-        });
-        small_map.add_image_recording(small_dets, &gts, &mut small_contrib);
-        big_map.add_image_recording(big_dets, &gts, &mut big_contrib);
-        let small_c = count_detected_with(small_dets, &gts, &config.counting, &mut count_scratch);
-        let big_c = count_detected_with(big_dets, &gts, &config.counting, &mut count_scratch);
-        small_count.add(small_c);
-        big_count.add(big_c);
-        if decision.is_upload() {
-            uploads += 1;
-            e2e_map.replay_contribution(&big_map, &big_contrib);
-            e2e_count.add(big_c);
-        } else {
-            e2e_map.replay_contribution(&small_map, &small_contrib);
-            e2e_count.add(small_c);
-        }
-    }
-
-    EvalOutcome {
-        big_map_pct: big_map.evaluate().map_percent(),
-        small_map_pct: small_map.evaluate().map_percent(),
-        e2e_map_pct: e2e_map.evaluate().map_percent(),
-        big_detected: big_count.total_detected(),
-        small_detected: small_count.total_detected(),
-        e2e_detected: e2e_count.total_detected(),
-        total_gt: big_count.total_gt(),
-        upload_ratio: uploads as f64 / test.len() as f64,
-        num_images: test.len(),
-    }
+    // out ahead of the strictly-sequential policy loop without changing a
+    // single decision. The label is the batch path's, so Policy::Oracle
+    // works identically in streaming form.
+    let pass = detect_all(test, small, big);
+    pass.scored(test, config, |score| {
+        let inputs = score.policy_inputs(test, &pass);
+        let decisions: Vec<Decision> = inputs.iter().map(|input| policy.decide(input)).collect();
+        score.route(&decisions)
+    })
 }
 
 /// Labels the dataset and reports discriminator quality on it

@@ -286,7 +286,7 @@ struct PriorityQueue {
 
 impl PriorityQueue {
     fn new(lookahead: usize) -> Self {
-        assert!(lookahead >= 1, "lookahead must be at least 1");
+        check_lookahead(lookahead).unwrap_or_else(|e| panic!("{e}"));
         PriorityQueue {
             queue: Vec::new(),
             lookahead,
@@ -460,6 +460,29 @@ impl SchedulerConfig {
             SchedulerConfig::DifficultyPriority { .. } => "difficulty-priority",
         }
     }
+
+    /// Checks the config [`SchedulerConfig::build`] would otherwise panic
+    /// on: a priority scheduler's `lookahead` must be at least 1.
+    ///
+    /// # Errors
+    ///
+    /// Names the field out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            SchedulerConfig::Fifo => Ok(()),
+            SchedulerConfig::DeadlineAware { lookahead }
+            | SchedulerConfig::DifficultyPriority { lookahead } => check_lookahead(lookahead),
+        }
+    }
+}
+
+/// The one range check behind [`SchedulerConfig::validate`] and the
+/// priority schedulers' constructors.
+fn check_lookahead(lookahead: usize) -> Result<(), String> {
+    if lookahead < 1 {
+        return Err("lookahead must be at least 1".into());
+    }
+    Ok(())
 }
 
 /// The cloud worker's scheduler seam, with a monomorphized fast path.
@@ -715,8 +738,15 @@ mod tests {
             SchedulerConfig::DifficultyPriority { lookahead: 3 },
         ] {
             assert_eq!(cfg.build().name(), cfg.name());
+            assert_eq!(cfg.validate(), Ok(()));
         }
         assert_eq!(SchedulerConfig::default(), SchedulerConfig::Fifo);
+        for cfg in [
+            SchedulerConfig::DeadlineAware { lookahead: 0 },
+            SchedulerConfig::DifficultyPriority { lookahead: 0 },
+        ] {
+            assert_eq!(cfg.validate(), Err("lookahead must be at least 1".into()));
+        }
     }
 
     #[test]

@@ -55,6 +55,8 @@ pub use counting::{
 };
 pub use det::{Detection, GroundTruth, ImageDetections};
 pub use geom::{BBox, BBoxError};
-pub use map::{ApProtocol, ClassAp, ImageContribution, MapEvaluator, MapReport, PrPoint};
+pub use map::{
+    ApProtocol, ClassAp, ImageContribution, MapEvaluator, MapReport, MatchedRecords, PrPoint,
+};
 pub use matching::{match_greedy, match_greedy_into, ImageMatch, MatchOutcome, MatchScratch};
 pub use nms::{nms, nms_into, soft_nms, soft_nms_into, NmsConfig, NmsScratch};

@@ -79,11 +79,8 @@ impl MapReport {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MapEvaluator {
-    iou_threshold: f64,
     protocol: ApProtocol,
-    /// Per class: (score, is_tp) for every counted detection, in
-    /// accumulation order.
-    records: Vec<Vec<(f64, bool)>>,
+    matched: MatchedRecords,
     /// Per class: number of non-difficult ground truths.
     gt_counts: Vec<usize>,
     images_seen: usize,
@@ -113,6 +110,19 @@ struct AddImageScratch {
     gts_buf: Vec<GroundTruth>,
     match_scratch: MatchScratch,
     match_out: ImageMatch,
+}
+
+/// The `(score, is_tp)` records a [`MapEvaluator`] has matched, per class
+/// in accumulation order, with the IoU threshold they were matched at.
+///
+/// The source side of [`MapEvaluator::replay_contribution`]: borrowed
+/// from a live evaluator with [`MapEvaluator::matched`], or kept after it
+/// with [`MapEvaluator::into_matched`]. Unlike the evaluator, whose sort
+/// cache is a `RefCell`, this is plain data and therefore `Sync`.
+#[derive(Debug, Clone)]
+pub struct MatchedRecords {
+    iou_threshold: f64,
+    records: Vec<Vec<(f64, bool)>>,
 }
 
 /// What one image contributed to a [`MapEvaluator`]: per-class spans of the
@@ -166,9 +176,11 @@ impl MapEvaluator {
             "iou threshold must be in [0, 1]"
         );
         MapEvaluator {
-            iou_threshold,
             protocol,
-            records: vec![Vec::new(); num_classes],
+            matched: MatchedRecords {
+                iou_threshold,
+                records: vec![Vec::new(); num_classes],
+            },
             gt_counts: vec![0; num_classes],
             images_seen: 0,
             sorted: RefCell::new(Vec::new()),
@@ -179,7 +191,7 @@ impl MapEvaluator {
 
     /// Number of classes being evaluated.
     pub fn num_classes(&self) -> usize {
-        self.records.len()
+        self.matched.records.len()
     }
 
     /// Number of images accumulated so far.
@@ -213,8 +225,19 @@ impl MapEvaluator {
         self.add_image_impl(dets, gts, Some(contrib));
     }
 
-    /// Replays one image's contribution measured on `src` into `self`,
-    /// copying the already-matched records instead of re-running matching.
+    /// The records matched so far (see [`MatchedRecords`]).
+    pub fn matched(&self) -> &MatchedRecords {
+        &self.matched
+    }
+
+    /// Consumes the evaluator, keeping only its matched records.
+    pub fn into_matched(self) -> MatchedRecords {
+        self.matched
+    }
+
+    /// Replays one image's contribution, recorded on the evaluator `src`
+    /// was taken from, into `self`, copying the already-matched records
+    /// instead of re-running matching.
     ///
     /// Equivalent to the `add_image(dets, gts)` call that produced `contrib`
     /// on `src` — matching is deterministic, so the copied records are
@@ -222,23 +245,23 @@ impl MapEvaluator {
     ///
     /// # Panics
     ///
-    /// Panics if the evaluators' class counts or IoU thresholds differ (the
+    /// Panics if the class counts or IoU thresholds differ (the
     /// contribution would not describe the same matching).
-    pub fn replay_contribution(&mut self, src: &MapEvaluator, contrib: &ImageContribution) {
+    pub fn replay_contribution(&mut self, src: &MatchedRecords, contrib: &ImageContribution) {
         assert_eq!(
-            self.records.len(),
+            self.matched.records.len(),
             src.records.len(),
             "replay requires identical class counts"
         );
         assert_eq!(
-            self.iou_threshold.to_bits(),
+            self.matched.iou_threshold.to_bits(),
             src.iou_threshold.to_bits(),
             "replay requires identical IoU thresholds"
         );
         self.images_seen += 1;
         self.sorted_valid.set(false);
         for &(c, start, end) in &contrib.spans {
-            self.records[c as usize]
+            self.matched.records[c as usize]
                 .extend_from_slice(&src.records[c as usize][start as usize..end as usize]);
         }
         for &(c, added) in &contrib.gt_added {
@@ -257,7 +280,7 @@ impl MapEvaluator {
         if let Some(c) = contrib.as_deref_mut() {
             c.clear();
         }
-        let n = self.records.len();
+        let n = self.matched.records.len();
         let s = &mut self.scratch;
         let all_dets = dets.as_slice();
 
@@ -323,23 +346,23 @@ impl MapEvaluator {
                 match_greedy_into(
                     class_dets,
                     class_gts,
-                    self.iou_threshold,
+                    self.matched.iou_threshold,
                     &mut s.match_scratch,
                     &mut s.match_out,
                 );
-                let start = self.records[c].len();
+                let start = self.matched.records[c].len();
                 for (d, outcome) in class_dets.iter().zip(&s.match_out.outcomes) {
                     match outcome {
                         crate::MatchOutcome::TruePositive { .. } => {
-                            self.records[c].push((d.score(), true));
+                            self.matched.records[c].push((d.score(), true));
                         }
                         crate::MatchOutcome::FalsePositive => {
-                            self.records[c].push((d.score(), false));
+                            self.matched.records[c].push((d.score(), false));
                         }
                         crate::MatchOutcome::IgnoredDifficult => {}
                     }
                 }
-                let end = self.records[c].len();
+                let end = self.matched.records[c].len();
                 if end > start {
                     if let Some(contrib) = contrib.as_deref_mut() {
                         contrib.spans.push((c as u32, start as u32, end as u32));
@@ -356,8 +379,8 @@ impl MapEvaluator {
     fn sorted_records(&self) -> Ref<'_, Vec<Vec<(f64, bool)>>> {
         if !self.sorted_valid.get() {
             let mut sorted = self.sorted.borrow_mut();
-            sorted.resize_with(self.records.len(), Vec::new);
-            for (dst, src) in sorted.iter_mut().zip(&self.records) {
+            sorted.resize_with(self.matched.records.len(), Vec::new);
+            for (dst, src) in sorted.iter_mut().zip(&self.matched.records) {
                 dst.clear();
                 dst.extend_from_slice(src);
                 // Stable integer-key sort: same permutation as a descending
@@ -372,7 +395,7 @@ impl MapEvaluator {
     /// Computes the PR curve for one class (descending score order).
     pub fn pr_curve(&self, class: ClassId) -> Vec<PrPoint> {
         let c = class.index();
-        assert!(c < self.records.len(), "class out of range");
+        assert!(c < self.matched.records.len(), "class out of range");
         let sorted = self.sorted_records();
         let mut points = Vec::with_capacity(sorted[c].len());
         pr_points_into(self.gt_counts[c], &sorted[c], &mut points);
@@ -397,10 +420,10 @@ impl MapEvaluator {
         let sorted = self.sorted_records();
         let mut points_buf: Vec<PrPoint> = Vec::new();
         let mut aux: Vec<f64> = Vec::new();
-        let mut per_class = Vec::with_capacity(self.records.len());
+        let mut per_class = Vec::with_capacity(self.matched.records.len());
         let mut sum = 0.0;
         let mut counted = 0usize;
-        for c in 0..self.records.len() {
+        for c in 0..self.matched.records.len() {
             let id = ClassId(c as u16);
             let ap = if self.gt_counts[c] > 0 {
                 pr_points_into(self.gt_counts[c], &sorted[c], &mut points_buf);
@@ -416,7 +439,7 @@ impl MapEvaluator {
                 class: id,
                 ap,
                 num_gt: self.gt_counts[c],
-                num_dets: self.records[c].len(),
+                num_dets: self.matched.records[c].len(),
             });
         }
         let map = if counted == 0 {

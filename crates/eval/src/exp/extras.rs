@@ -1,5 +1,6 @@
 //! Beyond the numbered tables: the intro's partition motivation and the
-//! ablations DESIGN.md calls out.
+//! ablations of the serving stack (ROADMAP.md item 18 maps paper sections
+//! to modules).
 
 use crate::pairs::{pair_run, ExpConfig};
 use crate::table::{f2, Table};

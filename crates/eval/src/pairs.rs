@@ -5,12 +5,12 @@
 //! memoised on `(small, big, split, scale)`.
 
 use datagen::{Split, SplitId};
-use detcore::ImageDetections;
 use modelzoo::{ModelKind, SimDetector};
 use parking_lot::Mutex;
 use smallbig_core::{
     calibrate, detect_all, discriminator_stats_on, evaluate, evaluate_detections, BinaryStats,
-    Calibration, DifficultCaseDiscriminator, EvalConfig, EvalOutcome, LabeledExample, Policy,
+    Calibration, DetectionPass, DifficultCaseDiscriminator, EvalConfig, EvalOutcome,
+    LabeledExample, Policy,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -65,8 +65,9 @@ pub struct PairRun {
     big_kind: ModelKind,
     /// Both models' test-set detections (dataset order). Detectors are
     /// deterministic, so baseline policies evaluated on the same pair reuse
-    /// these instead of re-running the models per table.
-    test_detections: Arc<Vec<(ImageDetections, ImageDetections)>>,
+    /// these instead of re-running the models per table, and share the
+    /// pass's score: each image is matched and counted once per run.
+    test_detections: Arc<DetectionPass>,
 }
 
 impl PairRun {

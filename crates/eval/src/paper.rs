@@ -1,9 +1,11 @@
 //! The paper's published numbers, embedded for side-by-side reporting.
 //!
-//! Every experiment prints `measured (paper)` so EXPERIMENTS.md can record
-//! the comparison mechanically. Values are transcribed from the ICDCS 2023
-//! paper; where the camera-ready's table captions are inconsistent (the
-//! small-model-2 vs small-model-3 mAP columns), we note it in EXPERIMENTS.md.
+//! Every experiment prints `measured (paper)` so the comparison can be
+//! recorded mechanically (ROADMAP.md item 18 plans that record). Values are
+//! transcribed from the ICDCS 2023 paper; where the camera-ready's table
+//! captions are inconsistent (the small-model-2 vs small-model-3 mAP
+//! columns), the constant's doc comment says so, and item 18a's record
+//! is to open its deviations with it.
 
 /// One row of a Tables III/V/VII/IX-style mAP table.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,7 +126,8 @@ pub mod small1 {
 /// Tables V/VI — small model 2 (MobileNetV1).
 pub mod small2 {
     use super::{DetRow, MapRow};
-    /// Table V (as printed; see EXPERIMENTS.md on the V/VII caption swap).
+    /// Table V (as printed: its caption and Table VII's look swapped in
+    /// the camera-ready; ROADMAP.md item 18a is to record the deviation).
     pub const MAP: [MapRow; 4] = [
         MapRow {
             split: "07",

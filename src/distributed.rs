@@ -398,7 +398,7 @@ impl DeploymentSpec {
 
     /// Checks every field a run would otherwise trip over mid-flight: a
     /// zero count, batch or frame size, a deadline the wire cannot carry,
-    /// or an out-of-range autoscale or update config.
+    /// or an out-of-range scheduler, autoscale or update config.
     ///
     /// # Errors
     ///
@@ -422,6 +422,8 @@ impl DeploymentSpec {
                 ));
             }
         }
+        (self.cloud.scheduler.validate())
+            .map_err(|e| format!("cloud.scheduler (--scheduler): {e}"))?;
         if let Some(a) = &self.cloud.autoscale {
             a.validate().map_err(|e| format!("cloud.autoscale: {e}"))?;
         }
@@ -1184,8 +1186,10 @@ mod tests {
             })
         });
         let zero_batch = spec_json(&|s| s.cloud.max_batch = 0);
-        let cases: [(&[&str], &str); 11] = [
+        let cases: [(&[&str], &str); 13] = [
             (&["--max-batch", "0"], "cloud.max_batch"),
+            (&["--scheduler", "deadline:0"], "--scheduler"),
+            (&["--scheduler", "difficulty:0"], "--scheduler"),
             (&["--frames", "0"], "frames_per_device"),
             (&["--update-epoch-s", "0"], "epoch_s"),
             (

@@ -166,9 +166,9 @@ fn runtime_agrees_with_batch_evaluator() {
         &Policy::DifficultCase(disc),
         &EvalConfig::default(),
     );
-    assert!((live.map_pct - batch.e2e_map_pct).abs() < 1e-9);
+    assert_eq!(live.map_pct.to_bits(), batch.e2e_map_pct.to_bits());
     assert_eq!(live.detected, batch.e2e_detected);
-    assert!((live.upload_ratio - batch.upload_ratio).abs() < 1e-9);
+    assert_eq!(live.upload_ratio.to_bits(), batch.upload_ratio.to_bits());
 }
 
 #[test]
