@@ -28,11 +28,19 @@
 //!   multi-process fleet is bit-identical to the same sessions run
 //!   in-process — regardless of how the OS interleaves the processes.
 //!   Per-session [`CloudStats`] merge into a [`NodeStats`].
-//! * Reconnect-with-backoff riding [`simnet::RetryConfig`]: give
-//!   [`ConnectOptions::dialer`] a redial closure and a dropped connection
-//!   is re-established with wall-clock backoff, the session re-registered
-//!   and every unanswered frame replayed. Exhausted retries poison the
-//!   connection so a waiting session fails loudly instead of hanging.
+//!
+//! ## The client connection machine
+//!
+//! [`RemoteCloud`]'s protocol is one private, single-threaded sans-IO state
+//! machine, `ClientConn`: session messages, link events (tagged with the
+//! link's generation), dial results and a timer tick go in; runs of
+//! payloads to write, answers, dials after a backoff and close come out.
+//! Give [`ConnectOptions::dialer`] a redial closure and a dropped link is
+//! redialed on [`ConnectOptions::retry`]'s wall-clock backoff, every session
+//! re-registered and every unanswered frame replayed, its answer delivered
+//! once. Exhausted retries close the connection, so a waiting session fails
+//! loudly. The two pump threads only move bytes, outside the machine's lock
+//! except while redialing.
 //!
 //! ## Encodings and negotiation
 //!
@@ -138,7 +146,9 @@ pub const MAX_HELLO_BYTES: usize = 4096;
 /// Magic number opening every [`Hello`] (`"SMBG"`).
 pub const HELLO_MAGIC: u32 = 0x534d_4247;
 
-/// How often the edge's inbound pump wakes to check connection liveness.
+/// How often the edge's inbound pump feeds its connection machine a timer
+/// tick, so it adopts a link the other pump redialed, or stops once the
+/// connection closed.
 const IN_PUMP_TICK: Duration = Duration::from_millis(500);
 
 /// Capacity of every bounded frame queue on the transport path (the
@@ -1027,553 +1037,528 @@ impl Default for ConnectOptions {
     }
 }
 
+/// A frame sent and not yet answered. It is replayed on every new link
+/// until its answer arrives, and removed when it does, so a second answer
+/// (the dead link's and the replay's) finds nothing and is dropped.
 enum Pending {
     Submit {
         session: u64,
         ticket: u64,
-        payload: Vec<u8>,
+        payload: Bytes,
     },
     Probe {
         session: u64,
-        payload: Vec<u8>,
+        payload: Bytes,
     },
 }
 
-impl Pending {
-    fn payload(&self) -> &[u8] {
-        match self {
-            Pending::Submit { payload, .. } | Pending::Probe { payload, .. } => payload,
+/// One session riding the connection: its `REGISTER`, replayed on every
+/// new link, and where its answers go.
+struct Route {
+    register: Bytes,
+    answers: Sender<FromCloud>,
+    probes: Sender<ProbeReply>,
+}
+
+/// Where the connection's link stands.
+#[derive(Clone, Copy, PartialEq)]
+enum Link {
+    /// Carrying frames. `spent` counts the dials of the outage that opened
+    /// it; the first frame received on the link resets it, so a link that
+    /// dies in its replay continues the outage's backoff schedule.
+    Up { spent: u32 },
+    /// Dial `attempt` of an outage is out. Dials run under the lock, so
+    /// only [`In::Dialed`] ever meets this state.
+    Dialing { attempt: u32 },
+    /// Said `BYE`, gave up redialing, or was poisoned: nothing dials again,
+    /// and every session's reply handles are gone.
+    Closed,
+}
+
+/// One input to [`ClientConn`]. Link events carry the generation of the
+/// link half the reporting pump holds.
+enum In {
+    /// A session's register, submit, probe, flush or deregister, from the
+    /// out pump. [`ToCloud::Shutdown`] is a `BYE`.
+    Session {
+        gen: u64,
+        msg: ToCloud,
+    },
+    /// Every session is gone: say `BYE` and close.
+    Bye {
+        gen: u64,
+    },
+    Frame {
+        gen: u64,
+        frame: Bytes,
+    },
+    WriteError {
+        gen: u64,
+    },
+    Eof {
+        gen: u64,
+    },
+    Tick {
+        gen: u64,
+    },
+    /// A dial's outcome: what its handshake negotiated (encoding, mux), or
+    /// `None` when the dial or the handshake failed.
+    Dialed(Option<(Encoding, bool)>),
+}
+
+/// What [`ClientConn`] asks its hosts to do.
+#[derive(Debug)]
+enum Act {
+    /// Swap the calling pump's half for link `gen`'s, which the host that
+    /// dialed it left in [`Shared`].
+    Adopt(u64),
+    /// Write these payloads, in order, as one run on the caller's link. In
+    /// answer to [`In::Dialed`]: the replay, for the link just dialed.
+    Write(Vec<Bytes>),
+    /// Wait, dial, handshake, and report back with [`In::Dialed`].
+    Dial(Duration),
+    /// The connection is closed and every waiting session fails loudly;
+    /// the calling pump stops.
+    Close,
+}
+
+/// The client half of a connection as a single-threaded sans-IO machine.
+/// Every rule about link generations, replay, answer deduplication and
+/// `BYE` sits in [`ClientConn::handle`]'s one `match`; the two pumps only
+/// move bytes and carry out the [`Act`]s it returns.
+struct ClientConn {
+    /// The current link's generation, bumped by every successful redial.
+    gen: u64,
+    link: Link,
+    /// What the first handshake negotiated. A redial must agree, or frames
+    /// already encoded one way would reach a peer expecting another.
+    encoding: Encoding,
+    mux: bool,
+    /// The redial schedule; `None` (no dialer) closes on the first fault.
+    retry: Option<RetryConfig>,
+    /// Sessions by id; replayed in id order.
+    routes: BTreeMap<u64, Route>,
+    /// Unanswered submits and probes, in send order.
+    pending: VecDeque<Pending>,
+}
+
+impl ClientConn {
+    fn new(encoding: Encoding, mux: bool, retry: Option<RetryConfig>) -> ClientConn {
+        ClientConn {
+            gen: 0,
+            link: Link::Up { spent: 0 },
+            encoding,
+            mux,
+            retry,
+            routes: BTreeMap::new(),
+            pending: VecDeque::new(),
         }
+    }
+
+    fn handle(&mut self, input: In, out: &mut Vec<Act>) {
+        let closed = self.link == Link::Closed;
+        match input {
+            In::Session {
+                gen,
+                msg: ToCloud::Shutdown,
+            }
+            | In::Bye { gen } => {
+                // Closed before the BYE is written: the cloud drops the link
+                // once it reads it, and that EOF must find nothing to redial.
+                if gen < self.gen {
+                    out.push(Act::Adopt(self.gen));
+                }
+                out.push(Act::Write(vec![Bytes::from(msg_bare(tag::BYE))]));
+                self.close(out);
+            }
+            // The message drops with its reply handles: a session attaching
+            // to a closed connection fails loudly at its first poll.
+            In::Session { .. } if closed => {}
+            In::Session { gen, msg: message } => {
+                if gen < self.gen {
+                    out.push(Act::Adopt(self.gen));
+                }
+                let enc = self.encoding;
+                let payload = match message {
+                    ToCloud::Register {
+                        session,
+                        link,
+                        resp_tx,
+                        probe_tx,
+                    } => {
+                        // Transport clients register with channel reply
+                        // handles; `Sink` and `Outbox` are the cloud side's.
+                        let (AnswerTx::Chan(answers), ProbeTx::Chan(probes)) = (resp_tx, probe_tx)
+                        else {
+                            unreachable!("transport clients register with channel reply handles")
+                        };
+                        let register =
+                            Bytes::from(msg(tag::REGISTER, &WireRegister { session, link }, enc));
+                        let route = Route {
+                            register: register.clone(),
+                            answers,
+                            probes,
+                        };
+                        self.routes.insert(session, route);
+                        register
+                    }
+                    ToCloud::Frame(header, scene) => {
+                        let submit = WireSubmitRef {
+                            header: &header,
+                            scene: &scene,
+                        };
+                        let payload = Bytes::from(msg(tag::SUBMIT, &submit, enc));
+                        self.pending.push_back(Pending::Submit {
+                            session: header.session,
+                            ticket: header.ticket,
+                            payload: payload.clone(),
+                        });
+                        payload
+                    }
+                    ToCloud::Probe { session, now } => {
+                        let payload =
+                            Bytes::from(msg(tag::PROBE, &WireProbe { session, now }, enc));
+                        self.pending.push_back(Pending::Probe {
+                            session,
+                            payload: payload.clone(),
+                        });
+                        payload
+                    }
+                    ToCloud::Flush { session } => self.flush(session),
+                    ToCloud::Deregister { session } => {
+                        Bytes::from(msg(tag::DEREGISTER, &WireDeregister { session }, enc))
+                    }
+                    ToCloud::Shutdown => unreachable!("a shutdown is a BYE, matched above"),
+                };
+                out.push(Act::Write(vec![payload]));
+            }
+            In::Frame { .. } | In::WriteError { .. } | In::Eof { .. } | In::Tick { .. }
+                if closed =>
+            {
+                out.push(Act::Close);
+            }
+            In::Frame { gen, frame } => {
+                // A frame from a link already replaced still counts: its
+                // answer removes the pending entry, so the replay's twin
+                // finds none.
+                if gen < self.gen {
+                    out.push(Act::Adopt(self.gen));
+                } else if let Link::Up { spent } = &mut self.link {
+                    *spent = 0;
+                }
+                let Some((t, inner)) = split_msg(&frame) else {
+                    return self.close(out);
+                };
+                // Worker answers are JSON whatever the negotiated encoding
+                // (see the module docs). A payload that does not parse
+                // poisons the connection.
+                let enc = self.encoding;
+                let routed = match t {
+                    // A legacy answer names its ticket only inside the
+                    // payload, so it is parsed first. A non-mux connection
+                    // carries one session, so the ticket alone finds it.
+                    tag::ANSWER => wire::decode_frame::<SubmitResponse>(&inner).map(|resp| {
+                        let ticket = resp.ticket;
+                        let hit = |p: &Pending| {
+                            matches!(p, Pending::Submit { ticket: t, .. } if *t == ticket)
+                        };
+                        if let Some(route) = self.take(hit) {
+                            let _ = route.answers.send(FromCloud::Answer(resp));
+                        }
+                    }),
+                    // A mux answer's envelope names (session, ticket): one
+                    // that names no pending frame is dropped unparsed.
+                    tag::ANSWER_MUX => match split_mux_answer(&inner) {
+                        None => Err(WireError::Truncated),
+                        Some((session, ticket, inner)) => {
+                            let hit = |p: &Pending| {
+                                matches!(p, Pending::Submit { session: s, ticket: t, .. }
+                                    if (*s, *t) == (session, ticket))
+                            };
+                            match self.take(hit) {
+                                None => Ok(()),
+                                Some(route) => {
+                                    wire::decode_frame::<SubmitResponse>(&inner).map(|resp| {
+                                        let _ = route.answers.send(FromCloud::Answer(resp));
+                                    })
+                                }
+                            }
+                        }
+                    },
+                    // Probes carry no ticket: the oldest pending probe (of
+                    // the envelope's session, on mux) is the one answered.
+                    tag::PROBE_REPLY | tag::PROBE_REPLY_MUX => {
+                        let (hint, inner) = if t == tag::PROBE_REPLY {
+                            (None, Some(inner))
+                        } else {
+                            split_mux(&inner).map_or((None, None), |(s, i)| (Some(s), Some(i)))
+                        };
+                        let reply = inner.ok_or(WireError::Truncated).and_then(|inner| {
+                            wire::decode_frame_as::<WireProbeReply>(&inner, enc)
+                        });
+                        reply.map(|r| {
+                            let hit = |p: &Pending| {
+                                matches!(p, Pending::Probe { session: s, .. }
+                                    if hint.is_none_or(|h| *s == h))
+                            };
+                            if let Some(route) = self.take(hit) {
+                                let _ = route.probes.send(ProbeReply {
+                                    admitted: r.admitted,
+                                    queue_depth: r.queue_depth,
+                                });
+                            }
+                        })
+                    }
+                    // A pushed calibration update is routed by session
+                    // alone and never replayed: the cloud's next version
+                    // supersedes a lost one. One for a session this
+                    // connection does not carry is dropped unparsed.
+                    tag::UPDATE => match split_mux(&inner) {
+                        None => Err(WireError::Truncated),
+                        Some((session, inner)) => match self.routes.get(&session) {
+                            None => Ok(()),
+                            Some(route) => {
+                                wire::decode_frame::<crate::CalibrationUpdate>(&inner).map(|u| {
+                                    let _ = route.answers.send(FromCloud::Update(Arc::new(u)));
+                                })
+                            }
+                        },
+                    },
+                    _ => Ok(()),
+                };
+                if routed.is_err() {
+                    self.close(out);
+                }
+            }
+            In::WriteError { gen } | In::Eof { gen } | In::Tick { gen } if gen < self.gen => {
+                out.push(Act::Adopt(self.gen));
+            }
+            In::Tick { .. } => {}
+            In::WriteError { .. } | In::Eof { .. } => {
+                if let Link::Up { spent } = self.link {
+                    self.redial(spent, out);
+                }
+            }
+            In::Dialed(agreed) => {
+                let Link::Dialing { attempt } = self.link else {
+                    unreachable!("a dial result answers a Dial act");
+                };
+                if agreed == Some((self.encoding, self.mux)) {
+                    self.gen += 1;
+                    self.link = Link::Up { spent: attempt + 1 };
+                    out.push(Act::Write(self.replay()));
+                    out.push(Act::Adopt(self.gen));
+                } else {
+                    self.redial(attempt + 1, out);
+                }
+            }
+        }
+    }
+
+    /// Removes the oldest pending frame `hit` matches, and returns its
+    /// session's route while the session is attached.
+    fn take(&mut self, hit: impl Fn(&Pending) -> bool) -> Option<&Route> {
+        let i = self.pending.iter().position(hit)?;
+        let (Some(Pending::Submit { session, .. }) | Some(Pending::Probe { session, .. })) =
+            self.pending.remove(i)
+        else {
+            unreachable!("position found an entry");
+        };
+        self.routes.get(&session)
+    }
+
+    /// A `FLUSH` for `session`: routed by session on a mux connection, the
+    /// body-less form (which flushes the connection's one session) on a
+    /// legacy one.
+    fn flush(&self, session: u64) -> Bytes {
+        Bytes::from(if self.mux {
+            msg(tag::FLUSH, &WireFlush { session }, self.encoding)
+        } else {
+            msg_bare(tag::FLUSH)
+        })
+    }
+
+    /// What a new link needs before any other frame: every session's
+    /// `REGISTER`, every unanswered frame in send order, then a `FLUSH` for
+    /// each session with a replayed submit (its last one went to the dead
+    /// link).
+    fn replay(&self) -> Vec<Bytes> {
+        let mut run: Vec<Bytes> = self.routes.values().map(|r| r.register.clone()).collect();
+        let mut flushed = BTreeSet::new();
+        for p in &self.pending {
+            match p {
+                Pending::Submit {
+                    session, payload, ..
+                } => {
+                    flushed.insert(*session);
+                    run.push(payload.clone());
+                }
+                Pending::Probe { payload, .. } => run.push(payload.clone()),
+            }
+        }
+        run.extend(flushed.into_iter().map(|s| self.flush(s)));
+        run
+    }
+
+    /// Dials attempt `attempt` of an outage after its backoff, or closes
+    /// once the schedule is spent (at once without a dialer).
+    fn redial(&mut self, attempt: u32, out: &mut Vec<Act>) {
+        match self.retry {
+            Some(retry) if attempt <= retry.max_retries => {
+                self.link = Link::Dialing { attempt };
+                let wait_s = if attempt == 0 {
+                    0.0
+                } else {
+                    retry.backoff_s(attempt)
+                };
+                out.push(Act::Dial(Duration::from_secs_f64(wait_s)));
+            }
+            _ => self.close(out),
+        }
+    }
+
+    /// Closes for good. Dropping every route's reply handles makes each
+    /// waiting session fail loudly instead of hanging.
+    fn close(&mut self, out: &mut Vec<Act>) {
+        self.link = Link::Closed;
+        self.routes.clear();
+        self.pending.clear();
+        out.push(Act::Close);
     }
 }
 
-struct ConnState {
-    generation: u64,
+/// What a connection's two pumps share under one lock: the machine, what a
+/// redial needs, and a redialed link's halves until each pump adopts its
+/// own.
+struct Shared {
+    conn: ClientConn,
     dialer: Option<Dialer>,
-    retry: RetryConfig,
     hello: Hello,
     handshake_timeout: Duration,
-    /// What the original handshake negotiated; a reconnect handshake must
-    /// land on the same outcome or the attempt is discarded (frames already
-    /// encoded one way must not land on a peer expecting another).
-    encoding: Encoding,
-    mux: bool,
-    /// Encoded REGISTER payloads by session id, replayed (in session-id
-    /// order) on every reconnect.
-    registers: BTreeMap<u64, Vec<u8>>,
-    /// Unanswered submits/probes in send order, replayed on reconnect.
-    pending: VecDeque<Pending>,
     fresh_tx: Option<Box<dyn FrameTx>>,
     fresh_rx: Option<Box<dyn FrameRx>>,
-    resp_tx: HashMap<u64, Sender<FromCloud>>,
-    probe_tx: HashMap<u64, Sender<ProbeReply>>,
-    dead: bool,
 }
 
-struct ConnShared {
-    state: Mutex<ConnState>,
-    /// Negotiated frame encoding — fixed at handshake, read lock-free.
-    encoding: Encoding,
-    /// Whether the handshake agreed to multiplex sessions.
-    mux: bool,
+/// A split link.
+type Halves = (Box<dyn FrameTx>, Box<dyn FrameRx>);
+
+const FRESH: &str = "the dialing host leaves both halves of the link it dialed";
+
+fn lock(shared: &Mutex<Shared>) -> std::sync::MutexGuard<'_, Shared> {
+    shared.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl ConnShared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, ConnState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn generation(&self) -> u64 {
-        self.lock().generation
-    }
-
-    fn is_dead(&self) -> bool {
-        self.lock().dead
-    }
-
-    fn mark_dead(&self) {
-        self.lock().dead = true;
-    }
-
-    fn clear_session_handles(&self) {
-        let mut st = self.lock();
-        st.resp_tx.clear();
-        st.probe_tx.clear();
-    }
-
-    fn set_register(
-        &self,
-        session: u64,
-        payload: Vec<u8>,
-        resp_tx: Sender<FromCloud>,
-        probe_tx: Sender<ProbeReply>,
-    ) -> u64 {
-        let mut st = self.lock();
-        st.registers.insert(session, payload);
-        st.resp_tx.insert(session, resp_tx);
-        st.probe_tx.insert(session, probe_tx);
-        st.generation
-    }
-
-    fn push_pending(&self, p: Pending) -> u64 {
-        let mut st = self.lock();
-        st.pending.push_back(p);
-        st.generation
-    }
-
-    /// Removes the pending submit matching `ticket` (and `session`, when
-    /// the answer carried a mux session hint — tickets are per-session
-    /// counters, so on multiplexed connections the hint disambiguates).
-    /// Returns whether it was present (a duplicate replayed answer is
-    /// dropped) and the owning session's response channel.
-    fn take_submit(&self, session: Option<u64>, ticket: u64) -> (bool, Option<Sender<FromCloud>>) {
-        let mut st = self.lock();
-        let idx = st.pending.iter().position(|p| {
-            matches!(p, Pending::Submit { session: s, ticket: t, .. }
-                if *t == ticket && session.is_none_or(|hint| *s == hint))
-        });
-        match idx {
-            Some(i) => {
-                let Some(Pending::Submit { session: s, .. }) = st.pending.remove(i) else {
-                    unreachable!("position matched a Pending::Submit");
-                };
-                let tx = st.resp_tx.get(&s).cloned();
-                (true, tx)
-            }
-            None => (false, None),
-        }
-    }
-
-    /// Like [`ConnShared::take_submit`], for probes: probes carry no ticket,
-    /// so the oldest pending probe (for the hinted session, when given) is
-    /// the one being answered.
-    /// The response channel of a registered session, for frames routed by
-    /// session alone (calibration updates).
-    fn update_tx(&self, session: u64) -> Option<Sender<FromCloud>> {
-        self.lock().resp_tx.get(&session).cloned()
-    }
-
-    fn take_probe(&self, session: Option<u64>) -> (bool, Option<Sender<ProbeReply>>) {
-        let mut st = self.lock();
-        let idx = st.pending.iter().position(|p| {
-            matches!(p, Pending::Probe { session: s, .. }
-                if session.is_none_or(|hint| *s == hint))
-        });
-        match idx {
-            Some(i) => {
-                let Some(Pending::Probe { session: s, .. }) = st.pending.remove(i) else {
-                    unreachable!("position matched a Pending::Probe");
-                };
-                let tx = st.probe_tx.get(&s).cloned();
-                (true, tx)
-            }
-            None => (false, None),
-        }
-    }
-
-    fn reacquire_tx(&self, seen: u64) -> Option<(Box<dyn FrameTx>, u64)> {
-        let mut st = self.lock();
-        loop {
-            if st.dead {
-                return None;
-            }
-            if st.generation > seen {
-                if let Some(t) = st.fresh_tx.take() {
-                    return Some((t, st.generation));
-                }
-            }
-            if !reconnect_locked(&mut st) {
-                return None;
-            }
-        }
-    }
-
-    fn reacquire_rx(&self, seen: u64) -> Option<(Box<dyn FrameRx>, u64)> {
-        let mut st = self.lock();
-        loop {
-            if st.dead {
-                return None;
-            }
-            if st.generation > seen {
-                if let Some(r) = st.fresh_rx.take() {
-                    return Some((r, st.generation));
-                }
-            }
-            if !reconnect_locked(&mut st) {
-                return None;
-            }
-        }
-    }
-}
-
-/// Redials, re-handshakes, re-registers every session and replays pending
-/// frames, with wall-clock backoff. Runs under the connection lock: the
-/// other pump blocks in its own reacquire until the outcome is decided. On
-/// success both fresh halves are stored and the generation advances; on
-/// exhausted retries the connection is poisoned.
-fn reconnect_locked(st: &mut ConnState) -> bool {
-    if st.dialer.is_none() {
-        st.dead = true;
-        return false;
-    }
-    let retry = st.retry;
-    let hello = st.hello.clone();
-    let hs_timeout = st.handshake_timeout;
-    for attempt in 0..=retry.max_retries {
-        if attempt > 0 {
-            std::thread::sleep(Duration::from_secs_f64(retry.backoff_s(attempt)));
-        }
-        let dialed = st.dialer.as_mut().expect("checked above")();
-        let Ok(t) = dialed else { continue };
-        let (mut ntx, mut nrx) = t.split();
-        let Ok(welcome) = client_handshake(&mut *ntx, &mut *nrx, &hello, hs_timeout) else {
-            continue;
-        };
-        // The new peer must agree to exactly what the original handshake
-        // negotiated: pending frames are already encoded one way, and the
-        // sessions were attached under one mux regime.
-        match negotiated_encoding(&hello, &welcome) {
-            Ok(enc) if enc == st.encoding => {}
-            _ => continue,
-        }
-        if negotiated_mux(&hello, &welcome) != st.mux {
-            continue;
-        }
-        let mut ok = true;
-        for reg in st.registers.values() {
-            ok &= ntx.send(reg).is_ok();
-        }
-        let mut replayed: BTreeSet<u64> = BTreeSet::new();
-        for p in &st.pending {
-            ok &= ntx.send(p.payload()).is_ok();
-            if let Pending::Submit { session, .. } = p {
-                replayed.insert(*session);
-            }
-        }
-        // Each replayed session's Flush went to the dead machine; re-issue
-        // it so the fresh machine dispatches the replayed frames. On a mux
-        // connection the flush is session-routed; legacy peers get the
-        // body-less form they expect.
-        if ok && !replayed.is_empty() {
-            if st.mux {
-                for session in replayed {
-                    ok &= ntx
-                        .send(&msg(tag::FLUSH, &WireFlush { session }, st.encoding))
-                        .is_ok();
-                }
-            } else {
-                ok &= ntx.send(&msg_bare(tag::FLUSH)).is_ok();
-            }
-        }
-        if !ok {
-            continue;
-        }
-        st.fresh_tx = Some(ntx);
-        st.fresh_rx = Some(nrx);
-        st.generation += 1;
-        return true;
-    }
-    st.dead = true;
-    false
-}
-
-/// Sends `payload`, transparently swapping to a reconnected link. For
-/// pending-tracked payloads (`push_gen` is `Some`), a generation newer than
-/// the push generation means a replay already delivered it.
-fn send_msg(
-    ftx: &mut Box<dyn FrameTx>,
-    local_gen: &mut u64,
-    payload: &[u8],
-    push_gen: Option<u64>,
-    shared: &ConnShared,
-) -> bool {
-    loop {
-        // If the inbound pump already reconnected, stop writing into the
-        // dead link (a buffered send could "succeed" and lose the frame).
-        if shared.generation() > *local_gen {
-            match shared.reacquire_tx(*local_gen) {
-                Some((t, g)) => {
-                    *ftx = t;
-                    *local_gen = g;
-                    if push_gen.is_some_and(|pg| g > pg) {
-                        return true;
-                    }
-                }
-                None => return false,
-            }
-        }
-        if ftx.send(payload).is_ok() {
-            return true;
-        }
-        match shared.reacquire_tx(*local_gen) {
-            Some((t, g)) => {
-                *ftx = t;
-                *local_gen = g;
-                if push_gen.is_some_and(|pg| g > pg) {
-                    return true;
-                }
-            }
-            None => return false,
-        }
-    }
-}
-
-/// Delivers a run of already-encoded payloads. The fast path — link
-/// generation unchanged — is **one** [`FrameTx::send_all`] for the whole
-/// run; anything else (reconnect in flight, write failure) falls back to
-/// per-payload [`send_msg`], whose generation bookkeeping decides frame by
-/// frame what a replay already covered. A payload "lost" to a write that
-/// buffered into a dying link is re-delivered by the reconnect replay of
-/// the pending set, exactly as with sequential sends.
-fn flush_out_batch(
-    ftx: &mut Box<dyn FrameTx>,
-    local_gen: &mut u64,
-    batch: &[(Vec<u8>, Option<u64>)],
-    shared: &ConnShared,
-) -> bool {
-    if batch.is_empty() {
-        return true;
-    }
-    if shared.generation() == *local_gen {
-        let payloads: Vec<&[u8]> = batch.iter().map(|(p, _)| p.as_slice()).collect();
-        if ftx.send_all(&payloads).is_ok() {
-            return true;
-        }
-    }
-    for (p, g) in batch {
-        if !send_msg(ftx, local_gen, p, *g, shared) {
-            return false;
-        }
-    }
-    true
-}
-
-fn out_pump(mut ftx: Box<dyn FrameTx>, rx: Receiver<ToCloud>, shared: Arc<ConnShared>) {
-    let enc = shared.encoding;
-    let mut local_gen = shared.generation();
-    let mut batch: Vec<(Vec<u8>, Option<u64>)> = Vec::new();
-    'pump: loop {
-        let Ok(mut item) = rx.recv() else { break };
-        // Greedily drain whatever else the sessions already queued (a
-        // fleet submits its frames back to back): the run goes out as one
-        // coalesced write, so the peer's reader wakes once per run instead
-        // of once per frame. The channel is bounded, so the batch is too.
-        batch.clear();
-        loop {
-            let (payload, push_gen) = match item {
-                ToCloud::Register {
-                    session,
-                    link,
-                    resp_tx,
-                    probe_tx,
-                } => {
-                    // Sessions attach to a transport bridge with channel-backed
-                    // reply handles (the `Sink` and `Outbox` variants are the
-                    // cloud side's and never cross a client connection).
-                    let (AnswerTx::Chan(resp_tx), ProbeTx::Chan(probe_tx)) = (resp_tx, probe_tx)
-                    else {
-                        unreachable!("transport clients register with channel reply handles")
-                    };
-                    let p = msg(tag::REGISTER, &WireRegister { session, link }, enc);
-                    let g = shared.set_register(session, p.clone(), resp_tx, probe_tx);
-                    (p, Some(g))
-                }
-                ToCloud::Frame(req, scene) => {
-                    let session = req.session;
-                    let ticket = req.ticket;
-                    let p = msg(
-                        tag::SUBMIT,
-                        &WireSubmitRef {
-                            header: &req,
-                            scene: &scene,
-                        },
-                        enc,
-                    );
-                    let g = shared.push_pending(Pending::Submit {
-                        session,
-                        ticket,
-                        payload: p.clone(),
-                    });
-                    (p, Some(g))
-                }
-                ToCloud::Probe { session, now } => {
-                    let p = msg(tag::PROBE, &WireProbe { session, now }, enc);
-                    let g = shared.push_pending(Pending::Probe {
-                        session,
-                        payload: p.clone(),
-                    });
-                    (p, Some(g))
-                }
-                ToCloud::Flush { session } => {
-                    // Mux peers route the flush to one session's machine; legacy
-                    // peers expect (and old clouds only understand) the
-                    // body-less form, which flushes the connection's single
-                    // session.
-                    if shared.mux {
-                        (msg(tag::FLUSH, &WireFlush { session }, enc), None)
-                    } else {
-                        (msg_bare(tag::FLUSH), None)
-                    }
-                }
-                ToCloud::Deregister { session } => {
-                    (msg(tag::DEREGISTER, &WireDeregister { session }, enc), None)
-                }
-                ToCloud::Shutdown => {
-                    // Anything queued ahead of the shutdown still goes out.
-                    let _ = flush_out_batch(&mut ftx, &mut local_gen, &batch, &shared);
-                    break 'pump;
-                }
+impl Shared {
+    /// Feeds `input` to the machine and carries out every dial it asks
+    /// for, here, under the lock: the other pump waits for the outcome. A
+    /// dialed link's replay goes out before either pump can use the link.
+    /// Returns the acts left for the calling pump.
+    fn step(&mut self, input: In) -> Vec<Act> {
+        let mut acts = Vec::new();
+        self.conn.handle(input, &mut acts);
+        while let [Act::Dial(wait)] = acts[..] {
+            std::thread::sleep(wait);
+            acts.clear();
+            let Some(((mut tx, rx), agreed)) = self.dial() else {
+                self.conn.handle(In::Dialed(None), &mut acts);
+                continue;
             };
-            batch.push((payload, push_gen));
+            self.conn.handle(In::Dialed(Some(agreed)), &mut acts);
+            if let [Act::Write(replay), Act::Adopt(gen)] = &acts[..] {
+                let gen = *gen;
+                let run: Vec<&[u8]> = replay.iter().map(|p| &p[..]).collect();
+                acts = if tx.send_all(&run).is_ok() {
+                    self.fresh_tx = Some(tx);
+                    self.fresh_rx = Some(rx);
+                    vec![Act::Adopt(gen)]
+                } else {
+                    let mut again = Vec::new();
+                    self.conn.handle(In::WriteError { gen }, &mut again);
+                    again
+                };
+            }
+        }
+        acts
+    }
+
+    /// Dials and handshakes a new link: `None` when either fails or the
+    /// welcome does not parse.
+    fn dial(&mut self) -> Option<(Halves, (Encoding, bool))> {
+        let (mut tx, mut rx) = (self.dialer.as_mut()?)().ok()?.split();
+        let welcome =
+            client_handshake(&mut *tx, &mut *rx, &self.hello, self.handshake_timeout).ok()?;
+        let encoding = negotiated_encoding(&self.hello, &welcome).ok()?;
+        Some(((tx, rx), (encoding, negotiated_mux(&self.hello, &welcome))))
+    }
+}
+
+/// The outbound host. It drains the sessions' bounded channel into the
+/// machine and writes each run it gets back as **one**
+/// [`FrameTx::send_all`], outside the lock: a write stalled by a slow peer
+/// never stops the inbound pump from routing answers.
+fn out_pump(mut ftx: Box<dyn FrameTx>, rx: Receiver<ToCloud>, shared: Arc<Mutex<Shared>>) {
+    let mut gen = 0;
+    let mut run: Vec<Bytes> = Vec::new();
+    let mut stop = false;
+    while !stop {
+        let mut input = match rx.recv() {
+            Ok(msg) => In::Session { gen, msg },
+            Err(_) => In::Bye { gen },
+        };
+        let mut sh = lock(&shared);
+        // Greedily take whatever else the sessions already queued (a fleet
+        // submits back to back), so the peer's reader wakes once per run.
+        for _ in 0..FRAME_QUEUE_CAP {
+            for act in sh.step(input) {
+                match act {
+                    Act::Adopt(g) => (ftx, gen) = (sh.fresh_tx.take().expect(FRESH), g),
+                    Act::Write(payloads) => run.extend(payloads),
+                    Act::Close => stop = true,
+                    Act::Dial(_) => unreachable!("step carries out every dial"),
+                }
+            }
             match rx.try_recv() {
-                Ok(next) => item = next,
-                Err(_) => break,
+                Ok(msg) if !stop => input = In::Session { gen, msg },
+                _ => break,
             }
         }
-        if !flush_out_batch(&mut ftx, &mut local_gen, &batch, &shared) {
-            break 'pump;
+        drop(sh);
+        let payloads: Vec<&[u8]> = run.iter().map(|p| &p[..]).collect();
+        let failed = !payloads.is_empty() && ftx.send_all(&payloads).is_err();
+        run.clear();
+        if failed && !stop {
+            let mut sh = lock(&shared);
+            for act in sh.step(In::WriteError { gen }) {
+                match act {
+                    Act::Adopt(g) => (ftx, gen) = (sh.fresh_tx.take().expect(FRESH), g),
+                    Act::Close => stop = true,
+                    Act::Write(_) | Act::Dial(_) => unreachable!("a write error writes nothing"),
+                }
+            }
         }
     }
-    // All senders gone (session and handle dropped) or the link is poisoned:
-    // close politely and stop the inbound pump. Mark dead BEFORE the `BYE`
-    // goes out: the server closes the socket once it reads the `BYE`, and
-    // the inbound pump must already see the dead flag when that EOF lands —
-    // otherwise it would treat the clean close as a mid-run drop and
-    // spuriously reconnect.
-    shared.mark_dead();
-    let _ = ftx.send(&msg_bare(tag::BYE));
 }
 
-/// A legacy (non-mux) answer carries no envelope ticket, so routing it
-/// means parsing it first; the parsed answer is what the session receives.
-/// Worker answers are JSON regardless of the negotiated encoding (see the
-/// module docs). A payload that does not parse poisons the connection.
-fn deliver_answer(inner: &Bytes, shared: &ConnShared) -> bool {
-    let Ok(resp) = wire::decode_frame::<SubmitResponse>(inner) else {
-        return false;
-    };
-    let (known, tx) = shared.take_submit(None, resp.ticket);
-    if known {
-        if let Some(tx) = tx {
-            return tx.send(FromCloud::Answer(resp)).is_ok();
-        }
-    }
-    true
-}
-
-/// Mux answers carry (session, ticket) in the envelope
-/// ([`msg_mux_answer`]), so the pump looks the pending frame up first: an
-/// envelope that names none is ignored unparsed, exactly like a stale
-/// legacy answer. One that does is parsed here, once, and a payload that
-/// does not parse poisons the connection as a legacy one would.
-fn deliver_answer_mux(session: u64, ticket: u64, inner: &Bytes, shared: &ConnShared) -> bool {
-    let (known, tx) = shared.take_submit(Some(session), ticket);
-    if known {
-        let Ok(resp) = wire::decode_frame::<SubmitResponse>(inner) else {
-            return false;
-        };
-        if let Some(tx) = tx {
-            return tx.send(FromCloud::Answer(resp)).is_ok();
-        }
-    }
-    true
-}
-
-/// Routes a pushed calibration update to its session's response channel —
-/// never tracked in `pending` (an update is not an answer and is never
-/// replayed by the transport; a lost update is re-delivered by the cloud
-/// at the next version, which supersedes it). An update for an unknown or
-/// already-detached session is dropped unparsed, like a stale answer; a
-/// payload that does not parse poisons the connection.
-fn deliver_update(session: u64, inner: &Bytes, shared: &ConnShared) -> bool {
-    if let Some(tx) = shared.update_tx(session) {
-        let Ok(update) = wire::decode_frame::<crate::CalibrationUpdate>(inner) else {
-            return false;
-        };
-        // A disconnected session channel just means the session is gone;
-        // the connection itself stays healthy.
-        let _ = tx.send(FromCloud::Update(Arc::new(update)));
-    }
-    true
-}
-
-fn deliver_probe_reply(session: Option<u64>, inner: &Bytes, shared: &ConnShared) -> bool {
-    let Ok(r) = wire::decode_frame_as::<WireProbeReply>(inner, shared.encoding) else {
-        return false;
-    };
-    let (known, tx) = shared.take_probe(session);
-    if known {
-        if let Some(tx) = tx {
-            return tx
-                .send(ProbeReply {
-                    admitted: r.admitted,
-                    queue_depth: r.queue_depth,
-                })
-                .is_ok();
-        }
-    }
-    true
-}
-
-fn handle_inbound(frame: &Bytes, shared: &ConnShared) -> bool {
-    let Some((t, inner)) = split_msg(frame) else {
-        return false;
-    };
-    match t {
-        tag::ANSWER => deliver_answer(&inner, shared),
-        tag::ANSWER_MUX => match split_mux_answer(&inner) {
-            Some((session, ticket, inner)) => deliver_answer_mux(session, ticket, &inner, shared),
-            None => false,
-        },
-        tag::PROBE_REPLY => deliver_probe_reply(None, &inner, shared),
-        tag::PROBE_REPLY_MUX => match split_mux(&inner) {
-            Some((session, inner)) => deliver_probe_reply(Some(session), &inner, shared),
-            None => false,
-        },
-        tag::UPDATE => match split_mux(&inner) {
-            Some((session, inner)) => deliver_update(session, &inner, shared),
-            None => false,
-        },
-        _ => true,
-    }
-}
-
-fn in_pump(mut frx: Box<dyn FrameRx>, shared: Arc<ConnShared>) {
-    let mut local_gen = shared.generation();
+/// The inbound host. It reads frames, with a timer tick so it adopts a link
+/// the other pump redialed and stops once the connection closed, and feeds
+/// them to the machine, which routes each answer to its session.
+fn in_pump(mut frx: Box<dyn FrameRx>, shared: Arc<Mutex<Shared>>) {
+    let mut gen = 0;
     loop {
-        match frx.recv_timeout(IN_PUMP_TICK) {
-            Ok(Some(frame)) => {
-                if !handle_inbound(&frame, &shared) {
-                    break;
-                }
+        let input = match frx.recv_timeout(IN_PUMP_TICK) {
+            Ok(Some(frame)) => In::Frame { gen, frame },
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => In::Tick { gen },
+            Ok(None) | Err(_) => In::Eof { gen },
+        };
+        let mut sh = lock(&shared);
+        for act in sh.step(input) {
+            match act {
+                Act::Adopt(g) => (frx, gen) = (sh.fresh_rx.take().expect(FRESH), g),
+                Act::Close => return,
+                Act::Write(_) | Act::Dial(_) => unreachable!("inbound events write nothing"),
             }
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => {
-                if shared.is_dead() {
-                    break;
-                }
-                if shared.generation() > local_gen {
-                    match shared.reacquire_rx(local_gen) {
-                        Some((r, g)) => {
-                            frx = r;
-                            local_gen = g;
-                        }
-                        None => break,
-                    }
-                }
-            }
-            Ok(None) | Err(_) => match shared.reacquire_rx(local_gen) {
-                Some((r, g)) => {
-                    frx = r;
-                    local_gen = g;
-                }
-                None => break,
-            },
         }
     }
-    // Poison: a session still waiting on an answer must fail loudly (its
-    // response channel disconnects) instead of hanging forever.
-    shared.clear_session_handles();
-    shared.mark_dead();
 }
 
 /// The edge side of a transport connection: bridges a real [`EdgeSession`]
@@ -1625,26 +1610,15 @@ impl RemoteCloud {
         let welcome = client_handshake(&mut *ftx, &mut *frx, &hello, opts.handshake_timeout)?;
         let encoding = negotiated_encoding(&hello, &welcome)?;
         let mux = negotiated_mux(&hello, &welcome);
-        let shared = Arc::new(ConnShared {
-            state: Mutex::new(ConnState {
-                generation: 0,
-                dialer: opts.dialer,
-                retry: opts.retry,
-                hello,
-                handshake_timeout: opts.handshake_timeout,
-                encoding,
-                mux,
-                registers: BTreeMap::new(),
-                pending: VecDeque::new(),
-                fresh_tx: None,
-                fresh_rx: None,
-                resp_tx: HashMap::new(),
-                probe_tx: HashMap::new(),
-                dead: false,
-            }),
-            encoding,
-            mux,
-        });
+        let retry = opts.dialer.is_some().then_some(opts.retry);
+        let shared = Arc::new(Mutex::new(Shared {
+            conn: ClientConn::new(encoding, mux, retry),
+            dialer: opts.dialer,
+            hello,
+            handshake_timeout: opts.handshake_timeout,
+            fresh_tx: None,
+            fresh_rx: None,
+        }));
         let (tx, rx) = channel::bounded::<ToCloud>(FRAME_QUEUE_CAP);
         let sh_out = Arc::clone(&shared);
         let out_handle = std::thread::spawn(move || out_pump(ftx, rx, sh_out));
@@ -1722,6 +1696,12 @@ impl RemoteCloud {
     /// negotiated [`RemoteCloud::mux`], every device in a fleet attaches
     /// its own session here and they all share this one connection. Session
     /// ids must be unique per connection.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the connection did not negotiate mux and `session` is
+    /// not the handshake's: a legacy answer names no session, so two
+    /// sessions' answers to the same ticket would cross.
     pub fn attach_as<'a>(
         &self,
         session: u64,
@@ -1729,6 +1709,12 @@ impl RemoteCloud {
         small: &'a (dyn Detector + Sync),
         policy: Box<dyn OffloadPolicy + 'a>,
     ) -> EdgeSession<'a> {
+        assert!(
+            self.mux || session == self.session,
+            "RemoteCloud::attach_as: session {session} needs a mux connection; this one \
+             carries only its handshake's session {}",
+            self.session
+        );
         let tx = self
             .tx
             .clone()
@@ -2473,11 +2459,11 @@ mod tests {
         polled
     }
 
-    /// A well-formed answer to ticket 0, as the cloud's sink would encode it.
-    fn valid_answer_frame() -> Bytes {
-        let resp: SubmitResponse = serde_json::from_str(
-            r#"{"dets":{"dets":[]},"infer_s":0.01,"queue_depth":1,"sent_at":1.5,"ticket":0,"uplink_s":0.25}"#,
-        )
+    /// A well-formed answer to `ticket`, as the cloud's sink would encode it.
+    fn answer_frame(ticket: u64) -> Bytes {
+        let resp: SubmitResponse = serde_json::from_str(&format!(
+            r#"{{"dets":{{"dets":[]}},"infer_s":0.01,"queue_depth":1,"sent_at":1.5,"ticket":{ticket},"uplink_s":0.25}}"#,
+        ))
         .unwrap();
         wire::encode_frame(&resp)
     }
@@ -2497,10 +2483,10 @@ mod tests {
         let truncated = |frame: &Bytes| frame.slice(..frame.len() / 2);
         type Envelope = fn(&[u8]) -> Vec<u8>;
         let kinds: [(&str, bool, Bytes, Envelope); 3] = [
-            ("legacy answer", false, valid_answer_frame(), |inner| {
+            ("legacy answer", false, answer_frame(0), |inner| {
                 [&[tag::ANSWER][..], inner].concat()
             }),
-            ("mux answer", true, valid_answer_frame(), |inner| {
+            ("mux answer", true, answer_frame(0), |inner| {
                 msg_mux_answer(7, 0, inner)
             }),
             ("update", false, valid_update, |inner| {
@@ -2533,7 +2519,7 @@ mod tests {
         // connection, and the real answer behind it still resolves.
         let stale = msg_mux_answer(7, 99, b"never parsed");
         let unknown_session = msg_mux(tag::UPDATE, 8, b"never parsed");
-        let answer = msg_mux_answer(7, 0, &valid_answer_frame());
+        let answer = msg_mux_answer(7, 0, &answer_frame(0));
         let result = poll_against_scripted_cloud(true, vec![stale, unknown_session, answer])
             .expect("the connection stays healthy")
             .expect("the frame resolves");
@@ -2629,5 +2615,468 @@ mod tests {
             other => panic!("expected VersionMismatch, got {other:?}"),
         }
         server.join().unwrap();
+    }
+
+    #[test]
+    fn attach_as_a_second_session_without_mux_panics() {
+        use datagen::SplitId;
+        use modelzoo::{ModelKind, SimDetector};
+
+        let (local, remote) = memory_pair();
+        let cloud = std::thread::spawn(move || {
+            let (mut tx, mut rx) = Box::new(remote).split();
+            let hello = parse_hello(&rx.recv().unwrap().unwrap()).unwrap();
+            let welcome = Welcome {
+                protocol: PROTOCOL_VERSION,
+                session: hello.session,
+                admission: false,
+                encoding: Some(Encoding::Json.name().to_string()),
+                mux: Some(false),
+            };
+            tx.send(&msg(tag::WELCOME, &welcome, Encoding::Json))
+                .unwrap();
+            while let Ok(Some(frame)) = rx.recv() {
+                if frame.first() == Some(&tag::BYE) {
+                    break;
+                }
+            }
+        });
+        let remote = RemoteCloud::connect(Box::new(local), 7, ConnectOptions::default()).unwrap();
+        let small = SimDetector::new(ModelKind::VggLiteSsd, SplitId::Helmet, 2);
+        let cfg = SessionConfig {
+            frame_size: (32, 32),
+            ..SessionConfig::new(2)
+        };
+        let attached = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            remote.attach_as(8, cfg, &small, Box::new(crate::Policy::CloudOnly))
+        }));
+        let message = attached
+            .err()
+            .and_then(|payload| payload.downcast_ref::<String>().cloned())
+            .expect("a second session on a legacy connection panics");
+        assert!(message.contains("mux"), "{message}");
+        remote.close();
+        cloud.join().unwrap();
+    }
+
+    // -----------------------------------------------------------------------
+    // ClientConn, driven on one thread
+    // -----------------------------------------------------------------------
+
+    /// A session's `Register` with channel reply handles, and the receiving
+    /// end of its answers.
+    fn register(session: u64) -> (ToCloud, Receiver<FromCloud>) {
+        let (resp_tx, answers) = channel::unbounded();
+        let (probe_tx, _) = channel::unbounded();
+        let register = ToCloud::Register {
+            session,
+            link: SessionConfig::new(2).link,
+            resp_tx: AnswerTx::Chan(resp_tx),
+            probe_tx: ProbeTx::Chan(probe_tx),
+        };
+        (register, answers)
+    }
+
+    /// An upload of an empty scene: the scripted cloud reads only its
+    /// header.
+    fn submit(session: u64, ticket: u64) -> ToCloud {
+        let header = SubmitRequest {
+            session,
+            ticket,
+            frame_bytes: 1,
+            sent_at: 0.0,
+            uplink_s: None,
+            difficulty: 0.0,
+            deadline_at: None,
+            small_count: 0,
+        };
+        let scene = Scene {
+            id: ticket,
+            objects: Vec::new(),
+            camera_blur: 0.0,
+            noise_std: 0.0,
+            illumination: 1.0,
+            seed: 0,
+        };
+        ToCloud::Frame(header, Arc::new(scene))
+    }
+
+    #[test]
+    fn a_redial_whose_welcome_disagrees_is_a_failed_attempt() {
+        let retry = RetryConfig {
+            base_s: 0.05,
+            multiplier: 2.0,
+            max_retries: 3,
+        };
+        for (encoding, mux) in [(Encoding::Json, false), (Encoding::Binary, true)] {
+            let other = match encoding {
+                Encoding::Json => Encoding::Binary,
+                Encoding::Binary => Encoding::Json,
+            };
+            let mut conn = ClientConn::new(encoding, mux, Some(retry));
+            let (register, _answers) = register(0);
+            let mut acts = Vec::new();
+            conn.handle(
+                In::Session {
+                    gen: 0,
+                    msg: register,
+                },
+                &mut acts,
+            );
+            acts.clear();
+            conn.handle(In::Eof { gen: 0 }, &mut acts);
+            assert!(
+                matches!(acts[..], [Act::Dial(w)] if w.is_zero()),
+                "{acts:?}"
+            );
+            // Another encoding, then mux flipped: each welcome is discarded
+            // as a failed attempt, and the next dial follows its backoff.
+            for (attempt, disagrees) in [(1, (other, mux)), (2, (encoding, !mux))] {
+                acts.clear();
+                conn.handle(In::Dialed(Some(disagrees)), &mut acts);
+                let want = Duration::from_secs_f64(retry.backoff_s(attempt));
+                assert!(
+                    matches!(acts[..], [Act::Dial(w)] if w == want),
+                    "{disagrees:?}: {acts:?}"
+                );
+            }
+            // The same encoding and mux: the link is replayed and adopted.
+            acts.clear();
+            conn.handle(In::Dialed(Some((encoding, mux))), &mut acts);
+            match &acts[..] {
+                [Act::Write(replay), Act::Adopt(1)] => assert_eq!(replay.len(), 1, "the REGISTER"),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    /// The explorer's redial schedule: three dials per outage.
+    const EXPLORER_RETRY: RetryConfig = RetryConfig {
+        base_s: 0.05,
+        multiplier: 2.0,
+        max_retries: 2,
+    };
+
+    /// How a link is cut at the explorer's chosen outbound position.
+    #[derive(Debug, Clone, Copy)]
+    enum Cut {
+        /// That write and every later one on the link fail.
+        WriteError,
+        /// That write and every later one vanish, and the edge reads EOF.
+        Eof,
+    }
+
+    /// One explored run.
+    #[derive(Debug, Clone, Copy)]
+    struct Schedule {
+        mux: bool,
+        sessions: u64,
+        frames: u64,
+        /// Outbound position, counted over every link, the cut lands on.
+        cut_at: usize,
+        cut: Cut,
+        /// The sessions leave (`BYE`) right after the run the cut landed
+        /// in, before the in pump has read anything after it.
+        bye_after_cut: bool,
+        /// Dials that fail before one succeeds.
+        failed_dials: u32,
+    }
+
+    /// One link to the explorer's scripted cloud.
+    #[derive(Default)]
+    struct ScriptedLink {
+        /// Submits read and not yet flushed, as (session, ticket).
+        queued: Vec<(u64, u64)>,
+        /// Frames the cloud wrote back, not yet read by the edge.
+        inbox: VecDeque<Bytes>,
+        /// The cloud reads nothing more: the link was cut, or said `BYE`.
+        deaf: bool,
+        /// Writes on the link fail.
+        broken: bool,
+        /// The edge reads EOF once the inbox is empty.
+        eof: bool,
+    }
+
+    impl ScriptedLink {
+        /// The cloud reads one payload, answering each flushed SUBMIT by
+        /// its ticket.
+        fn read(&mut self, payload: &Bytes, mux: bool) {
+            let body = payload.slice(1..);
+            match payload[0] {
+                tag::SUBMIT => {
+                    let s: WireSubmit = wire::decode_frame(&body).unwrap();
+                    self.queued.push((s.header.session, s.header.ticket));
+                }
+                tag::FLUSH => {
+                    let only = (!body.is_empty())
+                        .then(|| wire::decode_frame::<WireFlush>(&body).unwrap().session);
+                    let (now, later) = self
+                        .queued
+                        .drain(..)
+                        .partition(|(s, _)| only.is_none_or(|o| o == *s));
+                    self.queued = later;
+                    for (session, ticket) in now {
+                        let inner = answer_frame(ticket);
+                        self.inbox.push_back(Bytes::from(if mux {
+                            msg_mux_answer(session, ticket, &inner)
+                        } else {
+                            [&[tag::ANSWER][..], &inner].concat()
+                        }));
+                    }
+                }
+                tag::BYE => {
+                    self.deaf = true;
+                    self.eof = true;
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The two pumps of `RemoteCloud`, taking turns on one thread against
+    /// scripted links, with `Shared::step`'s dial loop and a scripted
+    /// dialer.
+    struct World {
+        s: Schedule,
+        conn: ClientConn,
+        /// Every link dialed, by generation.
+        links: Vec<ScriptedLink>,
+        out_gen: u64,
+        in_gen: u64,
+        /// Payloads written so far, over every link.
+        written: usize,
+        failed_dials: u32,
+        dials: Vec<Duration>,
+        bye: bool,
+    }
+
+    impl World {
+        fn new(s: Schedule) -> World {
+            World {
+                s,
+                conn: ClientConn::new(Encoding::Json, s.mux, Some(EXPLORER_RETRY)),
+                links: vec![ScriptedLink::default()],
+                out_gen: 0,
+                in_gen: 0,
+                written: 0,
+                failed_dials: s.failed_dials,
+                dials: Vec::new(),
+                bye: false,
+            }
+        }
+
+        /// Writes `run` on link `gen`; `false` when a write fails.
+        fn write(&mut self, gen: u64, run: &[Bytes]) -> bool {
+            let link = &mut self.links[gen as usize];
+            for payload in run {
+                if link.broken {
+                    return false;
+                }
+                if self.written == self.s.cut_at {
+                    link.queued.clear();
+                    link.deaf = true;
+                    link.eof = true;
+                    link.broken = matches!(self.s.cut, Cut::WriteError);
+                }
+                self.written += 1;
+                if link.broken {
+                    return false;
+                }
+                if !link.deaf {
+                    link.read(payload, self.s.mux);
+                }
+            }
+            true
+        }
+
+        fn step(&mut self, input: In) -> Vec<Act> {
+            let mut acts = Vec::new();
+            self.conn.handle(input, &mut acts);
+            while let [Act::Dial(wait)] = acts[..] {
+                assert!(!self.bye, "{:?}: a dial after BYE", self.s);
+                self.dials.push(wait);
+                acts.clear();
+                if self.failed_dials > 0 {
+                    self.failed_dials -= 1;
+                    self.conn.handle(In::Dialed(None), &mut acts);
+                    continue;
+                }
+                self.links.push(ScriptedLink::default());
+                let agreed = Some((Encoding::Json, self.s.mux));
+                self.conn.handle(In::Dialed(agreed), &mut acts);
+                if let [Act::Write(replay), Act::Adopt(gen)] = &acts[..] {
+                    let (replay, gen) = (replay.clone(), *gen);
+                    acts = if self.write(gen, &replay) {
+                        vec![Act::Adopt(gen)]
+                    } else {
+                        let mut again = Vec::new();
+                        self.conn.handle(In::WriteError { gen }, &mut again);
+                        again
+                    };
+                }
+            }
+            acts
+        }
+
+        /// The out pump: one batch of session messages (`None`: every
+        /// session is gone), written as one run.
+        fn out(&mut self, batch: Vec<Option<ToCloud>>) {
+            let mut run = Vec::new();
+            for message in batch {
+                let gen = self.out_gen;
+                let input = match message {
+                    Some(msg) => In::Session { gen, msg },
+                    None => {
+                        self.bye = true;
+                        In::Bye { gen }
+                    }
+                };
+                for act in self.step(input) {
+                    match act {
+                        Act::Adopt(g) => self.out_gen = g,
+                        Act::Write(payloads) => run.extend(payloads),
+                        Act::Close => {}
+                        Act::Dial(_) => unreachable!("step carries out every dial"),
+                    }
+                }
+            }
+            if !self.write(self.out_gen, &run) {
+                for act in self.step(In::WriteError { gen: self.out_gen }) {
+                    match act {
+                        Act::Adopt(g) => self.out_gen = g,
+                        Act::Close => {}
+                        other => panic!("{:?}: {other:?} after a write error", self.s),
+                    }
+                }
+            }
+        }
+
+        /// The in pump: reads until its link is quiet and a tick adopts
+        /// nothing; returns whether the machine closed.
+        fn pump_in(&mut self) -> bool {
+            loop {
+                let gen = self.in_gen;
+                let link = &mut self.links[gen as usize];
+                let input = match link.inbox.pop_front() {
+                    Some(frame) => In::Frame { gen, frame },
+                    None if link.eof => In::Eof { gen },
+                    None => In::Tick { gen },
+                };
+                let quiet = matches!(input, In::Tick { .. });
+                let mut adopted = false;
+                for act in self.step(input) {
+                    match act {
+                        Act::Adopt(g) => (self.in_gen, adopted) = (g, true),
+                        Act::Close => return true,
+                        other => panic!("{:?}: {other:?} after an inbound event", self.s),
+                    }
+                }
+                if quiet && !adopted {
+                    return false;
+                }
+            }
+        }
+    }
+
+    /// Runs one schedule: register, then per ticket every session submits
+    /// and flushes and the in pump routes what arrives, then deregister and
+    /// `BYE`. Returns how many payloads went out.
+    fn explore(s: Schedule) -> usize {
+        let mut w = World::new(s);
+        let (registers, taps): (Vec<_>, Vec<_>) = (0..s.sessions).map(register).unzip();
+        w.out(registers.into_iter().map(Some).collect());
+        for ticket in 0..s.frames {
+            let submits = (0..s.sessions).map(|sn| Some(submit(sn, ticket)));
+            let flushes = (0..s.sessions).map(|sn| Some(ToCloud::Flush { session: sn }));
+            w.out(submits.chain(flushes).collect());
+            if s.bye_after_cut && w.written > s.cut_at {
+                break;
+            }
+            w.pump_in();
+        }
+        // Before BYE: every ticket resolved exactly once, or, once the
+        // retries ran out, the session's answers disconnected.
+        let exhausted = s.failed_dials > EXPLORER_RETRY.max_retries;
+        for (sn, answers) in taps.iter().enumerate() {
+            let mut resolved = BTreeSet::new();
+            let disconnected = loop {
+                match answers.try_recv() {
+                    Ok(FromCloud::Answer(resp)) => assert!(
+                        resolved.insert(resp.ticket),
+                        "{s:?}: session {sn} got ticket {} twice",
+                        resp.ticket
+                    ),
+                    Ok(FromCloud::Update(_)) => panic!("{s:?}: an update nobody pushed"),
+                    Err(e) => break e == channel::TryRecvError::Disconnected,
+                }
+            };
+            let cut_short = s.bye_after_cut && w.written > s.cut_at;
+            assert!(
+                cut_short || resolved.len() as u64 == s.frames || (exhausted && disconnected),
+                "{s:?}: session {sn} resolved {resolved:?}, disconnected {disconnected}"
+            );
+        }
+        let mut last: Vec<_> = (0..s.sessions)
+            .map(|session| Some(ToCloud::Deregister { session }))
+            .collect();
+        last.push(None);
+        w.out(last);
+        assert!(w.pump_in(), "{s:?}: the connection closes after BYE");
+        assert!(w.dials.len() <= EXPLORER_RETRY.max_retries as usize + 1);
+        for (attempt, wait) in w.dials.iter().enumerate() {
+            let want = match attempt {
+                0 => 0.0,
+                a => EXPLORER_RETRY.backoff_s(a as u32),
+            };
+            assert_eq!(
+                *wait,
+                Duration::from_secs_f64(want),
+                "{s:?}: dial {attempt}"
+            );
+        }
+        w.written
+    }
+
+    /// Drives `ClientConn` against a scripted cloud over every schedule:
+    /// mux × 1–3 sessions (non-mux carries one) × 1–4 frames, cut at every
+    /// outbound position as a write error and as an EOF, `BYE` before the
+    /// cut (the cut lands on or after it) and after it, with the first dial
+    /// succeeding, one failed dial, and every dial failing.
+    #[test]
+    fn client_conn_resolves_every_ticket_once_under_every_cut() {
+        let mut runs = 0;
+        for mux in [false, true] {
+            for sessions in 1..=if mux { 3 } else { 1 } {
+                for frames in 1..=4 {
+                    let uncut = Schedule {
+                        mux,
+                        sessions,
+                        frames,
+                        cut_at: usize::MAX,
+                        cut: Cut::Eof,
+                        bye_after_cut: false,
+                        failed_dials: 0,
+                    };
+                    let positions = explore(uncut);
+                    for cut_at in 0..positions {
+                        for cut in [Cut::WriteError, Cut::Eof] {
+                            for bye_after_cut in [false, true] {
+                                for failed_dials in [0, 1, EXPLORER_RETRY.max_retries + 1] {
+                                    explore(Schedule {
+                                        cut_at,
+                                        cut,
+                                        bye_after_cut,
+                                        failed_dials,
+                                        ..uncut
+                                    });
+                                    runs += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(runs > 2_000, "{runs} schedules");
     }
 }
