@@ -25,8 +25,7 @@
 //! by session id). [`run_fleet_sessions`] (event core) and
 //! [`run_fleet_reference`] (real threads + channels over the public API)
 //! therefore return **bit-identical** per-session reports and cloud
-//! stats — pinned by `tests/fleet.rs` and re-asserted by the bench's
-//! `fleet` section before any timing.
+//! stats — pinned by `tests/fleet.rs` and `tests/fleet_golden.rs`.
 //!
 //! # Parallel drive: one worker per shard group
 //!
@@ -38,10 +37,9 @@
 //! encoded upload size), each holding a pure function of its scene, so
 //! whichever worker fills a cell first writes the value every other worker
 //! would have, and every later read takes no lock. Nothing else is shared:
-//! a shard's sessions register with [`AnswerTx::Outbox`], so its
-//! [`CloudMachine`] leaves each reply in its own outbox and the driven
-//! session takes it on the same call stack — no mailbox, no lock, no boxed
-//! sink per session. Restricting the global
+//! a shard's [`CloudMachine`] leaves each reply in its own queue and the
+//! driven session pops it on the same call stack — no mailbox, no lock, no
+//! channel per session. Restricting the global
 //! `(time, session)` event order to one shard's sessions therefore yields
 //! *exactly* the message sequence that shard observes in a single-threaded
 //! drive, so each shard group runs its own virtual-time queue on its own
@@ -54,7 +52,7 @@
 //! shard drive that panics (e.g. a user detector failing mid-frame) is
 //! caught at the shard boundary and surfaced as a typed [`FleetError`]
 //! instead of tearing the process down; everything the drive owned —
-//! its machines and any reply still in an outbox — is dropped with it.
+//! its machines and any reply still queued — is dropped with it.
 //!
 //! # Population layer
 //!
@@ -89,8 +87,8 @@
 use crate::intmap::IntMap;
 use crate::scheduler::SchedulerSlot;
 use crate::server::{
-    assert_frame_size, encoded_upload_bytes, AnswerTx, CloudConfig, CloudMachine, CloudServer,
-    CloudStats, EdgeMachine, FrameResult, ProbeTx, SessionConfig, SessionReport, ToCloud,
+    assert_frame_size, encoded_upload_bytes, CloudConfig, CloudMachine, CloudServer, CloudStats,
+    EdgeMachine, FrameResult, SessionConfig, SessionReport, ToCloud,
 };
 use crate::strategies::{OffloadPolicy, Policy};
 use crate::DifficultCaseDiscriminator;
@@ -238,9 +236,8 @@ pub struct FleetSpec {
     pub cloud: CloudConfig,
     /// Worker threads for the shard-parallel drive: shard groups fan out
     /// over `min(threads, shards)` scoped workers. `0` picks one per
-    /// available core; `1` forces the exact sequential path. The
-    /// `SMALLBIG_FLEET_THREADS` environment variable overrides a `0`
-    /// here. [`FleetReport`] is bit-identical for every value —
+    /// available core; `1` forces the exact sequential path.
+    /// [`FleetReport`] is bit-identical for every value —
     /// parallelism changes wall-clock time only (see the module docs).
     pub threads: usize,
     /// Master seed: population draws, scene generation, and every
@@ -357,9 +354,7 @@ impl FleetSpec {
             assert!(n > 0, "{name} mix must be non-empty");
             assert!(n <= 256, "{name} mix indexes as u8 (max 256 entries)");
         }
-        if let Some(autoscale) = &self.cloud.autoscale {
-            autoscale.assert_valid();
-        }
+        self.cloud.assert_valid();
         if let Some(drift) = &self.drift {
             if let Err(e) = drift.validate() {
                 panic!("invalid drift schedule: {e}");
@@ -863,33 +858,13 @@ fn shard_guard<T>(shard: usize, f: impl FnOnce() -> T) -> Result<T, FleetError> 
     })
 }
 
-/// Resolves [`FleetSpec::threads`] for a run: the `SMALLBIG_FLEET_THREADS`
-/// environment variable overrides a spec left at `0` (auto), auto means
-/// one worker per available core, and the result is capped by the shard
-/// count (a shard group is the unit of parallelism).
+/// Resolves [`FleetSpec::threads`] for a run: `0` (auto) means one worker
+/// per available core, and the result is capped by the shard count (a
+/// shard group is the unit of parallelism).
 fn fleet_threads(spec: &FleetSpec) -> usize {
-    fleet_threads_from(
-        std::env::var("SMALLBIG_FLEET_THREADS").ok().as_deref(),
-        spec,
-    )
-}
-
-/// [`fleet_threads`] with the environment override supplied by the caller
-/// (kept pure so it can be tested without mutating process-global state).
-fn fleet_threads_from(env_override: Option<&str>, spec: &FleetSpec) -> usize {
-    let configured = match spec.threads {
-        0 => env_override
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&t| t > 0)
-            .unwrap_or(0),
+    let resolved = match spec.threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         t => t,
-    };
-    let resolved = if configured == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        configured
     };
     resolved.min(spec.shards).max(1)
 }
@@ -953,13 +928,12 @@ fn drive_shard<C: ShardConsumer>(
         let slot = i / spec.shards;
         if step.frame == 0 {
             let cfg = spec.session_config(p, i);
-            // The session's replies wait in the shard machine's outbox,
-            // which the machine itself hands back as the session's port.
+            // The session's replies wait in the shard machine's queue,
+            // which the machine itself pops as the session's port.
             cloud.handle(ToCloud::Register {
                 session: i as u64,
                 link: cfg.link.clone(),
-                resp_tx: AnswerTx::Outbox,
-                probe_tx: ProbeTx::Outbox,
+                replies: (),
             });
             let policy = spec.build_policy(p);
             let mut m = EdgeMachine::new(i as u64, cfg, w.small, policy, admission, mode);
@@ -975,14 +949,15 @@ fn drive_shard<C: ShardConsumer>(
         let result = live
             .poll(&mut cloud, ticket)
             .expect("depth-1 driving resolves every frame");
-        debug_assert!(
-            cloud.outbox_is_empty(),
+        debug_assert_eq!(
+            cloud.replies().len(),
+            0,
             "depth-1 driving leaves no reply behind for the next session"
         );
         consumer.on_frame(p.tenant, &result);
         if step.frame + 1 == p.frames {
             let report = live.drain(&mut cloud);
-            cloud.handle(ToCloud::Deregister { session: i as u64 });
+            cloud.handle(ToCloud::<()>::Deregister { session: i as u64 });
             consumer.on_session(step.session, p.tenant, report);
             lives[slot] = None;
         }
@@ -1551,23 +1526,17 @@ mod tests {
     }
 
     #[test]
-    fn thread_resolution_is_capped_and_env_overridable() {
+    fn thread_resolution_is_capped_by_shards() {
         let spec = tiny_spec(); // shards = 2, threads = 0 (auto)
-        assert_eq!(fleet_threads_from(Some("8"), &spec), 2, "capped by shards");
-        assert_eq!(fleet_threads_from(Some("1"), &spec), 1);
-        let pinned = FleetSpec {
-            threads: 4,
+        let pinned = |threads| FleetSpec {
+            threads,
             ..spec.clone()
         };
-        assert_eq!(
-            fleet_threads_from(Some("1"), &pinned),
-            2,
-            "an explicit spec.threads wins over the env (still shard-capped)"
-        );
-        // Zero or garbage env with auto spec falls back to the host
-        // default (at least 1, still shard-capped).
-        let auto = fleet_threads_from(Some("nope"), &spec);
-        assert!((1..=2).contains(&auto));
+        assert_eq!(fleet_threads(&pinned(4)), 2, "capped by shards");
+        assert_eq!(fleet_threads(&pinned(1)), 1);
+        // Auto falls back to the host default (at least 1, still
+        // shard-capped).
+        assert!((1..=2).contains(&fleet_threads(&spec)));
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //!   pluggable [`Scheduler`] that batches big-model inference across
 //!   sessions ([`FifoBatcher`] by default — bit-identical to the
 //!   historical inline loop; [`DeadlineAware`] and [`DifficultyPriority`]
-//!   reorder batches; [`CloudConfig::queue_limit`] adds admission control
-//!   and [`CloudConfig::autoscale`] a deterministic capacity trajectory),
+//!   reorder batches; [`CloudConfig::queue_limit`] adds admission
+//!   control),
 //! * [`EdgeSession`] — one edge device: own virtual clock, own
 //!   [`simnet::LinkModel`], own RNG stream, own policy;
 //!   [`EdgeSession::submit`] / [`EdgeSession::poll`] /
@@ -161,8 +161,7 @@ pub use pipeline::{
 };
 pub use runtime::{run_system, RuntimeConfig, RuntimeMode, RuntimeReport};
 pub use scheduler::{
-    AutoscaleConfig, DeadlineAware, DifficultyPriority, FifoBatcher, QueuedFrame, Scheduler,
-    SchedulerConfig,
+    DeadlineAware, DifficultyPriority, FifoBatcher, QueuedFrame, Scheduler, SchedulerConfig,
 };
 pub use server::{
     CloudConfig, CloudServer, CloudStats, EdgePipeline, EdgeSession, FrameResult, FrameTicket,

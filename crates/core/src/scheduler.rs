@@ -27,15 +27,12 @@
 //!
 //! Scheduling never draws randomness and observes only virtual time, so
 //! any scheduler keeps runs deterministic; only [`FifoBatcher`] (with an
-//! empty fault plan, no queue limit and no autoscaler) is additionally
-//! *bit-identical* to the seed behaviour.
+//! empty fault plan and no queue limit) is additionally *bit-identical* to
+//! the seed behaviour.
 //!
-//! [`AutoscaleConfig`] is the other half of the control plane: a
-//! deterministic autoscaler that reports the capacity the queue called
-//! for, from the queue depth observed at each batch formation and from
-//! [`simnet::FaultPlan`] stall windows on the virtual clock. It sizes
-//! nothing — every cloud is one machine — so reports stay bit-identical
-//! with or without it (guarded by `tests/scheduling.rs`).
+//! The rest of the control plane is admission control
+//! ([`crate::CloudConfig::queue_limit`]). Capacity is fixed: every cloud is
+//! one machine serving one batch at a time.
 
 use datagen::Scene;
 use std::borrow::Cow;
@@ -553,108 +550,6 @@ impl SchedulerSlot {
     }
 }
 
-/// Deterministic autoscaling trajectory: the capacity the cloud's queue
-/// called for.
-///
-/// At every batch formation the autoscaler observes the queue depth (the
-/// batch plus everything still waiting) and whether the batch's start
-/// instant falls inside a [`simnet::FaultPlan`] stall window. It calls
-/// for `max(min_workers, ceil(depth / frames_per_worker))` workers —
-/// except during a stall, where it parks at `min_workers` (the server
-/// cannot start batches anyway). Both inputs are virtual-time state, so
-/// the whole trajectory is deterministic and is reported in
-/// [`crate::CloudStats::peak_workers`] /
-/// [`crate::CloudStats::scale_changes`].
-///
-/// Every cloud is one machine, so the count sizes nothing: session
-/// reports are bit-identical with or without an autoscaler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct AutoscaleConfig {
-    /// Queued frames each worker is expected to absorb; the count grows
-    /// one worker per this many waiting frames.
-    pub frames_per_worker: usize,
-    /// Floor on active workers (also the stall-window parking level).
-    pub min_workers: usize,
-}
-
-impl Default for AutoscaleConfig {
-    fn default() -> Self {
-        AutoscaleConfig {
-            frames_per_worker: 4,
-            min_workers: 1,
-        }
-    }
-}
-
-impl AutoscaleConfig {
-    /// Checks every field's range.
-    ///
-    /// # Errors
-    ///
-    /// Names the first field out of range.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.frames_per_worker < 1 {
-            return Err("frames_per_worker must be at least 1".into());
-        }
-        if self.min_workers < 1 {
-            return Err("min_workers must be at least 1".into());
-        }
-        Ok(())
-    }
-
-    /// Panics with [`AutoscaleConfig::validate`]'s error — called at
-    /// [`crate::CloudServer::spawn`] time so a bad configuration fails on
-    /// the caller's thread instead of killing the cloud worker at its
-    /// first batch.
-    pub(crate) fn assert_valid(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// The worker count called for by `depth` queued frames at an instant
-    /// that is (`stalled`) or is not inside a stall window.
-    pub fn desired_workers(&self, depth: usize, stalled: bool) -> usize {
-        self.assert_valid();
-        if stalled {
-            return self.min_workers;
-        }
-        depth.div_ceil(self.frames_per_worker).max(self.min_workers)
-    }
-}
-
-/// Runtime state of the autoscaler inside the cloud worker.
-#[derive(Debug)]
-pub(crate) struct Autoscaler {
-    cfg: AutoscaleConfig,
-    active: usize,
-    pub(crate) peak: usize,
-    pub(crate) changes: usize,
-}
-
-impl Autoscaler {
-    pub(crate) fn new(cfg: AutoscaleConfig) -> Self {
-        Autoscaler {
-            cfg,
-            active: cfg.min_workers,
-            peak: cfg.min_workers,
-            changes: 0,
-        }
-    }
-
-    /// Observes one batch formation and returns the worker count it calls
-    /// for.
-    pub(crate) fn observe(&mut self, depth: usize, stalled: bool) -> usize {
-        let desired = self.cfg.desired_workers(depth, stalled);
-        if desired != self.active {
-            self.active = desired;
-            self.changes += 1;
-        }
-        self.peak = self.peak.max(self.active);
-        self.active
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,22 +642,6 @@ mod tests {
         ] {
             assert_eq!(cfg.validate(), Err("lookahead must be at least 1".into()));
         }
-    }
-
-    #[test]
-    fn autoscaler_tracks_depth_and_parks_on_stalls() {
-        let cfg = AutoscaleConfig {
-            frames_per_worker: 2,
-            min_workers: 1,
-        };
-        let mut a = Autoscaler::new(cfg);
-        assert_eq!(a.observe(1, false), 1);
-        assert_eq!(a.observe(5, false), 3);
-        assert_eq!(a.observe(100, false), 50, "one worker per 2 frames");
-        assert_eq!(a.observe(100, true), 1, "stall parks at min_workers");
-        assert_eq!(a.observe(2, false), 1);
-        assert_eq!(a.peak, 50);
-        assert_eq!(a.changes, 3);
     }
 
     #[test]

@@ -54,21 +54,14 @@
 //! [`OffloadPolicy::difficulty`](crate::OffloadPolicy::difficulty)), and
 //! [`CloudServer::spawn_with`] accepts any custom boxed implementation.
 //!
-//! Two more control-plane knobs ride on the same seam:
-//!
-//! * **Admission control** — [`CloudConfig::queue_limit`] bounds the cloud
-//!   queue. Before spending any uplink, a session asks the cloud (a
-//!   zero-virtual-cost probe on the control channel); a frame refused
-//!   admission is served from the edge-only answer without rendering,
-//!   encoding or transmitting anything
-//!   ([`SessionReport::admission_fallbacks`]), reusing the fallback
-//!   plumbing the degraded-network layer introduced.
-//! * **Autoscaling** — [`CloudConfig::autoscale`] reports the capacity
-//!   the queue called for: a deterministic worker count derived from the
-//!   queue depth at each batch formation and from [`FaultPlan`] stall
-//!   windows on the virtual clock. It sizes nothing (every cloud is one
-//!   machine), so reports are bit-identical with or without it
-//!   ([`CloudStats::peak_workers`] records the trajectory).
+//! **Admission control** rides on the same seam: [`CloudConfig::queue_limit`]
+//! bounds the cloud queue. Before spending any uplink, a session asks the
+//! cloud (a zero-virtual-cost probe on the control channel); a frame
+//! refused admission is served from the edge-only answer without
+//! rendering, encoding or transmitting anything
+//! ([`SessionReport::admission_fallbacks`]), reusing the fallback plumbing
+//! the degraded-network layer introduced. Capacity itself is fixed: every
+//! cloud is one machine serving one batch at a time.
 //!
 //! Sessions observe the control plane: every admission probe and every
 //! cloud answer carries the current queue depth, surfaced to policies as
@@ -81,11 +74,12 @@
 //! [`EdgeSession`] is a *facade*: the session's entire state — clock, RNG,
 //! policy, pending frames, metrics — lives in a channel-free
 //! `EdgeMachine`, and every public method delegates through the
-//! `CloudPort` seam (here a `ChannelPort` to the worker thread; both
-//! are monomorphized, so this path compiles to exactly the pre-seam
-//! code). The cloud worker has the same split: `CloudMachine` is the
-//! full worker as an inline state machine, and `cloud_loop` merely
-//! drains a channel into it.
+//! `CloudPort` seam (here a `ChannelPort`: the session's message channel
+//! and its two reply receivers; every port is monomorphized). The cloud
+//! has the same split: `CloudMachine` is the whole cloud as a sans-IO
+//! machine that leaves each reply, under its session's id, in one queue,
+//! and `cloud_loop` merely feeds it the channel and routes the queue to
+//! the reply senders each session's register carried.
 //!
 //! That seam is what the fleet engine ([`crate::fleet`]) exploits: it
 //! drives the *same* machines inline from a central virtual-time event
@@ -101,7 +95,7 @@
 //! The [`crate::transport`] module lifts the *same* session protocol onto a
 //! real byte stream: [`transport::serve`](crate::transport::serve) accepts
 //! connections on any [`Listener`](crate::transport::Listener) and runs one
-//! cloud worker per registered session, while
+//! cloud machine per registered session, while
 //! [`RemoteCloud`](crate::transport::RemoteCloud) dials the cloud (with a
 //! versioned handshake and reconnect-with-backoff) and hands back an
 //! ordinary [`EdgeSession`] via
@@ -180,9 +174,7 @@
 use crate::features::PREDICTION_THRESHOLD;
 use crate::fleet::{MetricsMode, PoolMemo};
 use crate::intmap::IntMap;
-use crate::scheduler::{
-    AutoscaleConfig, Autoscaler, QueuedFrame, Scheduler, SchedulerConfig, SchedulerSlot,
-};
+use crate::scheduler::{QueuedFrame, Scheduler, SchedulerConfig, SchedulerSlot};
 use crate::strategies::{Decision, OffloadPolicy, PolicyInput};
 use crate::update::{CalibrationUpdate, UpdateClient, UpdatePublisher};
 use crossbeam::channel::{self, Receiver, Sender};
@@ -253,12 +245,6 @@ pub struct CloudConfig {
     /// refused. `None` (the default) admits everything and changes
     /// nothing — not even RNG draws.
     pub queue_limit: Option<usize>,
-    /// Deterministic autoscaling trajectory: with `Some`, the cloud reports
-    /// the worker count its queue called for at each batch formation
-    /// ([`CloudStats::peak_workers`], [`CloudStats::scale_changes`]). It
-    /// sizes nothing and never touches virtual time, so reports are
-    /// bit-identical either way. `None` (the default) records nothing.
-    pub autoscale: Option<AutoscaleConfig>,
     /// The model-update loop: with `Some`, the cloud accumulates every
     /// served frame as a pseudo-label, refits discriminator thresholds on
     /// the configured virtual-time epochs, and pushes versioned
@@ -279,8 +265,34 @@ impl Default for CloudConfig {
             faults: FaultPlan::new(),
             scheduler: SchedulerConfig::Fifo,
             queue_limit: None,
-            autoscale: None,
             updates: None,
+        }
+    }
+}
+
+impl CloudConfig {
+    /// Checks every field a cloud would otherwise trip over at its first
+    /// message: `max_batch` must be at least 1, and the scheduler and
+    /// update configs must pass their own checks.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.max_batch < 1 {
+            return Err("max_batch must be at least 1".into());
+        }
+        (self.scheduler.validate()).map_err(|e| format!("scheduler: {e}"))?;
+        if let Some(u) = &self.updates {
+            u.validate().map_err(|e| format!("updates: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// Panics with [`CloudConfig::validate`]'s error.
+    pub(crate) fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("invalid cloud config: {e}");
         }
     }
 }
@@ -455,12 +467,6 @@ pub struct CloudStats {
     pub sessions: usize,
     /// Frames refused at admission ([`CloudConfig::queue_limit`]).
     pub admission_rejects: usize,
-    /// Highest worker count the autoscaler called for (`0` when
-    /// autoscaling is disabled).
-    pub peak_workers: usize,
-    /// Changes in the autoscaler's worker count over the server's lifetime
-    /// (`0` when autoscaling is disabled).
-    pub scale_changes: usize,
     /// Calibration refits published by the update loop (`0` when
     /// [`CloudConfig::updates`] is disabled).
     pub updates_published: u64,
@@ -520,8 +526,9 @@ pub(crate) struct SubmitResponse {
     queue_depth: usize,
 }
 
-/// Control-plane reply to an admission probe (cloud → edge, in-process —
-/// probes are zero-virtual-cost and never serialized).
+/// Control-plane reply to an admission probe (cloud → edge). Probes cost
+/// no virtual time; on a socket the reply travels as this struct's frame.
+#[derive(Serialize, Deserialize)]
 pub(crate) struct ProbeReply {
     pub(crate) admitted: bool,
     pub(crate) queue_depth: usize,
@@ -529,8 +536,9 @@ pub(crate) struct ProbeReply {
 
 /// What the cloud hands a session on its answer path. Both kinds cross the
 /// seam between [`CloudMachine`] and [`EdgeMachine`] as typed values: bytes
-/// exist only where a socket does ([`crate::transport`] encodes in its
-/// sink and decodes in its inbound pump).
+/// exist only where a socket does ([`crate::transport`] encodes them as its
+/// reader thread writes the machine's replies, and decodes them in its
+/// inbound pump).
 pub(crate) enum FromCloud {
     /// The big model's answer to one uploaded frame.
     Answer(SubmitResponse),
@@ -538,78 +546,42 @@ pub(crate) enum FromCloud {
     Update(Arc<CalibrationUpdate>),
 }
 
-/// Where a session's answers go: the in-process channel its
-/// [`EdgeSession`] polls; a sink called *on the worker thread*, which a
-/// transport connection encodes onto directly (no forwarder-thread hop, no
-/// extra context switch per answer); or the cloud machine's own
-/// [`Outbox`], which an inline host (the fleet core) empties right after
-/// the call that filled it — no channel, no lock, no boxed closure.
-pub(crate) enum AnswerTx {
-    Chan(Sender<FromCloud>),
-    Sink(Box<dyn FnMut(FromCloud) -> bool + Send>),
-    Outbox,
+/// One reply a [`CloudMachine`] leaves in its queue, by the session path
+/// it takes: the answer path, or the probe path an admission probe
+/// blocks on.
+pub(crate) enum Reply {
+    Cloud(FromCloud),
+    Probe(ProbeReply),
 }
 
-impl AnswerTx {
-    fn send(&mut self, msg: FromCloud, outbox: &mut Outbox) -> bool {
-        match self {
-            AnswerTx::Chan(tx) => tx.send(msg).is_ok(),
-            AnswerTx::Sink(f) => f(msg),
-            AnswerTx::Outbox => {
-                outbox.answers.push_back(msg);
-                true
-            }
-        }
-    }
+/// Where a channel host sends one session's replies: the other ends of the
+/// two receivers an [`EdgeSession`] polls.
+pub(crate) struct ReplyTx {
+    pub(crate) answers: Sender<FromCloud>,
+    pub(crate) probes: Sender<ProbeReply>,
 }
 
-/// Probe-reply counterpart of [`AnswerTx`].
-pub(crate) enum ProbeTx {
-    Chan(Sender<ProbeReply>),
-    Sink(Box<dyn FnMut(ProbeReply) -> bool + Send>),
-    Outbox,
-}
-
-impl ProbeTx {
-    fn send(&mut self, reply: ProbeReply, outbox: &mut Outbox) -> bool {
-        match self {
-            ProbeTx::Chan(tx) => tx.send(reply).is_ok(),
-            ProbeTx::Sink(f) => f(reply),
-            ProbeTx::Outbox => {
-                outbox.probe = Some(reply);
-                true
-            }
-        }
-    }
-}
-
-/// The replies a [`CloudMachine`] holds for sessions registered with
-/// [`AnswerTx::Outbox`] / [`ProbeTx::Outbox`]. One per machine, not per
-/// session: its inline host drives depth-1, so only the session being
-/// stepped ever has a reply waiting, and the host takes it on the same
-/// call stack (the machine's [`CloudPort`] impl).
-#[derive(Default)]
-pub(crate) struct Outbox {
-    answers: VecDeque<FromCloud>,
-    probe: Option<ProbeReply>,
-}
-
-/// Control-plane messages into the cloud worker. Frame headers travel as
-/// the typed [`SubmitRequest`] (each consumer encodes for its own wire if
-/// it has one); the scene rides along as a shared [`Arc`] so submitting
-/// never deep-copies it. Answers come back the same way, as typed
-/// [`FromCloud`] values.
-pub(crate) enum ToCloud {
+/// Messages into a cloud. A frame header travels as the typed
+/// [`SubmitRequest`] (each consumer encodes for its own wire if it has
+/// one); the scene rides along as a shared [`Arc`] so submitting never
+/// deep-copies it.
+///
+/// `R` is what a register brings the host that reads it: on an
+/// [`EdgeSession`]'s channel, the session's reply senders ([`ReplyTx`]),
+/// from which [`cloud_loop`] and the transport client's connection machine
+/// learn where to route its replies; `()` where a host builds registers
+/// itself. A [`CloudMachine`] needs neither: it queues every reply under
+/// the session's id, so its register is the session and its link.
+pub(crate) enum ToCloud<R = ReplyTx> {
     Register {
         session: u64,
         link: LinkModel,
-        resp_tx: AnswerTx,
-        probe_tx: ProbeTx,
+        replies: R,
     },
     Frame(SubmitRequest, Arc<Scene>),
     /// Ask whether the cloud would admit one more frame right now
     /// ([`CloudConfig::queue_limit`]); answered on the probing session's
-    /// probe channel. `now` is the probing session's virtual clock, so the
+    /// probe path. `now` is the probing session's virtual clock, so the
     /// cloud can count its own virtual backlog — not just the unformed
     /// batch — against the limit.
     Probe {
@@ -625,17 +597,12 @@ pub(crate) enum ToCloud {
     Shutdown,
 }
 
-/// Per-session handles the cloud worker keeps.
-struct SessionHandles {
-    link: LinkModel,
-    resp_tx: AnswerTx,
-    probe_tx: ProbeTx,
-}
-
-/// The cloud worker: one [`CloudMachine`] draining the control channel,
-/// delegating batch formation to the configured [`Scheduler`].
+/// The channel host of one [`CloudMachine`]: it feeds the machine what its
+/// sessions send, in channel order, and routes the replies each message
+/// left to the senders the session's register carried. A session that
+/// hung up just loses its replies.
 ///
-/// Determinism: everything the worker does is a pure function of the
+/// Determinism: everything the machine does is a pure function of the
 /// message order on `rx` (uplink jitter is drawn per frame in arrival
 /// order, and schedulers never draw randomness). Drive all sessions from
 /// one thread and the whole run is reproducible; the wall-clock speed of
@@ -647,8 +614,39 @@ pub(crate) fn cloud_loop(
     sched: SchedulerSlot,
 ) -> CloudStats {
     let mut m = CloudMachine::new(big, config, sched);
+    let mut routes: IntMap<u64, ReplyTx> = IntMap::default();
     while let Ok(msg) = rx.recv() {
-        if !m.handle(msg) {
+        let live = match msg {
+            ToCloud::Register {
+                session,
+                link,
+                replies,
+            } => {
+                routes.insert(session, replies);
+                let register = ToCloud::Register {
+                    session,
+                    link,
+                    replies: (),
+                };
+                m.handle(register)
+            }
+            // Sent as the session drops its receivers: nothing routed to
+            // it after this could arrive.
+            msg @ ToCloud::Deregister { session } => {
+                routes.remove(&session);
+                m.handle(msg)
+            }
+            msg => m.handle(msg),
+        };
+        for (session, reply) in m.replies() {
+            if let Some(route) = routes.get(&session) {
+                let _ = match reply {
+                    Reply::Cloud(msg) => route.answers.send(msg).is_ok(),
+                    Reply::Probe(reply) => route.probes.send(reply).is_ok(),
+                };
+            }
+        }
+        if !live {
             break;
         }
     }
@@ -656,18 +654,20 @@ pub(crate) fn cloud_loop(
 }
 
 /// The state behind a [`CloudMachine`]: admission, batch formation via
-/// the [`Scheduler`], big-model inference, the autoscaler's trajectory,
-/// and timing.
+/// the [`Scheduler`], big-model inference, timing, and the replies the
+/// host has not taken yet.
 struct CloudWorker<'a> {
     big: &'a (dyn Detector + Sync),
     config: &'a CloudConfig,
     sched: SchedulerSlot,
-    sessions: IntMap<u64, SessionHandles>,
-    outbox: Outbox,
+    /// Each registered session's link (static links draw their uplink
+    /// here).
+    sessions: IntMap<u64, LinkModel>,
+    /// Replies by session, in service order, until the host takes them.
+    replies: VecDeque<(u64, Reply)>,
     server_free_at: f64,
     next_seq: u64,
     batch: Vec<QueuedFrame>,
-    autoscaler: Option<Autoscaler>,
     stats: CloudStats,
     /// The model-update loop's pseudo-label accumulator (`None` with
     /// [`CloudConfig::updates`] disabled — the bit-identical default).
@@ -701,12 +701,6 @@ impl CloudWorker<'_> {
         // behind (a post-batch depth would read 0 after every flush and
         // tell adaptive policies nothing).
         let queue_depth = n + self.sched.len();
-        // The autoscaler observes virtual-time state only (queue depth at
-        // formation, stall windows) and sizes nothing, so its trajectory
-        // never reaches a report.
-        if let Some(a) = &mut self.autoscaler {
-            a.observe(queue_depth, self.config.faults.is_stalled(formed_at));
-        }
         let batch_s = self.config.device.batch_inference_time(self.big.flops(), n);
         self.server_free_at = start + batch_s;
         self.stats.batches += 1;
@@ -743,22 +737,22 @@ impl CloudWorker<'_> {
                 uplink_s: q.uplink_s,
                 queue_depth,
             };
-            if let Some(handles) = self.sessions.get_mut(&q.req.session) {
+            // A session that hung up just loses its reply.
+            let session = q.req.session;
+            if self.sessions.contains_key(&session) {
                 // A session behind the current calibration gets the
                 // artifact pushed right before its answer (same virtual
                 // instant, zero extra draws).
                 if let Some(update) = self.updates.as_ref().and_then(|p| p.current()) {
-                    let pushed = self.pushed.entry(q.req.session).or_insert(0);
+                    let pushed = self.pushed.entry(session).or_insert(0);
                     if *pushed < update.version {
                         *pushed = update.version;
                         let update = FromCloud::Update(Arc::clone(update));
-                        let _ = handles.resp_tx.send(update, &mut self.outbox);
+                        self.replies.push_back((session, Reply::Cloud(update)));
                     }
                 }
-                // A session that hung up just loses its reply.
-                let _ = handles
-                    .resp_tx
-                    .send(FromCloud::Answer(resp), &mut self.outbox);
+                let answer = FromCloud::Answer(resp);
+                self.replies.push_back((session, Reply::Cloud(answer)));
             }
         }
         n
@@ -778,13 +772,16 @@ impl CloudWorker<'_> {
     }
 }
 
-/// One cloud — the big model and its queue — as an inline state machine:
-/// feed it [`ToCloud`] messages in arrival order and it answers on the
-/// same call stack, with the same virtual clocks, RNG stream and
-/// responses whoever drives it. Every host runs its clouds this way:
-/// [`cloud_loop`] drains a channel into one for the in-process path, the
-/// transport layer runs one per session directly on a connection's reader
-/// thread, and the fleet engine runs one per shard.
+/// One cloud — the big model and its queue — as a sans-IO state machine:
+/// feed it [`ToCloud`] messages in arrival order and it leaves every reply
+/// they produce, under its session's id and in service order, in one
+/// queue the host empties ([`CloudMachine::replies`]) after each call. The
+/// same messages give the same virtual clocks, RNG stream and replies
+/// whoever drives it. Three hosts do: [`cloud_loop`] routes the queue to
+/// each session's channels, the transport layer runs one machine per
+/// session on a connection's reader thread and writes what each message
+/// produced as one run, and the fleet engine runs one per shard and pops
+/// the reply its depth-1 drive leaves.
 pub(crate) struct CloudMachine<'a> {
     w: CloudWorker<'a>,
     rng: StdRng,
@@ -796,18 +793,17 @@ impl<'a> CloudMachine<'a> {
         config: &'a CloudConfig,
         sched: SchedulerSlot,
     ) -> CloudMachine<'a> {
-        assert!(config.max_batch >= 1, "max_batch must be at least 1");
+        config.assert_valid();
         CloudMachine {
             w: CloudWorker {
                 big,
                 config,
                 sched,
                 sessions: IntMap::default(),
-                outbox: Outbox::default(),
+                replies: VecDeque::new(),
                 server_free_at: 0.0,
                 next_seq: 0,
                 batch: Vec::new(),
-                autoscaler: config.autoscale.map(Autoscaler::new),
                 stats: CloudStats::default(),
                 updates: config.updates.map(UpdatePublisher::new),
                 pushed: IntMap::default(),
@@ -816,33 +812,22 @@ impl<'a> CloudMachine<'a> {
         }
     }
 
-    /// Processes one message; returns `false` once [`ToCloud::Shutdown`]
-    /// is seen (call [`CloudMachine::finish`] after).
-    pub(crate) fn handle(&mut self, msg: ToCloud) -> bool {
+    /// Processes one message, queueing the replies it produces; what a
+    /// register brings its host (`R`) is not the machine's. Returns `false`
+    /// once [`ToCloud::Shutdown`] has drained the queue (route its replies,
+    /// then call [`CloudMachine::finish`]).
+    pub(crate) fn handle<R>(&mut self, msg: ToCloud<R>) -> bool {
         let w = &mut self.w;
         match msg {
-            ToCloud::Register {
-                session,
-                link,
-                resp_tx,
-                probe_tx,
-            } => {
+            ToCloud::Register { session, link, .. } => {
                 w.stats.sessions += 1;
-                w.sessions.insert(
-                    session,
-                    SessionHandles {
-                        link,
-                        resp_tx,
-                        probe_tx,
-                    },
-                );
+                w.sessions.insert(session, link);
             }
             ToCloud::Frame(req, scene) => {
-                let link = &w
+                let link = w
                     .sessions
                     .get(&req.session)
-                    .expect("frames only arrive from registered sessions")
-                    .link;
+                    .expect("frames only arrive from registered sessions");
                 // Traced sessions time their own uplink on the edge; static
                 // sessions keep the historical cloud-side draw (and only
                 // they consume this RNG stream, so mixing session kinds
@@ -881,13 +866,13 @@ impl<'a> CloudMachine<'a> {
                 if !admitted {
                     w.stats.admission_rejects += 1;
                 }
-                if let Some(handles) = w.sessions.get_mut(&session) {
-                    // A session that hung up just loses its reply.
+                // A session that hung up just loses its reply.
+                if w.sessions.contains_key(&session) {
                     let reply = ProbeReply {
                         admitted,
                         queue_depth,
                     };
-                    let _ = handles.probe_tx.send(reply, &mut w.outbox);
+                    w.replies.push_back((session, Reply::Probe(reply)));
                 }
             }
             // The session id exists for the transport layer to route
@@ -897,48 +882,54 @@ impl<'a> CloudMachine<'a> {
                 w.drain_all();
             }
             ToCloud::Deregister { session } => {
-                // Resolve anything queued (possibly other sessions' frames —
-                // cheaper than per-session bookkeeping, and deterministic).
+                // Resolve anything queued (possibly other sessions' frames,
+                // whose replies stay under their own ids — cheaper than
+                // per-session bookkeeping, and deterministic).
                 w.drain_all();
                 w.sessions.remove(&session);
             }
-            ToCloud::Shutdown => return false,
+            ToCloud::Shutdown => {
+                w.drain_all();
+                return false;
+            }
         }
         true
     }
 
-    /// Drains everything still queued and returns the worker's stats.
-    pub(crate) fn finish(mut self) -> CloudStats {
-        self.w.drain_all();
-        if let Some(a) = &self.w.autoscaler {
-            self.w.stats.peak_workers = a.peak;
-            self.w.stats.scale_changes = a.changes;
-        }
-        self.w.stats
+    /// The replies queued since the host last emptied the queue, each
+    /// under its session's id, in service order.
+    pub(crate) fn replies(&mut self) -> std::collections::vec_deque::Drain<'_, (u64, Reply)> {
+        self.w.replies.drain(..)
     }
 
-    /// Whether no reply waits in the machine's [`Outbox`].
-    pub(crate) fn outbox_is_empty(&self) -> bool {
-        self.w.outbox.answers.is_empty() && self.w.outbox.probe.is_none()
+    /// The machine's stats, once its host is done with it.
+    pub(crate) fn finish(self) -> CloudStats {
+        self.w.stats
     }
 }
 
 /// The inline [`CloudPort`]: `send` *is* the cloud's message handler, so a
-/// "blocking receive" is taking the reply the handler left in the
-/// machine's [`Outbox`] on the same call stack. Never actually blocks —
-/// depth-1 driving guarantees every recv follows the send that produced
-/// its reply.
+/// "blocking receive" is popping the reply the handler queued on the same
+/// call stack. Never actually blocks — depth-1 driving guarantees every
+/// recv follows the send that produced its reply, and that the queue holds
+/// only the driven session's replies.
 impl CloudPort for CloudMachine<'_> {
     fn send(&mut self, msg: ToCloud) -> bool {
         self.handle(msg)
     }
 
     fn recv_answer(&mut self) -> Option<FromCloud> {
-        self.w.outbox.answers.pop_front()
+        match self.w.replies.pop_front()? {
+            (_, Reply::Cloud(msg)) => Some(msg),
+            (_, Reply::Probe(_)) => unreachable!("a probe reply is taken by its probe"),
+        }
     }
 
     fn recv_probe(&mut self) -> Option<ProbeReply> {
-        self.w.outbox.probe.take()
+        match self.w.replies.pop_front()? {
+            (_, Reply::Probe(reply)) => Some(reply),
+            (_, Reply::Cloud(_)) => unreachable!("depth-1 driving owes nothing before a probe"),
+        }
     }
 }
 
@@ -956,7 +947,15 @@ impl CloudServer {
     /// Spawns the cloud worker thread with the scheduler named by
     /// [`CloudConfig::scheduler`]. The default FIFO runs on the
     /// monomorphized fast path (no virtual dispatch per frame).
+    ///
+    /// # Panics
+    ///
+    /// Panics on this thread, with [`CloudConfig::validate`]'s message,
+    /// when `config` is invalid.
     pub fn spawn(config: CloudConfig, big: Arc<dyn Detector + Send + Sync>) -> CloudServer {
+        // Validate here, on the caller's thread: a bad config must fail
+        // at spawn, not kill the worker thread.
+        config.assert_valid();
         let sched = SchedulerSlot::from_config(&config.scheduler);
         CloudServer::spawn_slot(config, big, sched)
     }
@@ -964,11 +963,16 @@ impl CloudServer {
     /// Spawns the cloud worker thread with a custom [`Scheduler`] — the
     /// control-plane extension point ([`CloudConfig::scheduler`] is
     /// ignored in favour of `scheduler`).
+    ///
+    /// # Panics
+    ///
+    /// As [`CloudServer::spawn`].
     pub fn spawn_with(
         config: CloudConfig,
         big: Arc<dyn Detector + Send + Sync>,
         scheduler: Box<dyn Scheduler>,
     ) -> CloudServer {
+        config.assert_valid();
         CloudServer::spawn_slot(config, big, SchedulerSlot::Custom(scheduler))
     }
 
@@ -977,14 +981,6 @@ impl CloudServer {
         big: Arc<dyn Detector + Send + Sync>,
         scheduler: SchedulerSlot,
     ) -> CloudServer {
-        // Validate here, on the caller's thread: a bad autoscale config
-        // must fail at spawn, not kill the worker at its first batch.
-        if let Some(autoscale) = &config.autoscale {
-            autoscale.assert_valid();
-        }
-        if let Some(updates) = &config.updates {
-            updates.assert_valid();
-        }
         let admission = config.queue_limit.is_some();
         let (tx, rx) = channel::unbounded();
         let handle = std::thread::spawn(move || cloud_loop(&rx, &*big, &config, scheduler));
@@ -1357,8 +1353,10 @@ impl<'a> EdgeSession<'a> {
         tx.send(ToCloud::Register {
             session: id,
             link: cfg.link.clone(),
-            resp_tx: AnswerTx::Chan(resp_tx),
-            probe_tx: ProbeTx::Chan(probe_tx),
+            replies: ReplyTx {
+                answers: resp_tx,
+                probes: probe_tx,
+            },
         })
         .expect("cloud server alive");
         EdgeSession {
@@ -2110,6 +2108,94 @@ mod tests {
         if report.uploads > 0 {
             assert!(missed > 0, "WLAN cannot meet 150 ms");
         }
+    }
+
+    /// A bare machine's reply queue: every reply under the session it
+    /// belongs to, in service order, whichever message produced it.
+    #[test]
+    fn replies_queue_under_their_sessions_in_service_order() {
+        let (data, _, _) = fixture();
+        let big = SimDetector::new(ModelKind::SsdVgg16, SplitId::Helmet, 2);
+        let config = CloudConfig {
+            max_batch: 2,
+            updates: Some(crate::UpdateConfig {
+                epoch_s: 0.5,
+                min_examples: 1,
+                ..crate::UpdateConfig::default()
+            }),
+            ..CloudConfig::default()
+        };
+        let mut m = CloudMachine::new(&big, &config, SchedulerSlot::from_config(&config.scheduler));
+        let scene = Arc::new(data.iter().next().expect("a scene").clone());
+        let frame = |session, ticket, sent_at| {
+            let req = SubmitRequest {
+                session,
+                ticket,
+                frame_bytes: 1_000,
+                sent_at,
+                uplink_s: Some(0.01),
+                difficulty: 0.0,
+                deadline_at: None,
+                small_count: 0,
+            };
+            ToCloud::Frame(req, Arc::clone(&scene))
+        };
+        let mut step = |msg: ToCloud<()>| {
+            let live = m.handle(msg);
+            let replies: Vec<(u64, String)> = (m.replies())
+                .map(|(session, reply)| {
+                    let reply = match reply {
+                        Reply::Cloud(FromCloud::Answer(a)) => format!("answer {}", a.ticket),
+                        Reply::Cloud(FromCloud::Update(u)) => format!("update v{}", u.version),
+                        Reply::Probe(_) => "probe".to_string(),
+                    };
+                    (session, reply)
+                })
+                .collect();
+            (live, replies)
+        };
+        let owed = |replies: &[(u64, &str)]| -> (bool, Vec<(u64, String)>) {
+            let replies = replies.iter().map(|&(s, r)| (s, r.to_string()));
+            (true, replies.collect())
+        };
+        for session in [0, 1] {
+            let link = LinkModel::wlan();
+            let register = ToCloud::Register {
+                session,
+                link,
+                replies: (),
+            };
+            assert_eq!(step(register), owed(&[]));
+        }
+        assert_eq!(step(frame(0, 0, 0.0)), owed(&[]), "half a batch waits");
+        let probe = ToCloud::Probe {
+            session: 1,
+            now: 0.0,
+        };
+        assert_eq!(step(probe), owed(&[(1, "probe")]));
+        let batch = owed(&[(0, "answer 0"), (1, "answer 0")]);
+        assert_eq!(step(frame(1, 0, 0.1)), batch);
+        // The next batch crosses an epoch: its first frame publishes v1,
+        // which goes to each session right before that session's answer.
+        assert_eq!(step(frame(0, 1, 1.0)), owed(&[]));
+        let pushed = owed(&[
+            (0, "update v1"),
+            (0, "answer 1"),
+            (1, "update v1"),
+            (1, "answer 1"),
+        ]);
+        assert_eq!(step(frame(1, 1, 1.1)), pushed);
+        // Session 1 leaving drains session 0's frame, under session 0.
+        assert_eq!(step(frame(0, 2, 1.2)), owed(&[]));
+        let deregister = ToCloud::Deregister { session: 1 };
+        assert_eq!(step(deregister), owed(&[(0, "answer 2")]));
+        // Shutdown leaves every answer still owed in the queue.
+        assert_eq!(step(frame(0, 3, 1.3)), owed(&[]));
+        let (live, drained) = step(ToCloud::Shutdown);
+        assert!(!live);
+        assert_eq!(drained, owed(&[(0, "answer 3")]).1);
+        let stats = m.finish();
+        assert_eq!((stats.served, stats.updates_published), (6, 1));
     }
 
     #[test]

@@ -87,11 +87,12 @@
 //! names no pending frame is dropped without being parsed.
 //!
 //! This module is the only place an answer is ever bytes. Cloud machines
-//! and edge sessions exchange typed messages; the connection's reply sink
-//! encodes each one as the machine hands it over, and the edge's inbound
-//! pump decodes each frame once, before routing it. A payload that does
-//! not decode poisons the connection like any other framing fault, so a
-//! waiting session fails with its "cloud server shut down" diagnostic.
+//! and edge sessions exchange typed messages; the cloud's reader thread
+//! encodes the replies each message left in its machine's queue, and the
+//! edge's inbound pump decodes each frame once, before routing it. A
+//! payload that does not decode poisons the connection like any other
+//! framing fault, so a waiting session fails with its "cloud server shut
+//! down" diagnostic.
 //! Worker answers are always JSON regardless of the negotiated encoding:
 //! the uplink (scene submissions) is the byte budget this system
 //! economizes, and transcoding the downlink would burn cloud CPU without
@@ -102,8 +103,8 @@
 //! Every queue between a session and a socket is **bounded**
 //! ([`FRAME_QUEUE_CAP`]): the session→pump channel and the in-memory
 //! transport's frame queues. The cloud keeps no queue of its own: its
-//! reader thread hands each frame to the session's machine, which writes
-//! the answer straight onto the connection, so a blocked peer blocks the
+//! reader thread hands each frame to the session's machine and writes what
+//! the machine answered before reading on, so a blocked peer blocks the
 //! write — and with it the reader, which stops draining the socket. A
 //! slow reader therefore stalls its writer — memory stays bounded end to
 //! end and the stall propagates as backpressure (socket buffer fills →
@@ -117,7 +118,7 @@
 
 use crate::scheduler::SchedulerSlot;
 use crate::server::{
-    AnswerTx, CloudMachine, FromCloud, ProbeReply, ProbeTx, SubmitRequest, SubmitResponse, ToCloud,
+    CloudMachine, FromCloud, ProbeReply, Reply, ReplyTx, SubmitRequest, SubmitResponse, ToCloud,
 };
 use crate::wire::{self, Encoding, FrameReader, WireError};
 use crate::{CloudConfig, CloudStats, EdgeSession, OffloadPolicy, SessionConfig};
@@ -359,12 +360,6 @@ impl Serialize for WireSubmitRef<'_> {
 struct WireProbe {
     session: u64,
     now: f64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct WireProbeReply {
-    admitted: bool,
-    queue_depth: usize,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -1183,15 +1178,8 @@ impl ClientConn {
                     ToCloud::Register {
                         session,
                         link,
-                        resp_tx,
-                        probe_tx,
+                        replies: ReplyTx { answers, probes },
                     } => {
-                        // Transport clients register with channel reply
-                        // handles; `Sink` and `Outbox` are the cloud side's.
-                        let (AnswerTx::Chan(answers), ProbeTx::Chan(probes)) = (resp_tx, probe_tx)
-                        else {
-                            unreachable!("transport clients register with channel reply handles")
-                        };
                         let register =
                             Bytes::from(msg(tag::REGISTER, &WireRegister { session, link }, enc));
                         let route = Route {
@@ -1294,18 +1282,15 @@ impl ClientConn {
                             split_mux(&inner).map_or((None, None), |(s, i)| (Some(s), Some(i)))
                         };
                         let reply = inner.ok_or(WireError::Truncated).and_then(|inner| {
-                            wire::decode_frame_as::<WireProbeReply>(&inner, enc)
+                            wire::decode_frame_as::<ProbeReply>(&inner, enc)
                         });
-                        reply.map(|r| {
+                        reply.map(|reply| {
                             let hit = |p: &Pending| {
                                 matches!(p, Pending::Probe { session: s, .. }
                                     if hint.is_none_or(|h| *s == h))
                             };
                             if let Some(route) = self.take(hit) {
-                                let _ = route.probes.send(ProbeReply {
-                                    admitted: r.admitted,
-                                    queue_depth: r.queue_depth,
-                                });
+                                let _ = route.probes.send(reply);
                             }
                         })
                     }
@@ -1841,8 +1826,6 @@ fn merge_cloud_stats(into: &mut CloudStats, s: &CloudStats) {
     into.busy_s += s.busy_s;
     into.sessions += s.sessions;
     into.admission_rejects += s.admission_rejects;
-    into.peak_workers = into.peak_workers.max(s.peak_workers);
-    into.scale_changes += s.scale_changes;
     into.updates_published += s.updates_published;
     into.calibration_version = into.calibration_version.max(s.calibration_version);
 }
@@ -1866,10 +1849,6 @@ impl NodeStats {
             merge_cloud_stats(&mut self.cloud, &s);
         }
     }
-}
-
-fn send_locked(ftx: &Arc<Mutex<Box<dyn FrameTx>>>, payload: &[u8]) -> io::Result<()> {
-    ftx.lock().unwrap_or_else(|e| e.into_inner()).send(payload)
 }
 
 fn parse_hello(first: &Bytes) -> Result<Hello, Refused> {
@@ -1927,8 +1906,7 @@ pub fn serve_connection(
     opts: &ServeOptions,
 ) -> ConnOutcome {
     let mut outcome = ConnOutcome::default();
-    let (ftx, mut frx) = conn.split();
-    let ftx = Arc::new(Mutex::new(ftx));
+    let (mut ftx, mut frx) = conn.split();
 
     let first = match frx.recv_timeout(opts.hello_timeout) {
         Ok(Some(f)) => f,
@@ -1941,7 +1919,7 @@ pub fn serve_connection(
     let hello = match parse_hello(&first) {
         Ok(h) => h,
         Err(refused) => {
-            let _ = send_locked(&ftx, &msg(tag::REFUSED, &refused, Encoding::Json));
+            let _ = ftx.send(&msg(tag::REFUSED, &refused, Encoding::Json));
             outcome.refused = true;
             return outcome;
         }
@@ -1960,7 +1938,7 @@ pub fn serve_connection(
                     reason: RefuseReason::Encoding,
                     detail: format!("unknown encoding {name:?}"),
                 };
-                let _ = send_locked(&ftx, &msg(tag::REFUSED, &refused, Encoding::Json));
+                let _ = ftx.send(&msg(tag::REFUSED, &refused, Encoding::Json));
                 outcome.refused = true;
                 return outcome;
             }
@@ -1974,12 +1952,11 @@ pub fn serve_connection(
         encoding: Some(encoding.name().to_string()),
         mux: Some(mux),
     };
-    if send_locked(&ftx, &msg(tag::WELCOME, &welcome, Encoding::Json)).is_err() {
+    if ftx
+        .send(&msg(tag::WELCOME, &welcome, Encoding::Json))
+        .is_err()
+    {
         return outcome;
-    }
-
-    if let Some(a) = &config.autoscale {
-        a.assert_valid();
     }
 
     // A panicking big model unwinds out of `serve_sessions` together with
@@ -1988,7 +1965,7 @@ pub fn serve_connection(
     // drop, so the edge sees EOF, and the outcome reports an aborted
     // connection without stats.
     let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        serve_sessions(frx, &ftx, config, &**big, encoding, mux, &mut outcome)
+        serve_sessions(frx, &mut *ftx, config, &**big, encoding, mux, &mut outcome)
     }));
     match served {
         Ok(stats) => outcome.stats = stats,
@@ -2001,16 +1978,19 @@ pub fn serve_connection(
 /// state machine per registered session, created lazily at its REGISTER —
 /// the shared-nothing sharding that keeps a fleet deterministic, whether
 /// sessions arrive on separate connections or multiplexed onto this one.
-/// Every machine runs *inline on this reader thread*: each SUBMIT is
-/// handled (and its answer written) before the next frame is read, so a
-/// frame costs zero cross-thread handoffs.
+/// Every machine runs *inline on this reader thread*: what each inbound
+/// message produced is encoded and written as one run before the next
+/// frame is read, so a frame costs zero cross-thread handoffs. A blocked
+/// peer blocks the write — and with it this reader — which is the
+/// backpressure cascade.
 ///
 /// Records registration, the session count and a clean `BYE` in `outcome`
-/// as they happen, so a panic cannot lose them; returns the machines'
-/// merged stats.
+/// as they happen, so a panic cannot lose them; once the connection ends,
+/// shuts every machine down (writing what the drain answered) and returns
+/// their merged stats.
 fn serve_sessions(
     mut frx: Box<dyn FrameRx>,
-    ftx: &Arc<Mutex<Box<dyn FrameTx>>>,
+    ftx: &mut dyn FrameTx,
     config: &CloudConfig,
     big: &(dyn Detector + Sync),
     encoding: Encoding,
@@ -2018,65 +1998,39 @@ fn serve_sessions(
     outcome: &mut ConnOutcome,
 ) -> Option<CloudStats> {
     let mut machines: HashMap<u64, CloudMachine> = HashMap::new();
+    // Feeds one message to a session's machine and writes what it
+    // produced as one run. A failed write is ignored: the next read ends
+    // the loop.
+    let mut step = |m: &mut CloudMachine, msg: ToCloud<()>| {
+        let live = m.handle(msg);
+        let run: Vec<Vec<u8>> = (m.replies())
+            .map(|(session, reply)| encode_reply(session, reply, encoding, mux))
+            .collect();
+        if !run.is_empty() {
+            let _ = ftx.send_all(&run.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        }
+        live
+    };
     while let Ok(Some(frame)) = frx.recv() {
         let Some((t, inner)) = split_msg(&frame) else {
             break;
         };
         let ok = match t {
             tag::REGISTER => match wire::decode_frame_as::<WireRegister>(&inner, encoding) {
-                Ok(r) => {
+                Ok(WireRegister { session, link }) => {
                     outcome.registered = true;
-                    let session = r.session;
                     // A re-REGISTER for a live session (edge reconnect
-                    // replay) reuses its machine; the Register message
-                    // swaps in the fresh reply handles.
+                    // replay) reuses its machine.
                     let machine = machines.entry(session).or_insert_with(|| {
                         let sched = SchedulerSlot::from_config(&config.scheduler);
                         CloudMachine::new(big, config, sched)
                     });
-                    // Replies are encoded and written straight from this
-                    // thread, always as JSON (see module docs); mux
-                    // connections prefix the session id AND the ticket, so
-                    // the edge finds the pending frame from the envelope.
-                    // Calibration pushes are not answers to a pending
-                    // submit: they ship under their own session-prefixed
-                    // tag on mux and plain connections alike. A blocked
-                    // peer blocks the write — and with it this reader —
-                    // which is exactly the backpressure cascade the
-                    // channels gave.
-                    let ftx_a = Arc::clone(ftx);
-                    let resp_tx = AnswerTx::Sink(Box::new(move |reply| {
-                        let payload = match reply {
-                            FromCloud::Update(update) => {
-                                msg_mux(tag::UPDATE, session, &wire::encode_frame(&*update))
-                            }
-                            FromCloud::Answer(resp) if mux => {
-                                msg_mux_answer(session, resp.ticket, &wire::encode_frame(&resp))
-                            }
-                            FromCloud::Answer(resp) => msg(tag::ANSWER, &resp, Encoding::Json),
-                        };
-                        send_locked(&ftx_a, &payload).is_ok()
-                    }));
-                    let ftx_p = Arc::clone(ftx);
-                    let probe_tx = ProbeTx::Sink(Box::new(move |r: ProbeReply| {
-                        let reply = WireProbeReply {
-                            admitted: r.admitted,
-                            queue_depth: r.queue_depth,
-                        };
-                        let payload = if mux {
-                            let inner = wire::encode_frame_as(&reply, encoding);
-                            msg_mux(tag::PROBE_REPLY_MUX, session, &inner)
-                        } else {
-                            msg(tag::PROBE_REPLY, &reply, encoding)
-                        };
-                        send_locked(&ftx_p, &payload).is_ok()
-                    }));
-                    let ok = machine.handle(ToCloud::Register {
+                    let register = ToCloud::Register {
                         session,
-                        link: r.link,
-                        resp_tx,
-                        probe_tx,
-                    });
+                        link,
+                        replies: (),
+                    };
+                    let ok = step(machine, register);
                     outcome.sessions = machines.len();
                     ok
                 }
@@ -2084,17 +2038,14 @@ fn serve_sessions(
             },
             tag::SUBMIT => match wire::decode_frame_as::<WireSubmit>(&inner, encoding) {
                 Ok(s) => match machines.get_mut(&s.header.session) {
-                    Some(m) => m.handle(ToCloud::Frame(s.header, Arc::new(s.scene))),
+                    Some(m) => step(m, ToCloud::Frame(s.header, Arc::new(s.scene))),
                     None => false,
                 },
                 Err(_) => false,
             },
             tag::PROBE => match wire::decode_frame_as::<WireProbe>(&inner, encoding) {
-                Ok(p) => match machines.get_mut(&p.session) {
-                    Some(m) => m.handle(ToCloud::Probe {
-                        session: p.session,
-                        now: p.now,
-                    }),
+                Ok(WireProbe { session, now }) => match machines.get_mut(&session) {
+                    Some(m) => step(m, ToCloud::Probe { session, now }),
                     None => false,
                 },
                 Err(_) => false,
@@ -2105,13 +2056,11 @@ fn serve_sessions(
                     // connection (a legacy connection carries exactly one).
                     machines
                         .iter_mut()
-                        .all(|(s, m)| m.handle(ToCloud::Flush { session: *s }))
+                        .all(|(&session, m)| step(m, ToCloud::Flush { session }))
                 } else {
                     match wire::decode_frame_as::<WireFlush>(&inner, encoding) {
-                        Ok(fl) => match machines.get_mut(&fl.session) {
-                            Some(m) => m.handle(ToCloud::Flush {
-                                session: fl.session,
-                            }),
+                        Ok(WireFlush { session }) => match machines.get_mut(&session) {
+                            Some(m) => step(m, ToCloud::Flush { session }),
                             None => false,
                         },
                         Err(_) => false,
@@ -2119,8 +2068,8 @@ fn serve_sessions(
                 }
             }
             tag::DEREGISTER => match wire::decode_frame_as::<WireDeregister>(&inner, encoding) {
-                Ok(d) => match machines.get_mut(&d.session) {
-                    Some(m) => m.handle(ToCloud::Deregister { session: d.session }),
+                Ok(WireDeregister { session }) => match machines.get_mut(&session) {
+                    Some(m) => step(m, ToCloud::Deregister { session }),
                     None => false,
                 },
                 Err(_) => false,
@@ -2136,10 +2085,33 @@ fn serve_sessions(
         }
     }
     let mut merged: Option<CloudStats> = None;
-    for (_, m) in machines {
+    for (_, mut m) in machines {
+        step(&mut m, ToCloud::Shutdown);
         merge_cloud_stats(merged.get_or_insert_with(CloudStats::default), &m.finish());
     }
     merged
+}
+
+/// Encodes one machine reply for its connection. Answers are always JSON
+/// (see the module docs); mux connections prefix the session id AND the
+/// ticket, so the edge finds the pending frame from the envelope.
+/// Calibration pushes are not answers to a pending submit: they ship under
+/// their own session-prefixed tag on mux and plain connections alike.
+fn encode_reply(session: u64, reply: Reply, encoding: Encoding, mux: bool) -> Vec<u8> {
+    match reply {
+        Reply::Cloud(FromCloud::Update(update)) => {
+            msg_mux(tag::UPDATE, session, &wire::encode_frame(&*update))
+        }
+        Reply::Cloud(FromCloud::Answer(resp)) if mux => {
+            msg_mux_answer(session, resp.ticket, &wire::encode_frame(&resp))
+        }
+        Reply::Cloud(FromCloud::Answer(resp)) => msg(tag::ANSWER, &resp, Encoding::Json),
+        Reply::Probe(reply) if mux => {
+            let inner = wire::encode_frame_as(&reply, encoding);
+            msg_mux(tag::PROBE_REPLY_MUX, session, &inner)
+        }
+        Reply::Probe(reply) => msg(tag::PROBE_REPLY, &reply, encoding),
+    }
 }
 
 /// Runs a cloud node: accepts connections on `listener` and serves each on
@@ -2148,6 +2120,11 @@ fn serve_sessions(
 /// [`ServeOptions::expect_sessions`] connections completed.
 ///
 /// Returns the node's merged [`NodeStats`] after every handler finished.
+///
+/// # Panics
+///
+/// Panics on this thread, with [`CloudConfig::validate`]'s message and
+/// before accepting any connection, when `config` is invalid.
 pub fn serve(
     listener: &mut dyn Listener,
     config: &CloudConfig,
@@ -2155,9 +2132,7 @@ pub fn serve(
     opts: &ServeOptions,
     stop: &AtomicBool,
 ) -> NodeStats {
-    if let Some(a) = &config.autoscale {
-        a.assert_valid();
-    }
+    config.assert_valid();
     let waker = listener.waker();
     let agg = Mutex::new(NodeStats::default());
     let completed = AtomicUsize::new(0);
@@ -2590,12 +2565,12 @@ mod tests {
         let (mut listener, connector) = memory_listener();
         let server = std::thread::spawn(move || {
             let conn = listener.accept().unwrap();
-            let (tx, mut rx) = conn.split();
-            let ftx = Arc::new(Mutex::new(tx));
+            let (mut tx, mut rx) = conn.split();
             let first = rx.recv().unwrap().unwrap();
             let refused = parse_hello(&first).unwrap_err();
             assert_eq!(refused.reason, RefuseReason::Version);
-            send_locked(&ftx, &msg(tag::REFUSED, &refused, Encoding::Json)).unwrap();
+            tx.send(&msg(tag::REFUSED, &refused, Encoding::Json))
+                .unwrap();
         });
         let conn: Box<dyn Transport> = Box::new(connector.connect().unwrap());
         let (mut tx, mut rx) = conn.split();
@@ -2663,7 +2638,7 @@ mod tests {
     // ClientConn, driven on one thread
     // -----------------------------------------------------------------------
 
-    /// A session's `Register` with channel reply handles, and the receiving
+    /// A session's `Register` with its reply senders, and the receiving
     /// end of its answers.
     fn register(session: u64) -> (ToCloud, Receiver<FromCloud>) {
         let (resp_tx, answers) = channel::unbounded();
@@ -2671,8 +2646,10 @@ mod tests {
         let register = ToCloud::Register {
             session,
             link: SessionConfig::new(2).link,
-            resp_tx: AnswerTx::Chan(resp_tx),
-            probe_tx: ProbeTx::Chan(probe_tx),
+            replies: ReplyTx {
+                answers: resp_tx,
+                probes: probe_tx,
+            },
         };
         (register, answers)
     }

@@ -9,8 +9,8 @@ use datagen::SplitId;
 use imaging::{encoded_size_bytes, render};
 use modelzoo::{Detector, ModelKind, PartitionAnalysis};
 use smallbig_core::{
-    run_system, AutoscaleConfig, CloudConfig, CloudServer, DifficultCaseDiscriminator,
-    DiscriminatorConfig, Policy, RuntimeConfig, RuntimeMode, SchedulerConfig, SessionConfig,
+    run_system, CloudConfig, CloudServer, DifficultCaseDiscriminator, DiscriminatorConfig, Policy,
+    RuntimeConfig, RuntimeMode, SchedulerConfig, SessionConfig,
 };
 use std::sync::Arc;
 
@@ -474,10 +474,10 @@ pub fn degraded(cfg: &ExpConfig) -> Report {
 
 /// Extension: the cloud scheduling control plane — FIFO vs deadline-aware
 /// vs difficulty-priority batch formation under bursty traffic and the
-/// degraded-network scenarios, plus an admission-control and a
-/// deterministic-autoscaling row. Every cell is a fixed-seed streaming
-/// session driven in bursts (eight frames in flight), so the cloud queue
-/// actually fills and the scheduler's service order matters.
+/// degraded-network scenarios, plus an admission-control row. Every cell
+/// is a fixed-seed streaming session driven in bursts (eight frames in
+/// flight), so the cloud queue actually fills and the scheduler's service
+/// order matters.
 pub fn scheduling(cfg: &ExpConfig) -> Report {
     use simnet::LinkTrace;
     let run = pair_run(
@@ -490,16 +490,12 @@ pub fn scheduling(cfg: &ExpConfig) -> Report {
     let disc = run.discriminator();
     let big: Arc<dyn Detector + Send + Sync> = Arc::new(big);
 
-    let drive = |scheduler: SchedulerConfig,
-                 queue_limit: Option<usize>,
-                 autoscale: Option<AutoscaleConfig>,
-                 trace: Option<LinkTrace>| {
+    let drive = |scheduler, queue_limit: Option<usize>, trace: Option<LinkTrace>| {
         let mut cloud = CloudServer::spawn(
             CloudConfig {
                 max_batch: 4,
                 scheduler,
                 queue_limit,
-                autoscale,
                 ..CloudConfig::default()
             },
             Arc::clone(&big),
@@ -571,7 +567,7 @@ pub fn scheduling(cfg: &ExpConfig) -> Report {
     ]);
     for (scenario_name, trace) in &scenarios {
         for sched in schedulers {
-            let (r, _) = drive(sched, None, None, trace.clone());
+            let (r, _) = drive(sched, None, trace.clone());
             t.add_row(vec![
                 format!("{scenario_name} / {}", sched.name()),
                 f2(r.map_pct),
@@ -582,9 +578,8 @@ pub fn scheduling(cfg: &ExpConfig) -> Report {
             ]);
         }
     }
-    // Control-plane extras on the steady scenario: admission control and
-    // the deterministic autoscaler.
-    let (adm, adm_stats) = drive(SchedulerConfig::Fifo, Some(2), None, None);
+    // Control-plane extra on the steady scenario: admission control.
+    let (adm, adm_stats) = drive(SchedulerConfig::Fifo, Some(2), None);
     t.add_row(vec![
         "steady / fifo + queue_limit 2".into(),
         f2(adm.map_pct),
@@ -592,23 +587,6 @@ pub fn scheduling(cfg: &ExpConfig) -> Report {
         format!("{}", adm.deadline_misses),
         format!("{}", adm.link_fallbacks + adm.admission_fallbacks),
         f2(adm.latency.mean_s() * 1000.0),
-    ]);
-    let (auto, auto_stats) = drive(
-        SchedulerConfig::Fifo,
-        None,
-        Some(AutoscaleConfig {
-            frames_per_worker: 2,
-            min_workers: 1,
-        }),
-        None,
-    );
-    t.add_row(vec![
-        "steady / fifo + autoscale".into(),
-        f2(auto.map_pct),
-        f2(auto.upload_ratio * 100.0),
-        format!("{}", auto.deadline_misses),
-        format!("{}", auto.link_fallbacks + auto.admission_fallbacks),
-        f2(auto.latency.mean_s() * 1000.0),
     ]);
 
     Report::new(
@@ -624,11 +602,6 @@ pub fn scheduling(cfg: &ExpConfig) -> Report {
         "admission row: {} of our frames (plus background's — {} rejects total) were refused at \
          the queue limit and served edge-only with zero uplink spent",
         adm.admission_fallbacks, adm_stats.admission_rejects
-    ))
-    .with_note(format!(
-        "autoscale row is bit-identical to steady/fifo (the trajectory sizes nothing): \
-         peak {} workers called for, {} resizes",
-        auto_stats.peak_workers, auto_stats.scale_changes
     ))
     .with_note("deterministic: virtual clocks, seeded RNG streams, randomness-free schedulers")
 }
@@ -987,11 +960,10 @@ mod tests {
     #[test]
     fn scheduling_covers_grid_and_control_rows() {
         let r = scheduling(&ExpConfig::quick());
-        assert_eq!(r.table.num_rows(), 11, "3 scenarios × 3 schedulers + 2");
+        assert_eq!(r.table.num_rows(), 10, "3 scenarios × 3 schedulers + 1");
         let text = r.to_string();
         assert!(text.contains("deadline-aware"));
         assert!(text.contains("difficulty-priority"));
         assert!(text.contains("queue_limit"));
-        assert!(text.contains("autoscale"));
     }
 }

@@ -632,14 +632,6 @@ impl FaultPlan {
             .collect()
     }
 
-    /// `true` when `t` falls inside a scheduled stall window — the signal a
-    /// cloud-side autoscaler reads to park workers while the server cannot
-    /// start batches anyway (see [`next_available`](Self::next_available)
-    /// for the deferred start itself).
-    pub fn is_stalled(&self, t: f64) -> bool {
-        self.stalls.iter().any(|w| w.contains(t))
-    }
-
     /// The earliest time `>= t` at which the cloud server is not stalled.
     /// Windows may overlap and be unsorted; the fixpoint loop handles both.
     pub fn next_available(&self, t: f64) -> f64 {
@@ -757,17 +749,6 @@ mod tests {
         assert_eq!(plan.next_available(14.5), 20.0);
         assert_eq!(plan.next_available(20.0), 20.0);
         assert_eq!(plan.drops_for(0), vec![]);
-    }
-
-    #[test]
-    fn stalled_instants_match_the_windows() {
-        let plan = FaultPlan::new().with_stall(10.0, 5.0).with_stall(14.0, 6.0);
-        assert!(!plan.is_stalled(9.999));
-        assert!(plan.is_stalled(10.0));
-        assert!(plan.is_stalled(14.5));
-        assert!(plan.is_stalled(19.999));
-        assert!(!plan.is_stalled(20.0));
-        assert!(!FaultPlan::new().is_stalled(0.0));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The cloud scheduling control plane: pluggable batch schedulers,
-//! admission control, and deterministic autoscaling.
+//! The cloud scheduling control plane: pluggable batch schedulers and
+//! admission control.
 //!
 //! One cloud serves two edges: a deadline-less cloud-only camera that
 //! floods the uplink in bursts, and a monitored session whose difficult
@@ -7,9 +7,7 @@
 //! scheduler decides who waits: FIFO interleaves the monitored frames
 //! behind the flood, while the deadline-aware and difficulty-priority
 //! schedulers pull them forward. Admission control
-//! (`CloudConfig::queue_limit`) sheds load before any uplink is spent, and
-//! the autoscaler reports the capacity the queue called for — without
-//! moving a single virtual timestamp.
+//! (`CloudConfig::queue_limit`) sheds load before any uplink is spent.
 //!
 //! Everything is deterministic: virtual clocks, seeded RNG streams, and
 //! schedulers that never draw randomness.
@@ -19,8 +17,8 @@
 //! ```
 
 use smallbig::core::{
-    AutoscaleConfig, CloudConfig, CloudServer, CloudStats, Policy, SchedulerConfig, SessionConfig,
-    SessionReport, Thresholds,
+    CloudConfig, CloudServer, CloudStats, Policy, SchedulerConfig, SessionConfig, SessionReport,
+    Thresholds,
 };
 use smallbig::prelude::*;
 use std::sync::Arc;
@@ -164,41 +162,4 @@ fn main() {
             stats.served,
         );
     }
-
-    // ---- 3. Deterministic autoscaling under a cloud stall ----
-    // The worker count grows with the queue and parks during the stall
-    // window; it sizes nothing, so the report is bit-identical to the run
-    // without an autoscaler.
-    let stall = FaultPlan::new().with_stall(2.0, 3.0);
-    let fixed = drive(
-        &data,
-        false,
-        CloudConfig {
-            max_batch: 4,
-            faults: stall.clone(),
-            ..CloudConfig::default()
-        },
-    );
-    let scaled = drive(
-        &data,
-        false,
-        CloudConfig {
-            max_batch: 4,
-            faults: stall,
-            autoscale: Some(AutoscaleConfig {
-                frames_per_worker: 2,
-                min_workers: 1,
-            }),
-            ..CloudConfig::default()
-        },
-    );
-    assert_eq!(
-        fixed.0, scaled.0,
-        "autoscaling must never move a virtual timestamp"
-    );
-    println!(
-        "\nautoscaler (cloud stall 2–5s): peak {} workers, {} resizes — \
-         report bit-identical to the run without it (asserted)",
-        scaled.1.peak_workers, scaled.1.scale_changes,
-    );
 }

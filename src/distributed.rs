@@ -40,8 +40,8 @@ use smallbig_core::transport::{
 };
 use smallbig_core::wire::Encoding;
 use smallbig_core::{
-    AutoscaleConfig, CloudConfig, DifficultCaseDiscriminator, EdgePipeline, OffloadPolicy, Policy,
-    SchedulerConfig, SessionConfig, SessionReport, UpdateConfig,
+    CloudConfig, DifficultCaseDiscriminator, EdgePipeline, OffloadPolicy, Policy, SchedulerConfig,
+    SessionConfig, SessionReport, UpdateConfig,
 };
 
 // ---------------------------------------------------------------------------
@@ -232,8 +232,6 @@ pub struct CloudSpec {
     pub scheduler: SchedulerConfig,
     /// Admission control queue limit, if any.
     pub queue_limit: Option<usize>,
-    /// Deterministic autoscaling trajectory, if any.
-    pub autoscale: Option<AutoscaleConfig>,
     /// Cloud-driven calibration update loop, if any (`None` keeps the
     /// deployment bit-identical to pre-update builds). Spec JSON written
     /// before the update loop existed still parses: missing fields
@@ -249,7 +247,6 @@ impl Default for CloudSpec {
             max_batch: base.max_batch,
             scheduler: base.scheduler,
             queue_limit: base.queue_limit,
-            autoscale: base.autoscale,
             updates: base.updates,
         }
     }
@@ -263,7 +260,6 @@ impl CloudSpec {
             max_batch: self.max_batch,
             scheduler: self.scheduler,
             queue_limit: self.queue_limit,
-            autoscale: self.autoscale,
             updates: self.updates,
             ..CloudConfig::default()
         }
@@ -398,7 +394,7 @@ impl DeploymentSpec {
 
     /// Checks every field a run would otherwise trip over mid-flight: a
     /// zero count, batch or frame size, a deadline the wire cannot carry,
-    /// or an out-of-range scheduler, autoscale or update config.
+    /// or an out-of-range scheduler or update config.
     ///
     /// # Errors
     ///
@@ -408,7 +404,6 @@ impl DeploymentSpec {
             ("edges (--edges)", self.edges),
             ("devices_per_edge (--devices)", self.devices_per_edge),
             ("frames_per_device (--frames)", self.frames_per_device),
-            ("cloud.max_batch (--max-batch)", self.cloud.max_batch),
             ("edge.frame_px (--frame-px)", self.edge.frame_px),
         ] {
             if value == 0 {
@@ -422,15 +417,15 @@ impl DeploymentSpec {
                 ));
             }
         }
-        (self.cloud.scheduler.validate())
-            .map_err(|e| format!("cloud.scheduler (--scheduler): {e}"))?;
-        if let Some(a) = &self.cloud.autoscale {
-            a.validate().map_err(|e| format!("cloud.autoscale: {e}"))?;
-        }
-        if let Some(u) = &self.cloud.updates {
-            u.validate().map_err(|e| format!("cloud.updates: {e}"))?;
-        }
-        Ok(())
+        // The cloud's own check, its fields named as the CLI names them.
+        self.cloud.build().validate().map_err(|e| {
+            for (field, flag) in [("max_batch", "--max-batch"), ("scheduler", "--scheduler")] {
+                if let Some(rest) = e.strip_prefix(field) {
+                    return format!("cloud.{field} ({flag}){rest}");
+                }
+            }
+            format!("cloud.{e}")
+        })
     }
 
     /// The dataset device `session` streams.
@@ -1003,7 +998,6 @@ fn spec_from_args(args: &CliArgs) -> Result<DeploymentSpec, String> {
             queue_limit: args.get_with("queue-limit", base.cloud.queue_limit, |v| {
                 v.parse().ok().map(Some)
             })?,
-            autoscale: base.cloud.autoscale,
             updates: {
                 let updates = args.get_with("update-epoch-s", base.cloud.updates, |v| {
                     v.parse().ok().map(|epoch_s| {
@@ -1087,7 +1081,6 @@ mod tests {
             cloud: CloudSpec {
                 scheduler: SchedulerConfig::DeadlineAware { lookahead: 4 },
                 queue_limit: Some(6),
-                autoscale: Some(AutoscaleConfig::default()),
                 ..CloudSpec::default()
             },
             edge: EdgeSpec {
@@ -1179,14 +1172,8 @@ mod tests {
             f(&mut spec);
             serde_json::to_string(&spec).unwrap()
         };
-        let bad_autoscale = spec_json(&|s| {
-            s.cloud.autoscale = Some(AutoscaleConfig {
-                frames_per_worker: 0,
-                ..AutoscaleConfig::default()
-            })
-        });
         let zero_batch = spec_json(&|s| s.cloud.max_batch = 0);
-        let cases: [(&[&str], &str); 13] = [
+        let cases: [(&[&str], &str); 12] = [
             (&["--max-batch", "0"], "cloud.max_batch"),
             (&["--scheduler", "deadline:0"], "--scheduler"),
             (&["--scheduler", "difficulty:0"], "--scheduler"),
@@ -1201,7 +1188,6 @@ mod tests {
             (&["--edges", "0"], "edges"),
             (&["--devices", "0"], "devices_per_edge"),
             (&["--frame-px", "0"], "edge.frame_px"),
-            (&["--spec", &bad_autoscale], "frames_per_worker"),
             (&["--spec", &zero_batch], "cloud.max_batch"),
         ];
         for (args, field) in cases {

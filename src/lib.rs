@@ -33,12 +33,9 @@
 //! The cloud side has a pluggable *scheduling control plane*
 //! ([`core::Scheduler`]): FIFO batching (the bit-identical default),
 //! earliest-deadline-first and difficulty-priority batch formation,
-//! admission control ([`core::CloudConfig::queue_limit`]) that sheds
-//! over-limit frames to the edge before any uplink is spent, and a
-//! deterministic autoscaler ([`core::CloudConfig::autoscale`]) that
-//! reports the capacity the queue called for, from queue depth and
-//! fault-plan stall windows, without moving a single virtual timestamp
-//! (see `examples/cloud_scheduling.rs` and the `scheduling` experiment).
+//! and admission control ([`core::CloudConfig::queue_limit`]) that sheds
+//! over-limit frames to the edge before any uplink is spent (see
+//! `examples/cloud_scheduling.rs` and the `scheduling` experiment).
 //!
 //! Networks need not be static: overlay any link with a
 //! [`simnet::LinkTrace`] (outages, diurnal ramps, Gilbert–Elliott bursty
@@ -141,8 +138,8 @@
 //! The same spec can be replayed through the historical
 //! thread-per-session deployment ([`core::fleet::run_fleet_reference`]);
 //! both produce **bit-identical** per-session reports — the conformance
-//! contract `tests/fleet.rs` pins and the bench re-asserts before any
-//! timing. See `examples/fleet.rs`.
+//! contract `tests/fleet.rs` and `tests/fleet_golden.rs` pin. See
+//! `examples/fleet.rs`.
 //!
 //! # Model-update quickstart (recalibration under drift)
 //!
@@ -264,10 +261,10 @@ pub mod prelude {
         LinkChoice, MetricsMode,
     };
     pub use smallbig_core::{
-        calibrate, evaluate, evaluate_streaming, run_system, AutoscaleConfig, CaseKind,
-        CloudConfig, CloudServer, DifficultCaseDiscriminator, EdgeSession, EvalConfig,
-        OffloadPolicy, Policy, RuntimeConfig, RuntimeMode, Scheduler, SchedulerConfig,
-        SessionConfig, SessionReport, Thresholds, UpdateConfig,
+        calibrate, evaluate, evaluate_streaming, run_system, CaseKind, CloudConfig, CloudServer,
+        DifficultCaseDiscriminator, EdgeSession, EvalConfig, OffloadPolicy, Policy, RuntimeConfig,
+        RuntimeMode, Scheduler, SchedulerConfig, SessionConfig, SessionReport, Thresholds,
+        UpdateConfig,
     };
 }
 

@@ -5,7 +5,11 @@
 //! checksums were captured at the commit before the seam between
 //! `CloudMachine` and `EdgeMachine` stopped carrying encoded answers (PR 22),
 //! when every cloud answer and every pushed calibration artifact crossed it
-//! as a JSON frame and was parsed back on the other side.
+//! as a JSON frame and was parsed back on the other side. `CloudStats` has
+//! since lost two counters that were always zero in these runs; the
+//! constants were re-derived by deleting those two keys from the captured
+//! reports' JSON, and the result matched the live reports, so no other
+//! field moved.
 
 use smallbig::core::fleet::{
     run_fleet_sessions, run_fleet_with, FleetReport, FleetSpec, MetricsMode,
@@ -56,9 +60,9 @@ fn specs() -> [(&'static str, FleetSpec); 3] {
 fn fleet_reports_match_the_frozen_checksums() {
     // per spec: (FleetReport, per-session reports + per-shard CloudStats)
     let golden: [(u64, u64); 3] = [
-        (0x7ec9_110c_514b_b381, 0x1c2b_0598_2146_a3ae),
-        (0x5cc7_6dea_287b_f52b, 0x106d_a870_4b33_2dcf),
-        (0xb82d_1b62_ed17_4894, 0x86fc_07db_e5c9_1366),
+        (0x51dc_9214_dafc_dd4b, 0xfe55_9ea4_3bed_c508),
+        (0xeb5b_01bb_d192_fc55, 0x7e1f_04a4_7baa_8e51),
+        (0x9133_9070_76d3_7796, 0xbdf0_1ad9_44bf_005c),
     ];
     // Every cell is computed before any is judged, so one failing run
     // prints the whole table.

@@ -11,19 +11,19 @@
 //!    `spawn_with(FifoBatcher)` report-for-report.
 //!    (`tests/api_equivalence.rs` separately pins the whole stack against
 //!    the seed implementation.)
-//! 2. **Determinism.** Every scheduler, the admission-control path and the
-//!    autoscaler replay bit-identically across runs — autoscaling
-//!    trajectories and service orders are pure functions of virtual-time
-//!    state.
+//! 2. **Determinism.** Every scheduler and the admission-control path
+//!    replay bit-identically across runs — service orders are pure
+//!    functions of virtual-time state.
 //! 3. **Admission contract.** A frame refused at the queue limit never
 //!    touches the cloud: zero uplink bytes, zero served frames, the local
 //!    answer served immediately. A limit that never binds changes nothing
 //!    at all — not even RNG draws.
 
 use proptest::prelude::*;
+use smallbig::core::transport::{memory_listener, serve, ServeOptions};
 use smallbig::core::{
-    AutoscaleConfig, CloudConfig, CloudServer, CloudStats, DifficultCaseDiscriminator, FifoBatcher,
-    Policy, QueuedFrame, Scheduler, SchedulerConfig, SessionConfig, SessionReport, Thresholds,
+    CloudConfig, CloudServer, CloudStats, DifficultCaseDiscriminator, FifoBatcher, Policy,
+    QueuedFrame, Scheduler, SchedulerConfig, SessionConfig, SessionReport, Thresholds,
 };
 use smallbig::prelude::*;
 use std::sync::Arc;
@@ -244,61 +244,24 @@ fn explicit_fifo_batcher_is_bit_identical_to_default() {
 // 2. Deterministic replay across runs
 // ---------------------------------------------------------------------------
 
-/// Every scheduler (and the autoscaler) replays bit-identically.
+/// Every scheduler replays bit-identically.
 #[test]
 fn scheduler_replay_is_bit_identical() {
     let configs = [
-        (SchedulerConfig::Fifo, None),
-        (SchedulerConfig::DeadlineAware { lookahead: 2 }, None),
-        (SchedulerConfig::DifficultyPriority { lookahead: 2 }, None),
-        (
-            SchedulerConfig::DeadlineAware { lookahead: 2 },
-            Some(AutoscaleConfig {
-                frames_per_worker: 2,
-                min_workers: 1,
-            }),
-        ),
+        SchedulerConfig::Fifo,
+        SchedulerConfig::DeadlineAware { lookahead: 2 },
+        SchedulerConfig::DifficultyPriority { lookahead: 2 },
     ];
-    for (scheduler, autoscale) in configs {
+    for scheduler in configs {
         let run = || {
             burst_run(CloudConfig {
                 max_batch: 4,
                 scheduler,
-                autoscale,
                 ..CloudConfig::default()
             })
         };
         assert_eq!(run(), run(), "{scheduler:?} replay must be deterministic");
     }
-}
-
-/// The autoscaler changes nothing observable except the cloud's own
-/// trajectory counters — which are themselves deterministic.
-#[test]
-fn autoscaling_trajectory_is_deterministic_and_reportless() {
-    let config = |autoscale| CloudConfig {
-        max_batch: 4,
-        faults: FaultPlan::new().with_stall(2.0, 3.0),
-        autoscale,
-        ..CloudConfig::default()
-    };
-    let fixed = burst_run(config(None));
-    let scaled = burst_run(config(Some(AutoscaleConfig {
-        frames_per_worker: 2,
-        min_workers: 1,
-    })));
-    assert_eq!(fixed.0, scaled.0, "session report must not see scaling");
-    assert_eq!(fixed.1, scaled.1, "co-tenant report must not see scaling");
-    assert_eq!(fixed.2.served, scaled.2.served);
-    assert_eq!(fixed.2.busy_s, scaled.2.busy_s);
-    // The trajectory itself is deterministic and visible in the stats.
-    assert_eq!(fixed.2.peak_workers, 0, "disabled autoscaler reports 0");
-    assert!(scaled.2.peak_workers >= 1);
-    let replay = burst_run(config(Some(AutoscaleConfig {
-        frames_per_worker: 2,
-        min_workers: 1,
-    })));
-    assert_eq!(scaled.2, replay.2);
 }
 
 // ---------------------------------------------------------------------------
@@ -410,22 +373,67 @@ fn generous_queue_limit_changes_nothing() {
     assert_eq!(generous.2.admission_rejects, 0);
 }
 
-/// An invalid autoscale configuration fails on the caller's thread at
-/// spawn time — not on the cloud worker at its first batch.
+/// An invalid cloud configuration fails on the caller's thread, naming
+/// its field, wherever a cloud is built: at `CloudServer::spawn` (not on
+/// the worker thread) and at `serve` (before any edge completes a
+/// handshake it could never use).
 #[test]
-#[should_panic(expected = "frames_per_worker")]
-fn invalid_autoscale_config_fails_at_spawn() {
+fn invalid_cloud_configs_fail_at_spawn_and_serve() {
     let (_, _, big) = fixture();
-    let _ = CloudServer::spawn(
-        CloudConfig {
-            autoscale: Some(AutoscaleConfig {
-                frames_per_worker: 0,
-                min_workers: 1,
-            }),
-            ..CloudConfig::default()
-        },
-        big,
-    );
+    let bad = [
+        (
+            "max_batch",
+            CloudConfig {
+                max_batch: 0,
+                ..CloudConfig::default()
+            },
+        ),
+        (
+            "scheduler",
+            CloudConfig {
+                scheduler: SchedulerConfig::DeadlineAware { lookahead: 0 },
+                ..CloudConfig::default()
+            },
+        ),
+        (
+            "updates",
+            CloudConfig {
+                updates: Some(UpdateConfig {
+                    epoch_s: 0.0,
+                    ..UpdateConfig::default()
+                }),
+                ..CloudConfig::default()
+            },
+        ),
+    ];
+    let panic_message = |host: &str, field: &str, run: &dyn Fn()| {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err(&format!("{host} must refuse a bad {field}"));
+        let message = (payload.downcast_ref::<String>().cloned())
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(
+            message.contains("invalid cloud config") && message.contains(field),
+            "{host}: `{message}` must name {field}"
+        );
+    };
+    for (field, config) in bad {
+        panic_message("spawn", field, &|| {
+            drop(CloudServer::spawn(config.clone(), Arc::clone(&big)));
+        });
+        panic_message("serve", field, &|| {
+            let (mut listener, _connector) = memory_listener();
+            // Already stopped: a valid config would return at once.
+            let stop = std::sync::atomic::AtomicBool::new(true);
+            serve(
+                &mut listener,
+                &config,
+                &big,
+                &ServeOptions::default(),
+                &stop,
+            );
+        });
+    }
 }
 
 /// A binding limit sheds load deterministically and the shed frames keep
