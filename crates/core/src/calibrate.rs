@@ -254,9 +254,10 @@ pub fn calibrate_count_area(examples: &[LabeledExample]) -> (usize, f64, BinaryS
 /// [`calibrate_count_area`] exactly (the detectors are deterministic). The
 /// first keeps what labelling will need — each small-model detection's
 /// score and box area, end to end in one buffer per block, and the big
-/// model's predicted-object count — and folds the small model's scores
-/// into the block's Eq. 1 sums; once those pick `t_conf`, the second
-/// labels every scene, block by block.
+/// model's predicted-object count, which [`Detector::count_above`] takes
+/// without drawing the big model's boxes — and folds the small model's
+/// scores into the block's Eq. 1 sums; once those pick `t_conf`, the
+/// second labels every scene, block by block.
 pub fn calibrate(
     train: &Dataset,
     small: &(dyn Detector + Sync),
@@ -295,13 +296,11 @@ fn calibrate_with(
             scenes: Vec::with_capacity(range.len()),
         };
         let mut small_dets = detcore::ImageDetections::new();
-        let mut big_dets = detcore::ImageDetections::new();
         for scene in &scenes[range] {
             small.detect_into(scene, &mut small_dets);
             loss.add_image(&small_dets, scene.num_objects());
-            big.detect_into(scene, &mut big_dets);
             (block.small_dets).extend(small_dets.iter().map(|d| (d.score(), d.bbox().area())));
-            let n_big = big_dets.count_above(PREDICTION_THRESHOLD);
+            let n_big = big.count_above(scene, PREDICTION_THRESHOLD);
             block.scenes.push((block.small_dets.len(), n_big));
         }
         (block, loss)

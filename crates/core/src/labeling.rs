@@ -47,7 +47,12 @@ pub fn label_scene(
     big: &dyn Detector,
     t_conf: f64,
 ) -> LabeledExample {
-    label_scene_with(scene, &small.detect(scene), &big.detect(scene), t_conf)
+    let features = SemanticFeatures::extract(&small.detect(scene), t_conf);
+    label_scene_counted(
+        scene,
+        features,
+        big.count_above(scene, PREDICTION_THRESHOLD),
+    )
 }
 
 /// [`label_scene`] over detections both models already produced for this

@@ -3,11 +3,18 @@
 //! [`SimDetector`] turns a [`Capability`] into a [`Detector`] whose output
 //! has the structure the paper's discriminator exploits (Fig. 6):
 //!
-//! * detected objects produce well-localised boxes with scores ≥ 0.5,
-//! * *marginally* missed objects often produce a sub-threshold box
-//!   (score ≈ 0.15–0.48, like the missed dog at 0.2507),
-//! * spurious noise boxes appear with low scores (≤ ~0.3),
+//! * detected objects produce well-localised boxes scoring
+//!   0.5 + 0.5·Beta, capped at 0.9999,
+//! * confident false positives (duplicated or badly-localised boxes) score
+//!   0.5 + 0.45·Beta,
+//! * *marginally* missed objects often produce a sub-threshold box scoring
+//!   0.16 + 0.32·u, below 0.48 (like the missed dog at 0.2507),
+//! * spurious noise boxes score 0.02 + 0.33·u^1.5, at most 0.35,
 //! * deeply invisible objects produce nothing at all.
+//!
+//! [`Detector::count_above`] relies on these four bands: for a threshold in
+//! (0.48, 0.5] the count is exactly the non-empty hit and false-positive
+//! boxes, so [`SimDetector`] counts them without drawing a box.
 //!
 //! **Common random numbers:** the per-object detection draw `u` is derived
 //! from the *scene and object* only, so when the big model has a higher
@@ -20,7 +27,7 @@ use crate::{Capability, ModelKind};
 use datagen::{Scene, SplitId};
 use detcore::{BBox, ClassId, Detection, ImageDetections};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_distr::{Beta, Distribution, Normal};
 
 /// Anything that can run object detection over a scene.
@@ -46,6 +53,16 @@ pub trait Detector {
     fn detect_into(&self, scene: &Scene, out: &mut ImageDetections) {
         out.clear();
         out.extend(self.detect(scene));
+    }
+
+    /// How many of [`detect`](Self::detect)'s detections score at least
+    /// `threshold`.
+    ///
+    /// The default is `detect(scene).count_above(threshold)`. An
+    /// implementation may count without building the boxes (as
+    /// [`SimDetector`] does), but must return exactly the default's answer.
+    fn count_above(&self, scene: &Scene, threshold: f64) -> usize {
+        self.detect(scene).count_above(threshold)
     }
 
     /// FLOPs for one forward pass (used by the latency model).
@@ -117,6 +134,10 @@ struct SamplerCache {
     miss_jitter: Normal,
     /// Score distribution for confident false positives: `Beta(2, 4)`.
     fp_score: Beta,
+    /// Box–Muller's first uniform `u1` above which a hit's jitter draw is
+    /// below 0.49 in magnitude: `exp(-(0.49 / loc_jitter)² / 2)`, widened
+    /// by a part in 10⁶ (`|N| ≤ sqrt(-2 ln u1)`).
+    jitter_floor: f64,
 }
 
 impl SamplerCache {
@@ -130,9 +151,19 @@ impl SamplerCache {
             hit_jitter: Normal::new(0.0, cap.loc_jitter).expect("valid normal"),
             miss_jitter: Normal::new(0.0, cap.loc_jitter * 2.0).expect("valid normal"),
             fp_score: Beta::new(2.0, 4.0).expect("valid beta"),
+            jitter_floor: (-(MAX_COUNTED_JITTER / cap.loc_jitter).powi(2) / 2.0).exp()
+                * (1.0 + 1e-6),
         }
     }
 }
+
+/// The largest jitter, as a fraction of the object's side, under which
+/// [`SimDetector::count_fast`] vouches that a hit's box is non-empty.
+const MAX_COUNTED_JITTER: f64 = 0.49;
+
+/// The smallest object side [`SimDetector::count_fast`] accepts: far above
+/// the rounding error of the box arithmetic, far below any sampled object.
+const MIN_COUNTED_SIDE: f64 = 1e-6;
 
 /// A simulated, deterministic object detector.
 ///
@@ -206,6 +237,81 @@ impl SimDetector {
         unit(mix(
             scene.seed ^ (index as u64 + 1).wrapping_mul(0xd6e8_feb8_6659_fd93)
         ))
+    }
+
+    /// `detect(scene).count_above(threshold)` without building a box, or
+    /// `None` when it cannot vouch for the answer cheaply.
+    ///
+    /// For `threshold` in (0.48, 0.5] the counted boxes are the hits and the
+    /// confident false positives (the score bands in the module docs) that
+    /// survive `clamp_unit` non-empty. That holds for all of them when every
+    /// object box lies in [0, 1]² with sides above [`MIN_COUNTED_SIDE`] and
+    /// every hit's jitter draws stay below [`MAX_COUNTED_JITTER`]: a hit's
+    /// box then still straddles its object's centre, a duplicate-style false
+    /// positive contains its anchor's centre, and a free-floating one is
+    /// centred in the unit square. The count is the hits plus `n_fps`.
+    ///
+    /// The object loop replays `detect_into`'s RNG draws one for one, so
+    /// every object sees the stream `detect_into` gives it; the jitter
+    /// normals are checked on their first uniform and never evaluated. The
+    /// false-positive and noise draws come after the loop and change no
+    /// count, so they are not made.
+    pub(crate) fn count_fast(&self, scene: &Scene, threshold: f64) -> Option<usize> {
+        let countable = |b: &BBox| {
+            b.x_min() >= 0.0
+                && b.y_min() >= 0.0
+                && b.x_max() <= 1.0
+                && b.y_max() <= 1.0
+                && b.width() > MIN_COUNTED_SIDE
+                && b.height() > MIN_COUNTED_SIDE
+        };
+        let in_window = threshold > 0.48 && threshold <= 0.5;
+        if !(in_window && scene.objects.iter().all(|o| countable(&o.bbox))) {
+            return None;
+        }
+        let cap = &self.capability;
+        let cache = &self.cache;
+        let mut rng = StdRng::seed_from_u64(mix(scene.seed ^ cache.seed_tag));
+        let clutter_term = cap.clutter_term(scene.num_objects());
+        let mut hits = 0;
+        for (i, obj) in scene.objects.iter().enumerate() {
+            let p = cap.p_detect_cached(
+                obj.area_ratio(),
+                cache.area_floor_ln,
+                clutter_term,
+                obj.difficulty,
+                scene.camera_blur,
+            );
+            if Self::object_draw(scene, i) < p {
+                cache.hit_score.sample(&mut rng);
+                for _ in 0..4 {
+                    // One Box–Muller normal: `u1`, then `u2`.
+                    let u1: f64 = rng.gen();
+                    rng.next_u64();
+                    if u1 <= cache.jitter_floor {
+                        return None;
+                    }
+                }
+                if rng.gen::<f64>() < cap.misclass_prob {
+                    rng.gen_range(0..self.num_classes);
+                }
+                hits += 1;
+            } else {
+                let emit_prob = if p > 0.02 {
+                    cap.sub_box_prob
+                } else {
+                    cap.sub_box_prob * 0.3
+                };
+                if rng.gen::<f64>() < emit_prob {
+                    // The score, then four jitter normals.
+                    for _ in 0..1 + 4 * 2 {
+                        rng.next_u64();
+                    }
+                }
+            }
+        }
+        let fp_draw = unit(mix(scene.seed ^ 0xfa15_e905));
+        Some(hits + poisson_draw(fp_draw, cap.fp_rate, cache.fp_base))
     }
 }
 
@@ -350,6 +456,13 @@ impl Detector for SimDetector {
             let class = ClassId(rng.gen_range(0..self.num_classes) as u16);
             out.push(Detection::new(class, score, bbox));
         }
+    }
+
+    /// [`count_fast`](SimDetector::count_fast), falling back to
+    /// [`detect`](Detector::detect) whenever it cannot vouch for the count.
+    fn count_above(&self, scene: &Scene, threshold: f64) -> usize {
+        self.count_fast(scene, threshold)
+            .unwrap_or_else(|| self.detect(scene).count_above(threshold))
     }
 
     fn flops(&self) -> u64 {
@@ -635,6 +748,139 @@ mod tests {
             det.detect_into(s, &mut out);
             assert_eq!(out, det.detect(s), "default must clear before refilling");
             assert_eq!(out.as_slice().as_ptr(), ptr, "warm buffer must be reused");
+        }
+    }
+
+    /// `SimDetector::with_capability(kind, cap, ..)` with `cap.loc_jitter`
+    /// replaced.
+    fn with_jitter(det: &SimDetector, loc_jitter: f64) -> SimDetector {
+        let cap = Capability {
+            loc_jitter,
+            ..*det.capability()
+        };
+        SimDetector::with_capability(det.kind(), cap, det.num_classes())
+    }
+
+    /// The largest `|N|` among the hits' jitter normals on `s`, read off
+    /// `probe`'s hit boxes. Box–Muller takes two words per normal whatever
+    /// the `loc_jitter`, so every detector differing from `probe` only in
+    /// `loc_jitter` scales these same normals. `probe`'s jitter must be too
+    /// small to swap a box's corners; a corner clamped to the unit square
+    /// reads low, never high.
+    fn max_hit_normal(probe: &SimDetector, s: &Scene) -> f64 {
+        let cap = probe.capability();
+        let hit_objects = (s.objects.iter().enumerate()).filter(|&(i, o)| {
+            let p = cap.p_detect(o.area_ratio(), s.num_objects(), o.difficulty, s.camera_blur);
+            SimDetector::object_draw(s, i) < p
+        });
+        // Hits precede the false positives; sub-threshold boxes score < 0.5.
+        let dets = probe.detect(s);
+        let hit_boxes = dets.iter().filter(|d| d.score() >= 0.5);
+        let mut max = 0.0f64;
+        for ((_, obj), hit) in hit_objects.zip(hit_boxes) {
+            let (o, b) = (&obj.bbox, hit.bbox());
+            let (w, h) = (o.width(), o.height());
+            for (moved, side) in [
+                (b.x_min() - o.x_min(), w),
+                (b.y_min() - o.y_min(), h),
+                (b.x_max() - o.x_max(), w),
+                (b.y_max() - o.y_max(), h),
+            ] {
+                max = max.max((moved / (side * cap.loc_jitter)).abs());
+            }
+        }
+        max
+    }
+
+    /// `count_above` equals `detect(scene).count_above(threshold)` for every
+    /// `ModelKind` × `SplitId` on 2 000 scenes of each profile, inside the
+    /// (0.48, 0.5] window and outside it. The fast path must answer nearly
+    /// every in-window case of the real capabilities, and each fallback is
+    /// forced once: jitter wide enough to trip the per-draw floor, object
+    /// boxes the per-scene check rejects, and a threshold of exactly 0.48.
+    /// Where the wide detector answers fast, every hit's jitter must be
+    /// below 0.49 of its object's side: the floor is checked on the very
+    /// draws `detect_into` jitters with.
+    #[test]
+    fn count_above_equals_detect_then_count() {
+        const WINDOW: [f64; 2] = [0.49, 0.5];
+        const OUTSIDE: [f64; 4] = [0.0, 0.2, 0.48, 0.6];
+        const WIDE: f64 = 0.3;
+        let (mut window_cases, mut fast_answers) = (0, 0);
+        let (mut wide_fast, mut wide_fallbacks) = (0, 0);
+        for profile in [
+            DatasetProfile::voc(),
+            DatasetProfile::coco18(),
+            DatasetProfile::helmet(),
+        ] {
+            let num_classes = profile.taxonomy.len();
+            let all: Vec<Scene> = (0..2_000)
+                .map(|id| Scene::sample(&profile, 7, id))
+                .collect();
+            for kind in ModelKind::ALL {
+                for split in SplitId::ALL {
+                    let det = SimDetector::new(kind, split, num_classes);
+                    let (wide, probe) = (with_jitter(&det, WIDE), with_jitter(&det, 1e-3));
+                    for s in &all {
+                        let at = format!("{kind:?}/{split:?} scene {}", s.id);
+                        let dets = det.detect(s);
+                        for t in OUTSIDE {
+                            assert_eq!(det.count_fast(s, t), None, "{t} is outside the window");
+                            assert_eq!(det.count_above(s, t), dets.count_above(t));
+                        }
+                        for t in WINDOW {
+                            let expected = dets.count_above(t);
+                            window_cases += 1;
+                            if let Some(n) = det.count_fast(s, t) {
+                                fast_answers += 1;
+                                assert_eq!(n, expected, "{at}");
+                            }
+                            assert_eq!(det.count_above(s, t), expected);
+                        }
+                        let expected = wide.detect(s).count_above(0.5);
+                        match wide.count_fast(s, 0.5) {
+                            Some(n) => {
+                                wide_fast += 1;
+                                assert_eq!(n, expected, "{at}");
+                                let jitter = WIDE * max_hit_normal(&probe, s);
+                                assert!(jitter < MAX_COUNTED_JITTER, "{at}: jitter {jitter}");
+                            }
+                            None => wide_fallbacks += 1,
+                        }
+                        assert_eq!(wide.count_above(s, 0.5), expected);
+                    }
+                }
+            }
+        }
+        assert!(
+            fast_answers * 100 >= window_cases * 99,
+            "fast path answered {fast_answers} of {window_cases}"
+        );
+        assert!(
+            wide_fast > 0 && wide_fallbacks > 0,
+            "loc_jitter {WIDE}: {wide_fast} fast, {wide_fallbacks} fallbacks"
+        );
+
+        // Object boxes the per-scene check rejects: a sliver on the right
+        // border and a box hanging over it.
+        let profile = DatasetProfile::voc();
+        for border in [
+            BBox::new(1.0 - 1e-9, 0.3, 1.0, 0.6).unwrap(),
+            BBox::new(0.9, 0.2, 1.2, 0.5).unwrap(),
+        ] {
+            for id in 0..50 {
+                let mut s = Scene::sample(&profile, 7, id);
+                if let Some(obj) = s.objects.first_mut() {
+                    obj.bbox = border;
+                }
+                for kind in ModelKind::ALL {
+                    let det = SimDetector::new(kind, SplitId::Voc07, 20);
+                    if !s.objects.is_empty() {
+                        assert_eq!(det.count_fast(&s, 0.5), None);
+                    }
+                    assert_eq!(det.count_above(&s, 0.5), det.detect(&s).count_above(0.5));
+                }
+            }
         }
     }
 
