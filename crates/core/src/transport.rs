@@ -45,46 +45,50 @@
 //! ## Encodings and negotiation
 //!
 //! Frame payloads come in two encodings (see [`wire::Encoding`]): compact
-//! JSON text — the protocol default — and a compact binary form that cuts
-//! detection frames to well under half the JSON byte size. The choice is
-//! per connection and negotiated in the handshake: the edge names its
-//! preferred encoding in [`Hello::encoding`], the cloud echoes the agreed
-//! choice in [`Welcome::encoding`], and an absent field on either side
-//! means JSON. Handshake messages themselves are **always JSON**, so the
-//! negotiation works against any protocol-version-1 peer:
+//! JSON text and a compact binary form that cuts detection frames to well
+//! under half the JSON byte size. The choice is per connection and
+//! negotiated in the handshake: the edge names the encoding it wants in
+//! [`Hello::encoding`], and the cloud names the agreed one in
+//! [`Welcome::encoding`]. Handshake messages themselves are **always
+//! JSON**, so even a refused hello gets a readable answer. Both fields are
+//! required; the peers of protocol version 2 are this tree's binaries:
 //!
-//! * old edge → new cloud: the hello carries no `encoding`, the cloud
-//!   serves JSON;
-//! * new edge → old cloud: the welcome carries no `encoding`, the edge
-//!   falls back to JSON;
-//! * an unparseable `encoding` is a typed failure, not a guess —
-//!   [`RefuseReason::Encoding`] from the cloud,
-//!   [`HandshakeError::Encoding`] at the edge.
+//! * a hello of another protocol version is refused with
+//!   [`RefuseReason::Version`], whatever else it carries;
+//! * a hello missing a negotiation field is [`RefuseReason::MalformedHello`];
+//! * an unparseable encoding is a typed failure, not a guess —
+//!   [`RefuseReason::Encoding`] from the cloud, [`HandshakeError::Encoding`]
+//!   at the edge, which also refuses a welcome naming an encoding it did
+//!   not offer.
 //!
-//! ## Session multiplexing
+//! ## Sessions on a connection
 //!
-//! A connection may carry **many sessions interleaved** (negotiated via
-//! [`Hello::mux`] / [`Welcome::mux`]): an edge node drives its whole
-//! device fleet over one TCP connection, and the cloud demuxes by session
-//! id to one dedicated machine per registered session — the same
-//! shared-nothing model as one-connection-per-session, so determinism is
-//! preserved: each machine still sees exactly its own session's frames in
-//! its own session's order. Answers on a multiplexed
-//! connection travel with an explicit session id prefix (tickets are
-//! per-session counters and would collide across sessions); non-mux
-//! connections keep the legacy tags so old peers interoperate.
+//! A connection may carry **many sessions interleaved**: an edge node
+//! drives its whole device fleet over one TCP connection, and the cloud
+//! demuxes by session id to one dedicated machine per registered session —
+//! the same shared-nothing model as one connection per session, so each
+//! machine still sees exactly its own session's frames in its own
+//! session's order. Every message names its session, on every connection.
+//! [`Hello::mux`] / [`Welcome::mux`] only declare whether the edge may
+//! attach more than one session ([`RemoteCloud::attach_as`]); the framing
+//! is the same either way.
 //!
 //! ## Wire layout
 //!
-//! Every transport frame's payload is `[1 tag byte][standard wire frame]`,
-//! where the inner frame is [`crate::wire`]'s length-prefixed encoding
-//! (JSON or binary per the negotiated [`wire::Encoding`]). On multiplexed
-//! connections, probe replies are
-//! `[1 tag byte][8-byte LE session id][standard wire frame]` and answers
-//! add the ticket:
-//! `[1 tag byte][8-byte LE session id][8-byte LE ticket][standard wire
-//! frame]` — routing lives entirely in the envelope, so an answer that
-//! names no pending frame is dropped without being parsed.
+//! Every transport frame's payload is `[1 tag byte][body]`. Edge → cloud,
+//! the body is one standard wire frame ([`crate::wire`]'s length-prefixed
+//! encoding, JSON or binary per the negotiated [`wire::Encoding`]) naming
+//! its session inside, and `BYE` has no body. Cloud → edge, the session is
+//! in the envelope:
+//!
+//! * an answer is `[ANSWER_MUX][8-byte LE session][8-byte LE ticket][frame]`;
+//! * a probe reply is `[PROBE_REPLY_MUX][8-byte LE session][frame]`;
+//! * a calibration push is `[UPDATE][8-byte LE session][frame]`.
+//!
+//! Routing lives entirely in the envelope, so an answer that names no
+//! pending frame is dropped without being parsed. A frame the reader
+//! cannot take apart — a `FLUSH` without its session, a truncated
+//! envelope — ends the connection.
 //!
 //! This module is the only place an answer is ever bytes. Cloud machines
 //! and edge sessions exchange typed messages; the cloud's reader thread
@@ -128,7 +132,7 @@ use datagen::Scene;
 use modelzoo::Detector;
 use serde::{Deserialize, Serialize};
 use simnet::{LinkModel, RetryConfig};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -137,7 +141,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Version of the edge↔cloud wire protocol spoken by this build.
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Maximum accepted [`Hello`] payload. A handshake message is tiny; this
 /// bound lets the cloud reject an oversized (hostile) hello before its
@@ -158,6 +162,8 @@ const IN_PUMP_TICK: Duration = Duration::from_millis(500);
 /// section.
 pub const FRAME_QUEUE_CAP: usize = 64;
 
+/// Payload tags. 7 and 10 were protocol v1's envelope-less probe reply
+/// and answer; they are retired, never reused.
 mod tag {
     pub const HELLO: u8 = 1;
     pub const WELCOME: u8 = 2;
@@ -165,23 +171,18 @@ mod tag {
     pub const REGISTER: u8 = 4;
     pub const SUBMIT: u8 = 5;
     pub const PROBE: u8 = 6;
-    pub const PROBE_REPLY: u8 = 7;
     pub const FLUSH: u8 = 8;
     pub const DEREGISTER: u8 = 9;
-    pub const ANSWER: u8 = 10;
     pub const BYE: u8 = 11;
-    /// `[tag][8-byte LE session][inner frame]` — answers on multiplexed
-    /// connections, where per-session tickets would collide.
+    /// `[tag][8-byte LE session][8-byte LE ticket][inner frame]` — an
+    /// answer; tickets are per-session counters and would collide.
     pub const ANSWER_MUX: u8 = 12;
-    /// `[tag][8-byte LE session][inner frame]` — probe replies on
-    /// multiplexed connections.
+    /// `[tag][8-byte LE session][inner frame]` — a probe reply.
     pub const PROBE_REPLY_MUX: u8 = 13;
     /// `[tag][8-byte LE session][inner frame]` — a pushed
     /// [`CalibrationUpdate`](crate::CalibrationUpdate) riding the answer
-    /// path. Session-prefixed on mux *and* plain connections: update
-    /// frames are not answers to a pending submit, so the edge routes them
-    /// by session alone. Peers that predate the model-update loop ignore
-    /// the tag.
+    /// path. It answers no pending frame, so the edge routes it by session
+    /// alone.
     pub const UPDATE: u8 = 14;
 }
 
@@ -190,11 +191,6 @@ mod tag {
 // ---------------------------------------------------------------------------
 
 /// The first message on every connection (edge → cloud).
-///
-/// The negotiation fields are `Option`s so the message stays
-/// version-tolerant in both directions: an old peer's hello decodes with
-/// them absent (meaning JSON, no mux), and an old cloud ignores them in a
-/// new edge's hello.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Hello {
     /// Must be [`HELLO_MAGIC`].
@@ -204,12 +200,11 @@ pub struct Hello {
     /// Session id the edge proposes for itself — chosen by the deployment
     /// so reports are comparable across runs and transports.
     pub session: u64,
-    /// Frame encoding the edge requests ([`wire::Encoding::name`]);
-    /// absent means JSON.
-    pub encoding: Option<String>,
-    /// Whether the edge wants to multiplex many sessions over this
-    /// connection; absent means no.
-    pub mux: Option<bool>,
+    /// Frame encoding the edge requests ([`wire::Encoding::name`]).
+    pub encoding: String,
+    /// Whether the edge may attach more than one session to this
+    /// connection.
+    pub mux: bool,
 }
 
 /// The cloud's acceptance reply to a [`Hello`].
@@ -223,11 +218,11 @@ pub struct Welcome {
     /// ([`CloudConfig::queue_limit`]) — the edge must probe before
     /// uploading when set.
     pub admission: bool,
-    /// Frame encoding the cloud agreed to; absent (old cloud) means JSON.
-    pub encoding: Option<String>,
-    /// Whether the cloud agreed to multiplexing; absent (old cloud) means
-    /// no — the edge must fall back to one connection per session.
-    pub mux: Option<bool>,
+    /// Frame encoding the cloud agreed to.
+    pub encoding: String,
+    /// Whether the cloud accepts more than one session on this connection
+    /// (it echoes [`Hello::mux`]).
+    pub mux: bool,
 }
 
 /// Why a cloud refused a [`Hello`].
@@ -367,10 +362,7 @@ struct WireDeregister {
     session: u64,
 }
 
-/// Body of a session-routed `FLUSH` on multiplexed connections. Legacy
-/// (non-mux) connections send a body-less `FLUSH`, which old clouds expect
-/// and new clouds treat as "flush every session on this connection" — safe
-/// because a non-mux connection carries exactly one session.
+/// Body of a `FLUSH`: the session whose queued submits to serve.
 #[derive(Serialize, Deserialize)]
 struct WireFlush {
     session: u64,
@@ -388,8 +380,13 @@ fn msg_bare(t: u8) -> Vec<u8> {
     vec![t]
 }
 
-/// Builds a mux frame: `[tag][8-byte LE session][inner bytes]`.
-fn msg_mux(t: u8, session: u64, inner: &[u8]) -> Vec<u8> {
+/// A `FLUSH`: serve `session`'s queued submits.
+fn msg_flush(session: u64, encoding: Encoding) -> Bytes {
+    Bytes::from(msg(tag::FLUSH, &WireFlush { session }, encoding))
+}
+
+/// Builds a session envelope: `[tag][8-byte LE session][inner bytes]`.
+fn msg_session(t: u8, session: u64, inner: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(9 + inner.len());
     payload.push(t);
     payload.extend_from_slice(&session.to_le_bytes());
@@ -397,12 +394,12 @@ fn msg_mux(t: u8, session: u64, inner: &[u8]) -> Vec<u8> {
     payload
 }
 
-/// Builds a mux answer frame:
+/// Builds an answer frame:
 /// `[ANSWER_MUX][8-byte LE session][8-byte LE ticket][inner bytes]`. The
 /// ticket lives in the envelope so the edge's inbound pump finds the
 /// pending frame by (session, ticket) alone and parses the payload only
 /// when there is one.
-fn msg_mux_answer(session: u64, ticket: u64, inner: &[u8]) -> Vec<u8> {
+fn msg_answer(session: u64, ticket: u64, inner: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(17 + inner.len());
     payload.push(tag::ANSWER_MUX);
     payload.extend_from_slice(&session.to_le_bytes());
@@ -418,8 +415,8 @@ fn split_msg(payload: &Bytes) -> Option<(u8, Bytes)> {
     Some((payload[0], payload.slice(1..)))
 }
 
-/// Splits a mux frame body into its session id prefix and inner bytes.
-fn split_mux(inner: &Bytes) -> Option<(u64, Bytes)> {
+/// Splits a session envelope's body into its session id and inner bytes.
+fn split_session(inner: &Bytes) -> Option<(u64, Bytes)> {
     if inner.len() < 8 {
         return None;
     }
@@ -427,9 +424,9 @@ fn split_mux(inner: &Bytes) -> Option<(u64, Bytes)> {
     Some((session, inner.slice(8..)))
 }
 
-/// Splits a mux answer body into (session, ticket, inner bytes) — the
-/// counterpart of [`msg_mux_answer`].
-fn split_mux_answer(inner: &Bytes) -> Option<(u64, u64, Bytes)> {
+/// Splits an answer body into (session, ticket, inner bytes) — the
+/// counterpart of [`msg_answer`].
+fn split_answer(inner: &Bytes) -> Option<(u64, u64, Bytes)> {
     if inner.len() < 16 {
         return None;
     }
@@ -957,26 +954,17 @@ pub fn client_handshake(
 
 /// Resolves the frame encoding a completed handshake agreed on.
 ///
-/// An absent [`Welcome::encoding`] is an old cloud: fall back to JSON
-/// regardless of what the hello asked for. A named encoding must be one
-/// this edge recognizes *and* either the one it requested or the JSON
-/// fallback — anything else is a corrupted or hostile negotiation field,
-/// surfaced as [`HandshakeError::Encoding`].
+/// [`Welcome::encoding`] must be one this edge recognizes *and* either the
+/// one it requested or JSON — anything else is a corrupted or hostile
+/// negotiation field, surfaced as [`HandshakeError::Encoding`].
 fn negotiated_encoding(hello: &Hello, welcome: &Welcome) -> Result<Encoding, HandshakeError> {
-    let Some(name) = &welcome.encoding else {
-        return Ok(Encoding::Json);
-    };
+    let name = &welcome.encoding;
     let Some(enc) = Encoding::parse(name) else {
         return Err(HandshakeError::Encoding {
             detail: format!("welcome named unknown encoding {name:?}"),
         });
     };
-    let requested = hello
-        .encoding
-        .as_deref()
-        .and_then(Encoding::parse)
-        .unwrap_or_default();
-    if enc != requested && enc != Encoding::Json {
+    if *name != hello.encoding && enc != Encoding::Json {
         return Err(HandshakeError::Encoding {
             detail: format!("welcome named encoding {name:?}, which this edge did not offer"),
         });
@@ -984,10 +972,10 @@ fn negotiated_encoding(hello: &Hello, welcome: &Welcome) -> Result<Encoding, Han
     Ok(enc)
 }
 
-/// Whether a completed handshake agreed to multiplex: both sides must have
-/// said yes (an old cloud's welcome has no `mux` field — no agreement).
+/// Whether a completed handshake agreed to more than one session: both
+/// sides must have said yes.
 fn negotiated_mux(hello: &Hello, welcome: &Welcome) -> bool {
-    hello.mux == Some(true) && welcome.mux == Some(true)
+    hello.mux && welcome.mux
 }
 
 // ---------------------------------------------------------------------------
@@ -1010,13 +998,11 @@ pub struct ConnectOptions {
     /// [`ConnectOptions::retry`]'s backoff, the handshake re-run, every
     /// session re-registered and unanswered frames replayed.
     pub dialer: Option<Dialer>,
-    /// Frame encoding to request in the handshake (default JSON). The
-    /// connection falls back to JSON against an old cloud whose welcome
-    /// names no encoding.
+    /// Frame encoding to request in the handshake (default JSON).
     pub encoding: Encoding,
-    /// Whether to request session multiplexing (default `false`). When the
-    /// cloud confirms, [`RemoteCloud::attach_as`] drives many sessions over
-    /// this one connection.
+    /// Whether this connection may carry more than one session (default
+    /// `false`). When the cloud confirms, [`RemoteCloud::attach_as`] drives
+    /// many sessions over this one connection.
     pub mux: bool,
 }
 
@@ -1212,7 +1198,7 @@ impl ClientConn {
                         });
                         payload
                     }
-                    ToCloud::Flush { session } => self.flush(session),
+                    ToCloud::Flush { session } => msg_flush(session, enc),
                     ToCloud::Deregister { session } => {
                         Bytes::from(msg(tag::DEREGISTER, &WireDeregister { session }, enc))
                     }
@@ -1242,21 +1228,9 @@ impl ClientConn {
                 // poisons the connection.
                 let enc = self.encoding;
                 let routed = match t {
-                    // A legacy answer names its ticket only inside the
-                    // payload, so it is parsed first. A non-mux connection
-                    // carries one session, so the ticket alone finds it.
-                    tag::ANSWER => wire::decode_frame::<SubmitResponse>(&inner).map(|resp| {
-                        let ticket = resp.ticket;
-                        let hit = |p: &Pending| {
-                            matches!(p, Pending::Submit { ticket: t, .. } if *t == ticket)
-                        };
-                        if let Some(route) = self.take(hit) {
-                            let _ = route.answers.send(FromCloud::Answer(resp));
-                        }
-                    }),
-                    // A mux answer's envelope names (session, ticket): one
+                    // An answer's envelope names (session, ticket): one
                     // that names no pending frame is dropped unparsed.
-                    tag::ANSWER_MUX => match split_mux_answer(&inner) {
+                    tag::ANSWER_MUX => match split_answer(&inner) {
                         None => Err(WireError::Truncated),
                         Some((session, ticket, inner)) => {
                             let hit = |p: &Pending| {
@@ -1273,32 +1247,26 @@ impl ClientConn {
                             }
                         }
                     },
-                    // Probes carry no ticket: the oldest pending probe (of
-                    // the envelope's session, on mux) is the one answered.
-                    tag::PROBE_REPLY | tag::PROBE_REPLY_MUX => {
-                        let (hint, inner) = if t == tag::PROBE_REPLY {
-                            (None, Some(inner))
-                        } else {
-                            split_mux(&inner).map_or((None, None), |(s, i)| (Some(s), Some(i)))
-                        };
-                        let reply = inner.ok_or(WireError::Truncated).and_then(|inner| {
-                            wire::decode_frame_as::<ProbeReply>(&inner, enc)
-                        });
-                        reply.map(|reply| {
-                            let hit = |p: &Pending| {
-                                matches!(p, Pending::Probe { session: s, .. }
-                                    if hint.is_none_or(|h| *s == h))
-                            };
-                            if let Some(route) = self.take(hit) {
-                                let _ = route.probes.send(reply);
-                            }
-                        })
-                    }
+                    // Probes carry no ticket: the oldest pending probe of
+                    // the envelope's session is the one answered.
+                    tag::PROBE_REPLY_MUX => match split_session(&inner) {
+                        None => Err(WireError::Truncated),
+                        Some((session, inner)) => {
+                            wire::decode_frame_as::<ProbeReply>(&inner, enc).map(|reply| {
+                                let hit = |p: &Pending| {
+                                    matches!(p, Pending::Probe { session: s, .. } if *s == session)
+                                };
+                                if let Some(route) = self.take(hit) {
+                                    let _ = route.probes.send(reply);
+                                }
+                            })
+                        }
+                    },
                     // A pushed calibration update is routed by session
                     // alone and never replayed: the cloud's next version
                     // supersedes a lost one. One for a session this
                     // connection does not carry is dropped unparsed.
-                    tag::UPDATE => match split_mux(&inner) {
+                    tag::UPDATE => match split_session(&inner) {
                         None => Err(WireError::Truncated),
                         Some((session, inner)) => match self.routes.get(&session) {
                             None => Ok(()),
@@ -1352,17 +1320,6 @@ impl ClientConn {
         self.routes.get(&session)
     }
 
-    /// A `FLUSH` for `session`: routed by session on a mux connection, the
-    /// body-less form (which flushes the connection's one session) on a
-    /// legacy one.
-    fn flush(&self, session: u64) -> Bytes {
-        Bytes::from(if self.mux {
-            msg(tag::FLUSH, &WireFlush { session }, self.encoding)
-        } else {
-            msg_bare(tag::FLUSH)
-        })
-    }
-
     /// What a new link needs before any other frame: every session's
     /// `REGISTER`, every unanswered frame in send order, then a `FLUSH` for
     /// each session with a replayed submit (its last one went to the dead
@@ -1381,7 +1338,7 @@ impl ClientConn {
                 Pending::Probe { payload, .. } => run.push(payload.clone()),
             }
         }
-        run.extend(flushed.into_iter().map(|s| self.flush(s)));
+        run.extend(flushed.into_iter().map(|s| msg_flush(s, self.encoding)));
         run
     }
 
@@ -1572,7 +1529,7 @@ impl RemoteCloud {
     /// The hello carries [`ConnectOptions::encoding`] and
     /// [`ConnectOptions::mux`]; what the cloud actually agreed to is
     /// readable afterwards via [`RemoteCloud::encoding`] and
-    /// [`RemoteCloud::mux`] (an old cloud silently downgrades both).
+    /// [`RemoteCloud::mux`].
     ///
     /// # Errors
     ///
@@ -1589,8 +1546,8 @@ impl RemoteCloud {
             magic: HELLO_MAGIC,
             protocol: PROTOCOL_VERSION,
             session,
-            encoding: Some(opts.encoding.name().to_string()),
-            mux: Some(opts.mux),
+            encoding: opts.encoding.name().to_string(),
+            mux: opts.mux,
         };
         let welcome = client_handshake(&mut *ftx, &mut *frx, &hello, opts.handshake_timeout)?;
         let encoding = negotiated_encoding(&hello, &welcome)?;
@@ -1685,8 +1642,8 @@ impl RemoteCloud {
     /// # Panics
     ///
     /// Panics when the connection did not negotiate mux and `session` is
-    /// not the handshake's: a legacy answer names no session, so two
-    /// sessions' answers to the same ticket would cross.
+    /// not the handshake's: the edge declared in its hello that this
+    /// connection carries that one session only.
     pub fn attach_as<'a>(
         &self,
         session: u64,
@@ -1718,13 +1675,12 @@ impl RemoteCloud {
         self.admission
     }
 
-    /// The frame encoding this connection negotiated (JSON when the cloud
-    /// predates the negotiation).
+    /// The frame encoding this connection negotiated.
     pub fn encoding(&self) -> Encoding {
         self.encoding
     }
 
-    /// Whether the cloud agreed to session multiplexing — only then may
+    /// Whether the cloud agreed to more than one session — only then may
     /// multiple sessions ride this connection via
     /// [`RemoteCloud::attach_as`].
     pub fn mux(&self) -> bool {
@@ -1766,9 +1722,8 @@ pub struct ServeOptions {
     /// loop is never involved: handshakes run on per-connection threads.
     pub hello_timeout: Duration,
     /// Stop serving (set the stop flag and wake the accept loop) once this
-    /// many registered sessions have completed. A legacy connection counts
-    /// one session; a multiplexed connection counts every session it
-    /// registered. `None` serves until the caller stops it.
+    /// many registered sessions have completed. A connection counts every
+    /// session it registered. `None` serves until the caller stops it.
     pub expect_sessions: Option<usize>,
 }
 
@@ -1790,8 +1745,7 @@ pub struct ConnOutcome {
     pub stats: Option<CloudStats>,
     /// Whether the peer registered a session.
     pub registered: bool,
-    /// How many distinct sessions the peer registered (1 on legacy
-    /// connections; possibly more on multiplexed ones).
+    /// How many distinct sessions the peer registered.
     pub sessions: usize,
     /// Whether the peer closed with a `BYE` (vs. vanishing mid-run).
     pub clean: bool,
@@ -1869,25 +1823,42 @@ fn parse_hello(first: &Bytes) -> Result<Hello, Refused> {
             format!("expected hello, got tag {t}"),
         ));
     }
-    match wire::decode_frame_with_limit::<Hello>(&inner, MAX_HELLO_BYTES) {
-        Err(WireError::Oversized(n)) => Err(refuse(
-            RefuseReason::OversizedHello,
-            format!("hello payload of {n} bytes exceeds {MAX_HELLO_BYTES}"),
-        )),
-        Err(e) => Err(refuse(RefuseReason::MalformedHello, e.to_string())),
-        Ok(h) if h.magic != HELLO_MAGIC => Err(refuse(
+    // The magic and the version are checked before the rest of the hello
+    // is read, so another version's hello is a version refusal whatever
+    // fields it carries.
+    #[derive(Deserialize)]
+    struct Head {
+        magic: u32,
+        protocol: u16,
+    }
+    let malformed = |detail: String| refuse(RefuseReason::MalformedHello, detail);
+    let fields = match wire::decode_frame_with_limit::<serde::Value>(&inner, MAX_HELLO_BYTES) {
+        Err(WireError::Oversized(n)) => {
+            return Err(refuse(
+                RefuseReason::OversizedHello,
+                format!("hello payload of {n} bytes exceeds {MAX_HELLO_BYTES}"),
+            ))
+        }
+        Err(e) => return Err(malformed(e.to_string())),
+        Ok(fields) => fields,
+    };
+    let head = Head::from_value(&fields).map_err(|e| malformed(e.to_string()))?;
+    if head.magic != HELLO_MAGIC {
+        return Err(refuse(
             RefuseReason::BadMagic,
-            format!("bad magic {:#x}", h.magic),
-        )),
-        Ok(h) if h.protocol != PROTOCOL_VERSION => Err(refuse(
+            format!("bad magic {:#x}", head.magic),
+        ));
+    }
+    if head.protocol != PROTOCOL_VERSION {
+        return Err(refuse(
             RefuseReason::Version,
             format!(
                 "server speaks v{PROTOCOL_VERSION}, client offered v{}",
-                h.protocol
+                head.protocol
             ),
-        )),
-        Ok(h) => Ok(h),
+        ));
     }
+    Hello::from_value(&fields).map_err(|e| malformed(e.to_string()))
 }
 
 /// Serves one accepted connection to completion: handshake, then one
@@ -1924,33 +1895,24 @@ pub fn serve_connection(
             return outcome;
         }
     };
-    // Negotiate the frame encoding and mux mode (handshake itself is
-    // always JSON): absent fields are an old edge — JSON, no mux. An
-    // encoding this cloud does not recognize is a typed refusal, never a
-    // guess.
-    let encoding = match hello.encoding.as_deref() {
-        None => Encoding::Json,
-        Some(name) => match Encoding::parse(name) {
-            Some(e) => e,
-            None => {
-                let refused = Refused {
-                    server_protocol: PROTOCOL_VERSION,
-                    reason: RefuseReason::Encoding,
-                    detail: format!("unknown encoding {name:?}"),
-                };
-                let _ = ftx.send(&msg(tag::REFUSED, &refused, Encoding::Json));
-                outcome.refused = true;
-                return outcome;
-            }
-        },
+    // The handshake itself is always JSON. An encoding this cloud does not
+    // recognize is a typed refusal, never a guess.
+    let Some(encoding) = Encoding::parse(&hello.encoding) else {
+        let refused = Refused {
+            server_protocol: PROTOCOL_VERSION,
+            reason: RefuseReason::Encoding,
+            detail: format!("unknown encoding {:?}", hello.encoding),
+        };
+        let _ = ftx.send(&msg(tag::REFUSED, &refused, Encoding::Json));
+        outcome.refused = true;
+        return outcome;
     };
-    let mux = hello.mux == Some(true);
     let welcome = Welcome {
         protocol: PROTOCOL_VERSION,
         session: hello.session,
         admission: config.queue_limit.is_some(),
-        encoding: Some(encoding.name().to_string()),
-        mux: Some(mux),
+        encoding: hello.encoding,
+        mux: hello.mux,
     };
     if ftx
         .send(&msg(tag::WELCOME, &welcome, Encoding::Json))
@@ -1965,7 +1927,7 @@ pub fn serve_connection(
     // drop, so the edge sees EOF, and the outcome reports an aborted
     // connection without stats.
     let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        serve_sessions(frx, &mut *ftx, config, &**big, encoding, mux, &mut outcome)
+        serve_sessions(frx, &mut *ftx, config, &**big, encoding, &mut outcome)
     }));
     match served {
         Ok(stats) => outcome.stats = stats,
@@ -1994,17 +1956,19 @@ fn serve_sessions(
     config: &CloudConfig,
     big: &(dyn Detector + Sync),
     encoding: Encoding,
-    mux: bool,
     outcome: &mut ConnOutcome,
 ) -> Option<CloudStats> {
-    let mut machines: HashMap<u64, CloudMachine> = HashMap::new();
+    // By session id: the final drain writes, and the stats merge sums, in
+    // one order, so the node's outbound bytes are a function of its inbound
+    // bytes alone.
+    let mut machines: BTreeMap<u64, CloudMachine> = BTreeMap::new();
     // Feeds one message to a session's machine and writes what it
     // produced as one run. A failed write is ignored: the next read ends
     // the loop.
     let mut step = |m: &mut CloudMachine, msg: ToCloud<()>| {
         let live = m.handle(msg);
         let run: Vec<Vec<u8>> = (m.replies())
-            .map(|(session, reply)| encode_reply(session, reply, encoding, mux))
+            .map(|(session, reply)| encode_reply(session, reply, encoding))
             .collect();
         if !run.is_empty() {
             let _ = ftx.send_all(&run.iter().map(Vec::as_slice).collect::<Vec<_>>());
@@ -2050,23 +2014,13 @@ fn serve_sessions(
                 },
                 Err(_) => false,
             },
-            tag::FLUSH => {
-                if inner.is_empty() {
-                    // Legacy body-less flush: flush every session on this
-                    // connection (a legacy connection carries exactly one).
-                    machines
-                        .iter_mut()
-                        .all(|(&session, m)| step(m, ToCloud::Flush { session }))
-                } else {
-                    match wire::decode_frame_as::<WireFlush>(&inner, encoding) {
-                        Ok(WireFlush { session }) => match machines.get_mut(&session) {
-                            Some(m) => step(m, ToCloud::Flush { session }),
-                            None => false,
-                        },
-                        Err(_) => false,
-                    }
-                }
-            }
+            tag::FLUSH => match wire::decode_frame_as::<WireFlush>(&inner, encoding) {
+                Ok(WireFlush { session }) => match machines.get_mut(&session) {
+                    Some(m) => step(m, ToCloud::Flush { session }),
+                    None => false,
+                },
+                Err(_) => false,
+            },
             tag::DEREGISTER => match wire::decode_frame_as::<WireDeregister>(&inner, encoding) {
                 Ok(WireDeregister { session }) => match machines.get_mut(&session) {
                     Some(m) => step(m, ToCloud::Deregister { session }),
@@ -2092,25 +2046,21 @@ fn serve_sessions(
     merged
 }
 
-/// Encodes one machine reply for its connection. Answers are always JSON
-/// (see the module docs); mux connections prefix the session id AND the
-/// ticket, so the edge finds the pending frame from the envelope.
-/// Calibration pushes are not answers to a pending submit: they ship under
-/// their own session-prefixed tag on mux and plain connections alike.
-fn encode_reply(session: u64, reply: Reply, encoding: Encoding, mux: bool) -> Vec<u8> {
+/// Encodes one machine reply in its session's envelope (see the module
+/// docs' "Wire layout"). Answers and calibration pushes are always JSON;
+/// a probe reply takes the connection's encoding.
+fn encode_reply(session: u64, reply: Reply, encoding: Encoding) -> Vec<u8> {
     match reply {
         Reply::Cloud(FromCloud::Update(update)) => {
-            msg_mux(tag::UPDATE, session, &wire::encode_frame(&*update))
+            msg_session(tag::UPDATE, session, &wire::encode_frame(&*update))
         }
-        Reply::Cloud(FromCloud::Answer(resp)) if mux => {
-            msg_mux_answer(session, resp.ticket, &wire::encode_frame(&resp))
+        Reply::Cloud(FromCloud::Answer(resp)) => {
+            msg_answer(session, resp.ticket, &wire::encode_frame(&resp))
         }
-        Reply::Cloud(FromCloud::Answer(resp)) => msg(tag::ANSWER, &resp, Encoding::Json),
-        Reply::Probe(reply) if mux => {
+        Reply::Probe(reply) => {
             let inner = wire::encode_frame_as(&reply, encoding);
-            msg_mux(tag::PROBE_REPLY_MUX, session, &inner)
+            msg_session(tag::PROBE_REPLY_MUX, session, &inner)
         }
-        Reply::Probe(reply) => msg(tag::PROBE_REPLY, &reply, encoding),
     }
 }
 
@@ -2234,8 +2184,8 @@ mod tests {
                 magic: 0xdead_beef,
                 protocol: PROTOCOL_VERSION,
                 session: 0,
-                encoding: None,
-                mux: None,
+                encoding: Encoding::Json.name().to_string(),
+                mux: false,
             },
             Encoding::Json,
         );
@@ -2400,8 +2350,8 @@ mod tests {
                 protocol: PROTOCOL_VERSION,
                 session: hello.session,
                 admission: false,
-                encoding: Some(Encoding::Json.name().to_string()),
-                mux: Some(mux),
+                encoding: Encoding::Json.name().to_string(),
+                mux,
             };
             tx.send(&msg(tag::WELCOME, &welcome, Encoding::Json))
                 .unwrap();
@@ -2434,13 +2384,17 @@ mod tests {
         polled
     }
 
-    /// A well-formed answer to `ticket`, as the cloud's sink would encode it.
-    fn answer_frame(ticket: u64) -> Bytes {
-        let resp: SubmitResponse = serde_json::from_str(&format!(
+    /// A well-formed answer to `ticket`.
+    fn answer(ticket: u64) -> SubmitResponse {
+        serde_json::from_str(&format!(
             r#"{{"dets":{{"dets":[]}},"infer_s":0.01,"queue_depth":1,"sent_at":1.5,"ticket":{ticket},"uplink_s":0.25}}"#,
         ))
-        .unwrap();
-        wire::encode_frame(&resp)
+        .unwrap()
+    }
+
+    /// [`answer`]'s frame, as the cloud's sink would encode it.
+    fn answer_frame(ticket: u64) -> Bytes {
+        wire::encode_frame(&answer(ticket))
     }
 
     #[test]
@@ -2458,14 +2412,14 @@ mod tests {
         let truncated = |frame: &Bytes| frame.slice(..frame.len() / 2);
         type Envelope = fn(&[u8]) -> Vec<u8>;
         let kinds: [(&str, bool, Bytes, Envelope); 3] = [
-            ("legacy answer", false, answer_frame(0), |inner| {
-                [&[tag::ANSWER][..], inner].concat()
+            ("one-session answer", false, answer_frame(0), |inner| {
+                msg_answer(7, 0, inner)
             }),
             ("mux answer", true, answer_frame(0), |inner| {
-                msg_mux_answer(7, 0, inner)
+                msg_answer(7, 0, inner)
             }),
             ("update", false, valid_update, |inner| {
-                msg_mux(tag::UPDATE, 7, inner)
+                msg_session(tag::UPDATE, 7, inner)
             }),
         ];
         for (kind, mux, valid, envelope) in kinds {
@@ -2492,9 +2446,9 @@ mod tests {
         // An envelope naming no pending frame is dropped without its
         // payload being looked at — garbage there must not poison the
         // connection, and the real answer behind it still resolves.
-        let stale = msg_mux_answer(7, 99, b"never parsed");
-        let unknown_session = msg_mux(tag::UPDATE, 8, b"never parsed");
-        let answer = msg_mux_answer(7, 0, &answer_frame(0));
+        let stale = msg_answer(7, 99, b"never parsed");
+        let unknown_session = msg_session(tag::UPDATE, 8, b"never parsed");
+        let answer = msg_answer(7, 0, &answer_frame(0));
         let result = poll_against_scripted_cloud(true, vec![stale, unknown_session, answer])
             .expect("the connection stays healthy")
             .expect("the frame resolves");
@@ -2503,60 +2457,45 @@ mod tests {
 
     #[test]
     fn encoding_negotiation_covers_fallback_and_corruption() {
-        let hello = |enc: Option<&str>, mux: Option<bool>| Hello {
+        let hello = |enc: &str, mux: bool| Hello {
             magic: HELLO_MAGIC,
             protocol: PROTOCOL_VERSION,
             session: 0,
-            encoding: enc.map(str::to_string),
+            encoding: enc.to_string(),
             mux,
         };
-        let welcome = |enc: Option<&str>, mux: Option<bool>| Welcome {
+        let welcome = |enc: &str, mux: bool| Welcome {
             protocol: PROTOCOL_VERSION,
             session: 0,
             admission: false,
-            encoding: enc.map(str::to_string),
+            encoding: enc.to_string(),
             mux,
         };
 
-        // Matching offers stick; an old cloud (no field) means JSON no
-        // matter what the edge asked for.
-        let h = hello(Some("binary"), None);
-        assert_eq!(
-            negotiated_encoding(&h, &welcome(Some("binary"), None)).unwrap(),
-            Encoding::Binary
-        );
-        assert_eq!(
-            negotiated_encoding(&h, &welcome(None, None)).unwrap(),
-            Encoding::Json
-        );
-        // A cloud may decline binary down to JSON, but never invent an
-        // encoding the edge did not offer, nor name an unknown one.
-        assert_eq!(
-            negotiated_encoding(&h, &welcome(Some("json"), None)).unwrap(),
-            Encoding::Json
-        );
-        let old_edge = hello(None, None);
-        assert!(matches!(
-            negotiated_encoding(&old_edge, &welcome(Some("binary"), None)),
-            Err(HandshakeError::Encoding { .. })
-        ));
-        assert!(matches!(
-            negotiated_encoding(&h, &welcome(Some("zstd"), None)),
-            Err(HandshakeError::Encoding { .. })
-        ));
+        // Matching offers stick; a cloud may decline binary down to JSON,
+        // but never invent an encoding the edge did not offer, nor name an
+        // unknown one.
+        let h = hello("binary", false);
+        for (agreed, want) in [("binary", Encoding::Binary), ("json", Encoding::Json)] {
+            let got = negotiated_encoding(&h, &welcome(agreed, false)).unwrap();
+            assert_eq!(got, want);
+        }
+        for (offered, agreed) in [("json", "binary"), ("binary", "zstd")] {
+            assert!(matches!(
+                negotiated_encoding(&hello(offered, false), &welcome(agreed, false)),
+                Err(HandshakeError::Encoding { .. })
+            ));
+        }
 
-        // Mux needs both sides to say yes explicitly.
-        assert!(negotiated_mux(
-            &hello(None, Some(true)),
-            &welcome(None, Some(true))
+        // More than one session needs both sides to say yes.
+        assert!(negotiated_mux(&hello("json", true), &welcome("json", true)));
+        assert!(!negotiated_mux(
+            &hello("json", true),
+            &welcome("json", false)
         ));
         assert!(!negotiated_mux(
-            &hello(None, Some(true)),
-            &welcome(None, None)
-        ));
-        assert!(!negotiated_mux(
-            &hello(None, None),
-            &welcome(None, Some(true))
+            &hello("json", false),
+            &welcome("json", true)
         ));
     }
 
@@ -2578,8 +2517,8 @@ mod tests {
             magic: HELLO_MAGIC,
             protocol: 999,
             session: 3,
-            encoding: None,
-            mux: None,
+            encoding: Encoding::Json.name().to_string(),
+            mux: false,
         };
         let err = client_handshake(&mut *tx, &mut *rx, &hello, Duration::from_secs(5)).unwrap_err();
         match err {
@@ -2605,8 +2544,8 @@ mod tests {
                 protocol: PROTOCOL_VERSION,
                 session: hello.session,
                 admission: false,
-                encoding: Some(Encoding::Json.name().to_string()),
-                mux: Some(false),
+                encoding: Encoding::Json.name().to_string(),
+                mux: false,
             };
             tx.send(&msg(tag::WELCOME, &welcome, Encoding::Json))
                 .unwrap();
@@ -2628,10 +2567,310 @@ mod tests {
         let message = attached
             .err()
             .and_then(|payload| payload.downcast_ref::<String>().cloned())
-            .expect("a second session on a legacy connection panics");
+            .expect("a second session on a one-session connection panics");
         assert!(message.contains("mux"), "{message}");
         remote.close();
         cloud.join().unwrap();
+    }
+
+    // -----------------------------------------------------------------------
+    // Protocol v2: handshake, framing and the node's drain
+    // -----------------------------------------------------------------------
+
+    /// A hello frame carrying `hello` with `drop` removed.
+    fn hello_without(hello: Hello, drop: &str) -> Bytes {
+        let serde::Value::Object(mut fields) = hello.to_value() else {
+            unreachable!("a struct serializes to an object");
+        };
+        fields.remove(drop);
+        Bytes::from(msg(
+            tag::HELLO,
+            &serde::Value::Object(fields),
+            Encoding::Json,
+        ))
+    }
+
+    #[test]
+    fn hellos_of_v1_or_missing_a_negotiation_field_are_refused() {
+        assert_eq!(PROTOCOL_VERSION, 2);
+        let v2 = Hello {
+            magic: HELLO_MAGIC,
+            protocol: PROTOCOL_VERSION,
+            session: 0,
+            encoding: Encoding::Json.name().to_string(),
+            mux: false,
+        };
+        let v1 = Hello {
+            protocol: 1,
+            ..v2.clone()
+        };
+        // A v1 hello is a version refusal, with or without the negotiation
+        // fields v1 made optional.
+        for (what, first) in [
+            ("v1", Bytes::from(msg(tag::HELLO, &v1, Encoding::Json))),
+            ("v1 without encoding", hello_without(v1.clone(), "encoding")),
+            ("v1 without mux", hello_without(v1.clone(), "mux")),
+        ] {
+            let refused = parse_hello(&first).unwrap_err();
+            assert_eq!(refused.reason, RefuseReason::Version, "{what}");
+            assert_eq!(refused.server_protocol, 2, "{what}");
+        }
+        for field in ["encoding", "mux"] {
+            let refused = parse_hello(&hello_without(v2.clone(), field)).unwrap_err();
+            assert_eq!(refused.reason, RefuseReason::MalformedHello, "{field}");
+        }
+        assert!(parse_hello(&Bytes::from(msg(tag::HELLO, &v2, Encoding::Json))).is_ok());
+    }
+
+    /// What an edge's connection machine writes for `messages`, one payload
+    /// per message.
+    fn edge_payloads(encoding: Encoding, messages: Vec<ToCloud>) -> Vec<Bytes> {
+        let mut conn = ClientConn::new(encoding, true, None);
+        let mut acts = Vec::new();
+        for msg in messages {
+            conn.handle(In::Session { gen: 0, msg }, &mut acts);
+        }
+        acts.into_iter()
+            .flat_map(|act| match act {
+                Act::Write(run) => run,
+                other => panic!("{other:?}"),
+            })
+            .collect()
+    }
+
+    /// Serves one in-memory connection with [`serve_connection`]: writes a
+    /// hello (declaring `mux`) and `payloads`, then closes the edge's side
+    /// when `eof`, or else waits for the node to end the connection itself.
+    /// Returns every frame the node wrote after its welcome, and the
+    /// outcome.
+    fn serve_script(
+        config: CloudConfig,
+        mux: bool,
+        payloads: Vec<Bytes>,
+        eof: bool,
+    ) -> (Vec<Bytes>, ConnOutcome) {
+        use datagen::SplitId;
+        use modelzoo::{ModelKind, SimDetector};
+
+        let (edge, node) = memory_pair();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let node = std::thread::spawn(move || {
+            let big: Arc<dyn Detector + Send + Sync> =
+                Arc::new(SimDetector::new(ModelKind::SsdVgg16, SplitId::Helmet, 2));
+            let outcome = serve_connection(Box::new(node), &config, &big, &ServeOptions::default());
+            let _ = done_tx.send(());
+            outcome
+        });
+        let (mut tx, mut rx) = Box::new(edge).split();
+        let hello = Hello {
+            magic: HELLO_MAGIC,
+            protocol: PROTOCOL_VERSION,
+            session: 0,
+            encoding: Encoding::Json.name().to_string(),
+            mux,
+        };
+        tx.send(&msg(tag::HELLO, &hello, Encoding::Json)).unwrap();
+        for payload in &payloads {
+            tx.send(payload).unwrap();
+        }
+        if eof {
+            drop(tx);
+        } else {
+            let ended = done_rx.recv_timeout(Duration::from_secs(10));
+            drop(tx);
+            assert!(ended.is_ok(), "the node must end the connection itself");
+        }
+        let outcome = node.join().unwrap();
+        let welcome = rx.recv().unwrap().expect("the welcome");
+        assert_eq!(welcome.first(), Some(&tag::WELCOME));
+        let mut written = Vec::new();
+        while let Some(frame) = rx.recv().unwrap() {
+            written.push(frame);
+        }
+        (written, outcome)
+    }
+
+    #[test]
+    fn the_end_of_connection_drain_is_written_in_session_order() {
+        // Eight sessions, registered out of order, each with one submit the
+        // batcher holds (no flush, `max_batch` 16) until the edge hangs up.
+        let order = [5, 2, 7, 0, 3, 6, 1, 4];
+        let mut messages: Vec<ToCloud> = order.iter().map(|&s| register(s).0).collect();
+        messages.extend(order.iter().map(|&s| submit(s, 0)));
+        let payloads = edge_payloads(Encoding::Json, messages);
+        let config = CloudConfig {
+            max_batch: 16,
+            ..CloudConfig::default()
+        };
+        let runs: Vec<Vec<Bytes>> = (0..4)
+            .map(|_| serve_script(config.clone(), true, payloads.clone(), true).0)
+            .collect();
+        let sessions: Vec<u64> = runs[0]
+            .iter()
+            .map(|frame| {
+                assert_eq!(frame[0], tag::ANSWER_MUX);
+                split_answer(&frame.slice(1..)).unwrap().0
+            })
+            .collect();
+        assert_eq!(sessions, (0..8).collect::<Vec<u64>>());
+        for run in &runs[1..] {
+            assert_eq!(
+                run, &runs[0],
+                "identical inbound bytes, identical outbound bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn a_flush_without_its_session_ends_the_connection() {
+        // The FLUSH with no body comes before the submit: a node that took
+        // it would answer the submit at its proper FLUSH.
+        let mut payloads = edge_payloads(Encoding::Json, vec![register(0).0]);
+        payloads.push(Bytes::from(msg_bare(tag::FLUSH)));
+        payloads.extend(edge_payloads(
+            Encoding::Json,
+            vec![submit(0, 0), ToCloud::Flush { session: 0 }],
+        ));
+        let (written, outcome) = serve_script(CloudConfig::default(), false, payloads, false);
+        assert!(written.is_empty(), "{} frames written", written.len());
+        assert!(outcome.registered && !outcome.clean && !outcome.refused);
+    }
+
+    #[test]
+    fn a_probe_reply_reaches_the_session_its_envelope_names() {
+        for encoding in [Encoding::Json, Encoding::Binary] {
+            let mut conn = ClientConn::new(encoding, true, None);
+            let mut probes = Vec::new();
+            let mut acts = Vec::new();
+            for session in [0, 1] {
+                let (answers, _) = channel::unbounded();
+                let (probe_tx, probe_rx) = channel::unbounded();
+                let msg = ToCloud::Register {
+                    session,
+                    link: SessionConfig::new(2).link,
+                    replies: ReplyTx {
+                        answers,
+                        probes: probe_tx,
+                    },
+                };
+                conn.handle(In::Session { gen: 0, msg }, &mut acts);
+                probes.push(probe_rx);
+            }
+            for session in [0, 1] {
+                let msg = ToCloud::Probe { session, now: 0.0 };
+                conn.handle(In::Session { gen: 0, msg }, &mut acts);
+            }
+            // Session 1's reply comes first although session 0 probed
+            // first; each lands with the session its envelope names.
+            for (session, queue_depth) in [(1, 3), (0, 5)] {
+                let reply = ProbeReply {
+                    admitted: true,
+                    queue_depth,
+                };
+                let inner = wire::encode_frame_as(&reply, encoding);
+                let frame = Bytes::from(msg_session(tag::PROBE_REPLY_MUX, session, &inner));
+                conn.handle(In::Frame { gen: 0, frame }, &mut acts);
+                let got = probes[session as usize]
+                    .try_recv()
+                    .expect("routed by session");
+                assert_eq!(got.queue_depth, queue_depth, "{encoding}");
+                assert!(probes.iter().all(|p| p.try_recv().is_err()), "{encoding}");
+            }
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The envelope's exact bytes for fixed messages. A change to any of
+    /// them is a protocol change: bump [`PROTOCOL_VERSION`] with it.
+    #[test]
+    fn envelope_bytes_are_pinned() {
+        let probe = |encoding| {
+            let reply = ProbeReply {
+                admitted: true,
+                queue_depth: 3,
+            };
+            hex(&encode_reply(7, Reply::Probe(reply), encoding))
+        };
+        let flush =
+            |encoding| hex(&edge_payloads(encoding, vec![ToCloud::Flush { session: 7 }])[0]);
+        let update = crate::CalibrationUpdate::factory(crate::Thresholds::paper());
+        // Each as tag, session, [ticket,] the inner frame's length, body.
+        let pinned = [
+            (
+                "answer",
+                hex(&encode_reply(
+                    7,
+                    Reply::Cloud(FromCloud::Answer(answer(2))),
+                    Encoding::Binary,
+                )),
+                concat!(
+                    "0c",
+                    "0700000000000000",
+                    "0200000000000000",
+                    "5c000000",
+                    // {"dets":{"dets":[]},"infer_s":0.01,"queue_depth":1,
+                    //  "sent_at":1.5,"ticket":2,"uplink_s":0.25}
+                    "7b2264657473223a7b2264657473223a5b5d7d2c22696e6665725f73223a302e3031",
+                    "2c2271756575655f6465707468223a312c2273656e745f6174223a312e352c227469",
+                    "636b6574223a322c2275706c696e6b5f73223a302e32357d",
+                ),
+            ),
+            (
+                "probe reply, JSON",
+                probe(Encoding::Json),
+                concat!(
+                    "0d",
+                    "0700000000000000",
+                    "21000000",
+                    // {"admitted":true,"queue_depth":3}
+                    "7b2261646d6974746564223a747275652c2271756575655f6465707468223a337d",
+                ),
+            ),
+            (
+                "probe reply, binary",
+                probe(Encoding::Binary),
+                concat!("0d", "0700000000000000", "07000000", "080222020b0303"),
+            ),
+            (
+                "flush, JSON",
+                flush(Encoding::Json),
+                // {"session":7}
+                concat!("08", "0d000000", "7b2273657373696f6e223a377d"),
+            ),
+            (
+                "flush, binary",
+                flush(Encoding::Binary),
+                concat!("08", "05000000", "0801030307"),
+            ),
+            (
+                "update",
+                hex(&encode_reply(
+                    7,
+                    Reply::Cloud(FromCloud::Update(Arc::new(update))),
+                    Encoding::Binary,
+                )),
+                concat!(
+                    "0e",
+                    "0700000000000000",
+                    "a0000000",
+                    // {"accuracy":1,"divergence":0.35,"epoch":0,"examples":0,
+                    //  "format":1,"holdout":16,"quantile_scores":[],
+                    //  "thresholds":{"area":0.31,"conf":0.2,"count":2},
+                    //  "version":0}
+                    "7b226163637572616379223a312c22646976657267656e6365223a302e33352c2265",
+                    "706f6368223a302c226578616d706c6573223a302c22666f726d6174223a312c2268",
+                    "6f6c646f7574223a31362c227175616e74696c655f73636f726573223a5b5d2c2274",
+                    "68726573686f6c6473223a7b2261726561223a302e33312c22636f6e66223a302e32",
+                    "2c22636f756e74223a327d2c2276657273696f6e223a307d",
+                ),
+            ),
+        ];
+        for (what, got, want) in pinned {
+            assert_eq!(got, want, "{what}");
+        }
     }
 
     // -----------------------------------------------------------------------
@@ -2777,7 +3016,7 @@ mod tests {
     impl ScriptedLink {
         /// The cloud reads one payload, answering each flushed SUBMIT by
         /// its ticket.
-        fn read(&mut self, payload: &Bytes, mux: bool) {
+        fn read(&mut self, payload: &Bytes) {
             let body = payload.slice(1..);
             match payload[0] {
                 tag::SUBMIT => {
@@ -2785,20 +3024,12 @@ mod tests {
                     self.queued.push((s.header.session, s.header.ticket));
                 }
                 tag::FLUSH => {
-                    let only = (!body.is_empty())
-                        .then(|| wire::decode_frame::<WireFlush>(&body).unwrap().session);
-                    let (now, later) = self
-                        .queued
-                        .drain(..)
-                        .partition(|(s, _)| only.is_none_or(|o| o == *s));
+                    let only = wire::decode_frame::<WireFlush>(&body).unwrap().session;
+                    let (now, later) = self.queued.drain(..).partition(|(s, _)| *s == only);
                     self.queued = later;
                     for (session, ticket) in now {
-                        let inner = answer_frame(ticket);
-                        self.inbox.push_back(Bytes::from(if mux {
-                            msg_mux_answer(session, ticket, &inner)
-                        } else {
-                            [&[tag::ANSWER][..], &inner].concat()
-                        }));
+                        let answer = msg_answer(session, ticket, &answer_frame(ticket));
+                        self.inbox.push_back(Bytes::from(answer));
                     }
                 }
                 tag::BYE => {
@@ -2860,7 +3091,7 @@ mod tests {
                     return false;
                 }
                 if !link.deaf {
-                    link.read(payload, self.s.mux);
+                    link.read(payload);
                 }
             }
             true

@@ -9,8 +9,7 @@
 //! Every frame is a 4-byte little-endian length prefix followed by a
 //! payload in one of two encodings:
 //!
-//! - [`Encoding::Json`] — compact RFC 8259 text, the default and the only
-//!   encoding protocol-version-1 peers are required to understand. All
+//! - [`Encoding::Json`] — compact RFC 8259 text, the default. All
 //!   handshake messages (`Hello`/`Welcome`/`Refused`) are **always** JSON,
 //!   so peers can negotiate before agreeing on anything else.
 //! - [`Encoding::Binary`] — a compact self-describing binary form (tag
@@ -28,9 +27,8 @@
 //!
 //! Which encoding a connection uses is negotiated in the transport
 //! handshake (see [`crate::transport`]): the client names its preferred
-//! encoding in `Hello`, the server echoes the agreed choice in `Welcome`,
-//! and absent fields mean JSON — so old JSON-only peers interoperate with
-//! new binaries in both directions without version bumps.
+//! encoding in `Hello` and the server names the agreed choice in
+//! `Welcome`.
 
 use bytes::{Buf, Bytes};
 use serde::{de::DeserializeOwned, Deserialize, Serialize};
@@ -86,8 +84,7 @@ impl std::error::Error for WireError {
 /// negotiation" section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Encoding {
-    /// Compact JSON text (the protocol default; what absent negotiation
-    /// fields mean).
+    /// Compact JSON text (the protocol default).
     #[default]
     Json,
     /// Compact self-describing binary (`serde_json::to_vec_binary`),

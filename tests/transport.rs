@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use smallbig::core::transport::{
     client_handshake, memory_pair, serve, serve_connection, HandshakeError, Hello, Listener,
     RemoteCloud, ServeOptions, TcpTransport, TcpWireListener, Transport, Welcome, FRAME_QUEUE_CAP,
-    HELLO_MAGIC,
+    HELLO_MAGIC, PROTOCOL_VERSION,
 };
 use smallbig::core::wire::{encode_frame, Encoding};
 use smallbig::core::{CloudServer, CloudStats, SessionReport, UpdateConfig};
@@ -627,14 +627,14 @@ fn version_mismatch_over_tcp_is_a_typed_error() {
         magic: HELLO_MAGIC,
         protocol: 999,
         session: 0,
-        encoding: None,
-        mux: None,
+        encoding: Encoding::Json.name().to_string(),
+        mux: false,
     };
     let err = client_handshake(&mut *tx, &mut *rx, &hello, Duration::from_secs(5))
         .expect_err("future protocol must be refused");
     match err {
         HandshakeError::VersionMismatch { server, client } => {
-            assert_eq!(server, 1);
+            assert_eq!(server, PROTOCOL_VERSION);
             assert_eq!(client, 999);
         }
         other => panic!("expected VersionMismatch, got {other}"),
@@ -655,10 +655,10 @@ fn silent_server_times_out_the_client_handshake() {
     let (mut tx, mut rx) = (Box::new(transport) as Box<dyn Transport>).split();
     let hello = Hello {
         magic: HELLO_MAGIC,
-        protocol: 1,
+        protocol: PROTOCOL_VERSION,
         session: 0,
-        encoding: None,
-        mux: None,
+        encoding: Encoding::Json.name().to_string(),
+        mux: false,
     };
     let started = Instant::now();
     let err = client_handshake(&mut *tx, &mut *rx, &hello, Duration::from_millis(200))
@@ -705,43 +705,6 @@ fn binary_codec_sessions_match_channel_path_bit_for_bit() {
     }
 }
 
-/// A pre-negotiation peer (its Hello carries no `encoding`/`mux` fields)
-/// must still handshake: the cloud answers JSON and no mux.
-#[test]
-fn old_peer_hello_negotiates_json_and_no_mux() {
-    let spec = small_fleet(1, 1);
-    let mut listener = TcpWireListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr();
-    let cloud_cfg = spec.cloud.build();
-    let big: Arc<dyn Detector + Send + Sync> = Arc::new(spec.split.big_model());
-    let server = std::thread::spawn(move || {
-        let conn = listener.accept().expect("accept");
-        serve_connection(conn, &cloud_cfg, &big, &ServeOptions::default())
-    });
-    let transport = TcpTransport::dial(&addr).expect("dial");
-    let (mut tx, mut rx) = (Box::new(transport) as Box<dyn Transport>).split();
-    let hello = Hello {
-        magic: HELLO_MAGIC,
-        protocol: 1,
-        session: 0,
-        encoding: None,
-        mux: None,
-    };
-    let welcome = client_handshake(&mut *tx, &mut *rx, &hello, Duration::from_secs(5))
-        .expect("an old peer must still handshake");
-    assert_eq!(
-        welcome.encoding.as_deref(),
-        Some("json"),
-        "cloud must fall back to JSON for a peer that offered nothing"
-    );
-    assert_eq!(welcome.mux, Some(false));
-    drop(tx);
-    drop(rx);
-    let outcome = server.join().expect("handler thread");
-    assert!(!outcome.refused);
-    assert!(!outcome.registered);
-}
-
 /// A welcome naming an encoding the edge never offered (corrupted or
 /// hostile negotiation field) must surface as the typed
 /// [`HandshakeError::Encoding`] — never be guessed around.
@@ -758,11 +721,11 @@ fn corrupted_encoding_in_welcome_is_a_typed_error() {
         sock.read_exact(&mut hello).expect("hello payload");
         // Reply WELCOME (tag 2) naming an encoding nobody offered.
         let welcome = Welcome {
-            protocol: 1,
+            protocol: PROTOCOL_VERSION,
             session: 0,
             admission: false,
-            encoding: Some("zstd".to_string()),
-            mux: Some(false),
+            encoding: "zstd".to_string(),
+            mux: false,
         };
         let mut payload = vec![2u8];
         payload.extend_from_slice(&encode_frame(&welcome));
