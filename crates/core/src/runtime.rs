@@ -226,7 +226,7 @@ pub fn run_system(
             session_cfg,
             small,
             policy,
-            tx.clone(),
+            crate::server::Uplink::Channel(tx.clone()),
             cloud_cfg.queue_limit.is_some(),
         );
         drop(tx);

@@ -74,12 +74,13 @@
 //! [`EdgeSession`] is a *facade*: the session's entire state — clock, RNG,
 //! policy, pending frames, metrics — lives in a channel-free
 //! `EdgeMachine`, and every public method delegates through the
-//! `CloudPort` seam (here a `ChannelPort`: the session's message channel
-//! and its two reply receivers; every port is monomorphized). The cloud
-//! has the same split: `CloudMachine` is the whole cloud as a sans-IO
-//! machine that leaves each reply, under its session's id, in one queue,
-//! and `cloud_loop` merely feeds it the channel and routes the queue to
-//! the reply senders each session's register carried.
+//! `CloudPort` seam (here a `SessionPort`: a cloud worker's channel or a
+//! transport connection, and the session's two reply receivers; every port
+//! is monomorphized). The cloud has the same split: `CloudMachine` is the
+//! whole cloud as a sans-IO machine that leaves each reply, under its
+//! session's id, in one queue, and `cloud_loop` merely feeds it the channel
+//! and routes the queue to the reply senders each session's register
+//! carried.
 //!
 //! That seam is what the fleet engine ([`crate::fleet`]) exploits: it
 //! drives the *same* machines inline from a central virtual-time event
@@ -537,8 +538,8 @@ pub(crate) struct ProbeReply {
 /// What the cloud hands a session on its answer path. Both kinds cross the
 /// seam between [`CloudMachine`] and [`EdgeMachine`] as typed values: bytes
 /// exist only where a socket does ([`crate::transport`] encodes them as its
-/// reader thread writes the machine's replies, and decodes them in its
-/// inbound pump).
+/// reader thread writes the machine's replies, and decodes them on the
+/// waiting session's thread).
 pub(crate) enum FromCloud {
     /// The big model's answer to one uploaded frame.
     Answer(SubmitResponse),
@@ -1026,14 +1027,8 @@ impl CloudServer {
         small: &'a (dyn Detector + Sync),
         policy: Box<dyn OffloadPolicy + 'a>,
     ) -> EdgeSession<'a> {
-        EdgeSession::attach(
-            session,
-            config,
-            small,
-            policy,
-            self.tx.clone(),
-            self.admission,
-        )
+        let uplink = Uplink::Channel(self.tx.clone());
+        EdgeSession::attach(session, config, small, policy, uplink, self.admission)
     }
 
     /// Stops the worker after resolving every queued frame and returns its
@@ -1056,11 +1051,10 @@ struct PendingUpload {
 }
 
 /// How an edge state machine reaches its cloud: the seam that lets the
-/// *same* per-session logic run behind channels (the thread-per-component
-/// [`EdgeSession`]) or inline against a [`CloudMachine`] (the fleet
-/// engine's event-driven core). Each implementation is monomorphized into
-/// [`EdgeMachine`]'s methods, so the channel path compiles to exactly the
-/// code it was before the seam existed.
+/// *same* per-session logic run behind a channel or a socket (the
+/// [`EdgeSession`] facade's [`SessionPort`]) or inline against a
+/// [`CloudMachine`] (the fleet engine's event-driven core). Each
+/// implementation is monomorphized into [`EdgeMachine`]'s methods.
 pub(crate) trait CloudPort {
     /// Delivers one message to the cloud; `false` when the cloud is gone.
     fn send(&mut self, msg: ToCloud) -> bool;
@@ -1072,26 +1066,47 @@ pub(crate) trait CloudPort {
     fn recv_probe(&mut self) -> Option<ProbeReply>;
 }
 
-/// The channel-backed [`CloudPort`]: what [`CloudServer::connect`] wires a
-/// session to (the cloud worker lives on its own thread and owns the other
-/// ends).
-pub(crate) struct ChannelPort {
-    tx: Sender<ToCloud>,
+/// Where an [`EdgeSession`]'s messages go.
+pub(crate) enum Uplink {
+    /// A cloud worker's channel: [`CloudServer::connect`] and
+    /// [`crate::run_system`] (the worker lives on its own thread and owns
+    /// the other end).
+    Channel(Sender<ToCloud>),
+    /// A transport connection the session's own thread runs:
+    /// [`RemoteCloud::attach`](crate::transport::RemoteCloud::attach).
+    Wire(Arc<crate::transport::Wire>),
+}
+
+/// An [`EdgeSession`]'s [`CloudPort`]: its uplink, and the two receivers
+/// its replies are routed to. Over a channel, a wait blocks on the
+/// receiver; over a wire, the waiting thread itself writes what the
+/// connection has buffered and reads until its reply is routed here.
+pub(crate) struct SessionPort {
+    uplink: Uplink,
     rx: Receiver<FromCloud>,
     probe_rx: Receiver<ProbeReply>,
 }
 
-impl CloudPort for ChannelPort {
+impl CloudPort for SessionPort {
     fn send(&mut self, msg: ToCloud) -> bool {
-        self.tx.send(msg).is_ok()
+        match &self.uplink {
+            Uplink::Channel(tx) => tx.send(msg).is_ok(),
+            Uplink::Wire(wire) => wire.host().send(msg),
+        }
     }
 
     fn recv_answer(&mut self) -> Option<FromCloud> {
-        self.rx.recv().ok()
+        match &self.uplink {
+            Uplink::Channel(_) => self.rx.recv().ok(),
+            Uplink::Wire(wire) => wire.host().wait(&self.rx),
+        }
     }
 
     fn recv_probe(&mut self) -> Option<ProbeReply> {
-        self.probe_rx.recv().ok()
+        match &self.uplink {
+            Uplink::Channel(_) => self.probe_rx.recv().ok(),
+            Uplink::Wire(wire) => wire.host().wait(&self.probe_rx),
+        }
     }
 }
 
@@ -1104,14 +1119,16 @@ impl CloudPort for ChannelPort {
 ///
 /// Internally the session is a thin facade: all of the above state lives in
 /// an [`EdgeMachine`] — a compact, channel-free state machine — wired here
-/// to a [`ChannelPort`]. The fleet engine ([`crate::fleet`]) drives the
-/// same machines inline against sharded [`CloudMachine`]s, which is how one
-/// process carries 10⁵–10⁶ concurrent sessions without a thread or channel
-/// per session; this facade keeps the historical thread-per-component shape
-/// (and its reports, bit for bit).
+/// to a [`SessionPort`]: a [`CloudServer`]'s channel, or a
+/// [`RemoteCloud`](crate::transport::RemoteCloud) connection whose socket
+/// this session's own thread writes and reads. The fleet engine
+/// ([`crate::fleet`]) drives the same machines inline against sharded
+/// [`CloudMachine`]s, which is how one process carries 10⁵–10⁶ concurrent
+/// sessions without a thread or channel per session; this facade keeps the
+/// historical thread-per-component shape (and its reports, bit for bit).
 pub struct EdgeSession<'a> {
     m: EdgeMachine<'a>,
-    port: ChannelPort,
+    port: SessionPort,
 }
 
 /// The per-session state machine behind [`EdgeSession`] (and the unit the
@@ -1345,27 +1362,28 @@ impl<'a> EdgeSession<'a> {
         cfg: SessionConfig,
         small: &'a (dyn Detector + Sync),
         policy: Box<dyn OffloadPolicy + 'a>,
-        tx: Sender<ToCloud>,
+        uplink: Uplink,
         admission: bool,
     ) -> EdgeSession<'a> {
         let (resp_tx, resp_rx) = channel::unbounded();
         let (probe_tx, probe_rx) = channel::unbounded();
-        tx.send(ToCloud::Register {
+        let mut port = SessionPort {
+            uplink,
+            rx: resp_rx,
+            probe_rx,
+        };
+        let register = ToCloud::Register {
             session: id,
             link: cfg.link.clone(),
             replies: ReplyTx {
                 answers: resp_tx,
                 probes: probe_tx,
             },
-        })
-        .expect("cloud server alive");
+        };
+        assert!(port.send(register), "cloud server alive");
         EdgeSession {
             m: EdgeMachine::new(id, cfg, small, policy, admission, MetricsMode::Full),
-            port: ChannelPort {
-                tx,
-                rx: resp_rx,
-                probe_rx,
-            },
+            port,
         }
     }
 
@@ -1930,10 +1948,7 @@ impl<'a> EdgeMachine<'a> {
 impl Drop for EdgeSession<'_> {
     fn drop(&mut self) {
         // Best-effort: the cloud may already be gone.
-        let _ = self
-            .port
-            .tx
-            .send(ToCloud::Deregister { session: self.m.id });
+        let _ = self.port.send(ToCloud::Deregister { session: self.m.id });
     }
 }
 

@@ -39,8 +39,8 @@
 //! redialed on [`ConnectOptions::retry`]'s wall-clock backoff, every session
 //! re-registered and every unanswered frame replayed, its answer delivered
 //! once. Exhausted retries close the connection, so a waiting session fails
-//! loudly. The two pump threads only move bytes, outside the machine's lock
-//! except while redialing.
+//! loudly. The machine's one host has no thread: the sessions' own calls
+//! run it, socket and redials included, to completion.
 //!
 //! ## Encodings and negotiation
 //!
@@ -93,7 +93,7 @@
 //! This module is the only place an answer is ever bytes. Cloud machines
 //! and edge sessions exchange typed messages; the cloud's reader thread
 //! encodes the replies each message left in its machine's queue, and the
-//! edge's inbound pump decodes each frame once, before routing it. A
+//! edge's connection machine decodes each frame once, before routing it. A
 //! payload that does not decode poisons the connection like any other
 //! framing fault, so a waiting session fails with its "cloud server shut
 //! down" diagnostic.
@@ -105,29 +105,33 @@
 //! ## Backpressure
 //!
 //! Every queue between a session and a socket is **bounded**
-//! ([`FRAME_QUEUE_CAP`]): the session→pump channel and the in-memory
+//! ([`FRAME_QUEUE_CAP`]): the edge's unwritten run and the in-memory
 //! transport's frame queues. The cloud keeps no queue of its own: its
 //! reader thread hands each frame to the session's machine and writes what
 //! the machine answered before reading on, so a blocked peer blocks the
 //! write — and with it the reader, which stops draining the socket. A
 //! slow reader therefore stalls its writer — memory stays bounded end to
 //! end and the stall propagates as backpressure (socket buffer fills →
-//! pump blocks → session blocks) instead of an unbounded queue quietly
+//! the session's write blocks) instead of an unbounded queue quietly
 //! absorbing the backlog.
 //!
-//! On the way out, the edge's send pump greedily drains its bounded queue
-//! and delivers each run of frames as **one** coalesced write
-//! ([`FrameTx::send_all`]) — a fleet's back-to-back submissions cost one
-//! syscall and wake the cloud's reader once.
+//! The edge has no thread of its own: `submit` encodes into the
+//! connection's run, which goes out as **one** coalesced write
+//! ([`FrameTx::send_all`]) when a session waits for the cloud (or the run
+//! holds half a queue) — a fleet's back-to-back submissions cost one
+//! syscall and wake the cloud's reader once. The waiting session then reads
+//! until its reply arrives, and a read window ([`FRAME_QUEUE_CAP`]) keeps
+//! answers from filling a queue while it writes.
 
 use crate::scheduler::SchedulerSlot;
 use crate::server::{
     CloudMachine, FromCloud, ProbeReply, Reply, ReplyTx, SubmitRequest, SubmitResponse, ToCloud,
+    Uplink,
 };
 use crate::wire::{self, Encoding, FrameReader, WireError};
 use crate::{CloudConfig, CloudStats, EdgeSession, OffloadPolicy, SessionConfig};
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use datagen::Scene;
 use modelzoo::Detector;
 use serde::{Deserialize, Serialize};
@@ -137,7 +141,6 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Version of the edge↔cloud wire protocol spoken by this build.
@@ -151,15 +154,14 @@ pub const MAX_HELLO_BYTES: usize = 4096;
 /// Magic number opening every [`Hello`] (`"SMBG"`).
 pub const HELLO_MAGIC: u32 = 0x534d_4247;
 
-/// How often the edge's inbound pump feeds its connection machine a timer
-/// tick, so it adopts a link the other pump redialed, or stops once the
-/// connection closed.
-const IN_PUMP_TICK: Duration = Duration::from_millis(500);
+/// How long the edge's read window waits for a frame before writing anyway.
+const WINDOW_WAIT: Duration = Duration::from_millis(10);
 
-/// Capacity of every bounded frame queue on the transport path (the
-/// session→pump channel and the in-memory transport queues). A queue at
-/// capacity blocks its producer — see the module docs' "Backpressure"
-/// section.
+/// Capacity of the in-memory transport's frame queues, and the edge's
+/// window: its run is written once it holds half this many payloads, and
+/// before a write it reads while more than half this many written submits
+/// and probes are unanswered — so the cloud never blocks on a queue of
+/// answers while the edge blocks writing (module docs, "Backpressure").
 pub const FRAME_QUEUE_CAP: usize = 64;
 
 /// Payload tags. 7 and 10 were protocol v1's envelope-less probe reply
@@ -333,7 +335,7 @@ struct WireSubmit {
     scene: Scene,
 }
 
-/// Borrowed twin of [`WireSubmit`] for the encode side: the outbound pump
+/// Borrowed twin of [`WireSubmit`] for the encode side: the edge
 /// serializes straight from the session's `Arc<Scene>` without deep-copying
 /// it. Must render the exact `Value` tree [`WireSubmit`]'s derive renders
 /// (same keys, sorted order) so either peer decodes it as [`WireSubmit`].
@@ -396,7 +398,7 @@ fn msg_session(t: u8, session: u64, inner: &[u8]) -> Vec<u8> {
 
 /// Builds an answer frame:
 /// `[ANSWER_MUX][8-byte LE session][8-byte LE ticket][inner bytes]`. The
-/// ticket lives in the envelope so the edge's inbound pump finds the
+/// ticket lives in the envelope so the edge's connection machine finds the
 /// pending frame by (session, ticket) alone and parses the payload only
 /// when there is one.
 fn msg_answer(session: u64, ticket: u64, inner: &[u8]) -> Vec<u8> {
@@ -1048,8 +1050,8 @@ enum Link {
     /// it; the first frame received on the link resets it, so a link that
     /// dies in its replay continues the outage's backoff schedule.
     Up { spent: u32 },
-    /// Dial `attempt` of an outage is out. Dials run under the lock, so
-    /// only [`In::Dialed`] ever meets this state.
+    /// Dial `attempt` of an outage is out. Dials run inline in the host,
+    /// so only [`In::Dialed`] ever meets this state.
     Dialing { attempt: u32 },
     /// Said `BYE`, gave up redialing, or was poisoned: nothing dials again,
     /// and every session's reply handles are gone.
@@ -1057,10 +1059,9 @@ enum Link {
 }
 
 /// One input to [`ClientConn`]. Link events carry the generation of the
-/// link half the reporting pump holds.
+/// link the reporting host holds.
 enum In {
-    /// A session's register, submit, probe, flush or deregister, from the
-    /// out pump. [`ToCloud::Shutdown`] is a `BYE`.
+    /// A session's message; [`ToCloud::Shutdown`] is a `BYE`.
     Session {
         gen: u64,
         msg: ToCloud,
@@ -1090,23 +1091,21 @@ enum In {
 /// What [`ClientConn`] asks its hosts to do.
 #[derive(Debug)]
 enum Act {
-    /// Swap the calling pump's half for link `gen`'s, which the host that
-    /// dialed it left in [`Shared`].
+    /// Swap the caller's link for link `gen`, the one just dialed.
     Adopt(u64),
     /// Write these payloads, in order, as one run on the caller's link. In
     /// answer to [`In::Dialed`]: the replay, for the link just dialed.
     Write(Vec<Bytes>),
     /// Wait, dial, handshake, and report back with [`In::Dialed`].
     Dial(Duration),
-    /// The connection is closed and every waiting session fails loudly;
-    /// the calling pump stops.
+    /// The connection is closed and every waiting session fails loudly.
     Close,
 }
 
 /// The client half of a connection as a single-threaded sans-IO machine.
 /// Every rule about link generations, replay, answer deduplication and
-/// `BYE` sits in [`ClientConn::handle`]'s one `match`; the two pumps only
-/// move bytes and carry out the [`Act`]s it returns.
+/// `BYE` sits in [`ClientConn::handle`]'s one `match`; its host only
+/// moves bytes and carries out the [`Act`]s it returns.
 struct ClientConn {
     /// The current link's generation, bumped by every successful redial.
     gen: u64,
@@ -1369,33 +1368,31 @@ impl ClientConn {
     }
 }
 
-/// What a connection's two pumps share under one lock: the machine, what a
-/// redial needs, and a redialed link's halves until each pump adopts its
-/// own.
-struct Shared {
-    conn: ClientConn,
-    dialer: Option<Dialer>,
-    hello: Hello,
-    handshake_timeout: Duration,
-    fresh_tx: Option<Box<dyn FrameTx>>,
-    fresh_rx: Option<Box<dyn FrameRx>>,
-}
-
 /// A split link.
 type Halves = (Box<dyn FrameTx>, Box<dyn FrameRx>);
 
-const FRESH: &str = "the dialing host leaves both halves of the link it dialed";
-
-fn lock(shared: &Mutex<Shared>) -> std::sync::MutexGuard<'_, Shared> {
-    shared.lock().unwrap_or_else(|e| e.into_inner())
+/// [`ClientConn`]'s one host: the machine, the halves of its current link,
+/// what a redial needs and the payloads no write carried yet. It runs on the
+/// caller's thread.
+pub(crate) struct Host {
+    conn: ClientConn,
+    tx: Box<dyn FrameTx>,
+    rx: Box<dyn FrameRx>,
+    run: Vec<Bytes>,
+    dialer: Option<Dialer>,
+    hello: Hello,
+    handshake_timeout: Duration,
 }
 
-impl Shared {
-    /// Feeds `input` to the machine and carries out every dial it asks
-    /// for, here, under the lock: the other pump waits for the outcome. A
-    /// dialed link's replay goes out before either pump can use the link.
-    /// Returns the acts left for the calling pump.
-    fn step(&mut self, input: In) -> Vec<Act> {
+impl Host {
+    fn closed(&self) -> bool {
+        self.conn.link == Link::Closed
+    }
+
+    /// Feeds `input` to the machine, buffers what it asks to write, and dials
+    /// here. A new link's replay goes out first and carries what it needs of
+    /// the unwritten run (registers, unanswered frames, flushes): drop it.
+    fn step(&mut self, input: In) {
         let mut acts = Vec::new();
         self.conn.handle(input, &mut acts);
         while let [Act::Dial(wait)] = acts[..] {
@@ -1409,18 +1406,21 @@ impl Shared {
             if let [Act::Write(replay), Act::Adopt(gen)] = &acts[..] {
                 let gen = *gen;
                 let run: Vec<&[u8]> = replay.iter().map(|p| &p[..]).collect();
-                acts = if tx.send_all(&run).is_ok() {
-                    self.fresh_tx = Some(tx);
-                    self.fresh_rx = Some(rx);
-                    vec![Act::Adopt(gen)]
-                } else {
-                    let mut again = Vec::new();
-                    self.conn.handle(In::WriteError { gen }, &mut again);
-                    again
-                };
+                let written = tx.send_all(&run).is_ok();
+                (self.tx, self.rx) = (tx, rx);
+                self.run.clear();
+                acts.clear();
+                if !written {
+                    self.conn.handle(In::WriteError { gen }, &mut acts);
+                }
             }
         }
-        acts
+        // A close needs nothing more: the routes' reply handles went with it.
+        for act in acts {
+            if let Act::Write(payloads) = act {
+                self.run.extend(payloads);
+            }
+        }
     }
 
     /// Dials and handshakes a new link: `None` when either fails or the
@@ -1432,99 +1432,114 @@ impl Shared {
         let encoding = negotiated_encoding(&self.hello, &welcome).ok()?;
         Some(((tx, rx), (encoding, negotiated_mux(&self.hello, &welcome))))
     }
-}
 
-/// The outbound host. It drains the sessions' bounded channel into the
-/// machine and writes each run it gets back as **one**
-/// [`FrameTx::send_all`], outside the lock: a write stalled by a slow peer
-/// never stops the inbound pump from routing answers.
-fn out_pump(mut ftx: Box<dyn FrameTx>, rx: Receiver<ToCloud>, shared: Arc<Mutex<Shared>>) {
-    let mut gen = 0;
-    let mut run: Vec<Bytes> = Vec::new();
-    let mut stop = false;
-    while !stop {
-        let mut input = match rx.recv() {
-            Ok(msg) => In::Session { gen, msg },
-            Err(_) => In::Bye { gen },
-        };
-        let mut sh = lock(&shared);
-        // Greedily take whatever else the sessions already queued (a fleet
-        // submits back to back), so the peer's reader wakes once per run.
-        for _ in 0..FRAME_QUEUE_CAP {
-            for act in sh.step(input) {
-                match act {
-                    Act::Adopt(g) => (ftx, gen) = (sh.fresh_tx.take().expect(FRESH), g),
-                    Act::Write(payloads) => run.extend(payloads),
-                    Act::Close => stop = true,
-                    Act::Dial(_) => unreachable!("step carries out every dial"),
-                }
-            }
-            match rx.try_recv() {
-                Ok(msg) if !stop => input = In::Session { gen, msg },
-                _ => break,
-            }
+    /// Feeds the machine a session's message; a run grown to half a queue
+    /// is written at once. `false` once the connection is closed.
+    pub(crate) fn send(&mut self, msg: ToCloud) -> bool {
+        if self.closed() {
+            return false;
         }
-        drop(sh);
-        let payloads: Vec<&[u8]> = run.iter().map(|p| &p[..]).collect();
-        let failed = !payloads.is_empty() && ftx.send_all(&payloads).is_err();
-        run.clear();
-        if failed && !stop {
-            let mut sh = lock(&shared);
-            for act in sh.step(In::WriteError { gen }) {
-                match act {
-                    Act::Adopt(g) => (ftx, gen) = (sh.fresh_tx.take().expect(FRESH), g),
-                    Act::Close => stop = true,
-                    Act::Write(_) | Act::Dial(_) => unreachable!("a write error writes nothing"),
-                }
+        let gen = self.conn.gen;
+        self.step(In::Session { gen, msg });
+        if self.run.len() >= FRAME_QUEUE_CAP / 2 {
+            self.flush(false);
+        }
+        true
+    }
+
+    /// Writes the run, then reads and routes frames until `replies` yields;
+    /// `None` once the connection closed and `replies` holds nothing more.
+    pub(crate) fn wait<T>(&mut self, replies: &Receiver<T>) -> Option<T> {
+        loop {
+            match replies.try_recv() {
+                Ok(reply) => return Some(reply),
+                Err(TryRecvError::Empty) if !self.closed() => {}
+                Err(_) => return None,
+            }
+            self.flush(false);
+            if !self.closed() {
+                self.read(None);
             }
         }
     }
-}
 
-/// The inbound host. It reads frames, with a timer tick so it adopts a link
-/// the other pump redialed and stops once the connection closed, and feeds
-/// them to the machine, which routes each answer to its session.
-fn in_pump(mut frx: Box<dyn FrameRx>, shared: Arc<Mutex<Shared>>) {
-    let mut gen = 0;
-    loop {
-        let input = match frx.recv_timeout(IN_PUMP_TICK) {
+    /// Reads one frame, waiting at most `timeout` when given, and feeds it
+    /// to the machine; `false` when the wait timed out.
+    fn read(&mut self, timeout: Option<Duration>) -> bool {
+        let gen = self.conn.gen;
+        let got = match timeout {
+            None => self.rx.recv(),
+            Some(t) => self.rx.recv_timeout(t),
+        };
+        let input = match got {
             Ok(Some(frame)) => In::Frame { gen, frame },
             Err(e) if e.kind() == io::ErrorKind::TimedOut => In::Tick { gen },
             Ok(None) | Err(_) => In::Eof { gen },
         };
-        let mut sh = lock(&shared);
-        for act in sh.step(input) {
-            match act {
-                Act::Adopt(g) => (frx, gen) = (sh.fresh_rx.take().expect(FRESH), g),
-                Act::Close => return,
-                Act::Write(_) | Act::Dial(_) => unreachable!("inbound events write nothing"),
-            }
+        let ticked = matches!(input, In::Tick { .. });
+        self.step(input);
+        !ticked
+    }
+
+    /// Writes the run as **one** [`FrameTx::send_all`] (with a `BYE` last
+    /// and closing, when `bye`); a closed connection drops it. First, the
+    /// read window: while more than half a queue of written submits and
+    /// probes are unanswered, take what the cloud wrote, so it never fills
+    /// a queue of answers while this thread blocks on a write. A read that
+    /// waits [`WINDOW_WAIT`] in vain ends it: a batching cloud holds its
+    /// answers until a flush, which may be in the run.
+    fn flush(&mut self, bye: bool) {
+        let unsent = (self.run.iter())
+            .filter(|p| matches!(p.first(), Some(&(tag::SUBMIT | tag::PROBE))))
+            .count();
+        while !self.run.is_empty()
+            && self.conn.pending.len().saturating_sub(unsent) > FRAME_QUEUE_CAP / 2
+            && self.read(Some(WINDOW_WAIT))
+        {}
+        if self.closed() {
+            return self.run.clear();
         }
+        if bye {
+            self.step(In::Bye { gen: self.conn.gen });
+        }
+        let run = std::mem::take(&mut self.run);
+        let payloads: Vec<&[u8]> = run.iter().map(|p| &p[..]).collect();
+        if !run.is_empty() && self.tx.send_all(&payloads).is_err() {
+            self.step(In::WriteError { gen: self.conn.gen });
+        }
+    }
+}
+
+/// A [`Host`] shared by its [`RemoteCloud`] and sessions, run under the lock.
+pub(crate) struct Wire(Mutex<Host>);
+
+impl Wire {
+    pub(crate) fn host(&self) -> std::sync::MutexGuard<'_, Host> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 /// The edge side of a transport connection: bridges a real [`EdgeSession`]
 /// onto a [`Transport`].
 ///
-/// The bridge translates the session layer's channel messages to wire
-/// frames on a pump thread and decodes and routes answers back, so a
-/// session attached here runs the in-process code path — reports over any
-/// transport are bit-identical to the channel path.
+/// It runs on its sessions' threads (module docs, "Backpressure"), and a
+/// session attached here runs the in-process code path, so reports over
+/// any transport are bit-identical to the channel path. Sessions on several
+/// threads stay correct, but their waits take turns.
 ///
 /// Drop (or [`drain`](EdgeSession::drain) and drop) every attached session
 /// before calling [`RemoteCloud::close`].
 pub struct RemoteCloud {
-    tx: Option<Sender<ToCloud>>,
+    wire: Arc<Wire>,
     admission: bool,
     session: u64,
     encoding: Encoding,
     mux: bool,
-    out_handle: Option<JoinHandle<()>>,
-    in_handle: Option<JoinHandle<()>>,
 }
 
 impl RemoteCloud {
-    /// Performs the handshake on `transport` and starts the bridge pumps.
+    /// Performs the handshake on `transport` and hands the link to the
+    /// connection's host.
     ///
     /// The hello carries [`ConnectOptions::encoding`] and
     /// [`ConnectOptions::mux`]; what the cloud actually agreed to is
@@ -1541,7 +1556,7 @@ impl RemoteCloud {
         session: u64,
         opts: ConnectOptions,
     ) -> Result<RemoteCloud, HandshakeError> {
-        let (mut ftx, mut frx) = transport.split();
+        let (mut tx, mut rx) = transport.split();
         let hello = Hello {
             magic: HELLO_MAGIC,
             protocol: PROTOCOL_VERSION,
@@ -1549,31 +1564,25 @@ impl RemoteCloud {
             encoding: opts.encoding.name().to_string(),
             mux: opts.mux,
         };
-        let welcome = client_handshake(&mut *ftx, &mut *frx, &hello, opts.handshake_timeout)?;
+        let welcome = client_handshake(&mut *tx, &mut *rx, &hello, opts.handshake_timeout)?;
         let encoding = negotiated_encoding(&hello, &welcome)?;
         let mux = negotiated_mux(&hello, &welcome);
         let retry = opts.dialer.is_some().then_some(opts.retry);
-        let shared = Arc::new(Mutex::new(Shared {
+        let host = Host {
             conn: ClientConn::new(encoding, mux, retry),
+            tx,
+            rx,
+            run: Vec::new(),
             dialer: opts.dialer,
             hello,
             handshake_timeout: opts.handshake_timeout,
-            fresh_tx: None,
-            fresh_rx: None,
-        }));
-        let (tx, rx) = channel::bounded::<ToCloud>(FRAME_QUEUE_CAP);
-        let sh_out = Arc::clone(&shared);
-        let out_handle = std::thread::spawn(move || out_pump(ftx, rx, sh_out));
-        let sh_in = Arc::clone(&shared);
-        let in_handle = std::thread::spawn(move || in_pump(frx, sh_in));
+        };
         Ok(RemoteCloud {
-            tx: Some(tx),
+            wire: Arc::new(Wire(Mutex::new(host))),
             admission: welcome.admission,
             session,
             encoding,
             mux,
-            out_handle: Some(out_handle),
-            in_handle: Some(in_handle),
         })
     }
 
@@ -1657,11 +1666,8 @@ impl RemoteCloud {
              carries only its handshake's session {}",
             self.session
         );
-        let tx = self
-            .tx
-            .clone()
-            .expect("RemoteCloud::attach called after close");
-        EdgeSession::attach(session, config, small, policy, tx, self.admission)
+        let wire = Uplink::Wire(Arc::clone(&self.wire));
+        EdgeSession::attach(session, config, small, policy, wire, self.admission)
     }
 
     /// The session id negotiated in the handshake.
@@ -1687,26 +1693,16 @@ impl RemoteCloud {
         self.mux
     }
 
-    /// Closes the connection (sends `BYE`) and joins the pump threads.
-    /// All attached sessions must already be dropped.
-    pub fn close(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.tx = None;
-        if let Some(h) = self.out_handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.in_handle.take() {
-            let _ = h.join();
-        }
+    /// Closes the connection: writes what the sessions left unwritten and
+    /// a `BYE`. All attached sessions must already be dropped.
+    pub fn close(self) {
+        self.wire.host().flush(true);
     }
 }
 
 impl Drop for RemoteCloud {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        self.wire.host().flush(true);
     }
 }
 
@@ -3041,9 +3037,10 @@ mod tests {
         }
     }
 
-    /// The two pumps of `RemoteCloud`, taking turns on one thread against
-    /// scripted links, with `Shared::step`'s dial loop and a scripted
-    /// dialer.
+    /// Two hosts, an out pump and an in pump holding a link generation
+    /// each, taking turns on one thread against scripted links, with
+    /// `Host::step`'s dial loop and a scripted dialer. The machine must
+    /// hold under two hosts as under `RemoteCloud`'s one.
     struct World {
         s: Schedule,
         conn: ClientConn,

@@ -13,15 +13,19 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smallbig::core::transport::{
-    client_handshake, memory_pair, serve, serve_connection, HandshakeError, Hello, Listener,
-    RemoteCloud, ServeOptions, TcpTransport, TcpWireListener, Transport, Welcome, FRAME_QUEUE_CAP,
-    HELLO_MAGIC, PROTOCOL_VERSION,
+    client_handshake, memory_listener, memory_pair, serve, serve_connection, ConnectOptions,
+    HandshakeError, Hello, Listener, MemoryConnector, NodeStats, RemoteCloud, ServeOptions,
+    TcpTransport, TcpWireListener, Transport, Welcome, FRAME_QUEUE_CAP, HELLO_MAGIC,
+    PROTOCOL_VERSION,
 };
 use smallbig::core::wire::{encode_frame, Encoding};
-use smallbig::core::{CloudServer, CloudStats, SessionReport, UpdateConfig};
+use smallbig::core::{
+    CloudConfig, CloudServer, CloudStats, SessionConfig, SessionReport, UpdateConfig,
+};
+use smallbig::datagen::{Dataset, DatasetProfile};
 use smallbig::distributed::{
     run_device_session, run_fleet_in_memory, run_fleet_processes, CloudSpec, DeploymentSpec,
-    EdgeSpec, LinkSpec, PolicySpec, TraceSpec, LINE_CONNECTED, LINE_REPORT, LINE_STATS,
+    EdgeSpec, LinkSpec, PolicySpec, SplitName, TraceSpec, LINE_CONNECTED, LINE_REPORT, LINE_STATS,
 };
 use smallbig::modelzoo::Detector;
 use smallbig::simnet::RetryConfig;
@@ -903,6 +907,141 @@ fn stalled_reader_bounds_in_flight_frames_then_drains() {
         assert_eq!(&frame[..], &want[..], "frame {i} out of order");
     }
     flooder.join().expect("flooder thread");
+}
+
+/// Sessions and submits per session of the burst tests.
+const BURST_SESSIONS: u64 = 8;
+const BURST_SUBMITS: usize = 10 * FRAME_QUEUE_CAP;
+
+/// Runs `f` on its own thread and returns what it returned, failing the
+/// test when it has not finished after 60 s (a hang, not a slow host).
+fn within_60_s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(out) => out,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{what}: the burst did not resolve within 60 s")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("{what}: the run panicked"),
+    }
+}
+
+/// Serves `listener` with `cloud` until the burst's sessions completed,
+/// connects through `connect`, and has [`BURST_SESSIONS`] mux sessions
+/// submit [`BURST_SUBMITS`] cloud-only frames each, round-robin, before
+/// polling any. Asserts every ticket resolves; returns the sessions'
+/// summed uploads and the node's stats.
+fn burst(
+    mut listener: Box<dyn Listener>,
+    cloud: CloudConfig,
+    connect: impl FnOnce(&str) -> RemoteCloud,
+) -> (usize, NodeStats) {
+    let addr = listener.local_addr();
+    let node = std::thread::spawn(move || {
+        let big: Arc<dyn Detector + Send + Sync> = Arc::new(SplitName::Helmet.big_model());
+        let opts = ServeOptions {
+            expect_sessions: Some(BURST_SESSIONS as usize),
+            ..ServeOptions::default()
+        };
+        serve(&mut *listener, &cloud, &big, &opts, &AtomicBool::new(false))
+    });
+    let remote = connect(&addr);
+    assert!(remote.mux());
+    let small = SplitName::Helmet.small_model();
+    let data = Dataset::generate("burst", &DatasetProfile::helmet(), BURST_SUBMITS, 7);
+    let mut sessions: Vec<_> = (0..BURST_SESSIONS)
+        .map(|session| {
+            let (pipeline, policy) = PolicySpec::CloudOnly.build();
+            let config = SessionConfig {
+                frame_size: (8, 8),
+                pipeline,
+                ..SessionConfig::new(2)
+            };
+            remote.attach_as(session, config, &small, policy)
+        })
+        .collect();
+    let mut tickets = Vec::new();
+    for scene in data.iter() {
+        for sess in sessions.iter_mut() {
+            tickets.push(sess.submit(scene));
+        }
+    }
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        let sess = &mut sessions[i % BURST_SESSIONS as usize];
+        assert!(sess.poll(ticket).is_some(), "ticket {i} resolves");
+    }
+    let uploads = sessions.iter_mut().map(|s| s.drain().uploads).sum();
+    drop(sessions);
+    remote.close();
+    (uploads, node.join().expect("serve thread"))
+}
+
+/// A mux fleet that submits ten queues' worth of frames before its first
+/// poll must get every one answered: the edge's one thread reads the
+/// cloud's answers while it writes, so neither side ends up blocked on a
+/// full queue the other will never drain. Over both transports, each
+/// within a 60 s bound.
+#[test]
+fn a_burst_of_submits_before_any_poll_resolves_every_frame() {
+    let connect_memory = |connector: MemoryConnector| {
+        move |_: &str| {
+            let transport = connector.connect().expect("listener alive");
+            let opts = ConnectOptions {
+                encoding: Encoding::Binary,
+                mux: true,
+                ..ConnectOptions::default()
+            };
+            RemoteCloud::connect(Box::new(transport), 0, opts).expect("handshake")
+        }
+    };
+    let connect_tcp = |addr: &str| {
+        RemoteCloud::connect_tcp_with(addr, 0, &quick_retry(), Encoding::Binary, true)
+            .expect("loopback handshake")
+    };
+    let runs = [
+        within_60_s("memory", move || {
+            let (listener, connector) = memory_listener();
+            let cloud = CloudConfig::default();
+            burst(Box::new(listener), cloud, connect_memory(connector))
+        }),
+        within_60_s("tcp", move || {
+            let listener = TcpWireListener::bind("127.0.0.1:0").expect("bind loopback");
+            burst(Box::new(listener), CloudConfig::default(), connect_tcp)
+        }),
+    ];
+    for (uploads, stats) in runs {
+        assert_eq!(uploads, BURST_SESSIONS as usize * BURST_SUBMITS);
+        assert_eq!(stats.cloud.served, uploads);
+        assert_eq!((stats.connections, stats.aborted), (1, 0));
+    }
+}
+
+/// The burst against a cloud that batches far more frames than a queue
+/// holds, so it answers nothing before each session's first flush: the
+/// edge's read window must give up on answers that are not coming and
+/// keep writing, or the flush that releases them is never sent.
+#[test]
+fn a_burst_held_by_a_batching_cloud_resolves_every_frame() {
+    let cloud = CloudConfig {
+        max_batch: 4 * BURST_SUBMITS,
+        ..CloudConfig::default()
+    };
+    let (uploads, stats) = within_60_s("memory", move || {
+        let (listener, connector) = memory_listener();
+        burst(Box::new(listener), cloud, move |_| {
+            let transport = connector.connect().expect("listener alive");
+            let opts = ConnectOptions {
+                mux: true,
+                ..ConnectOptions::default()
+            };
+            RemoteCloud::connect(Box::new(transport), 0, opts).expect("handshake")
+        })
+    });
+    assert_eq!(stats.cloud.served, uploads);
+    assert_eq!(stats.cloud.batches, BURST_SESSIONS as usize);
 }
 
 /// Forwards framed bytes `from` → `to`, freezing once for `stall` after
