@@ -2,29 +2,28 @@
 //! 10⁵–10⁶ heterogeneous edge sessions in one process, plus the seeded
 //! population layer that generates them.
 //!
-//! # Why not threads
+//! # Why not sessions
 //!
-//! The thread-per-component deployment ([`CloudServer::spawn`] +
-//! [`crate::EdgeSession`]) is the right shape for a handful of edges: each
-//! session blocks on its own channel, the cloud worker drains one queue,
-//! and determinism follows from virtual time. It is structurally wrong at
-//! population scale — 10⁵ OS threads and 3×10⁵ channels buy nothing when
-//! time is virtual anyway. The fleet engine keeps the exact same state
-//! machines ([`EdgeMachine`] per session, [`CloudMachine`] per cloud
-//! shard) but drives them **inline** from a central event queue keyed on
-//! each session's next frame time. No session threads, no channels: a
-//! session is ~1 KB of state in a `Vec`, created at its first frame and
-//! dropped after its last.
+//! The session API ([`CloudServer::spawn`] + [`crate::EdgeSession`]) is the
+//! right shape for a handful of edges: each session is an object its
+//! caller drives, every call runs the cloud under one lock on the caller's
+//! thread, and determinism follows from virtual time. It is the wrong shape
+//! at population scale — 10⁵ live facades, each with a full mAP evaluator
+//! and an inbox entry, buy nothing when time is virtual anyway. The fleet
+//! engine keeps the exact same state machines ([`EdgeMachine`] per
+//! session, [`CloudMachine`] per cloud shard) but drives them **inline**
+//! from a central event queue keyed on each session's next frame time. No
+//! facade, no lock, no inbox: a session is ~1 KB of state in a `Vec`,
+//! created at its first frame and dropped after its last.
 //!
 //! # Determinism and the facade contract
 //!
 //! Both runtimes execute the *same* per-session code against the same
 //! [`CloudPort`] seam, and the event queue replays the exact message
-//! order a thread-per-session deployment would produce (each frame is
-//! submitted and resolved depth-1, in planned arrival order, ties broken
-//! by session id). [`run_fleet_sessions`] (event core) and
-//! [`run_fleet_reference`] (real threads + channels over the public API)
-//! therefore return **bit-identical** per-session reports and cloud
+//! order the same sessions on [`CloudServer`]s would produce (each frame
+//! is submitted and resolved depth-1, in planned arrival order, ties
+//! broken by session id). [`run_fleet_sessions`] (event core) and
+//! [`run_fleet_reference`] (the public session API) therefore return **bit-identical** per-session reports and cloud
 //! stats — pinned by `tests/fleet.rs` and `tests/fleet_golden.rs`.
 //!
 //! # Parallel drive: one worker per shard group
@@ -38,8 +37,8 @@
 //! whichever worker fills a cell first writes the value every other worker
 //! would have, and every later read takes no lock. Nothing else is shared:
 //! a shard's [`CloudMachine`] leaves each reply in its own queue and the
-//! driven session pops it on the same call stack — no mailbox, no lock, no
-//! channel per session. Restricting the global
+//! driven session pops it on the same call stack — no inbox, no lock per
+//! session. Restricting the global
 //! `(time, session)` event order to one shard's sessions therefore yields
 //! *exactly* the message sequence that shard observes in a single-threaded
 //! drive, so each shard group runs its own virtual-time queue on its own
@@ -47,7 +46,7 @@
 //! a time off [`crate::par`]'s cursor, the calling thread among them) and
 //! the per-shard outcomes are merged in shard / session-index order. **[`FleetReport`]
 //! is bit-identical for every thread count** — pinned by the
-//! threads ∈ {1, 2, 4} sweep in `tests/fleet.rs` against the threaded
+//! threads ∈ {1, 2, 4} sweep in `tests/fleet.rs` against the session
 //! reference deployment; parallelism changes wall-clock time only. A
 //! shard drive that panics (e.g. a user detector failing mid-frame) is
 //! caught at the shard boundary and surfaced as a typed [`FleetError`]
@@ -87,8 +86,8 @@
 use crate::intmap::IntMap;
 use crate::scheduler::SchedulerSlot;
 use crate::server::{
-    assert_frame_size, encoded_upload_bytes, CloudConfig, CloudMachine, CloudServer, CloudStats,
-    EdgeMachine, FrameResult, SessionConfig, SessionReport, ToCloud,
+    assert_frame_size, encoded_upload_bytes, CloudConfig, CloudMachine, CloudPort, CloudServer,
+    CloudStats, EdgeMachine, FrameResult, Inline, SessionConfig, SessionReport, ToCloud,
 };
 use crate::strategies::{OffloadPolicy, Policy};
 use crate::DifficultCaseDiscriminator;
@@ -226,7 +225,7 @@ pub struct FleetSpec {
     /// scene pool (of [`FleetSpec::scene_pool`] scenes), and which pool a
     /// frame samples from is a pure function of the frame's virtual
     /// timestamp — so drifting fleets stay bit-reproducible and the
-    /// event core and threaded reference agree. `None` keeps today's
+    /// event core and session reference agree. `None` keeps today's
     /// single static helmet pool, bit-identical to pre-drift builds.
     pub drift: Option<datagen::DriftSchedule>,
     /// Cloud shards; session `i` is served by shard `i % shards`. Each
@@ -512,7 +511,7 @@ impl Population {
 /// `frame` is due at virtual time `time`. Min-ordered by `(time,
 /// session)` — the planned arrival order, independent of how long
 /// processing takes, which is what makes the event core's cloud message
-/// order equal to the threaded reference's.
+/// order equal to the session reference's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Step {
     time: f64,
@@ -595,7 +594,7 @@ impl<'p> Schedule<'p> {
 /// `frame`: each session starts at its own offset (`session % pool`) and
 /// cycles the pool from there, decorrelating neighbours while keeping
 /// renders memoisable. This is the **only** copy of that arithmetic —
-/// the event core and the threaded reference used to each spell it
+/// the event core and the session reference used to each spell it
 /// inline (`(scene_off + frame) % pool` vs `(i % pool + frame) % pool`),
 /// which agreed only because `scene_off` happened to equal `i % pool`;
 /// any future offset change in one runtime would have silently diverged
@@ -643,7 +642,7 @@ fn workload(spec: &FleetSpec) -> (Vec<Vec<Arc<Scene>>>, SimDetector, SimDetector
 /// The scene session `session`'s frame `frame` samples at virtual time
 /// `t_s`: the drift schedule picks the phase pool (pure function of the
 /// timestamp; pool 0 when undrifted) and [`scene_index`] picks within it.
-/// Shared by the event core and the threaded reference — the same
+/// Shared by the event core and the session reference — the same
 /// single-copy rule as [`scene_index`] itself.
 fn scene_at<'a>(
     pools: &'a [Vec<Arc<Scene>>],
@@ -910,7 +909,10 @@ fn drive_shard<C: ShardConsumer>(
 ) -> CloudStats {
     let cfg = spec.shard_config(shard);
     let sched = SchedulerSlot::from_config(&cfg.scheduler);
-    let mut cloud = CloudMachine::new(w.big, &cfg, sched);
+    let mut cloud = Inline {
+        machine: CloudMachine::new(cfg, sched),
+        big: w.big,
+    };
     let admission = spec.cloud.queue_limit.is_some();
     let n = pop.sessions.len();
     let group = n.saturating_sub(shard).div_ceil(spec.shards);
@@ -929,11 +931,10 @@ fn drive_shard<C: ShardConsumer>(
         if step.frame == 0 {
             let cfg = spec.session_config(p, i);
             // The session's replies wait in the shard machine's queue,
-            // which the machine itself pops as the session's port.
-            cloud.handle(ToCloud::Register {
+            // which the inline port pops.
+            cloud.send(ToCloud::Register {
                 session: i as u64,
                 link: cfg.link.clone(),
-                replies: (),
             });
             let policy = spec.build_policy(p);
             let mut m = EdgeMachine::new(i as u64, cfg, w.small, policy, admission, mode);
@@ -950,19 +951,19 @@ fn drive_shard<C: ShardConsumer>(
             .poll(&mut cloud, ticket)
             .expect("depth-1 driving resolves every frame");
         debug_assert_eq!(
-            cloud.replies().len(),
+            cloud.machine.replies().len(),
             0,
             "depth-1 driving leaves no reply behind for the next session"
         );
         consumer.on_frame(p.tenant, &result);
         if step.frame + 1 == p.frames {
             let report = live.drain(&mut cloud);
-            cloud.handle(ToCloud::<()>::Deregister { session: i as u64 });
+            cloud.send(ToCloud::Deregister { session: i as u64 });
             consumer.on_session(step.session, p.tenant, report);
             lives[slot] = None;
         }
     }
-    cloud.finish()
+    cloud.machine.finish()
 }
 
 /// Drives the whole fleet, one worker per shard group (see
@@ -1055,13 +1056,13 @@ pub fn run_fleet_sessions(
     Ok((indexed.into_iter().map(|(_, r)| r).collect(), stats))
 }
 
-/// Runs the *same* fleet through the historical thread-per-session
-/// deployment — real [`CloudServer`] threads, real channels, the public
-/// [`CloudServer::connect_as`] API — consuming the identical schedule.
+/// Runs the *same* fleet through the public session API — one
+/// [`CloudServer`] per shard, one [`crate::EdgeSession`] per session via
+/// [`CloudServer::connect_as`] — consuming the identical schedule.
 /// Per-session reports and cloud stats are bit-identical to
 /// [`run_fleet_sessions`]; this is the conformance oracle, not a way to
-/// run big fleets (it still materializes sessions lazily, but each shard
-/// is an OS thread and every answer crosses a channel).
+/// run big fleets (it still materializes sessions lazily, but every
+/// session carries a full facade and every call takes its shard's lock).
 pub fn run_fleet_reference(spec: &FleetSpec) -> (Vec<SessionReport>, Vec<CloudStats>) {
     let pop = Population::generate(spec);
     let (pools, small, big) = workload(spec);

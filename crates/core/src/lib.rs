@@ -27,18 +27,19 @@
 //!
 //! ## The streaming runtime
 //!
-//! * [`CloudServer`] — a cloud worker serving any number of edges, with a
-//!   pluggable [`Scheduler`] that batches big-model inference across
-//!   sessions ([`FifoBatcher`] by default — bit-identical to the
-//!   historical inline loop; [`DeadlineAware`] and [`DifficultyPriority`]
-//!   reorder batches; [`CloudConfig::queue_limit`] adds admission
-//!   control),
+//! * [`CloudServer`] — an in-process cloud serving any number of edges on
+//!   their own threads, with a pluggable [`Scheduler`] that batches
+//!   big-model inference across sessions ([`FifoBatcher`] by default —
+//!   bit-identical to the historical inline loop; [`DeadlineAware`] and
+//!   [`DifficultyPriority`] reorder batches; [`CloudConfig::queue_limit`]
+//!   adds admission control),
 //! * [`EdgeSession`] — one edge device: own virtual clock, own
 //!   [`simnet::LinkModel`], own RNG stream, own policy;
 //!   [`EdgeSession::submit`] / [`EdgeSession::poll`] /
 //!   [`EdgeSession::drain`] stream frames through it,
-//! * [`run_system`] — the legacy one-edge batch entry point, now a thin
-//!   wrapper over a single-session [`CloudServer`] (bit-identical reports),
+//! * [`run_system`] — the legacy one-edge batch entry point, now one
+//!   session's machine driven against one cloud machine on the calling
+//!   thread (bit-identical reports),
 //! * [`wire`] — the length-prefixed frame format actually shipped between
 //!   the edge and cloud threads ([`wire::FrameReader`] reassembles it
 //!   incrementally from arbitrary byte chunks),
@@ -47,7 +48,7 @@
 //!   [`Listener`](transport::Listener) seams, a versioned handshake,
 //!   in-memory and TCP implementations, [`transport::serve`] on the cloud
 //!   side and [`transport::RemoteCloud`] on the edge side — sessions over
-//!   loopback TCP stay bit-identical to the in-process channel path,
+//!   loopback TCP stay bit-identical to the in-process path,
 //! * [`par`] — the deterministic fan-out the harness uses: pure per-image
 //!   work spreads over worker threads and merges back in order, so every
 //!   report stays bit-identical to a sequential run. The cloud side runs

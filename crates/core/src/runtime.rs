@@ -1,30 +1,30 @@
 //! The legacy batch runtime, now a thin wrapper over the streaming session
 //! layer ([`crate::CloudServer`] / [`crate::EdgeSession`]).
 //!
-//! [`run_system`] spawns a **cloud worker thread** and drives one edge
-//! session frame-by-frame on the calling thread, exactly mirroring the
-//! paper's Jetson-Nano-plus-server deployment (Sec. VI-D). Images flow
-//! through the small model and the discriminator; difficult cases are
-//! serialized (length-prefixed frames), "uploaded" over a
-//! [`LinkModel`]-governed channel, processed by the big model under the
+//! [`run_system`] drives one edge session frame-by-frame against one
+//! cloud, both on the calling thread, exactly mirroring the paper's
+//! Jetson-Nano-plus-server deployment (Sec. VI-D). Images flow through the
+//! small model and the discriminator; difficult cases are "uploaded" over
+//! a [`LinkModel`]-governed link, processed by the big model under the
 //! server's [`DeviceModel`], and the results return to the edge. All
 //! latencies are *virtual time* computed from the device/link models — runs
 //! are deterministic and fast regardless of wall-clock, and byte-for-byte
 //! identical to the pre-session-layer implementation (guarded by
 //! `tests/api_equivalence.rs`).
 
+use crate::fleet::MetricsMode;
 use crate::scheduler::{SchedulerConfig, SchedulerSlot};
-use crate::server::{cloud_loop, CloudConfig, EdgePipeline, SessionConfig};
+use crate::server::{
+    CloudConfig, CloudMachine, CloudPort, EdgeMachine, EdgePipeline, Inline, SessionConfig, ToCloud,
+};
 use crate::strategies::OffloadPolicy;
 use crate::{DifficultCaseDiscriminator, Policy};
-use crossbeam::channel;
 use datagen::Dataset;
 use detcore::ApProtocol;
 use detcore::CountingConfig;
 use modelzoo::Detector;
 use serde::{Deserialize, Serialize};
 use simnet::{DeviceModel, FaultPlan, LatencyStats, LinkModel, LinkTrace, RetryConfig};
-use std::thread;
 
 /// Routing mode for the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -139,12 +139,13 @@ pub struct RuntimeReport {
 
 /// Runs the live system over a dataset and reports Table XI-style metrics.
 ///
-/// The cloud runs on its own thread with its own virtual busy-clock; requests
-/// queue if they arrive while the server is busy. The edge processes frames
-/// sequentially, as the paper's measurement does. Internally this is one
-/// [`crate::EdgeSession`] against a single-session [`crate::CloudServer`]
-/// worker; use those types directly for incremental submission or multiple
-/// concurrent edges.
+/// The cloud keeps its own virtual busy-clock; requests queue if they
+/// arrive while the server is busy. The edge processes frames
+/// sequentially, as the paper's measurement does. Internally this is the
+/// machine behind an [`crate::EdgeSession`] driven against the machine
+/// behind a [`crate::CloudServer`], inline on the calling thread; use
+/// those types directly for incremental submission or multiple concurrent
+/// edges.
 ///
 /// # Examples
 ///
@@ -208,37 +209,24 @@ pub fn run_system(
         RuntimeMode::CloudOnly => Box::new(Policy::CloudOnly),
     };
 
-    let (tx, rx) = channel::unbounded();
-    let (report, stats) = thread::scope(|scope| {
-        // ---- Cloud worker thread (same loop CloudServer::spawn runs) ----
-        let cloud = scope.spawn(|| {
-            cloud_loop(
-                &rx,
-                big,
-                &cloud_cfg,
-                SchedulerSlot::from_config(&cloud_cfg.scheduler),
-            )
-        });
-
-        // ---- Edge device (this thread): one blocking session ----
-        let mut session = crate::EdgeSession::attach(
-            0,
-            session_cfg,
-            small,
-            policy,
-            crate::server::Uplink::Channel(tx.clone()),
-            cloud_cfg.queue_limit.is_some(),
-        );
-        drop(tx);
-        for scene in test.iter() {
-            let ticket = session.submit(scene);
-            // Block on each frame: the paper's edge is strictly sequential.
-            let _ = session.poll(ticket);
-        }
-        let report = session.drain();
-        drop(session); // deregister; the worker exits once all senders drop
-        (report, cloud.join().expect("cloud worker never panics"))
-    });
+    // Edge and cloud on this thread: the cloud handles each message as the
+    // session sends it, and the session pops the reply it left.
+    let admission = cloud_cfg.queue_limit.is_some();
+    let sched = SchedulerSlot::from_config(&cloud_cfg.scheduler);
+    let mut cloud = Inline {
+        machine: CloudMachine::new(cloud_cfg, sched),
+        big,
+    };
+    let link = session_cfg.link.clone();
+    cloud.send(ToCloud::Register { session: 0, link });
+    let mut edge = EdgeMachine::new(0, session_cfg, small, policy, admission, MetricsMode::Full);
+    for scene in test.iter() {
+        let ticket = edge.submit_inner(&mut cloud, scene, None);
+        // Block on each frame: the paper's edge is strictly sequential.
+        let _ = edge.poll(&mut cloud, ticket);
+    }
+    let report = edge.drain(&mut cloud);
+    let stats = cloud.machine.finish();
 
     assert!(
         stats.served == report.uploads,

@@ -5,8 +5,9 @@
 //! that: frames arrive incrementally from many edge devices, and one cloud
 //! serves them all. This module is the API for that shape:
 //!
-//! * [`CloudServer::spawn`] starts a cloud worker thread (big model + device
-//!   model + a FIFO scheduler that batches inference across sessions).
+//! * [`CloudServer::spawn`] builds a cloud (big model + device model + a
+//!   FIFO scheduler that batches inference across sessions) that runs on
+//!   the threads of the sessions calling it.
 //! * [`CloudServer::connect`] opens an [`EdgeSession`]: an edge device with
 //!   its own virtual clock, link model, RNG stream and offload policy.
 //! * [`EdgeSession::submit`] pushes one frame through the edge pipeline and
@@ -19,8 +20,8 @@
 //! All time is *virtual*: latencies come from the device/link models, so a
 //! run finishes at compute speed and — as long as sessions are driven from
 //! one thread — is fully deterministic under a fixed seed. The legacy batch
-//! entry point [`crate::run_system`] is a thin wrapper over one
-//! single-session server and reproduces its historical reports exactly.
+//! entry point [`crate::run_system`] drives the same two machines for one
+//! session and reproduces its historical reports exactly.
 //!
 //! # Degraded networks
 //!
@@ -56,7 +57,7 @@
 //!
 //! **Admission control** rides on the same seam: [`CloudConfig::queue_limit`]
 //! bounds the cloud queue. Before spending any uplink, a session asks the
-//! cloud (a zero-virtual-cost probe on the control channel); a frame
+//! cloud (a zero-virtual-cost probe on the control plane); a frame
 //! refused admission is served from the edge-only answer without
 //! rendering, encoding or transmitting anything
 //! ([`SessionReport::admission_fallbacks`]), reusing the fallback plumbing
@@ -72,31 +73,35 @@
 //! # Fleet-scale engine
 //!
 //! [`EdgeSession`] is a *facade*: the session's entire state — clock, RNG,
-//! policy, pending frames, metrics — lives in a channel-free
-//! `EdgeMachine`, and every public method delegates through the
-//! `CloudPort` seam (here a `SessionPort`: a cloud worker's channel or a
-//! transport connection, and the session's two reply receivers; every port
-//! is monomorphized). The cloud has the same split: `CloudMachine` is the
-//! whole cloud as a sans-IO machine that leaves each reply, under its
-//! session's id, in one queue, and `cloud_loop` merely feeds it the channel
-//! and routes the queue to the reply senders each session's register
-//! carried.
+//! policy, pending frames, metrics — lives in a sans-IO `EdgeMachine`, and
+//! every public method delegates through the `CloudPort` seam (here a
+//! `SessionPort`: the session's id and the host it reaches its cloud
+//! through; every port is monomorphized). The cloud has the same split:
+//! `CloudMachine` is the whole cloud as a sans-IO machine that leaves each
+//! reply, under its session's id, in one queue. A [`CloudServer`] is its
+//! in-process host: the big model, the machine and an `Inbox` of replies
+//! per session behind one lock its sessions share. A session's call feeds
+//! the machine on the caller's thread and files the replies it produced;
+//! a wait pops the session's inbox and never blocks, because every wait
+//! follows the flush or probe that produced its reply. No thread and no
+//! channel sits between a session and its cloud.
 //!
 //! That seam is what the fleet engine ([`crate::fleet`]) exploits: it
 //! drives the *same* machines inline from a central virtual-time event
-//! queue — no thread, no channel, ~1 KB of state per session — so one
+//! queue — no lock, no inbox, ~1 KB of state per session — so one
 //! process carries 10⁵–10⁶ concurrent heterogeneous sessions over
 //! sharded cloud machines, and still produces per-session reports
-//! bit-identical to a thread-per-session deployment (pinned by
+//! bit-identical to the same sessions on [`CloudServer`]s (pinned by
 //! `tests/fleet.rs`).
 //!
 //! # Distributed deployment
 //!
-//! Everything above runs edge and cloud in one process, wired by channels.
-//! The [`crate::transport`] module lifts the *same* session protocol onto a
-//! real byte stream: [`transport::serve`](crate::transport::serve) accepts
-//! connections on any [`Listener`](crate::transport::Listener) and runs one
-//! cloud machine per registered session, while
+//! Everything above runs edge and cloud in one process, on the sessions'
+//! threads. The [`crate::transport`] module lifts the *same* session
+//! protocol onto a real byte stream:
+//! [`transport::serve`](crate::transport::serve) accepts connections on
+//! any [`Listener`](crate::transport::Listener) and runs one cloud machine
+//! per registered session, while
 //! [`RemoteCloud`](crate::transport::RemoteCloud) dials the cloud (with a
 //! versioned handshake and reconnect-with-backoff) and hands back an
 //! ordinary [`EdgeSession`] via
@@ -125,7 +130,7 @@
 //! history, and the rollout policy (holdout + divergence bound).
 //!
 //! Rollout piggybacks the answer path: the artifact rides the session's
-//! response channel as its own message kind, shared by reference, pushed
+//! answer path as its own message kind, shared by reference, pushed
 //! immediately before the next answer to any session still on an older
 //! version — so a session that was offline (or simply quiet) through
 //! several epochs receives the *current* artifact on its next answer, and
@@ -178,7 +183,6 @@ use crate::intmap::IntMap;
 use crate::scheduler::{QueuedFrame, Scheduler, SchedulerConfig, SchedulerSlot};
 use crate::strategies::{Decision, OffloadPolicy, PolicyInput};
 use crate::update::{CalibrationUpdate, UpdateClient, UpdatePublisher};
-use crossbeam::channel::{self, Receiver, Sender};
 use datagen::Scene;
 use detcore::{
     count_detected_with, ApProtocol, CountScratch, CountingConfig, DatasetCounter, GroundTruth,
@@ -196,8 +200,7 @@ use simnet::{
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 
 /// How much edge compute runs (and is charged) before the offload decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -455,7 +458,7 @@ pub struct SessionReport {
     pub rollbacks: u64,
 }
 
-/// What the cloud worker measured over its lifetime.
+/// What a cloud measured over its lifetime.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CloudStats {
     /// Frames served by the big model.
@@ -549,35 +552,66 @@ pub(crate) enum FromCloud {
 
 /// One reply a [`CloudMachine`] leaves in its queue, by the session path
 /// it takes: the answer path, or the probe path an admission probe
-/// blocks on.
+/// waits on.
 pub(crate) enum Reply {
     Cloud(FromCloud),
     Probe(ProbeReply),
 }
 
-/// Where a channel host sends one session's replies: the other ends of the
-/// two receivers an [`EdgeSession`] polls.
-pub(crate) struct ReplyTx {
-    pub(crate) answers: Sender<FromCloud>,
-    pub(crate) probes: Sender<ProbeReply>,
+/// The replies a host holds for its sessions until each waits for them:
+/// per session, the answer path and the probe path. A session's entry
+/// opens at its register and goes at its deregister; a reply for a session
+/// without an entry is dropped. Both hosts keep one: [`CloudServer`]'s and
+/// the transport client's.
+#[derive(Default)]
+pub(crate) struct Inbox(IntMap<u64, (VecDeque<FromCloud>, VecDeque<ProbeReply>)>);
+
+impl Inbox {
+    /// Opens the entry of a session `msg` registers, or removes the entry
+    /// (and what it held) of one `msg` deregisters.
+    pub(crate) fn track(&mut self, msg: &ToCloud) {
+        match *msg {
+            ToCloud::Register { session, .. } => {
+                self.0.entry(session).or_default();
+            }
+            ToCloud::Deregister { session } => {
+                self.0.remove(&session);
+            }
+            _ => {}
+        }
+    }
+
+    /// Files each reply under its session, in order.
+    pub(crate) fn extend(&mut self, replies: impl IntoIterator<Item = (u64, Reply)>) {
+        for (session, reply) in replies {
+            if let Some((answers, probes)) = self.0.get_mut(&session) {
+                match reply {
+                    Reply::Cloud(msg) => answers.push_back(msg),
+                    Reply::Probe(reply) => probes.push_back(reply),
+                }
+            }
+        }
+    }
+
+    /// The oldest message on `session`'s answer path.
+    pub(crate) fn answer(&mut self, session: u64) -> Option<FromCloud> {
+        self.0.get_mut(&session)?.0.pop_front()
+    }
+
+    /// The oldest reply on `session`'s probe path.
+    pub(crate) fn probe(&mut self, session: u64) -> Option<ProbeReply> {
+        self.0.get_mut(&session)?.1.pop_front()
+    }
 }
 
-/// Messages into a cloud. A frame header travels as the typed
+/// What a session sends its cloud. A frame header travels as the typed
 /// [`SubmitRequest`] (each consumer encodes for its own wire if it has
 /// one); the scene rides along as a shared [`Arc`] so submitting never
 /// deep-copies it.
-///
-/// `R` is what a register brings the host that reads it: on an
-/// [`EdgeSession`]'s channel, the session's reply senders ([`ReplyTx`]),
-/// from which [`cloud_loop`] and the transport client's connection machine
-/// learn where to route its replies; `()` where a host builds registers
-/// itself. A [`CloudMachine`] needs neither: it queues every reply under
-/// the session's id, so its register is the session and its link.
-pub(crate) enum ToCloud<R = ReplyTx> {
+pub(crate) enum ToCloud {
     Register {
         session: u64,
         link: LinkModel,
-        replies: R,
     },
     Frame(SubmitRequest, Arc<Scene>),
     /// Ask whether the cloud would admit one more frame right now
@@ -595,71 +629,25 @@ pub(crate) enum ToCloud<R = ReplyTx> {
     Deregister {
         session: u64,
     },
-    Shutdown,
 }
 
-/// The channel host of one [`CloudMachine`]: it feeds the machine what its
-/// sessions send, in channel order, and routes the replies each message
-/// left to the senders the session's register carried. A session that
-/// hung up just loses its replies.
-///
-/// Determinism: everything the machine does is a pure function of the
-/// message order on `rx` (uplink jitter is drawn per frame in arrival
-/// order, and schedulers never draw randomness). Drive all sessions from
-/// one thread and the whole run is reproducible; the wall-clock speed of
-/// this thread never matters.
-pub(crate) fn cloud_loop(
-    rx: &Receiver<ToCloud>,
-    big: &(dyn Detector + Sync),
-    config: &CloudConfig,
-    sched: SchedulerSlot,
-) -> CloudStats {
-    let mut m = CloudMachine::new(big, config, sched);
-    let mut routes: IntMap<u64, ReplyTx> = IntMap::default();
-    while let Ok(msg) = rx.recv() {
-        let live = match msg {
-            ToCloud::Register {
-                session,
-                link,
-                replies,
-            } => {
-                routes.insert(session, replies);
-                let register = ToCloud::Register {
-                    session,
-                    link,
-                    replies: (),
-                };
-                m.handle(register)
-            }
-            // Sent as the session drops its receivers: nothing routed to
-            // it after this could arrive.
-            msg @ ToCloud::Deregister { session } => {
-                routes.remove(&session);
-                m.handle(msg)
-            }
-            msg => m.handle(msg),
-        };
-        for (session, reply) in m.replies() {
-            if let Some(route) = routes.get(&session) {
-                let _ = match reply {
-                    Reply::Cloud(msg) => route.answers.send(msg).is_ok(),
-                    Reply::Probe(reply) => route.probes.send(reply).is_ok(),
-                };
-            }
-        }
-        if !live {
-            break;
+impl ToCloud {
+    /// The session the message comes from.
+    pub(crate) fn session(&self) -> u64 {
+        match *self {
+            ToCloud::Register { session, .. }
+            | ToCloud::Probe { session, .. }
+            | ToCloud::Flush { session }
+            | ToCloud::Deregister { session } => session,
+            ToCloud::Frame(ref req, _) => req.session,
         }
     }
-    m.finish()
 }
 
 /// The state behind a [`CloudMachine`]: admission, batch formation via
-/// the [`Scheduler`], big-model inference, timing, and the replies the
-/// host has not taken yet.
-struct CloudWorker<'a> {
-    big: &'a (dyn Detector + Sync),
-    config: &'a CloudConfig,
+/// the [`Scheduler`], timing, and the replies the host has not taken yet.
+struct CloudWorker {
+    config: CloudConfig,
     sched: SchedulerSlot,
     /// Each registered session's link (static links draw their uplink
     /// here).
@@ -679,10 +667,10 @@ struct CloudWorker<'a> {
     pushed: IntMap<u64, u64>,
 }
 
-impl CloudWorker<'_> {
-    /// Forms and serves one batch (a no-op on an empty queue). Returns the
-    /// number of frames served.
-    fn process_one_batch(&mut self) -> usize {
+impl CloudWorker {
+    /// Forms and serves one batch on `big` (a no-op on an empty queue).
+    /// Returns the number of frames served.
+    fn process_one_batch(&mut self, big: &dyn Detector) -> usize {
         self.sched
             .take_batch(self.config.max_batch, &mut self.batch);
         if self.batch.is_empty() {
@@ -702,13 +690,13 @@ impl CloudWorker<'_> {
         // behind (a post-batch depth would read 0 after every flush and
         // tell adaptive policies nothing).
         let queue_depth = n + self.sched.len();
-        let batch_s = self.config.device.batch_inference_time(self.big.flops(), n);
+        let batch_s = self.config.device.batch_inference_time(big.flops(), n);
         self.server_free_at = start + batch_s;
         self.stats.batches += 1;
         self.stats.busy_s += batch_s;
         let per_frame_infer = batch_s / n as f64;
         for q in self.batch.drain(..) {
-            let dets = self.big.detect(&q.scene);
+            let dets = big.detect(&q.scene);
             self.stats.served += 1;
             if let Some(publisher) = &mut self.updates {
                 // The big model's answer against the edge's reported small
@@ -761,44 +749,42 @@ impl CloudWorker<'_> {
 
     /// Dispatches as long as the scheduler reports a batch is due. The
     /// progress guard means a scheduler that says "ready" but yields no
-    /// frames stops the round instead of spinning the worker.
-    fn dispatch_ready(&mut self) {
-        while self.sched.ready(self.config.max_batch) && self.process_one_batch() > 0 {}
+    /// frames stops the round instead of spinning.
+    fn dispatch_ready(&mut self, big: &dyn Detector) {
+        while self.sched.ready(self.config.max_batch) && self.process_one_batch(big) > 0 {}
     }
 
-    /// Serves everything queued (flush/deregister/shutdown), one batch at
-    /// a time, in the scheduler's service order.
-    fn drain_all(&mut self) {
-        while !self.sched.is_empty() && self.process_one_batch() > 0 {}
+    /// Serves everything queued (flush, deregister, the host's final
+    /// drain), one batch at a time, in the scheduler's service order.
+    fn drain_all(&mut self, big: &dyn Detector) {
+        while !self.sched.is_empty() && self.process_one_batch(big) > 0 {}
     }
 }
 
-/// One cloud — the big model and its queue — as a sans-IO state machine:
-/// feed it [`ToCloud`] messages in arrival order and it leaves every reply
-/// they produce, under its session's id and in service order, in one
-/// queue the host empties ([`CloudMachine::replies`]) after each call. The
-/// same messages give the same virtual clocks, RNG stream and replies
-/// whoever drives it. Three hosts do: [`cloud_loop`] routes the queue to
-/// each session's channels, the transport layer runs one machine per
-/// session on a connection's reader thread and writes what each message
-/// produced as one run, and the fleet engine runs one per shard and pops
+/// One cloud — its queue and its clocks — as a sans-IO state machine: feed
+/// it [`ToCloud`] messages in arrival order, with the big model that
+/// serves them, and it leaves every reply they produce, under its
+/// session's id and in service order, in one queue the host empties
+/// ([`CloudMachine::replies`]) after each call. The same messages give the
+/// same virtual clocks, RNG stream and replies whoever drives it. The
+/// machine owns its config and borrows no model, so a host may own the
+/// model (`Arc`) or borrow it. Three hosts drive one, each on its caller's
+/// thread: [`CloudServer`] files the queue into its sessions' [`Inbox`],
+/// the transport layer runs one machine per session on a connection's
+/// reader thread and writes what each message produced as one run, and
+/// [`Inline`] (the fleet engine's shards and [`crate::run_system`]) pops
 /// the reply its depth-1 drive leaves.
-pub(crate) struct CloudMachine<'a> {
-    w: CloudWorker<'a>,
+pub(crate) struct CloudMachine {
+    w: CloudWorker,
     rng: StdRng,
 }
 
-impl<'a> CloudMachine<'a> {
-    pub(crate) fn new(
-        big: &'a (dyn Detector + Sync),
-        config: &'a CloudConfig,
-        sched: SchedulerSlot,
-    ) -> CloudMachine<'a> {
+impl CloudMachine {
+    pub(crate) fn new(config: CloudConfig, sched: SchedulerSlot) -> CloudMachine {
         config.assert_valid();
+        let rng = StdRng::seed_from_u64(config.seed ^ 0xc10d);
         CloudMachine {
             w: CloudWorker {
-                big,
-                config,
                 sched,
                 sessions: IntMap::default(),
                 replies: VecDeque::new(),
@@ -808,19 +794,17 @@ impl<'a> CloudMachine<'a> {
                 stats: CloudStats::default(),
                 updates: config.updates.map(UpdatePublisher::new),
                 pushed: IntMap::default(),
+                config,
             },
-            rng: StdRng::seed_from_u64(config.seed ^ 0xc10d),
+            rng,
         }
     }
 
-    /// Processes one message, queueing the replies it produces; what a
-    /// register brings its host (`R`) is not the machine's. Returns `false`
-    /// once [`ToCloud::Shutdown`] has drained the queue (route its replies,
-    /// then call [`CloudMachine::finish`]).
-    pub(crate) fn handle<R>(&mut self, msg: ToCloud<R>) -> bool {
+    /// Processes one message on `big`, queueing the replies it produces.
+    pub(crate) fn handle(&mut self, big: &dyn Detector, msg: ToCloud) {
         let w = &mut self.w;
         match msg {
-            ToCloud::Register { session, link, .. } => {
+            ToCloud::Register { session, link } => {
                 w.stats.sessions += 1;
                 w.sessions.insert(session, link);
             }
@@ -846,7 +830,7 @@ impl<'a> CloudMachine<'a> {
                     arrival,
                     seq,
                 });
-                w.dispatch_ready();
+                w.dispatch_ready(big);
             }
             ToCloud::Probe { session, now } => {
                 // Effective depth = frames not yet in a batch, plus the
@@ -856,7 +840,7 @@ impl<'a> CloudMachine<'a> {
                 // drains at `max_batch`) would cap the observable depth at
                 // `max_batch - 1` and any larger limit could never bind,
                 // even with the server minutes behind in virtual time.
-                let infer_s = w.config.device.inference_time(w.big.flops());
+                let infer_s = w.config.device.inference_time(big.flops());
                 let backlog = if infer_s > 0.0 {
                     ((w.server_free_at - now).max(0.0) / infer_s) as usize
                 } else {
@@ -877,24 +861,26 @@ impl<'a> CloudMachine<'a> {
                 }
             }
             // The session id exists for the transport layer to route
-            // flushes on multiplexed connections; a worker owning one
+            // flushes on multiplexed connections; a machine owning one
             // queue drains everything regardless of which session asked.
             ToCloud::Flush { session: _ } => {
-                w.drain_all();
+                w.drain_all(big);
             }
             ToCloud::Deregister { session } => {
                 // Resolve anything queued (possibly other sessions' frames,
                 // whose replies stay under their own ids — cheaper than
                 // per-session bookkeeping, and deterministic).
-                w.drain_all();
+                w.drain_all(big);
                 w.sessions.remove(&session);
             }
-            ToCloud::Shutdown => {
-                w.drain_all();
-                return false;
-            }
         }
-        true
+    }
+
+    /// Serves everything still queued: the host's final drain, when its
+    /// sessions are gone or it shuts down. Take its replies, then call
+    /// [`CloudMachine::finish`].
+    pub(crate) fn drain(&mut self, big: &dyn Detector) {
+        self.w.drain_all(big);
     }
 
     /// The replies queued since the host last emptied the queue, each
@@ -909,35 +895,98 @@ impl<'a> CloudMachine<'a> {
     }
 }
 
-/// The inline [`CloudPort`]: `send` *is* the cloud's message handler, so a
-/// "blocking receive" is popping the reply the handler queued on the same
+/// The inline [`CloudPort`]: a [`CloudMachine`] and the big model it
+/// runs, on the caller's stack. `send` *is* the cloud's message handler, so
+/// a "blocking receive" is popping the reply the handler queued on the same
 /// call stack. Never actually blocks — depth-1 driving guarantees every
 /// recv follows the send that produced its reply, and that the queue holds
 /// only the driven session's replies.
-impl CloudPort for CloudMachine<'_> {
+pub(crate) struct Inline<'a> {
+    pub(crate) machine: CloudMachine,
+    pub(crate) big: &'a dyn Detector,
+}
+
+impl CloudPort for Inline<'_> {
     fn send(&mut self, msg: ToCloud) -> bool {
-        self.handle(msg)
+        self.machine.handle(self.big, msg);
+        true
     }
 
     fn recv_answer(&mut self) -> Option<FromCloud> {
-        match self.w.replies.pop_front()? {
+        match self.machine.w.replies.pop_front()? {
             (_, Reply::Cloud(msg)) => Some(msg),
             (_, Reply::Probe(_)) => unreachable!("a probe reply is taken by its probe"),
         }
     }
 
     fn recv_probe(&mut self) -> Option<ProbeReply> {
-        match self.w.replies.pop_front()? {
+        match self.machine.w.replies.pop_front()? {
             (_, Reply::Probe(reply)) => Some(reply),
             (_, Reply::Cloud(_)) => unreachable!("depth-1 driving owes nothing before a probe"),
         }
     }
 }
 
-/// Handle to a running cloud worker accepting any number of edge sessions.
+/// The in-process host of one [`CloudMachine`]: the big model, the machine
+/// and its sessions' [`Inbox`]. Every call runs on the calling session's
+/// thread, under [`Local`]'s lock.
+pub(crate) struct LocalHost {
+    big: Arc<dyn Detector + Send + Sync>,
+    /// `None` once the cloud shut down, or once the big model panicked.
+    machine: Option<CloudMachine>,
+    inbox: Inbox,
+}
+
+impl LocalHost {
+    /// Feeds the machine one message and files the replies it produced;
+    /// `false` when the cloud is gone. A big model that panics is caught
+    /// here, as `serve_connection` catches it: the machine is dropped, so
+    /// every later send fails and waits return what the inbox holds, then
+    /// `None`.
+    pub(crate) fn send(&mut self, msg: ToCloud) -> bool {
+        let LocalHost {
+            big,
+            machine: Some(m),
+            inbox,
+        } = self
+        else {
+            return false;
+        };
+        inbox.track(&msg);
+        let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.handle(&**big, msg);
+        }));
+        if handled.is_err() {
+            self.machine = None;
+            return false;
+        }
+        inbox.extend(m.replies());
+        true
+    }
+}
+
+/// A [`LocalHost`] shared by its [`CloudServer`] and sessions, run under
+/// the lock.
+pub(crate) struct Local(Mutex<LocalHost>);
+
+impl Local {
+    /// Locks the host. A panic under the lock leaves it valid (the model
+    /// runs behind `catch_unwind`, or after the machine is taken out), so
+    /// a poisoned lock is taken as it is.
+    pub(crate) fn host(&self) -> std::sync::MutexGuard<'_, LocalHost> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// An in-process cloud accepting any number of edge sessions. It has no
+/// thread of its own: each session's call runs the cloud on the caller's
+/// thread, and sessions on several threads take turns at one lock. The
+/// cloud is a pure function of the order its messages arrive in (uplink
+/// jitter is drawn per frame in arrival order, and schedulers draw no
+/// randomness): drive every session from one thread and the run is
+/// reproducible.
 pub struct CloudServer {
-    tx: Sender<ToCloud>,
-    handle: JoinHandle<CloudStats>,
+    local: Arc<Local>,
     next_session: u64,
     /// Whether sessions must probe for admission before uploading
     /// ([`CloudConfig::queue_limit`]).
@@ -945,25 +994,24 @@ pub struct CloudServer {
 }
 
 impl CloudServer {
-    /// Spawns the cloud worker thread with the scheduler named by
+    /// Builds the cloud with the scheduler named by
     /// [`CloudConfig::scheduler`]. The default FIFO runs on the
     /// monomorphized fast path (no virtual dispatch per frame).
     ///
     /// # Panics
     ///
-    /// Panics on this thread, with [`CloudConfig::validate`]'s message,
-    /// when `config` is invalid.
+    /// Panics with [`CloudConfig::validate`]'s message when `config` is
+    /// invalid.
     pub fn spawn(config: CloudConfig, big: Arc<dyn Detector + Send + Sync>) -> CloudServer {
-        // Validate here, on the caller's thread: a bad config must fail
-        // at spawn, not kill the worker thread.
+        // Validate before the scheduler is built from the config.
         config.assert_valid();
         let sched = SchedulerSlot::from_config(&config.scheduler);
         CloudServer::spawn_slot(config, big, sched)
     }
 
-    /// Spawns the cloud worker thread with a custom [`Scheduler`] — the
-    /// control-plane extension point ([`CloudConfig::scheduler`] is
-    /// ignored in favour of `scheduler`).
+    /// Builds the cloud with a custom [`Scheduler`] — the control-plane
+    /// extension point ([`CloudConfig::scheduler`] is ignored in favour of
+    /// `scheduler`).
     ///
     /// # Panics
     ///
@@ -973,7 +1021,6 @@ impl CloudServer {
         big: Arc<dyn Detector + Send + Sync>,
         scheduler: Box<dyn Scheduler>,
     ) -> CloudServer {
-        config.assert_valid();
         CloudServer::spawn_slot(config, big, SchedulerSlot::Custom(scheduler))
     }
 
@@ -983,11 +1030,13 @@ impl CloudServer {
         scheduler: SchedulerSlot,
     ) -> CloudServer {
         let admission = config.queue_limit.is_some();
-        let (tx, rx) = channel::unbounded();
-        let handle = std::thread::spawn(move || cloud_loop(&rx, &*big, &config, scheduler));
+        let host = LocalHost {
+            big,
+            machine: Some(CloudMachine::new(config, scheduler)),
+            inbox: Inbox::default(),
+        };
         CloudServer {
-            tx,
-            handle,
+            local: Arc::new(Local(Mutex::new(host))),
             next_session: 0,
             admission,
         }
@@ -1015,7 +1064,7 @@ impl CloudServer {
     }
 
     /// Like [`CloudServer::connect`] but with an explicit session id — the
-    /// channel-path twin of
+    /// in-process twin of
     /// [`RemoteCloud::attach_as`](crate::transport::RemoteCloud::attach_as),
     /// so a reference run can mirror the ids a transport fleet uses. Does
     /// not advance the auto-assigned counter; ids must be unique per
@@ -1027,15 +1076,24 @@ impl CloudServer {
         small: &'a (dyn Detector + Sync),
         policy: Box<dyn OffloadPolicy + 'a>,
     ) -> EdgeSession<'a> {
-        let uplink = Uplink::Channel(self.tx.clone());
+        let uplink = Uplink::Local(Arc::clone(&self.local));
         EdgeSession::attach(session, config, small, policy, uplink, self.admission)
     }
 
-    /// Stops the worker after resolving every queued frame and returns its
-    /// stats. Outstanding sessions lose their link; poll/drain them first.
+    /// Serves every queued frame, files the answers in the sessions'
+    /// inboxes and returns the cloud's stats. Sessions still open can poll
+    /// or drain what was answered; nothing they send reaches the cloud.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the big model panicked earlier (its sessions failed
+    /// then), or panics now.
     pub fn shutdown(self) -> CloudStats {
-        let _ = self.tx.send(ToCloud::Shutdown);
-        self.handle.join().expect("cloud worker never panics")
+        let mut host = self.local.host();
+        let mut m = (host.machine.take()).expect("the cloud's big model panicked");
+        m.drain(&*host.big);
+        host.inbox.extend(m.replies());
+        m.finish()
     }
 }
 
@@ -1051,61 +1109,61 @@ struct PendingUpload {
 }
 
 /// How an edge state machine reaches its cloud: the seam that lets the
-/// *same* per-session logic run behind a channel or a socket (the
-/// [`EdgeSession`] facade's [`SessionPort`]) or inline against a
-/// [`CloudMachine`] (the fleet engine's event-driven core). Each
+/// *same* per-session logic run against a host (the [`EdgeSession`]
+/// facade's [`SessionPort`]) or inline against a [`CloudMachine`] (the
+/// fleet engine's event-driven core and [`crate::run_system`]). Each
 /// implementation is monomorphized into [`EdgeMachine`]'s methods.
 pub(crate) trait CloudPort {
     /// Delivers one message to the cloud; `false` when the cloud is gone.
     fn send(&mut self, msg: ToCloud) -> bool;
-    /// Blocks for the next answer routed to this session; `None` once the
-    /// cloud is gone and its buffered answers are exhausted.
+    /// The next answer routed to this session; `None` once the cloud is
+    /// gone and its buffered answers are exhausted.
     fn recv_answer(&mut self) -> Option<FromCloud>;
-    /// Blocks for the reply to the admission probe just sent (probes are
-    /// strictly request/reply); `None` when the cloud is gone.
+    /// The reply to the admission probe just sent (probes are strictly
+    /// request/reply); `None` when the cloud is gone.
     fn recv_probe(&mut self) -> Option<ProbeReply>;
 }
 
-/// Where an [`EdgeSession`]'s messages go.
+/// The host an [`EdgeSession`] reaches its cloud through. Both run on the
+/// session's own thread and keep its replies in an [`Inbox`].
 pub(crate) enum Uplink {
-    /// A cloud worker's channel: [`CloudServer::connect`] and
-    /// [`crate::run_system`] (the worker lives on its own thread and owns
-    /// the other end).
-    Channel(Sender<ToCloud>),
-    /// A transport connection the session's own thread runs:
+    /// A [`CloudServer`]'s in-process host.
+    Local(Arc<Local>),
+    /// A transport connection's host:
     /// [`RemoteCloud::attach`](crate::transport::RemoteCloud::attach).
     Wire(Arc<crate::transport::Wire>),
 }
 
-/// An [`EdgeSession`]'s [`CloudPort`]: its uplink, and the two receivers
-/// its replies are routed to. Over a channel, a wait blocks on the
-/// receiver; over a wire, the waiting thread itself writes what the
-/// connection has buffered and reads until its reply is routed here.
+/// An [`EdgeSession`]'s [`CloudPort`]: its host, and the session whose
+/// inbox it waits on. In process, a wait pops the inbox; over a wire, the
+/// waiting thread itself writes what the connection has buffered and reads
+/// until its reply is filed.
 pub(crate) struct SessionPort {
     uplink: Uplink,
-    rx: Receiver<FromCloud>,
-    probe_rx: Receiver<ProbeReply>,
+    session: u64,
 }
 
 impl CloudPort for SessionPort {
     fn send(&mut self, msg: ToCloud) -> bool {
         match &self.uplink {
-            Uplink::Channel(tx) => tx.send(msg).is_ok(),
+            Uplink::Local(local) => local.host().send(msg),
             Uplink::Wire(wire) => wire.host().send(msg),
         }
     }
 
+    // In process, the reply is already filed: a session waits only after
+    // the flush or probe that produced it.
     fn recv_answer(&mut self) -> Option<FromCloud> {
         match &self.uplink {
-            Uplink::Channel(_) => self.rx.recv().ok(),
-            Uplink::Wire(wire) => wire.host().wait(&self.rx),
+            Uplink::Local(local) => local.host().inbox.answer(self.session),
+            Uplink::Wire(wire) => wire.host().wait(|inbox| inbox.answer(self.session)),
         }
     }
 
     fn recv_probe(&mut self) -> Option<ProbeReply> {
         match &self.uplink {
-            Uplink::Channel(_) => self.probe_rx.recv().ok(),
-            Uplink::Wire(wire) => wire.host().wait(&self.probe_rx),
+            Uplink::Local(local) => local.host().inbox.probe(self.session),
+            Uplink::Wire(wire) => wire.host().wait(|inbox| inbox.probe(self.session)),
         }
     }
 }
@@ -1118,14 +1176,14 @@ impl CloudPort for SessionPort {
 /// [`drain`](Self::drain) absorbs the cloud's answer.
 ///
 /// Internally the session is a thin facade: all of the above state lives in
-/// an [`EdgeMachine`] — a compact, channel-free state machine — wired here
-/// to a [`SessionPort`]: a [`CloudServer`]'s channel, or a
-/// [`RemoteCloud`](crate::transport::RemoteCloud) connection whose socket
-/// this session's own thread writes and reads. The fleet engine
+/// an [`EdgeMachine`] — a compact, sans-IO state machine — wired here to a
+/// [`SessionPort`]: a [`CloudServer`] whose machine this session's thread
+/// runs, or a [`RemoteCloud`](crate::transport::RemoteCloud) connection
+/// whose socket this session's thread writes and reads. The fleet engine
 /// ([`crate::fleet`]) drives the same machines inline against sharded
 /// [`CloudMachine`]s, which is how one process carries 10⁵–10⁶ concurrent
-/// sessions without a thread or channel per session; this facade keeps the
-/// historical thread-per-component shape (and its reports, bit for bit).
+/// sessions without a facade, a lock or an inbox per session; the reports
+/// are the same, bit for bit.
 pub struct EdgeSession<'a> {
     m: EdgeMachine<'a>,
     port: SessionPort,
@@ -1365,20 +1423,13 @@ impl<'a> EdgeSession<'a> {
         uplink: Uplink,
         admission: bool,
     ) -> EdgeSession<'a> {
-        let (resp_tx, resp_rx) = channel::unbounded();
-        let (probe_tx, probe_rx) = channel::unbounded();
         let mut port = SessionPort {
             uplink,
-            rx: resp_rx,
-            probe_rx,
+            session: id,
         };
         let register = ToCloud::Register {
             session: id,
             link: cfg.link.clone(),
-            replies: ReplyTx {
-                answers: resp_tx,
-                probes: probe_tx,
-            },
         };
         assert!(port.send(register), "cloud server alive");
         EdgeSession {
@@ -1742,9 +1793,9 @@ impl<'a> EdgeMachine<'a> {
         if !self.pending.contains_key(&ticket.0) {
             return None;
         }
-        // A dead worker has already flushed everything it will ever answer
-        // into our response channel, so a failed Flush is not yet fatal —
-        // keep absorbing buffered answers.
+        // A cloud that is gone has already filed everything it will ever
+        // answer in our inbox, so a failed Flush is not yet fatal — keep
+        // absorbing buffered answers.
         let _ = port.send(ToCloud::Flush { session: self.id });
         while self.pending.contains_key(&ticket.0) {
             self.absorb_next(port);
@@ -1755,7 +1806,7 @@ impl<'a> EdgeMachine<'a> {
     /// [`EdgeSession::drain`], against any [`CloudPort`].
     pub(crate) fn drain<P: CloudPort>(&mut self, port: &mut P) -> SessionReport {
         if !self.pending.is_empty() {
-            // As in `poll`: a dead worker already flushed its answers.
+            // As in `poll`: a cloud that is gone already filed its answers.
             let _ = port.send(ToCloud::Flush { session: self.id });
             while !self.pending.is_empty() {
                 self.absorb_next(port);
@@ -1786,7 +1837,7 @@ impl<'a> EdgeMachine<'a> {
         }
     }
 
-    /// Blocks for the next message on the answer path while frames are
+    /// Takes the next message on the answer path while frames are
     /// pending: an update is stashed for the between-frames apply, an
     /// answer resolves its frame.
     fn absorb_next<P: CloudPort>(&mut self, port: &mut P) {
@@ -2140,7 +2191,8 @@ mod tests {
             }),
             ..CloudConfig::default()
         };
-        let mut m = CloudMachine::new(&big, &config, SchedulerSlot::from_config(&config.scheduler));
+        let sched = SchedulerSlot::from_config(&config.scheduler);
+        let mut m = CloudMachine::new(config, sched);
         let scene = Arc::new(data.iter().next().expect("a scene").clone());
         let frame = |session, ticket, sent_at| {
             let req = SubmitRequest {
@@ -2153,11 +2205,15 @@ mod tests {
                 deadline_at: None,
                 small_count: 0,
             };
-            ToCloud::Frame(req, Arc::clone(&scene))
+            Some(ToCloud::Frame(req, Arc::clone(&scene)))
         };
-        let mut step = |msg: ToCloud<()>| {
-            let live = m.handle(msg);
-            let replies: Vec<(u64, String)> = (m.replies())
+        // `None` is the host's final drain.
+        let mut step = |msg: Option<ToCloud>| -> Vec<(u64, String)> {
+            match msg {
+                Some(msg) => m.handle(&big, msg),
+                None => m.drain(&big),
+            }
+            (m.replies())
                 .map(|(session, reply)| {
                     let reply = match reply {
                         Reply::Cloud(FromCloud::Answer(a)) => format!("answer {}", a.ticket),
@@ -2166,28 +2222,22 @@ mod tests {
                     };
                     (session, reply)
                 })
-                .collect();
-            (live, replies)
+                .collect()
         };
-        let owed = |replies: &[(u64, &str)]| -> (bool, Vec<(u64, String)>) {
-            let replies = replies.iter().map(|&(s, r)| (s, r.to_string()));
-            (true, replies.collect())
+        let owed = |replies: &[(u64, &str)]| -> Vec<(u64, String)> {
+            replies.iter().map(|&(s, r)| (s, r.to_string())).collect()
         };
         for session in [0, 1] {
             let link = LinkModel::wlan();
-            let register = ToCloud::Register {
-                session,
-                link,
-                replies: (),
-            };
-            assert_eq!(step(register), owed(&[]));
+            let register = ToCloud::Register { session, link };
+            assert_eq!(step(Some(register)), owed(&[]));
         }
         assert_eq!(step(frame(0, 0, 0.0)), owed(&[]), "half a batch waits");
         let probe = ToCloud::Probe {
             session: 1,
             now: 0.0,
         };
-        assert_eq!(step(probe), owed(&[(1, "probe")]));
+        assert_eq!(step(Some(probe)), owed(&[(1, "probe")]));
         let batch = owed(&[(0, "answer 0"), (1, "answer 0")]);
         assert_eq!(step(frame(1, 0, 0.1)), batch);
         // The next batch crosses an epoch: its first frame publishes v1,
@@ -2203,12 +2253,10 @@ mod tests {
         // Session 1 leaving drains session 0's frame, under session 0.
         assert_eq!(step(frame(0, 2, 1.2)), owed(&[]));
         let deregister = ToCloud::Deregister { session: 1 };
-        assert_eq!(step(deregister), owed(&[(0, "answer 2")]));
-        // Shutdown leaves every answer still owed in the queue.
+        assert_eq!(step(Some(deregister)), owed(&[(0, "answer 2")]));
+        // The final drain leaves every answer still owed in the queue.
         assert_eq!(step(frame(0, 3, 1.3)), owed(&[]));
-        let (live, drained) = step(ToCloud::Shutdown);
-        assert!(!live);
-        assert_eq!(drained, owed(&[(0, "answer 3")]).1);
+        assert_eq!(step(None), owed(&[(0, "answer 3")]));
         let stats = m.finish();
         assert_eq!((stats.served, stats.updates_published), (6, 1));
     }
@@ -2219,8 +2267,8 @@ mod tests {
         let mut cloud = CloudServer::spawn(CloudConfig::default(), big);
         let mut session = cloud.connect(small_session(), &small, Box::new(Policy::CloudOnly));
         let tickets: Vec<FrameTicket> = data.iter().take(5).map(|s| session.submit(s)).collect();
-        // The worker flushes every queued frame into the session's response
-        // channel before exiting; polling afterwards must still resolve.
+        // Shutdown files every queued frame's answer in the session's
+        // inbox; polling afterwards must still resolve.
         let stats = cloud.shutdown();
         assert_eq!(stats.served, 5);
         for t in tickets {
@@ -2229,6 +2277,87 @@ mod tests {
         }
         let report = session.drain();
         assert_eq!(report.uploads, 5);
+    }
+
+    /// One `CloudServer` shared by four sessions on four threads, which
+    /// take turns at its lock while batches mix their frames: every polled
+    /// ticket resolves, the cloud serves every upload (those of a session
+    /// dropped undrained included), and each report accounts for every
+    /// frame once.
+    #[test]
+    fn one_cloud_server_serves_sessions_on_several_threads() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let (data, small, big) = fixture();
+            let config = CloudConfig {
+                max_batch: 4,
+                ..CloudConfig::default()
+            };
+            let mut cloud = CloudServer::spawn(config, big);
+            let sessions: Vec<EdgeSession<'_>> = (0..4)
+                .map(|i| {
+                    let policy: Box<dyn OffloadPolicy> = match i % 2 {
+                        0 => Box::new(disc()),
+                        _ => Box::new(Policy::CloudOnly),
+                    };
+                    let cfg = SessionConfig {
+                        seed: 0x5417 + i,
+                        ..small_session()
+                    };
+                    cloud.connect(cfg, &small, policy)
+                })
+                .collect();
+            let (data, start) = (&data, &std::sync::Barrier::new(4));
+            // Session 3 (cloud-only) is dropped undrained: `Err` carries
+            // its uploads, one per submit.
+            let outcomes: Vec<Result<SessionReport, usize>> = std::thread::scope(|scope| {
+                let threads: Vec<_> = (sessions.into_iter().enumerate())
+                    .map(|(i, mut session)| {
+                        scope.spawn(move || {
+                            start.wait();
+                            let mut tickets = Vec::new();
+                            for (k, scene) in data.iter().enumerate() {
+                                tickets.push(session.submit(scene));
+                                let undrained = i == 3 && k >= data.len() / 2;
+                                if k % 2 == 1 && !undrained {
+                                    for t in tickets.drain(..) {
+                                        session.poll(t).expect("every polled ticket resolves");
+                                    }
+                                }
+                            }
+                            if i == 3 {
+                                assert!(session.outstanding() > 0);
+                                return Err(data.len());
+                            }
+                            Ok(session.drain())
+                        })
+                    })
+                    .collect();
+                let joined = threads.into_iter().map(|t| t.join());
+                joined.map(|r| r.expect("session thread")).collect()
+            });
+            let stats = cloud.shutdown();
+            let mut uploads = 0;
+            for outcome in outcomes {
+                match outcome {
+                    Ok(r) => {
+                        assert_eq!(r.latency.images, r.frames, "every frame resolved once");
+                        assert_eq!(r.latency.cloud_images, r.uploads, "every upload served");
+                        uploads += r.uploads;
+                    }
+                    Err(undrained) => uploads += undrained,
+                }
+            }
+            assert_eq!(stats.served, uploads);
+            assert_eq!(stats.sessions, 4);
+            let _ = done_tx.send(());
+        });
+        let finished = done_rx.recv_timeout(std::time::Duration::from_secs(60));
+        let hung = matches!(finished, Err(std::sync::mpsc::RecvTimeoutError::Timeout));
+        assert!(!hung, "four sessions on one cloud did not finish in 60 s");
+        if let Err(panic) = worker.join() {
+            std::panic::resume_unwind(panic);
+        }
     }
 
     /// A detector whose `detect` panics — stands in for a buggy user
@@ -2261,9 +2390,9 @@ mod tests {
         )));
         let mut cloud = CloudServer::spawn(CloudConfig::default(), big);
         let mut session = cloud.connect(small_session(), &small, Box::new(Policy::CloudOnly));
-        // The detector's panic unwinds the cloud thread; the session then
-        // fails its poll (or a later submit) instead of blocking forever
-        // on a result that cannot arrive.
+        // The host catches the detector's panic and drops the cloud; the
+        // session then fails its submit (or a later poll) instead of
+        // waiting forever on a result that cannot arrive.
         let tickets: Vec<FrameTicket> = data.iter().take(3).map(|s| session.submit(s)).collect();
         for t in tickets {
             let _ = session.poll(t);
@@ -2291,8 +2420,8 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    // Channel hosts hand answers over typed while socket hosts encode and
-    // decode them, so every host-equality pin (TCP ≡ channel, process ≡
+    // In-process hosts hand answers over typed while socket hosts encode and
+    // decode them, so every host-equality pin (TCP ≡ in-process, process ≡
     // in-memory) rests on the JSON frame codec being exact for these two
     // messages. Pinned here directly, float by float.
     mod answer_codec {

@@ -2,8 +2,8 @@
 //! cloud-node / edge-node halves of a real distributed system.
 //!
 //! The streaming runtime ([`crate::CloudServer`] / [`crate::EdgeSession`])
-//! runs edge and cloud in one process behind channels. This module carries
-//! the *same* session layer over a real connection:
+//! runs edge and cloud in one process, on the sessions' threads. This
+//! module carries the *same* session layer over a real connection:
 //!
 //! * [`Transport`] / [`Listener`] — object-safe connection traits. Two
 //!   implementations ship: an in-memory duplex ([`memory_listener`],
@@ -15,10 +15,10 @@
 //!   or [`Refused`]; failures surface as typed [`HandshakeError`]s. A
 //!   hostile `Hello` cannot drive allocation: the cloud decodes it with
 //!   [`crate::wire::decode_frame_with_limit`] under [`MAX_HELLO_BYTES`].
-//! * [`RemoteCloud`] — the edge-side bridge. It speaks the session layer's
-//!   own channel protocol, so [`RemoteCloud::attach`] returns a completely
+//! * [`RemoteCloud`] — the edge-side bridge. It takes the session layer's
+//!   own typed messages, so [`RemoteCloud::attach`] returns a completely
 //!   ordinary [`EdgeSession`]: the session code path is the in-process
-//!   one, and transport reports are bit-identical to the channel path
+//!   one, and transport reports are bit-identical to the in-process path
 //!   because the answer codec round-trips every field exactly (pinned by
 //!   a property test next to the message types).
 //! * [`serve`] / [`serve_connection`] — the cloud side. **Each registered
@@ -125,13 +125,13 @@
 
 use crate::scheduler::SchedulerSlot;
 use crate::server::{
-    CloudMachine, FromCloud, ProbeReply, Reply, ReplyTx, SubmitRequest, SubmitResponse, ToCloud,
+    CloudMachine, FromCloud, Inbox, ProbeReply, Reply, SubmitRequest, SubmitResponse, ToCloud,
     Uplink,
 };
 use crate::wire::{self, Encoding, FrameReader, WireError};
 use crate::{CloudConfig, CloudStats, EdgeSession, OffloadPolicy, SessionConfig};
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use datagen::Scene;
 use modelzoo::Detector;
 use serde::{Deserialize, Serialize};
@@ -1020,27 +1020,14 @@ impl Default for ConnectOptions {
     }
 }
 
-/// A frame sent and not yet answered. It is replayed on every new link
-/// until its answer arrives, and removed when it does, so a second answer
-/// (the dead link's and the replay's) finds nothing and is dropped.
-enum Pending {
-    Submit {
-        session: u64,
-        ticket: u64,
-        payload: Bytes,
-    },
-    Probe {
-        session: u64,
-        payload: Bytes,
-    },
-}
-
-/// One session riding the connection: its `REGISTER`, replayed on every
-/// new link, and where its answers go.
-struct Route {
-    register: Bytes,
-    answers: Sender<FromCloud>,
-    probes: Sender<ProbeReply>,
+/// A submit or probe sent and not yet answered. It is replayed on every
+/// new link until its answer arrives, and removed when it does, so a second
+/// answer (the dead link's and the replay's) finds nothing and is dropped.
+struct Pending {
+    session: u64,
+    /// The submit's ticket; `None` for a probe, which carries none.
+    ticket: Option<u64>,
+    payload: Bytes,
 }
 
 /// Where the connection's link stands.
@@ -1054,14 +1041,14 @@ enum Link {
     /// so only [`In::Dialed`] ever meets this state.
     Dialing { attempt: u32 },
     /// Said `BYE`, gave up redialing, or was poisoned: nothing dials again,
-    /// and every session's reply handles are gone.
+    /// and no reply comes any more.
     Closed,
 }
 
 /// One input to [`ClientConn`]. Link events carry the generation of the
 /// link the reporting host holds.
 enum In {
-    /// A session's message; [`ToCloud::Shutdown`] is a `BYE`.
+    /// A session's message.
     Session {
         gen: u64,
         msg: ToCloud,
@@ -1098,14 +1085,16 @@ enum Act {
     Write(Vec<Bytes>),
     /// Wait, dial, handshake, and report back with [`In::Dialed`].
     Dial(Duration),
-    /// The connection is closed and every waiting session fails loudly.
+    /// The connection is closed: a waiting session takes what its inbox
+    /// holds, then fails loudly.
     Close,
 }
 
 /// The client half of a connection as a single-threaded sans-IO machine.
 /// Every rule about link generations, replay, answer deduplication and
 /// `BYE` sits in [`ClientConn::handle`]'s one `match`; its host only
-/// moves bytes and carries out the [`Act`]s it returns.
+/// moves bytes, carries out the [`Act`]s it returns and files the replies
+/// it leaves, each under its session's id, in [`ClientConn::replies`].
 struct ClientConn {
     /// The current link's generation, bumped by every successful redial.
     gen: u64,
@@ -1116,10 +1105,14 @@ struct ClientConn {
     mux: bool,
     /// The redial schedule; `None` (no dialer) closes on the first fault.
     retry: Option<RetryConfig>,
-    /// Sessions by id; replayed in id order.
-    routes: BTreeMap<u64, Route>,
+    /// Each attached session's `REGISTER`, replayed on every new link in
+    /// id order.
+    registers: BTreeMap<u64, Bytes>,
     /// Unanswered submits and probes, in send order.
     pending: VecDeque<Pending>,
+    /// Decoded replies, each under its session's id, until the host takes
+    /// them.
+    replies: VecDeque<(u64, Reply)>,
 }
 
 impl ClientConn {
@@ -1130,19 +1123,16 @@ impl ClientConn {
             encoding,
             mux,
             retry,
-            routes: BTreeMap::new(),
+            registers: BTreeMap::new(),
             pending: VecDeque::new(),
+            replies: VecDeque::new(),
         }
     }
 
     fn handle(&mut self, input: In, out: &mut Vec<Act>) {
         let closed = self.link == Link::Closed;
         match input {
-            In::Session {
-                gen,
-                msg: ToCloud::Shutdown,
-            }
-            | In::Bye { gen } => {
+            In::Bye { gen } => {
                 // Closed before the BYE is written: the cloud drops the link
                 // once it reads it, and that EOF must find nothing to redial.
                 if gen < self.gen {
@@ -1151,8 +1141,7 @@ impl ClientConn {
                 out.push(Act::Write(vec![Bytes::from(msg_bare(tag::BYE))]));
                 self.close(out);
             }
-            // The message drops with its reply handles: a session attaching
-            // to a closed connection fails loudly at its first poll.
+            // The message drops: nothing answers on a closed connection.
             In::Session { .. } if closed => {}
             In::Session { gen, msg: message } => {
                 if gen < self.gen {
@@ -1160,19 +1149,10 @@ impl ClientConn {
                 }
                 let enc = self.encoding;
                 let payload = match message {
-                    ToCloud::Register {
-                        session,
-                        link,
-                        replies: ReplyTx { answers, probes },
-                    } => {
+                    ToCloud::Register { session, link } => {
                         let register =
                             Bytes::from(msg(tag::REGISTER, &WireRegister { session, link }, enc));
-                        let route = Route {
-                            register: register.clone(),
-                            answers,
-                            probes,
-                        };
-                        self.routes.insert(session, route);
+                        self.registers.insert(session, register.clone());
                         register
                     }
                     ToCloud::Frame(header, scene) => {
@@ -1181,9 +1161,9 @@ impl ClientConn {
                             scene: &scene,
                         };
                         let payload = Bytes::from(msg(tag::SUBMIT, &submit, enc));
-                        self.pending.push_back(Pending::Submit {
+                        self.pending.push_back(Pending {
                             session: header.session,
-                            ticket: header.ticket,
+                            ticket: Some(header.ticket),
                             payload: payload.clone(),
                         });
                         payload
@@ -1191,17 +1171,21 @@ impl ClientConn {
                     ToCloud::Probe { session, now } => {
                         let payload =
                             Bytes::from(msg(tag::PROBE, &WireProbe { session, now }, enc));
-                        self.pending.push_back(Pending::Probe {
+                        self.pending.push_back(Pending {
                             session,
+                            ticket: None,
                             payload: payload.clone(),
                         });
                         payload
                     }
                     ToCloud::Flush { session } => msg_flush(session, enc),
+                    // A session that left is replayed no more: its
+                    // REGISTER and its unanswered frames go with it.
                     ToCloud::Deregister { session } => {
+                        self.registers.remove(&session);
+                        self.pending.retain(|p| p.session != session);
                         Bytes::from(msg(tag::DEREGISTER, &WireDeregister { session }, enc))
                     }
-                    ToCloud::Shutdown => unreachable!("a shutdown is a BYE, matched above"),
                 };
                 out.push(Act::Write(vec![payload]));
             }
@@ -1231,35 +1215,24 @@ impl ClientConn {
                     // that names no pending frame is dropped unparsed.
                     tag::ANSWER_MUX => match split_answer(&inner) {
                         None => Err(WireError::Truncated),
-                        Some((session, ticket, inner)) => {
-                            let hit = |p: &Pending| {
-                                matches!(p, Pending::Submit { session: s, ticket: t, .. }
-                                    if (*s, *t) == (session, ticket))
-                            };
-                            match self.take(hit) {
-                                None => Ok(()),
-                                Some(route) => {
-                                    wire::decode_frame::<SubmitResponse>(&inner).map(|resp| {
-                                        let _ = route.answers.send(FromCloud::Answer(resp));
-                                    })
-                                }
-                            }
+                        Some((session, ticket, inner)) if self.take(session, Some(ticket)) => {
+                            wire::decode_frame::<SubmitResponse>(&inner).map(|resp| {
+                                let answer = Reply::Cloud(FromCloud::Answer(resp));
+                                self.replies.push_back((session, answer));
+                            })
                         }
+                        Some(_) => Ok(()),
                     },
                     // Probes carry no ticket: the oldest pending probe of
                     // the envelope's session is the one answered.
                     tag::PROBE_REPLY_MUX => match split_session(&inner) {
                         None => Err(WireError::Truncated),
-                        Some((session, inner)) => {
-                            wire::decode_frame_as::<ProbeReply>(&inner, enc).map(|reply| {
-                                let hit = |p: &Pending| {
-                                    matches!(p, Pending::Probe { session: s, .. } if *s == session)
-                                };
-                                if let Some(route) = self.take(hit) {
-                                    let _ = route.probes.send(reply);
+                        Some((session, inner)) => wire::decode_frame_as::<ProbeReply>(&inner, enc)
+                            .map(|reply| {
+                                if self.take(session, None) {
+                                    self.replies.push_back((session, Reply::Probe(reply)));
                                 }
-                            })
-                        }
+                            }),
                     },
                     // A pushed calibration update is routed by session
                     // alone and never replayed: the cloud's next version
@@ -1267,14 +1240,13 @@ impl ClientConn {
                     // connection does not carry is dropped unparsed.
                     tag::UPDATE => match split_session(&inner) {
                         None => Err(WireError::Truncated),
-                        Some((session, inner)) => match self.routes.get(&session) {
-                            None => Ok(()),
-                            Some(route) => {
-                                wire::decode_frame::<crate::CalibrationUpdate>(&inner).map(|u| {
-                                    let _ = route.answers.send(FromCloud::Update(Arc::new(u)));
-                                })
-                            }
-                        },
+                        Some((session, inner)) if self.registers.contains_key(&session) => {
+                            wire::decode_frame::<crate::CalibrationUpdate>(&inner).map(|u| {
+                                let update = Reply::Cloud(FromCloud::Update(Arc::new(u)));
+                                self.replies.push_back((session, update));
+                            })
+                        }
+                        Some(_) => Ok(()),
                     },
                     _ => Ok(()),
                 };
@@ -1307,16 +1279,11 @@ impl ClientConn {
         }
     }
 
-    /// Removes the oldest pending frame `hit` matches, and returns its
-    /// session's route while the session is attached.
-    fn take(&mut self, hit: impl Fn(&Pending) -> bool) -> Option<&Route> {
-        let i = self.pending.iter().position(hit)?;
-        let (Some(Pending::Submit { session, .. }) | Some(Pending::Probe { session, .. })) =
-            self.pending.remove(i)
-        else {
-            unreachable!("position found an entry");
-        };
-        self.routes.get(&session)
+    /// Removes the oldest pending frame of `session` with `ticket` (`None`:
+    /// a probe); `false` when none is pending.
+    fn take(&mut self, session: u64, ticket: Option<u64>) -> bool {
+        let hit = (self.pending.iter()).position(|p| (p.session, p.ticket) == (session, ticket));
+        hit.and_then(|i| self.pending.remove(i)).is_some()
     }
 
     /// What a new link needs before any other frame: every session's
@@ -1324,18 +1291,13 @@ impl ClientConn {
     /// each session with a replayed submit (its last one went to the dead
     /// link).
     fn replay(&self) -> Vec<Bytes> {
-        let mut run: Vec<Bytes> = self.routes.values().map(|r| r.register.clone()).collect();
+        let mut run: Vec<Bytes> = self.registers.values().cloned().collect();
         let mut flushed = BTreeSet::new();
         for p in &self.pending {
-            match p {
-                Pending::Submit {
-                    session, payload, ..
-                } => {
-                    flushed.insert(*session);
-                    run.push(payload.clone());
-                }
-                Pending::Probe { payload, .. } => run.push(payload.clone()),
+            if p.ticket.is_some() {
+                flushed.insert(p.session);
             }
+            run.push(p.payload.clone());
         }
         run.extend(flushed.into_iter().map(|s| msg_flush(s, self.encoding)));
         run
@@ -1358,11 +1320,11 @@ impl ClientConn {
         }
     }
 
-    /// Closes for good. Dropping every route's reply handles makes each
-    /// waiting session fail loudly instead of hanging.
+    /// Closes for good: a waiting session then takes what its inbox holds
+    /// and fails loudly instead of hanging.
     fn close(&mut self, out: &mut Vec<Act>) {
         self.link = Link::Closed;
-        self.routes.clear();
+        self.registers.clear();
         self.pending.clear();
         out.push(Act::Close);
     }
@@ -1372,13 +1334,14 @@ impl ClientConn {
 type Halves = (Box<dyn FrameTx>, Box<dyn FrameRx>);
 
 /// [`ClientConn`]'s one host: the machine, the halves of its current link,
-/// what a redial needs and the payloads no write carried yet. It runs on the
-/// caller's thread.
+/// what a redial needs, the payloads no write carried yet and the sessions'
+/// [`Inbox`]. It runs on the caller's thread.
 pub(crate) struct Host {
     conn: ClientConn,
     tx: Box<dyn FrameTx>,
     rx: Box<dyn FrameRx>,
     run: Vec<Bytes>,
+    inbox: Inbox,
     dialer: Option<Dialer>,
     hello: Hello,
     handshake_timeout: Duration,
@@ -1389,9 +1352,10 @@ impl Host {
         self.conn.link == Link::Closed
     }
 
-    /// Feeds `input` to the machine, buffers what it asks to write, and dials
-    /// here. A new link's replay goes out first and carries what it needs of
-    /// the unwritten run (registers, unanswered frames, flushes): drop it.
+    /// Feeds `input` to the machine, buffers what it asks to write, dials
+    /// here and files the replies it left. A new link's replay goes out
+    /// first and carries what it needs of the unwritten run (registers,
+    /// unanswered frames, flushes): drop it.
     fn step(&mut self, input: In) {
         let mut acts = Vec::new();
         self.conn.handle(input, &mut acts);
@@ -1415,12 +1379,13 @@ impl Host {
                 }
             }
         }
-        // A close needs nothing more: the routes' reply handles went with it.
+        // A close needs nothing more: the inbox keeps what it holds.
         for act in acts {
             if let Act::Write(payloads) = act {
                 self.run.extend(payloads);
             }
         }
+        self.inbox.extend(self.conn.replies.drain(..));
     }
 
     /// Dials and handshakes a new link: `None` when either fails or the
@@ -1439,6 +1404,7 @@ impl Host {
         if self.closed() {
             return false;
         }
+        self.inbox.track(&msg);
         let gen = self.conn.gen;
         self.step(In::Session { gen, msg });
         if self.run.len() >= FRAME_QUEUE_CAP / 2 {
@@ -1447,14 +1413,16 @@ impl Host {
         true
     }
 
-    /// Writes the run, then reads and routes frames until `replies` yields;
-    /// `None` once the connection closed and `replies` holds nothing more.
-    pub(crate) fn wait<T>(&mut self, replies: &Receiver<T>) -> Option<T> {
+    /// Writes the run, then reads and files frames until `pop` takes a
+    /// reply from the inbox; `None` once the connection closed and `pop`
+    /// finds nothing more.
+    pub(crate) fn wait<T>(&mut self, pop: impl Fn(&mut Inbox) -> Option<T>) -> Option<T> {
         loop {
-            match replies.try_recv() {
-                Ok(reply) => return Some(reply),
-                Err(TryRecvError::Empty) if !self.closed() => {}
-                Err(_) => return None,
+            if let Some(reply) = pop(&mut self.inbox) {
+                return Some(reply);
+            }
+            if self.closed() {
+                return None;
             }
             self.flush(false);
             if !self.closed() {
@@ -1524,8 +1492,8 @@ impl Wire {
 ///
 /// It runs on its sessions' threads (module docs, "Backpressure"), and a
 /// session attached here runs the in-process code path, so reports over
-/// any transport are bit-identical to the channel path. Sessions on several
-/// threads stay correct, but their waits take turns.
+/// any transport are bit-identical to the in-process path. Sessions on
+/// several threads stay correct, but their waits take turns.
 ///
 /// Drop (or [`drain`](EdgeSession::drain) and drop) every attached session
 /// before calling [`RemoteCloud::close`].
@@ -1573,6 +1541,7 @@ impl RemoteCloud {
             tx,
             rx,
             run: Vec::new(),
+            inbox: Inbox::default(),
             dialer: opts.dialer,
             hello,
             handshake_timeout: opts.handshake_timeout,
@@ -1944,13 +1913,13 @@ pub fn serve_connection(
 ///
 /// Records registration, the session count and a clean `BYE` in `outcome`
 /// as they happen, so a panic cannot lose them; once the connection ends,
-/// shuts every machine down (writing what the drain answered) and returns
+/// drains every machine (writing what the drain answered) and returns
 /// their merged stats.
 fn serve_sessions(
     mut frx: Box<dyn FrameRx>,
     ftx: &mut dyn FrameTx,
     config: &CloudConfig,
-    big: &(dyn Detector + Sync),
+    big: &dyn Detector,
     encoding: Encoding,
     outcome: &mut ConnOutcome,
 ) -> Option<CloudStats> {
@@ -1958,85 +1927,65 @@ fn serve_sessions(
     // one order, so the node's outbound bytes are a function of its inbound
     // bytes alone.
     let mut machines: BTreeMap<u64, CloudMachine> = BTreeMap::new();
-    // Feeds one message to a session's machine and writes what it
-    // produced as one run. A failed write is ignored: the next read ends
-    // the loop.
-    let mut step = |m: &mut CloudMachine, msg: ToCloud<()>| {
-        let live = m.handle(msg);
+    // Feeds one message to a session's machine (`None`: the final drain)
+    // and writes what it produced as one run. A failed write is ignored:
+    // the next read ends the loop.
+    let mut step = |m: &mut CloudMachine, msg: Option<ToCloud>| {
+        match msg {
+            Some(msg) => m.handle(big, msg),
+            None => m.drain(big),
+        }
         let run: Vec<Vec<u8>> = (m.replies())
             .map(|(session, reply)| encode_reply(session, reply, encoding))
             .collect();
         if !run.is_empty() {
             let _ = ftx.send_all(&run.iter().map(Vec::as_slice).collect::<Vec<_>>());
         }
-        live
     };
     while let Ok(Some(frame)) = frx.recv() {
         let Some((t, inner)) = split_msg(&frame) else {
             break;
         };
-        let ok = match t {
-            tag::REGISTER => match wire::decode_frame_as::<WireRegister>(&inner, encoding) {
-                Ok(WireRegister { session, link }) => {
-                    outcome.registered = true;
-                    // A re-REGISTER for a live session (edge reconnect
-                    // replay) reuses its machine.
-                    let machine = machines.entry(session).or_insert_with(|| {
-                        let sched = SchedulerSlot::from_config(&config.scheduler);
-                        CloudMachine::new(big, config, sched)
-                    });
-                    let register = ToCloud::Register {
-                        session,
-                        link,
-                        replies: (),
-                    };
-                    let ok = step(machine, register);
-                    outcome.sessions = machines.len();
-                    ok
-                }
-                Err(_) => false,
-            },
-            tag::SUBMIT => match wire::decode_frame_as::<WireSubmit>(&inner, encoding) {
-                Ok(s) => match machines.get_mut(&s.header.session) {
-                    Some(m) => step(m, ToCloud::Frame(s.header, Arc::new(s.scene))),
-                    None => false,
-                },
-                Err(_) => false,
-            },
-            tag::PROBE => match wire::decode_frame_as::<WireProbe>(&inner, encoding) {
-                Ok(WireProbe { session, now }) => match machines.get_mut(&session) {
-                    Some(m) => step(m, ToCloud::Probe { session, now }),
-                    None => false,
-                },
-                Err(_) => false,
-            },
-            tag::FLUSH => match wire::decode_frame_as::<WireFlush>(&inner, encoding) {
-                Ok(WireFlush { session }) => match machines.get_mut(&session) {
-                    Some(m) => step(m, ToCloud::Flush { session }),
-                    None => false,
-                },
-                Err(_) => false,
-            },
-            tag::DEREGISTER => match wire::decode_frame_as::<WireDeregister>(&inner, encoding) {
-                Ok(WireDeregister { session }) => match machines.get_mut(&session) {
-                    Some(m) => step(m, ToCloud::Deregister { session }),
-                    None => false,
-                },
-                Err(_) => false,
-            },
+        let decoded = match t {
+            tag::REGISTER => wire::decode_frame_as::<WireRegister>(&inner, encoding)
+                .map(|WireRegister { session, link }| ToCloud::Register { session, link }),
+            tag::SUBMIT => wire::decode_frame_as::<WireSubmit>(&inner, encoding)
+                .map(|s| ToCloud::Frame(s.header, Arc::new(s.scene))),
+            tag::PROBE => wire::decode_frame_as::<WireProbe>(&inner, encoding)
+                .map(|WireProbe { session, now }| ToCloud::Probe { session, now }),
+            tag::FLUSH => wire::decode_frame_as::<WireFlush>(&inner, encoding)
+                .map(|WireFlush { session }| ToCloud::Flush { session }),
+            tag::DEREGISTER => wire::decode_frame_as::<WireDeregister>(&inner, encoding)
+                .map(|WireDeregister { session }| ToCloud::Deregister { session }),
             tag::BYE => {
                 outcome.clean = true;
-                false
+                break;
             }
-            _ => false,
+            _ => break,
         };
-        if !ok {
+        let Ok(msg) = decoded else {
             break;
+        };
+        let session = msg.session();
+        if let ToCloud::Register { .. } = msg {
+            outcome.registered = true;
+            // A re-REGISTER for a live session (edge reconnect replay)
+            // reuses its machine.
+            machines.entry(session).or_insert_with(|| {
+                let sched = SchedulerSlot::from_config(&config.scheduler);
+                CloudMachine::new(config.clone(), sched)
+            });
+            outcome.sessions = machines.len();
         }
+        // A message for a session that never registered ends the connection.
+        let Some(m) = machines.get_mut(&session) else {
+            break;
+        };
+        step(m, Some(msg));
     }
     let mut merged: Option<CloudStats> = None;
     for (_, mut m) in machines {
-        step(&mut m, ToCloud::Shutdown);
+        step(&mut m, None);
         merge_cloud_stats(merged.get_or_insert_with(CloudStats::default), &m.finish());
     }
     merged
@@ -2691,7 +2640,7 @@ mod tests {
         // Eight sessions, registered out of order, each with one submit the
         // batcher holds (no flush, `max_batch` 16) until the edge hangs up.
         let order = [5, 2, 7, 0, 3, 6, 1, 4];
-        let mut messages: Vec<ToCloud> = order.iter().map(|&s| register(s).0).collect();
+        let mut messages: Vec<ToCloud> = order.iter().map(|&s| register(s)).collect();
         messages.extend(order.iter().map(|&s| submit(s, 0)));
         let payloads = edge_payloads(Encoding::Json, messages);
         let config = CloudConfig {
@@ -2721,7 +2670,7 @@ mod tests {
     fn a_flush_without_its_session_ends_the_connection() {
         // The FLUSH with no body comes before the submit: a node that took
         // it would answer the submit at its proper FLUSH.
-        let mut payloads = edge_payloads(Encoding::Json, vec![register(0).0]);
+        let mut payloads = edge_payloads(Encoding::Json, vec![register(0)]);
         payloads.push(Bytes::from(msg_bare(tag::FLUSH)));
         payloads.extend(edge_payloads(
             Encoding::Json,
@@ -2736,21 +2685,12 @@ mod tests {
     fn a_probe_reply_reaches_the_session_its_envelope_names() {
         for encoding in [Encoding::Json, Encoding::Binary] {
             let mut conn = ClientConn::new(encoding, true, None);
-            let mut probes = Vec::new();
+            let mut inbox = Inbox::default();
             let mut acts = Vec::new();
             for session in [0, 1] {
-                let (answers, _) = channel::unbounded();
-                let (probe_tx, probe_rx) = channel::unbounded();
-                let msg = ToCloud::Register {
-                    session,
-                    link: SessionConfig::new(2).link,
-                    replies: ReplyTx {
-                        answers,
-                        probes: probe_tx,
-                    },
-                };
+                let msg = register(session);
+                inbox.track(&msg);
                 conn.handle(In::Session { gen: 0, msg }, &mut acts);
-                probes.push(probe_rx);
             }
             for session in [0, 1] {
                 let msg = ToCloud::Probe { session, now: 0.0 };
@@ -2766,11 +2706,13 @@ mod tests {
                 let inner = wire::encode_frame_as(&reply, encoding);
                 let frame = Bytes::from(msg_session(tag::PROBE_REPLY_MUX, session, &inner));
                 conn.handle(In::Frame { gen: 0, frame }, &mut acts);
-                let got = probes[session as usize]
-                    .try_recv()
-                    .expect("routed by session");
+                inbox.extend(conn.replies.drain(..));
+                let got = inbox.probe(session).expect("filed under its session");
                 assert_eq!(got.queue_depth, queue_depth, "{encoding}");
-                assert!(probes.iter().all(|p| p.try_recv().is_err()), "{encoding}");
+                assert!(
+                    [0, 1].iter().all(|&s| inbox.probe(s).is_none()),
+                    "{encoding}"
+                );
             }
         }
     }
@@ -2873,20 +2815,10 @@ mod tests {
     // ClientConn, driven on one thread
     // -----------------------------------------------------------------------
 
-    /// A session's `Register` with its reply senders, and the receiving
-    /// end of its answers.
-    fn register(session: u64) -> (ToCloud, Receiver<FromCloud>) {
-        let (resp_tx, answers) = channel::unbounded();
-        let (probe_tx, _) = channel::unbounded();
-        let register = ToCloud::Register {
-            session,
-            link: SessionConfig::new(2).link,
-            replies: ReplyTx {
-                answers: resp_tx,
-                probes: probe_tx,
-            },
-        };
-        (register, answers)
+    /// A session's `Register`.
+    fn register(session: u64) -> ToCloud {
+        let link = SessionConfig::new(2).link;
+        ToCloud::Register { session, link }
     }
 
     /// An upload of an empty scene: the scripted cloud reads only its
@@ -2926,15 +2858,9 @@ mod tests {
                 Encoding::Binary => Encoding::Json,
             };
             let mut conn = ClientConn::new(encoding, mux, Some(retry));
-            let (register, _answers) = register(0);
             let mut acts = Vec::new();
-            conn.handle(
-                In::Session {
-                    gen: 0,
-                    msg: register,
-                },
-                &mut acts,
-            );
+            let msg = register(0);
+            conn.handle(In::Session { gen: 0, msg }, &mut acts);
             acts.clear();
             conn.handle(In::Eof { gen: 0 }, &mut acts);
             assert!(
@@ -2960,6 +2886,38 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_redial_does_not_replay_a_departed_session() {
+        let retry = RetryConfig {
+            base_s: 0.05,
+            multiplier: 2.0,
+            max_retries: 3,
+        };
+        let mut conn = ClientConn::new(Encoding::Json, true, Some(retry));
+        let mut acts = Vec::new();
+        // Session 0 leaves with a submit still unanswered.
+        let left = [register(0), register(1), submit(0, 0), submit(1, 0)];
+        let left = left.into_iter().chain([ToCloud::Deregister { session: 0 }]);
+        for msg in left {
+            conn.handle(In::Session { gen: 0, msg }, &mut acts);
+        }
+        acts.clear();
+        conn.handle(In::Eof { gen: 0 }, &mut acts);
+        acts.clear();
+        conn.handle(In::Dialed(Some((Encoding::Json, true))), &mut acts);
+        let [Act::Write(replay), Act::Adopt(1)] = &acts[..] else {
+            panic!("{acts:?}");
+        };
+        // Session 1's REGISTER, its submit and its FLUSH; nothing of 0's.
+        let tags: Vec<u8> = replay.iter().map(|p| p[0]).collect();
+        assert_eq!(tags, [tag::REGISTER, tag::SUBMIT, tag::FLUSH]);
+        let want = edge_payloads(
+            Encoding::Json,
+            vec![register(1), submit(1, 0), ToCloud::Flush { session: 1 }],
+        );
+        assert_eq!(replay, &want);
     }
 
     /// The explorer's redial schedule: three dials per outage.
@@ -2988,7 +2946,7 @@ mod tests {
         cut_at: usize,
         cut: Cut,
         /// The sessions leave (`BYE`) right after the run the cut landed
-        /// in, before the in pump has read anything after it.
+        /// in, before the reader has read anything after it.
         bye_after_cut: bool,
         /// Dials that fail before one succeeds.
         failed_dials: u32,
@@ -3037,13 +2995,16 @@ mod tests {
         }
     }
 
-    /// Two hosts, an out pump and an in pump holding a link generation
-    /// each, taking turns on one thread against scripted links, with
-    /// `Host::step`'s dial loop and a scripted dialer. The machine must
-    /// hold under two hosts as under `RemoteCloud`'s one.
+    /// A writer ([`World::out`]) and a reader ([`World::pump_in`]), each
+    /// holding its own link generation, taking turns on one thread against
+    /// scripted links, with `Host::step`'s dial loop and a scripted dialer.
+    /// `RemoteCloud`'s `Host` holds one generation for both; two that lag
+    /// each other reach every stale-generation arm of the machine.
     struct World {
         s: Schedule,
         conn: ClientConn,
+        /// Every reply the machine left, in order, under its session.
+        replies: Vec<(u64, Reply)>,
         /// Every link dialed, by generation.
         links: Vec<ScriptedLink>,
         out_gen: u64,
@@ -3060,6 +3021,7 @@ mod tests {
             World {
                 s,
                 conn: ClientConn::new(Encoding::Json, s.mux, Some(EXPLORER_RETRY)),
+                replies: Vec::new(),
                 links: vec![ScriptedLink::default()],
                 out_gen: 0,
                 in_gen: 0,
@@ -3120,11 +3082,12 @@ mod tests {
                     };
                 }
             }
+            self.replies.extend(self.conn.replies.drain(..));
             acts
         }
 
-        /// The out pump: one batch of session messages (`None`: every
-        /// session is gone), written as one run.
+        /// The writer: one batch of session messages (`None`: every session
+        /// is gone), written as one run on the writer's link.
         fn out(&mut self, batch: Vec<Option<ToCloud>>) {
             let mut run = Vec::new();
             for message in batch {
@@ -3156,7 +3119,7 @@ mod tests {
             }
         }
 
-        /// The in pump: reads until its link is quiet and a tick adopts
+        /// The reader: reads its link until it is quiet and a tick adopts
         /// nothing; returns whether the machine closed.
         fn pump_in(&mut self) -> bool {
             loop {
@@ -3184,12 +3147,11 @@ mod tests {
     }
 
     /// Runs one schedule: register, then per ticket every session submits
-    /// and flushes and the in pump routes what arrives, then deregister and
+    /// and flushes and the reader takes what arrives, then deregister and
     /// `BYE`. Returns how many payloads went out.
     fn explore(s: Schedule) -> usize {
         let mut w = World::new(s);
-        let (registers, taps): (Vec<_>, Vec<_>) = (0..s.sessions).map(register).unzip();
-        w.out(registers.into_iter().map(Some).collect());
+        w.out((0..s.sessions).map(|sn| Some(register(sn))).collect());
         for ticket in 0..s.frames {
             let submits = (0..s.sessions).map(|sn| Some(submit(sn, ticket)));
             let flushes = (0..s.sessions).map(|sn| Some(ToCloud::Flush { session: sn }));
@@ -3200,21 +3162,22 @@ mod tests {
             w.pump_in();
         }
         // Before BYE: every ticket resolved exactly once, or, once the
-        // retries ran out, the session's answers disconnected.
+        // retries ran out, the connection closed.
         let exhausted = s.failed_dials > EXPLORER_RETRY.max_retries;
-        for (sn, answers) in taps.iter().enumerate() {
+        let disconnected = w.conn.link == Link::Closed;
+        for sn in 0..s.sessions {
             let mut resolved = BTreeSet::new();
-            let disconnected = loop {
-                match answers.try_recv() {
-                    Ok(FromCloud::Answer(resp)) => assert!(
+            for (_, reply) in w.replies.iter().filter(|(session, _)| *session == sn) {
+                match reply {
+                    Reply::Cloud(FromCloud::Answer(resp)) => assert!(
                         resolved.insert(resp.ticket),
                         "{s:?}: session {sn} got ticket {} twice",
                         resp.ticket
                     ),
-                    Ok(FromCloud::Update(_)) => panic!("{s:?}: an update nobody pushed"),
-                    Err(e) => break e == channel::TryRecvError::Disconnected,
+                    Reply::Cloud(FromCloud::Update(_)) => panic!("{s:?}: an update nobody pushed"),
+                    Reply::Probe(_) => panic!("{s:?}: a probe reply nobody asked for"),
                 }
-            };
+            }
             let cut_short = s.bye_after_cut && w.written > s.cut_at;
             assert!(
                 cut_short || resolved.len() as u64 == s.frames || (exhausted && disconnected),

@@ -25,10 +25,10 @@
 //!   the paper's one-edge, whole-dataset measurement protocol, and
 //! * the **streaming** path ([`core::CloudServer`] / [`core::EdgeSession`])
 //!   serves many concurrent edges — each with its own link model, virtual
-//!   clock and [`core::OffloadPolicy`] — against one cloud worker that
-//!   batches big-model inference across sessions. `run_system` is a thin
-//!   wrapper over a single session and reproduces its historical reports
-//!   bit for bit.
+//!   clock and [`core::OffloadPolicy`] — against one cloud that batches
+//!   big-model inference across sessions, run on the sessions' own
+//!   threads. `run_system` drives the same machines for a single session
+//!   and reproduces its historical reports bit for bit.
 //!
 //! The cloud side has a pluggable *scheduling control plane*
 //! ([`core::Scheduler`]): FIFO batching (the bit-identical default),
@@ -102,14 +102,14 @@
 //!
 //! # Fleet-scale quickstart (100k sessions, one process)
 //!
-//! Beyond a handful of edges, threads and channels stop being the right
-//! shape. The **fleet engine** ([`core::fleet`]) runs the *same* session
-//! and cloud state machines inline from a central virtual-time event
-//! queue — no thread or channel per session — so one process carries
-//! 10⁵–10⁶ concurrent heterogeneous sessions. Populations are drawn from
-//! seeded distributions (device/link/policy/deadline mixes, Zipf tenant
-//! sizes, diurnal arrivals), and a run aggregates p50/p99/p999 latency,
-//! per-tenant breakdowns and a deadline-miss curve:
+//! Beyond a handful of edges, a session object per edge stops being the
+//! right shape. The **fleet engine** ([`core::fleet`]) runs the *same*
+//! session and cloud state machines inline from a central virtual-time
+//! event queue — no facade, lock or inbox per session — so one process
+//! carries 10⁵–10⁶ concurrent heterogeneous sessions. Populations are
+//! drawn from seeded distributions (device/link/policy/deadline mixes, Zipf
+//! tenant sizes, diurnal arrivals), and a run aggregates p50/p99/p999
+//! latency, per-tenant breakdowns and a deadline-miss curve:
 //!
 //! ```no_run
 //! use smallbig::prelude::*;
