@@ -540,9 +540,9 @@ pub(crate) struct ProbeReply {
 
 /// What the cloud hands a session on its answer path. Both kinds cross the
 /// seam between [`CloudMachine`] and [`EdgeMachine`] as typed values: bytes
-/// exist only where a socket does ([`crate::transport`] encodes them as its
-/// reader thread writes the machine's replies, and decodes them on the
-/// waiting session's thread).
+/// exist only where a socket does ([`crate::transport`]'s node connection
+/// machine encodes the machine's replies, and its client connection machine
+/// decodes them on the waiting session's thread).
 pub(crate) enum FromCloud {
     /// The big model's answer to one uploaded frame.
     Answer(SubmitResponse),
@@ -769,11 +769,12 @@ impl CloudWorker {
 /// same virtual clocks, RNG stream and replies whoever drives it. The
 /// machine owns its config and borrows no model, so a host may own the
 /// model (`Arc`) or borrow it. Three hosts drive one, each on its caller's
-/// thread: [`CloudServer`] files the queue into its sessions' [`Inbox`],
-/// the transport layer runs one machine per session on a connection's
-/// reader thread and writes what each message produced as one run, and
-/// [`Inline`] (the fleet engine's shards and [`crate::run_system`]) pops
-/// the reply its depth-1 drive leaves.
+/// thread: [`CloudServer`] files the queue into its sessions' [`Inbox`];
+/// the transport layer's node connection machine (`ServerConn`, hosted by
+/// [`crate::transport::serve_connection`] on a connection's thread) keeps
+/// one machine per session and encodes what each message produced as one
+/// run; and [`Inline`] (the fleet engine's shards and
+/// [`crate::run_system`]) pops the reply its depth-1 drive leaves.
 pub(crate) struct CloudMachine {
     w: CloudWorker,
     rng: StdRng,
@@ -2006,6 +2007,7 @@ impl Drop for EdgeSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::bounded;
     use crate::{DifficultCaseDiscriminator, Policy, Thresholds};
     use datagen::{Dataset, DatasetProfile, SplitId};
     use modelzoo::{ModelKind, SimDetector};
@@ -2286,8 +2288,8 @@ mod tests {
     /// frame once.
     #[test]
     fn one_cloud_server_serves_sessions_on_several_threads() {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let worker = std::thread::spawn(move || {
+        let name = "one_cloud_server_serves_sessions_on_several_threads";
+        bounded(name, std::time::Duration::from_secs(60), || {
             let (data, small, big) = fixture();
             let config = CloudConfig {
                 max_batch: 4,
@@ -2350,14 +2352,7 @@ mod tests {
             }
             assert_eq!(stats.served, uploads);
             assert_eq!(stats.sessions, 4);
-            let _ = done_tx.send(());
         });
-        let finished = done_rx.recv_timeout(std::time::Duration::from_secs(60));
-        let hung = matches!(finished, Err(std::sync::mpsc::RecvTimeoutError::Timeout));
-        assert!(!hung, "four sessions on one cloud did not finish in 60 s");
-        if let Err(panic) = worker.join() {
-            std::panic::resume_unwind(panic);
-        }
     }
 
     /// A detector whose `detect` panics — stands in for a buggy user

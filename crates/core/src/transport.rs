@@ -15,32 +15,32 @@
 //!   or [`Refused`]; failures surface as typed [`HandshakeError`]s. A
 //!   hostile `Hello` cannot drive allocation: the cloud decodes it with
 //!   [`crate::wire::decode_frame_with_limit`] under [`MAX_HELLO_BYTES`].
-//! * [`RemoteCloud`] — the edge-side bridge. It takes the session layer's
-//!   own typed messages, so [`RemoteCloud::attach`] returns a completely
-//!   ordinary [`EdgeSession`]: the session code path is the in-process
-//!   one, and transport reports are bit-identical to the in-process path
-//!   because the answer codec round-trips every field exactly (pinned by
-//!   a property test next to the message types).
-//! * [`serve`] / [`serve_connection`] — the cloud side. **Each registered
-//!   session gets its own dedicated cloud machine** (shared-nothing
-//!   sharding), run inline on its connection's reader thread: a session's
-//!   results are then a pure function of its own frame stream, so a
-//!   multi-process fleet is bit-identical to the same sessions run
-//!   in-process — regardless of how the OS interleaves the processes.
-//!   Per-session [`CloudStats`] merge into a [`NodeStats`].
+//! * [`RemoteCloud`] — the edge side. [`RemoteCloud::attach`] returns an
+//!   ordinary [`EdgeSession`], so the session code path is the in-process
+//!   one, and reports are bit-identical to the in-process path because the
+//!   answer codec round-trips every field exactly.
+//! * [`serve`] / [`serve_connection`] — the cloud side, one thread per
+//!   connection. Per-session [`CloudStats`] merge into a [`NodeStats`].
 //!
-//! ## The client connection machine
+//! ## The connection machines
 //!
-//! [`RemoteCloud`]'s protocol is one private, single-threaded sans-IO state
-//! machine, `ClientConn`: session messages, link events (tagged with the
-//! link's generation), dial results and a timer tick go in; runs of
-//! payloads to write, answers, dials after a backoff and close come out.
-//! Give [`ConnectOptions::dialer`] a redial closure and a dropped link is
-//! redialed on [`ConnectOptions::retry`]'s wall-clock backoff, every session
-//! re-registered and every unanswered frame replayed, its answer delivered
-//! once. Exhausted retries close the connection, so a waiting session fails
-//! loudly. The machine's one host has no thread: the sessions' own calls
-//! run it, socket and redials included, to completion.
+//! Each half of a connection is a private, single-threaded sans-IO state
+//! machine, and its host only moves bytes:
+//!
+//! * `ClientConn`, [`RemoteCloud`]'s: session messages, link events (tagged
+//!   with the link's generation), dial results and a timer tick go in; runs
+//!   to write, answers, dials after a backoff and close come out. Give
+//!   [`ConnectOptions::dialer`] a redial closure and a dropped link is
+//!   redialed on [`ConnectOptions::retry`]'s wall-clock backoff, every
+//!   session re-registered and every unanswered frame replayed, its answer
+//!   delivered once. Exhausted retries close the connection, so a waiting
+//!   session fails loudly. The sessions' own calls run it to completion.
+//! * `ServerConn`, the node's: the first frame (or the hello timeout), then
+//!   frames and EOF go in; runs to write and the [`ConnOutcome`] come out.
+//!   It gives **each registered session its own cloud machine**
+//!   (shared-nothing sharding), so a session's results are a pure function
+//!   of its own frames, and a multi-process fleet is bit-identical to the
+//!   same sessions run in-process however the OS interleaves processes.
 //!
 //! ## Encodings and negotiation
 //!
@@ -64,14 +64,11 @@
 //! ## Sessions on a connection
 //!
 //! A connection may carry **many sessions interleaved**: an edge node
-//! drives its whole device fleet over one TCP connection, and the cloud
-//! demuxes by session id to one dedicated machine per registered session —
-//! the same shared-nothing model as one connection per session, so each
-//! machine still sees exactly its own session's frames in its own
-//! session's order. Every message names its session, on every connection.
-//! [`Hello::mux`] / [`Welcome::mux`] only declare whether the edge may
-//! attach more than one session ([`RemoteCloud::attach_as`]); the framing
-//! is the same either way.
+//! drives its whole device fleet over one TCP connection. Every message
+//! names its session, on every connection. [`Hello::mux`] /
+//! [`Welcome::mux`] only declare whether the edge may attach more than one
+//! session ([`RemoteCloud::attach_as`]); the framing is the same either
+//! way.
 //!
 //! ## Wire layout
 //!
@@ -90,13 +87,11 @@
 //! cannot take apart — a `FLUSH` without its session, a truncated
 //! envelope — ends the connection.
 //!
-//! This module is the only place an answer is ever bytes. Cloud machines
-//! and edge sessions exchange typed messages; the cloud's reader thread
-//! encodes the replies each message left in its machine's queue, and the
-//! edge's connection machine decodes each frame once, before routing it. A
-//! payload that does not decode poisons the connection like any other
-//! framing fault, so a waiting session fails with its "cloud server shut
-//! down" diagnostic.
+//! This module is the only place an answer is ever bytes: `ServerConn`
+//! encodes what each message left in its session's machine, and
+//! `ClientConn` decodes each frame once, before routing it. A payload that
+//! does not decode poisons the connection like any other framing fault, so
+//! a waiting session fails with its "cloud server shut down" diagnostic.
 //! Worker answers are always JSON regardless of the negotiated encoding:
 //! the uplink (scene submissions) is the byte budget this system
 //! economizes, and transcoding the downlink would burn cloud CPU without
@@ -106,21 +101,18 @@
 //!
 //! Every queue between a session and a socket is **bounded**
 //! ([`FRAME_QUEUE_CAP`]): the edge's unwritten run and the in-memory
-//! transport's frame queues. The cloud keeps no queue of its own: its
-//! reader thread hands each frame to the session's machine and writes what
-//! the machine answered before reading on, so a blocked peer blocks the
-//! write — and with it the reader, which stops draining the socket. A
-//! slow reader therefore stalls its writer — memory stays bounded end to
-//! end and the stall propagates as backpressure (socket buffer fills →
-//! the session's write blocks) instead of an unbounded queue quietly
-//! absorbing the backlog.
+//! transport's frame queues. The node keeps no queue of its own: it writes
+//! what each frame produced before it reads on, so a blocked peer blocks
+//! the write and with it the reads. The stall propagates as backpressure
+//! (socket buffer fills → the session's write blocks) instead of an
+//! unbounded queue quietly absorbing the backlog.
 //!
 //! The edge has no thread of its own: `submit` encodes into the
 //! connection's run, which goes out as **one** coalesced write
 //! ([`FrameTx::send_all`]) when a session waits for the cloud (or the run
-//! holds half a queue) — a fleet's back-to-back submissions cost one
-//! syscall and wake the cloud's reader once. The waiting session then reads
-//! until its reply arrives, and a read window ([`FRAME_QUEUE_CAP`]) keeps
+//! holds half a queue): a fleet's back-to-back submissions cost one
+//! syscall and wake the node once. The waiting session then reads until
+//! its reply arrives, and a read window ([`FRAME_QUEUE_CAP`]) keeps
 //! answers from filling a queue while it writes.
 
 use crate::scheduler::SchedulerSlot;
@@ -1754,198 +1746,186 @@ impl NodeStats {
     pub fn absorb(&mut self, outcome: ConnOutcome) {
         if outcome.registered {
             self.connections += 1;
-            if !outcome.clean {
-                self.aborted += 1;
-            }
+            self.aborted += usize::from(!outcome.clean);
         }
-        if outcome.refused {
-            self.refused += 1;
-        }
-        if outcome.hello_timed_out {
-            self.hello_timeouts += 1;
-        }
+        self.refused += usize::from(outcome.refused);
+        self.hello_timeouts += usize::from(outcome.hello_timed_out);
         if let Some(s) = outcome.stats {
             merge_cloud_stats(&mut self.cloud, &s);
         }
     }
 }
 
-fn parse_hello(first: &Bytes) -> Result<Hello, Refused> {
-    let refuse = |reason, detail: String| Refused {
-        server_protocol: PROTOCOL_VERSION,
-        reason,
-        detail,
-    };
-    let Some((t, inner)) = split_msg(first) else {
-        return Err(refuse(
-            RefuseReason::MalformedHello,
-            "empty first frame".to_string(),
-        ));
-    };
-    if t != tag::HELLO {
-        return Err(refuse(
-            RefuseReason::MalformedHello,
-            format!("expected hello, got tag {t}"),
-        ));
-    }
-    // The magic and the version are checked before the rest of the hello
-    // is read, so another version's hello is a version refusal whatever
-    // fields it carries.
-    #[derive(Deserialize)]
-    struct Head {
-        magic: u32,
-        protocol: u16,
-    }
-    let malformed = |detail: String| refuse(RefuseReason::MalformedHello, detail);
-    let fields = match wire::decode_frame_with_limit::<serde::Value>(&inner, MAX_HELLO_BYTES) {
-        Err(WireError::Oversized(n)) => {
-            return Err(refuse(
-                RefuseReason::OversizedHello,
-                format!("hello payload of {n} bytes exceeds {MAX_HELLO_BYTES}"),
-            ))
-        }
-        Err(e) => return Err(malformed(e.to_string())),
-        Ok(fields) => fields,
-    };
-    let head = Head::from_value(&fields).map_err(|e| malformed(e.to_string()))?;
-    if head.magic != HELLO_MAGIC {
-        return Err(refuse(
-            RefuseReason::BadMagic,
-            format!("bad magic {:#x}", head.magic),
-        ));
-    }
-    if head.protocol != PROTOCOL_VERSION {
-        return Err(refuse(
-            RefuseReason::Version,
-            format!(
-                "server speaks v{PROTOCOL_VERSION}, client offered v{}",
-                head.protocol
-            ),
-        ));
-    }
-    Hello::from_value(&fields).map_err(|e| malformed(e.to_string()))
+/// One input to [`ServerConn`]: what its host's read returned.
+enum NodeIn {
+    Frame(Bytes),
+    /// No first frame came within [`ServeOptions::hello_timeout`].
+    HelloTimeout,
+    /// The edge closed the connection, or reading from it failed.
+    Eof,
 }
 
-/// Serves one accepted connection to completion: handshake, then one
-/// dedicated cloud machine per registered session, fed from the
-/// connection's frames on this thread.
-///
-/// The per-session machine is what keeps a distributed fleet
-/// deterministic: its state depends only on this connection's message
-/// order, never on how the OS interleaves other edges. A big model that
-/// panics drops the connection instead of the node: the outcome is then
-/// unclean and carries no stats.
-pub fn serve_connection(
-    conn: Box<dyn Transport>,
-    config: &CloudConfig,
-    big: &Arc<dyn Detector + Send + Sync>,
-    opts: &ServeOptions,
-) -> ConnOutcome {
-    let mut outcome = ConnOutcome::default();
-    let (mut ftx, mut frx) = conn.split();
+/// Payloads its host writes as **one** [`FrameTx::send_all`].
+type Run = Vec<Vec<u8>>;
 
-    let first = match frx.recv_timeout(opts.hello_timeout) {
-        Ok(Some(f)) => f,
-        Err(e) if e.kind() == io::ErrorKind::TimedOut => {
-            outcome.hello_timed_out = true;
-            return outcome;
+/// The node half of a connection as a single-threaded sans-IO machine, the
+/// mirror of [`ClientConn`]. Every node-side rule sits in
+/// [`ServerConn::handle`]: the hello and its refusal or `WELCOME`, one
+/// [`CloudMachine`] per registered session, `BYE`, the end-of-connection
+/// drain and the [`ConnOutcome`].
+struct ServerConn {
+    config: CloudConfig,
+    /// What the welcome agreed; `None` until the hello is read.
+    encoding: Option<Encoding>,
+    /// By session id: the final drain writes, and the stats merge sums, in
+    /// one order, so the node's outbound bytes are a function of its inbound
+    /// bytes alone.
+    machines: BTreeMap<u64, CloudMachine>,
+    /// Registration and the session count are recorded as they happen;
+    /// `clean` and the stats once the final drain is done, so a big model
+    /// that panics leaves an unclean, stat-less outcome.
+    outcome: ConnOutcome,
+}
+
+impl ServerConn {
+    fn new(config: CloudConfig) -> ServerConn {
+        ServerConn {
+            config,
+            encoding: None,
+            machines: BTreeMap::new(),
+            outcome: ConnOutcome::default(),
         }
-        Ok(None) | Err(_) => return outcome,
-    };
-    let hello = match parse_hello(&first) {
-        Ok(h) => h,
-        Err(refused) => {
-            let _ = ftx.send(&msg(tag::REFUSED, &refused, Encoding::Json));
-            outcome.refused = true;
-            return outcome;
+    }
+
+    /// Feeds one input, appending to `out` each run to write, in order: what
+    /// one message produced is one run, and so is each session's share of
+    /// the final drain. Returns `false` once the connection is over; the
+    /// host then feeds nothing more and takes the outcome.
+    fn handle(&mut self, big: &dyn Detector, input: NodeIn, out: &mut Vec<Run>) -> bool {
+        let Some(encoding) = self.encoding else {
+            return self.greet(input, out);
+        };
+        let (msg, bye) = match input {
+            NodeIn::Frame(f) => (Self::decode(&f, encoding), f.first() == Some(&tag::BYE)),
+            NodeIn::HelloTimeout | NodeIn::Eof => (None, false),
+        };
+        if let Some(ToCloud::Register { session, .. }) = msg {
+            self.outcome.registered = true;
+            // A re-REGISTER for a live session (edge reconnect replay)
+            // reuses its machine.
+            self.machines.entry(session).or_insert_with(|| {
+                let sched = SchedulerSlot::from_config(&self.config.scheduler);
+                CloudMachine::new(self.config.clone(), sched)
+            });
+            self.outcome.sessions = self.machines.len();
         }
-    };
-    // The handshake itself is always JSON. An encoding this cloud does not
-    // recognize is a typed refusal, never a guess.
-    let Some(encoding) = Encoding::parse(&hello.encoding) else {
-        let refused = Refused {
+        // A message for a session that never registered ends the connection.
+        let Some((m, msg)) =
+            msg.and_then(|msg| Some((self.machines.get_mut(&msg.session())?, msg)))
+        else {
+            self.drain(big, encoding, out);
+            self.outcome.clean = bye;
+            return false;
+        };
+        m.handle(big, msg);
+        Self::write_replies(m, encoding, out);
+        true
+    }
+
+    /// Answers the hello: a `WELCOME` opens the connection, a `REFUSED` (or
+    /// no hello at all) ends it. The handshake itself is always JSON.
+    fn greet(&mut self, input: NodeIn, out: &mut Vec<Run>) -> bool {
+        let NodeIn::Frame(first) = input else {
+            self.outcome.hello_timed_out = matches!(input, NodeIn::HelloTimeout);
+            return false;
+        };
+        let (reply, open) = match Self::parse_hello(&first) {
+            Ok((hello, encoding)) => {
+                self.encoding = Some(encoding);
+                let welcome = Welcome {
+                    protocol: PROTOCOL_VERSION,
+                    session: hello.session,
+                    admission: self.config.queue_limit.is_some(),
+                    encoding: hello.encoding,
+                    mux: hello.mux,
+                };
+                (msg(tag::WELCOME, &welcome, Encoding::Json), true)
+            }
+            Err(refused) => {
+                self.outcome.refused = true;
+                (msg(tag::REFUSED, &refused, Encoding::Json), false)
+            }
+        };
+        out.push(vec![reply]);
+        open
+    }
+
+    /// Reads a connection's first frame: the [`Hello`] and the encoding it
+    /// names, or the [`Refused`] that answers it. Every refusal is made here.
+    fn parse_hello(first: &Bytes) -> Result<(Hello, Encoding), Refused> {
+        let refuse = |reason, detail: String| Refused {
             server_protocol: PROTOCOL_VERSION,
-            reason: RefuseReason::Encoding,
-            detail: format!("unknown encoding {:?}", hello.encoding),
+            reason,
+            detail,
         };
-        let _ = ftx.send(&msg(tag::REFUSED, &refused, Encoding::Json));
-        outcome.refused = true;
-        return outcome;
-    };
-    let welcome = Welcome {
-        protocol: PROTOCOL_VERSION,
-        session: hello.session,
-        admission: config.queue_limit.is_some(),
-        encoding: hello.encoding,
-        mux: hello.mux,
-    };
-    if ftx
-        .send(&msg(tag::WELCOME, &welcome, Encoding::Json))
-        .is_err()
-    {
-        return outcome;
+        let malformed = |detail: String| refuse(RefuseReason::MalformedHello, detail);
+        let inner = match split_msg(first) {
+            Some((tag::HELLO, inner)) => inner,
+            Some((t, _)) => return Err(malformed(format!("expected hello, got tag {t}"))),
+            None => return Err(malformed("empty first frame".to_string())),
+        };
+        // The magic and the version are checked before the rest of the hello
+        // is read, so another version's hello is a version refusal whatever
+        // fields it carries.
+        #[derive(Deserialize)]
+        struct Head {
+            magic: u32,
+            protocol: u16,
+        }
+        let fields = match wire::decode_frame_with_limit::<serde::Value>(&inner, MAX_HELLO_BYTES) {
+            Err(WireError::Oversized(n)) => {
+                let detail = format!("hello payload of {n} bytes exceeds {MAX_HELLO_BYTES}");
+                return Err(refuse(RefuseReason::OversizedHello, detail));
+            }
+            Err(e) => return Err(malformed(e.to_string())),
+            Ok(fields) => fields,
+        };
+        let head = Head::from_value(&fields).map_err(|e| malformed(e.to_string()))?;
+        if head.magic != HELLO_MAGIC {
+            let detail = format!("bad magic {:#x}", head.magic);
+            return Err(refuse(RefuseReason::BadMagic, detail));
+        }
+        if head.protocol != PROTOCOL_VERSION {
+            let offered = head.protocol;
+            let detail = format!("server speaks v{PROTOCOL_VERSION}, client offered v{offered}");
+            return Err(refuse(RefuseReason::Version, detail));
+        }
+        let hello = Hello::from_value(&fields).map_err(|e| malformed(e.to_string()))?;
+        // An encoding this cloud does not recognize is a typed refusal, never
+        // a guess.
+        let Some(encoding) = Encoding::parse(&hello.encoding) else {
+            let detail = format!("unknown encoding {:?}", hello.encoding);
+            return Err(refuse(RefuseReason::Encoding, detail));
+        };
+        Ok((hello, encoding))
     }
 
-    // A panicking big model unwinds out of `serve_sessions` together with
-    // this connection's machines. Catching it here, as the fleet's shard
-    // guard does, keeps the node serving: both halves of the connection
-    // drop, so the edge sees EOF, and the outcome reports an aborted
-    // connection without stats.
-    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        serve_sessions(frx, &mut *ftx, config, &**big, encoding, &mut outcome)
-    }));
-    match served {
-        Ok(stats) => outcome.stats = stats,
-        Err(_) => outcome.clean = false,
+    /// Serves what every machine still holds, in session order, and merges
+    /// their stats into the outcome.
+    fn drain(&mut self, big: &dyn Detector, encoding: Encoding, out: &mut Vec<Run>) {
+        let mut merged = None;
+        for (_, mut m) in std::mem::take(&mut self.machines) {
+            m.drain(big);
+            Self::write_replies(&mut m, encoding, out);
+            merge_cloud_stats(merged.get_or_insert_with(CloudStats::default), &m.finish());
+        }
+        self.outcome.stats = merged;
     }
-    outcome
-}
 
-/// The post-handshake half of [`serve_connection`]: one dedicated cloud
-/// state machine per registered session, created lazily at its REGISTER —
-/// the shared-nothing sharding that keeps a fleet deterministic, whether
-/// sessions arrive on separate connections or multiplexed onto this one.
-/// Every machine runs *inline on this reader thread*: what each inbound
-/// message produced is encoded and written as one run before the next
-/// frame is read, so a frame costs zero cross-thread handoffs. A blocked
-/// peer blocks the write — and with it this reader — which is the
-/// backpressure cascade.
-///
-/// Records registration, the session count and a clean `BYE` in `outcome`
-/// as they happen, so a panic cannot lose them; once the connection ends,
-/// drains every machine (writing what the drain answered) and returns
-/// their merged stats.
-fn serve_sessions(
-    mut frx: Box<dyn FrameRx>,
-    ftx: &mut dyn FrameTx,
-    config: &CloudConfig,
-    big: &dyn Detector,
-    encoding: Encoding,
-    outcome: &mut ConnOutcome,
-) -> Option<CloudStats> {
-    // By session id: the final drain writes, and the stats merge sums, in
-    // one order, so the node's outbound bytes are a function of its inbound
-    // bytes alone.
-    let mut machines: BTreeMap<u64, CloudMachine> = BTreeMap::new();
-    // Feeds one message to a session's machine (`None`: the final drain)
-    // and writes what it produced as one run. A failed write is ignored:
-    // the next read ends the loop.
-    let mut step = |m: &mut CloudMachine, msg: Option<ToCloud>| {
-        match msg {
-            Some(msg) => m.handle(big, msg),
-            None => m.drain(big),
-        }
-        let run: Vec<Vec<u8>> = (m.replies())
-            .map(|(session, reply)| encode_reply(session, reply, encoding))
-            .collect();
-        if !run.is_empty() {
-            let _ = ftx.send_all(&run.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        }
-    };
-    while let Ok(Some(frame)) = frx.recv() {
-        let Some((t, inner)) = split_msg(&frame) else {
-            break;
-        };
+    /// The session message an edge's frame carries; `None` for a `BYE` and for
+    /// a frame the node cannot take apart.
+    fn decode(frame: &Bytes, encoding: Encoding) -> Option<ToCloud> {
+        let (t, inner) = split_msg(frame)?;
         let decoded = match t {
             tag::REGISTER => wire::decode_frame_as::<WireRegister>(&inner, encoding)
                 .map(|WireRegister { session, link }| ToCloud::Register { session, link }),
@@ -1957,38 +1937,20 @@ fn serve_sessions(
                 .map(|WireFlush { session }| ToCloud::Flush { session }),
             tag::DEREGISTER => wire::decode_frame_as::<WireDeregister>(&inner, encoding)
                 .map(|WireDeregister { session }| ToCloud::Deregister { session }),
-            tag::BYE => {
-                outcome.clean = true;
-                break;
-            }
-            _ => break,
+            _ => return None,
         };
-        let Ok(msg) = decoded else {
-            break;
-        };
-        let session = msg.session();
-        if let ToCloud::Register { .. } = msg {
-            outcome.registered = true;
-            // A re-REGISTER for a live session (edge reconnect replay)
-            // reuses its machine.
-            machines.entry(session).or_insert_with(|| {
-                let sched = SchedulerSlot::from_config(&config.scheduler);
-                CloudMachine::new(config.clone(), sched)
-            });
-            outcome.sessions = machines.len();
+        decoded.ok()
+    }
+
+    /// Encodes what `m` queued as one run, if anything.
+    fn write_replies(m: &mut CloudMachine, encoding: Encoding, out: &mut Vec<Run>) {
+        let run: Run = (m.replies())
+            .map(|(session, reply)| encode_reply(session, reply, encoding))
+            .collect();
+        if !run.is_empty() {
+            out.push(run);
         }
-        // A message for a session that never registered ends the connection.
-        let Some(m) = machines.get_mut(&session) else {
-            break;
-        };
-        step(m, Some(msg));
     }
-    let mut merged: Option<CloudStats> = None;
-    for (_, mut m) in machines {
-        step(&mut m, None);
-        merge_cloud_stats(merged.get_or_insert_with(CloudStats::default), &m.finish());
-    }
-    merged
 }
 
 /// Encodes one machine reply in its session's envelope (see the module
@@ -2007,6 +1969,46 @@ fn encode_reply(session: u64, reply: Reply, encoding: Encoding) -> Vec<u8> {
             msg_session(tag::PROBE_REPLY_MUX, session, &inner)
         }
     }
+}
+
+/// Serves one accepted connection to completion on this thread, as the
+/// host of its `ServerConn` (module docs): reads the first frame within
+/// [`ServeOptions::hello_timeout`], then frames until a peer ends the
+/// connection, and writes what each read produced before reading on. A big
+/// model that panics drops the connection instead of the node: the outcome
+/// is then unclean and carries no stats.
+pub fn serve_connection(
+    conn: Box<dyn Transport>,
+    config: &CloudConfig,
+    big: &Arc<dyn Detector + Send + Sync>,
+    opts: &ServeOptions,
+) -> ConnOutcome {
+    let (mut ftx, mut frx) = conn.split();
+    let mut node = ServerConn::new(config.clone());
+    let read = |got: io::Result<Option<Bytes>>| match got {
+        Ok(Some(frame)) => NodeIn::Frame(frame),
+        Err(e) if e.kind() == io::ErrorKind::TimedOut => NodeIn::HelloTimeout,
+        Ok(None) | Err(_) => NodeIn::Eof,
+    };
+    // A panicking big model unwinds out of `handle`. Catching it here, as
+    // the fleet's shard guard does, keeps the node serving: both halves of
+    // the connection drop, so the edge sees EOF.
+    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut input = read(frx.recv_timeout(opts.hello_timeout));
+        let mut runs = Vec::new();
+        loop {
+            let open = node.handle(&**big, input, &mut runs);
+            // A failed write is ignored: the next read ends the loop.
+            for run in runs.drain(..) {
+                let _ = ftx.send_all(&run.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            }
+            if !open {
+                return;
+            }
+            input = read(frx.recv());
+        }
+    }));
+    node.outcome
 }
 
 /// Runs a cloud node: accepts connections on `listener` and serves each on
@@ -2031,32 +2033,28 @@ pub fn serve(
     let waker = listener.waker();
     let agg = Mutex::new(NodeStats::default());
     let completed = AtomicUsize::new(0);
-    std::thread::scope(|scope| loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let conn = match listener.accept() {
-            Ok(c) => c,
-            Err(_) => break,
-        };
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let (agg, completed, waker) = (&agg, &completed, &waker);
-        scope.spawn(move || {
-            let outcome = serve_connection(conn, config, big, opts);
-            let counted = outcome.sessions;
-            agg.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .absorb(outcome);
-            if counted > 0 {
-                let done = completed.fetch_add(counted, Ordering::SeqCst) + counted;
-                if opts.expect_sessions.is_some_and(|n| done >= n) {
-                    stop.store(true, Ordering::SeqCst);
-                    waker();
-                }
+    std::thread::scope(|scope| {
+        while !stop.load(Ordering::SeqCst) {
+            let Ok(conn) = listener.accept() else { break };
+            if stop.load(Ordering::SeqCst) {
+                break;
             }
-        });
+            let (agg, completed, waker) = (&agg, &completed, &waker);
+            scope.spawn(move || {
+                let outcome = serve_connection(conn, config, big, opts);
+                let counted = outcome.sessions;
+                agg.lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .absorb(outcome);
+                if counted > 0 {
+                    let done = completed.fetch_add(counted, Ordering::SeqCst) + counted;
+                    if opts.expect_sessions.is_some_and(|n| done >= n) {
+                        stop.store(true, Ordering::SeqCst);
+                        waker();
+                    }
+                }
+            });
+        }
     });
     agg.into_inner().unwrap_or_else(|e| e.into_inner())
 }
@@ -2064,6 +2062,38 @@ pub fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::bounded;
+    use datagen::SplitId;
+    use modelzoo::{ModelKind, SimDetector};
+
+    /// The big model every node in these tests serves with.
+    fn big_model() -> SimDetector {
+        SimDetector::new(ModelKind::SsdVgg16, SplitId::Helmet, 2)
+    }
+
+    /// A hello from session 0 naming `encoding` and declaring `mux`.
+    fn hello(encoding: &str, mux: bool) -> Hello {
+        Hello {
+            magic: HELLO_MAGIC,
+            protocol: PROTOCOL_VERSION,
+            session: 0,
+            encoding: encoding.to_string(),
+            mux,
+        }
+    }
+
+    /// A session config with 32 × 32 frames.
+    fn small_frames() -> SessionConfig {
+        SessionConfig {
+            frame_size: (32, 32),
+            ..SessionConfig::new(2)
+        }
+    }
+
+    /// `hello` as a connection's first frame.
+    fn hello_frame(hello: &Hello) -> Bytes {
+        Bytes::from(msg(tag::HELLO, hello, Encoding::Json))
+    }
 
     #[test]
     fn memory_pair_round_trips_frames() {
@@ -2117,93 +2147,89 @@ mod tests {
         let mut payload = Vec::with_capacity(1 + big.len());
         payload.push(tag::HELLO);
         payload.extend_from_slice(&big);
-        let refused = parse_hello(&Bytes::from(payload)).unwrap_err();
+        let refused = ServerConn::parse_hello(&Bytes::from(payload)).unwrap_err();
         assert_eq!(refused.reason, RefuseReason::OversizedHello);
     }
 
     #[test]
     fn bad_magic_and_bad_tag_are_refused() {
-        let wrong_magic = msg(
-            tag::HELLO,
-            &Hello {
-                magic: 0xdead_beef,
-                protocol: PROTOCOL_VERSION,
-                session: 0,
-                encoding: Encoding::Json.name().to_string(),
-                mux: false,
-            },
-            Encoding::Json,
-        );
-        let refused = parse_hello(&Bytes::from(wrong_magic)).unwrap_err();
+        let wrong_magic = Hello {
+            magic: 0xdead_beef,
+            ..hello("json", false)
+        };
+        let refused = ServerConn::parse_hello(&hello_frame(&wrong_magic)).unwrap_err();
         assert_eq!(refused.reason, RefuseReason::BadMagic);
 
         let not_hello = msg(tag::SUBMIT, &7u32, Encoding::Json);
-        let refused = parse_hello(&Bytes::from(not_hello)).unwrap_err();
+        let refused = ServerConn::parse_hello(&Bytes::from(not_hello)).unwrap_err();
         assert_eq!(refused.reason, RefuseReason::MalformedHello);
     }
 
     #[test]
     fn memory_transport_session_is_bit_identical_to_channel_path() {
-        use crate::{CloudServer, DifficultCaseDiscriminator};
-        use datagen::{Dataset, DatasetProfile, SplitId};
-        use modelzoo::{ModelKind, SimDetector};
+        let name = "memory_transport_session_is_bit_identical_to_channel_path";
+        bounded(name, Duration::from_secs(60), || {
+            use crate::{CloudServer, DifficultCaseDiscriminator};
+            use datagen::{Dataset, DatasetProfile};
 
-        let data = Dataset::generate("conf", &DatasetProfile::helmet(), 12, 9);
-        let small = SimDetector::new(ModelKind::VggLiteSsd, SplitId::Helmet, 2);
-        let big: Arc<dyn Detector + Send + Sync> =
-            Arc::new(SimDetector::new(ModelKind::SsdVgg16, SplitId::Helmet, 2));
-        let cfg = SessionConfig {
-            frame_size: (96, 96),
-            ..SessionConfig::new(2)
-        };
-
-        // Channel path: a fresh server and one session (id 0).
-        let mut cloud = CloudServer::spawn(CloudConfig::default(), Arc::clone(&big));
-        let mut sess = cloud.connect(
-            cfg.clone(),
-            &small,
-            Box::new(DifficultCaseDiscriminator::default()),
-        );
-        for scene in data.iter() {
-            let t = sess.submit(scene);
-            sess.poll(t).expect("frame resolves");
-        }
-        let want = sess.drain();
-        drop(sess);
-        let want_stats = cloud.shutdown();
-
-        // The same session over the in-memory transport.
-        let (mut listener, connector) = memory_listener();
-        let config = CloudConfig::default();
-        let big2 = Arc::clone(&big);
-        let server = std::thread::spawn(move || {
-            let opts = ServeOptions {
-                expect_sessions: Some(1),
-                ..ServeOptions::default()
+            let data = Dataset::generate("conf", &DatasetProfile::helmet(), 12, 9);
+            let small = SimDetector::new(ModelKind::VggLiteSsd, SplitId::Helmet, 2);
+            let big: Arc<dyn Detector + Send + Sync> =
+                Arc::new(SimDetector::new(ModelKind::SsdVgg16, SplitId::Helmet, 2));
+            let cfg = SessionConfig {
+                frame_size: (96, 96),
+                ..SessionConfig::new(2)
             };
-            let stop = AtomicBool::new(false);
-            serve(&mut listener, &config, &big2, &opts, &stop)
-        });
-        let remote = RemoteCloud::connect(
-            Box::new(connector.connect().unwrap()),
-            0,
-            ConnectOptions::default(),
-        )
-        .unwrap();
-        let mut sess = remote.attach(cfg, &small, Box::new(DifficultCaseDiscriminator::default()));
-        for scene in data.iter() {
-            let t = sess.submit(scene);
-            sess.poll(t).expect("frame resolves over transport");
-        }
-        let got = sess.drain();
-        drop(sess);
-        remote.close();
-        let stats = server.join().unwrap();
 
-        assert_eq!(got, want);
-        assert_eq!(stats.connections, 1);
-        assert_eq!(stats.aborted, 0);
-        assert_eq!(stats.cloud.served, want_stats.served);
+            // Channel path: a fresh server and one session (id 0).
+            let mut cloud = CloudServer::spawn(CloudConfig::default(), Arc::clone(&big));
+            let mut sess = cloud.connect(
+                cfg.clone(),
+                &small,
+                Box::new(DifficultCaseDiscriminator::default()),
+            );
+            for scene in data.iter() {
+                let t = sess.submit(scene);
+                sess.poll(t).expect("frame resolves");
+            }
+            let want = sess.drain();
+            drop(sess);
+            let want_stats = cloud.shutdown();
+
+            // The same session over the in-memory transport.
+            let (mut listener, connector) = memory_listener();
+            let config = CloudConfig::default();
+            let big2 = Arc::clone(&big);
+            let server = std::thread::spawn(move || {
+                let opts = ServeOptions {
+                    expect_sessions: Some(1),
+                    ..ServeOptions::default()
+                };
+                let stop = AtomicBool::new(false);
+                serve(&mut listener, &config, &big2, &opts, &stop)
+            });
+            let remote = RemoteCloud::connect(
+                Box::new(connector.connect().unwrap()),
+                0,
+                ConnectOptions::default(),
+            )
+            .unwrap();
+            let mut sess =
+                remote.attach(cfg, &small, Box::new(DifficultCaseDiscriminator::default()));
+            for scene in data.iter() {
+                let t = sess.submit(scene);
+                sess.poll(t).expect("frame resolves over transport");
+            }
+            let got = sess.drain();
+            drop(sess);
+            remote.close();
+            let stats = server.join().unwrap();
+
+            assert_eq!(got, want);
+            assert_eq!(stats.connections, 1);
+            assert_eq!(stats.aborted, 0);
+            assert_eq!(stats.cloud.served, want_stats.served);
+        });
     }
 
     /// A big model whose `detect` always panics — stands in for a buggy
@@ -2227,106 +2253,93 @@ mod tests {
 
     #[test]
     fn panicking_big_model_aborts_its_connection_not_the_node() {
-        use datagen::{Dataset, DatasetProfile, SplitId};
-        use modelzoo::{ModelKind, SimDetector};
+        let name = "panicking_big_model_aborts_its_connection_not_the_node";
+        bounded(name, Duration::from_secs(30), || {
+            use datagen::{Dataset, DatasetProfile};
 
-        let big: Arc<dyn Detector + Send + Sync> = Arc::new(PanickyDetector(SimDetector::new(
-            ModelKind::SsdVgg16,
-            SplitId::Helmet,
-            2,
-        )));
-        let (mut listener, connector) = memory_listener();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let server = std::thread::spawn(move || {
-            let opts = ServeOptions {
-                expect_sessions: Some(1),
-                ..ServeOptions::default()
-            };
-            let stop = AtomicBool::new(false);
-            let stats = serve(&mut listener, &CloudConfig::default(), &big, &opts, &stop);
-            let _ = done_tx.send(stats);
+            let big: Arc<dyn Detector + Send + Sync> = Arc::new(PanickyDetector(big_model()));
+            let (mut listener, connector) = memory_listener();
+            let server = std::thread::spawn(move || {
+                let opts = ServeOptions {
+                    expect_sessions: Some(1),
+                    ..ServeOptions::default()
+                };
+                let stop = AtomicBool::new(false);
+                serve(&mut listener, &CloudConfig::default(), &big, &opts, &stop)
+            });
+            let remote = RemoteCloud::connect(
+                Box::new(connector.connect().unwrap()),
+                0,
+                ConnectOptions::default(),
+            )
+            .unwrap();
+            let data = Dataset::generate("panic", &DatasetProfile::helmet(), 1, 9);
+            let small = SimDetector::new(ModelKind::VggLiteSsd, SplitId::Helmet, 2);
+            let cfg = small_frames();
+            let mut sess = remote.attach(cfg, &small, Box::new(crate::Policy::CloudOnly));
+            let ticket = sess.submit(&data.scenes()[0]);
+            let polled =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sess.poll(ticket)));
+            assert!(polled.is_err(), "the waiting session must fail loudly");
+            drop(sess);
+            remote.close();
+            // The node outlives the panic: it counts the connection as
+            // aborted and stat-less, and that connection's session meets
+            // `expect_sessions`, so `serve` returns.
+            let stats = server
+                .join()
+                .expect("serve returns after the aborted connection");
+            assert_eq!(stats.connections, 1);
+            assert_eq!(stats.aborted, 1);
+            assert_eq!(stats.cloud, CloudStats::default());
         });
-        let remote = RemoteCloud::connect(
-            Box::new(connector.connect().unwrap()),
-            0,
-            ConnectOptions::default(),
-        )
-        .unwrap();
-        let data = Dataset::generate("panic", &DatasetProfile::helmet(), 1, 9);
-        let small = SimDetector::new(ModelKind::VggLiteSsd, SplitId::Helmet, 2);
-        let cfg = SessionConfig {
-            frame_size: (32, 32),
-            ..SessionConfig::new(2)
-        };
-        let mut sess = remote.attach(cfg, &small, Box::new(crate::Policy::CloudOnly));
-        let ticket = sess.submit(&data.scenes()[0]);
-        let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sess.poll(ticket)));
-        assert!(polled.is_err(), "the waiting session must fail loudly");
-        drop(sess);
-        remote.close();
-        // The node outlives the panic: it counts the connection as aborted
-        // and stat-less, and that connection's session meets
-        // `expect_sessions`, so `serve` returns.
-        let stats = done_rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("serve returns after the aborted connection");
-        server.join().expect("serve thread exits cleanly");
-        assert_eq!(stats.connections, 1);
-        assert_eq!(stats.aborted, 1);
-        assert_eq!(stats.cloud, CloudStats::default());
     }
 
     /// Runs one cloud-only session (id 7, one frame, ticket 0) against a
-    /// scripted cloud on a [`memory_pair`]: the script completes the
-    /// handshake, then answers the session's SUBMIT with `replies`
-    /// verbatim. Returns what the session's waiting `poll` did.
+    /// scripted cloud on a [`memory_pair`]: a real node's welcome answers
+    /// the hello, then the script answers the session's SUBMIT with
+    /// `replies` verbatim. Returns what the session's waiting `poll` did.
     fn poll_against_scripted_cloud(
         mux: bool,
         replies: Vec<Vec<u8>>,
     ) -> std::thread::Result<Option<crate::FrameResult>> {
-        use datagen::{Dataset, DatasetProfile, SplitId};
-        use modelzoo::{ModelKind, SimDetector};
+        let limit = Duration::from_secs(30);
+        bounded("poll_against_scripted_cloud", limit, move || {
+            use datagen::{Dataset, DatasetProfile};
 
-        let (local, remote) = memory_pair();
-        let cloud = std::thread::spawn(move || {
-            let (mut tx, mut rx) = Box::new(remote).split();
-            let hello = parse_hello(&rx.recv().unwrap().unwrap()).unwrap();
-            let welcome = Welcome {
-                protocol: PROTOCOL_VERSION,
-                session: hello.session,
-                admission: false,
-                encoding: Encoding::Json.name().to_string(),
-                mux,
-            };
-            tx.send(&msg(tag::WELCOME, &welcome, Encoding::Json))
-                .unwrap();
-            while let Ok(Some(frame)) = rx.recv() {
-                if frame.first() == Some(&tag::SUBMIT) {
-                    for reply in &replies {
-                        let _ = tx.send(reply);
+            let (local, remote) = memory_pair();
+            let cloud = std::thread::spawn(move || {
+                let (mut tx, mut rx) = Box::new(remote).split();
+                let hello = NodeIn::Frame(rx.recv().unwrap().unwrap());
+                let mut welcome = Vec::new();
+                ServerConn::new(CloudConfig::default()).handle(&big_model(), hello, &mut welcome);
+                tx.send(&welcome[0][0]).unwrap();
+                while let Ok(Some(frame)) = rx.recv() {
+                    if frame.first() == Some(&tag::SUBMIT) {
+                        for reply in &replies {
+                            let _ = tx.send(reply);
+                        }
                     }
                 }
-            }
-        });
-        let opts = ConnectOptions {
-            mux,
-            ..ConnectOptions::default()
-        };
-        let remote = RemoteCloud::connect(Box::new(local), 7, opts).unwrap();
-        assert_eq!(remote.mux(), mux);
-        let data = Dataset::generate("script", &DatasetProfile::helmet(), 1, 9);
-        let small = SimDetector::new(ModelKind::VggLiteSsd, SplitId::Helmet, 2);
-        let cfg = SessionConfig {
-            frame_size: (32, 32),
-            ..SessionConfig::new(2)
-        };
-        let mut sess = remote.attach(cfg, &small, Box::new(crate::Policy::CloudOnly));
-        let ticket = sess.submit(&data.scenes()[0]);
-        let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sess.poll(ticket)));
-        drop(sess);
-        remote.close();
-        cloud.join().unwrap();
-        polled
+            });
+            let opts = ConnectOptions {
+                mux,
+                ..ConnectOptions::default()
+            };
+            let remote = RemoteCloud::connect(Box::new(local), 7, opts).unwrap();
+            assert_eq!(remote.mux(), mux);
+            let data = Dataset::generate("script", &DatasetProfile::helmet(), 1, 9);
+            let small = SimDetector::new(ModelKind::VggLiteSsd, SplitId::Helmet, 2);
+            let cfg = small_frames();
+            let mut sess = remote.attach(cfg, &small, Box::new(crate::Policy::CloudOnly));
+            let ticket = sess.submit(&data.scenes()[0]);
+            let polled =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sess.poll(ticket)));
+            drop(sess);
+            remote.close();
+            cloud.join().unwrap();
+            polled
+        })
     }
 
     /// A well-formed answer to `ticket`.
@@ -2402,13 +2415,6 @@ mod tests {
 
     #[test]
     fn encoding_negotiation_covers_fallback_and_corruption() {
-        let hello = |enc: &str, mux: bool| Hello {
-            magic: HELLO_MAGIC,
-            protocol: PROTOCOL_VERSION,
-            session: 0,
-            encoding: enc.to_string(),
-            mux,
-        };
         let welcome = |enc: &str, mux: bool| Welcome {
             protocol: PROTOCOL_VERSION,
             session: 0,
@@ -2444,26 +2450,23 @@ mod tests {
         ));
     }
 
+    /// Serves `node`'s end of a [`memory_pair`] with [`serve_connection`]
+    /// on a thread of its own.
+    fn serve_memory(node: MemoryTransport) -> std::thread::JoinHandle<ConnOutcome> {
+        let big: Arc<dyn Detector + Send + Sync> = Arc::new(big_model());
+        let (config, opts) = (CloudConfig::default(), ServeOptions::default());
+        std::thread::spawn(move || serve_connection(Box::new(node), &config, &big, &opts))
+    }
+
     #[test]
     fn version_mismatch_surfaces_as_typed_error() {
-        let (mut listener, connector) = memory_listener();
-        let server = std::thread::spawn(move || {
-            let conn = listener.accept().unwrap();
-            let (mut tx, mut rx) = conn.split();
-            let first = rx.recv().unwrap().unwrap();
-            let refused = parse_hello(&first).unwrap_err();
-            assert_eq!(refused.reason, RefuseReason::Version);
-            tx.send(&msg(tag::REFUSED, &refused, Encoding::Json))
-                .unwrap();
-        });
-        let conn: Box<dyn Transport> = Box::new(connector.connect().unwrap());
-        let (mut tx, mut rx) = conn.split();
+        let (edge, node) = memory_pair();
+        let server = serve_memory(node);
+        let (mut tx, mut rx) = Box::new(edge).split();
         let hello = Hello {
-            magic: HELLO_MAGIC,
             protocol: 999,
             session: 3,
-            encoding: Encoding::Json.name().to_string(),
-            mux: false,
+            ..hello("json", false)
         };
         let err = client_handshake(&mut *tx, &mut *rx, &hello, Duration::from_secs(5)).unwrap_err();
         match err {
@@ -2473,39 +2476,16 @@ mod tests {
             }
             other => panic!("expected VersionMismatch, got {other:?}"),
         }
-        server.join().unwrap();
+        assert!(server.join().unwrap().refused);
     }
 
     #[test]
     fn attach_as_a_second_session_without_mux_panics() {
-        use datagen::SplitId;
-        use modelzoo::{ModelKind, SimDetector};
-
-        let (local, remote) = memory_pair();
-        let cloud = std::thread::spawn(move || {
-            let (mut tx, mut rx) = Box::new(remote).split();
-            let hello = parse_hello(&rx.recv().unwrap().unwrap()).unwrap();
-            let welcome = Welcome {
-                protocol: PROTOCOL_VERSION,
-                session: hello.session,
-                admission: false,
-                encoding: Encoding::Json.name().to_string(),
-                mux: false,
-            };
-            tx.send(&msg(tag::WELCOME, &welcome, Encoding::Json))
-                .unwrap();
-            while let Ok(Some(frame)) = rx.recv() {
-                if frame.first() == Some(&tag::BYE) {
-                    break;
-                }
-            }
-        });
+        let (local, node) = memory_pair();
+        let cloud = serve_memory(node);
         let remote = RemoteCloud::connect(Box::new(local), 7, ConnectOptions::default()).unwrap();
         let small = SimDetector::new(ModelKind::VggLiteSsd, SplitId::Helmet, 2);
-        let cfg = SessionConfig {
-            frame_size: (32, 32),
-            ..SessionConfig::new(2)
-        };
+        let cfg = small_frames();
         let attached = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             remote.attach_as(8, cfg, &small, Box::new(crate::Policy::CloudOnly))
         }));
@@ -2538,13 +2518,7 @@ mod tests {
     #[test]
     fn hellos_of_v1_or_missing_a_negotiation_field_are_refused() {
         assert_eq!(PROTOCOL_VERSION, 2);
-        let v2 = Hello {
-            magic: HELLO_MAGIC,
-            protocol: PROTOCOL_VERSION,
-            session: 0,
-            encoding: Encoding::Json.name().to_string(),
-            mux: false,
-        };
+        let v2 = hello("json", false);
         let v1 = Hello {
             protocol: 1,
             ..v2.clone()
@@ -2552,19 +2526,19 @@ mod tests {
         // A v1 hello is a version refusal, with or without the negotiation
         // fields v1 made optional.
         for (what, first) in [
-            ("v1", Bytes::from(msg(tag::HELLO, &v1, Encoding::Json))),
+            ("v1", hello_frame(&v1)),
             ("v1 without encoding", hello_without(v1.clone(), "encoding")),
             ("v1 without mux", hello_without(v1.clone(), "mux")),
         ] {
-            let refused = parse_hello(&first).unwrap_err();
+            let refused = ServerConn::parse_hello(&first).unwrap_err();
             assert_eq!(refused.reason, RefuseReason::Version, "{what}");
             assert_eq!(refused.server_protocol, 2, "{what}");
         }
         for field in ["encoding", "mux"] {
-            let refused = parse_hello(&hello_without(v2.clone(), field)).unwrap_err();
+            let refused = ServerConn::parse_hello(&hello_without(v2.clone(), field)).unwrap_err();
             assert_eq!(refused.reason, RefuseReason::MalformedHello, "{field}");
         }
-        assert!(parse_hello(&Bytes::from(msg(tag::HELLO, &v2, Encoding::Json))).is_ok());
+        assert!(ServerConn::parse_hello(&hello_frame(&v2)).is_ok());
     }
 
     /// What an edge's connection machine writes for `messages`, one payload
@@ -2583,56 +2557,27 @@ mod tests {
             .collect()
     }
 
-    /// Serves one in-memory connection with [`serve_connection`]: writes a
-    /// hello (declaring `mux`) and `payloads`, then closes the edge's side
-    /// when `eof`, or else waits for the node to end the connection itself.
-    /// Returns every frame the node wrote after its welcome, and the
-    /// outcome.
+    /// Feeds a [`ServerConn`] a JSON hello (declaring `mux`) and `payloads`,
+    /// then EOF when `eof`, on this thread; without `eof`, the node must
+    /// end the connection itself. Returns every payload the node wrote
+    /// after its welcome, and the outcome.
     fn serve_script(
         config: CloudConfig,
         mux: bool,
         payloads: Vec<Bytes>,
         eof: bool,
     ) -> (Vec<Bytes>, ConnOutcome) {
-        use datagen::SplitId;
-        use modelzoo::{ModelKind, SimDetector};
-
-        let (edge, node) = memory_pair();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let node = std::thread::spawn(move || {
-            let big: Arc<dyn Detector + Send + Sync> =
-                Arc::new(SimDetector::new(ModelKind::SsdVgg16, SplitId::Helmet, 2));
-            let outcome = serve_connection(Box::new(node), &config, &big, &ServeOptions::default());
-            let _ = done_tx.send(());
-            outcome
-        });
-        let (mut tx, mut rx) = Box::new(edge).split();
-        let hello = Hello {
-            magic: HELLO_MAGIC,
-            protocol: PROTOCOL_VERSION,
-            session: 0,
-            encoding: Encoding::Json.name().to_string(),
-            mux,
-        };
-        tx.send(&msg(tag::HELLO, &hello, Encoding::Json)).unwrap();
-        for payload in &payloads {
-            tx.send(payload).unwrap();
-        }
-        if eof {
-            drop(tx);
-        } else {
-            let ended = done_rx.recv_timeout(Duration::from_secs(10));
-            drop(tx);
-            assert!(ended.is_ok(), "the node must end the connection itself");
-        }
-        let outcome = node.join().unwrap();
-        let welcome = rx.recv().unwrap().expect("the welcome");
+        let big = big_model();
+        let mut node = ServerConn::new(config);
+        let inputs = std::iter::once(hello_frame(&hello("json", mux))).chain(payloads);
+        let mut inputs = inputs.map(NodeIn::Frame).chain(eof.then_some(NodeIn::Eof));
+        let mut runs = Vec::new();
+        let ended = inputs.any(|input| !node.handle(&big, input, &mut runs));
+        assert!(ended, "the node must end the connection itself");
+        let mut written = runs.into_iter().flatten().map(Bytes::from);
+        let welcome = written.next().expect("the welcome");
         assert_eq!(welcome.first(), Some(&tag::WELCOME));
-        let mut written = Vec::new();
-        while let Some(frame) = rx.recv().unwrap() {
-            written.push(frame);
-        }
-        (written, outcome)
+        (written.collect(), node.outcome)
     }
 
     #[test]
@@ -2679,6 +2624,35 @@ mod tests {
         let (written, outcome) = serve_script(CloudConfig::default(), false, payloads, false);
         assert!(written.is_empty(), "{} frames written", written.len());
         assert!(outcome.registered && !outcome.clean && !outcome.refused);
+    }
+
+    #[test]
+    fn a_message_for_an_unregistered_session_ends_the_connection() {
+        // Session 1 submits before it registers: a node that skipped that
+        // submit would answer the one after the REGISTER at its FLUSH.
+        let flush = ToCloud::Flush { session: 1 };
+        let messages = vec![register(0), submit(1, 0), register(1), submit(1, 1), flush];
+        let payloads = edge_payloads(Encoding::Json, messages);
+        let (written, outcome) = serve_script(CloudConfig::default(), true, payloads, false);
+        assert!(written.is_empty(), "{} frames written", written.len());
+        assert!(outcome.registered && !outcome.clean);
+        assert_eq!(outcome.sessions, 1);
+    }
+
+    #[test]
+    fn an_unknown_encoding_is_refused_and_nothing_else_is_written() {
+        let mut node = ServerConn::new(CloudConfig::default());
+        let mut runs = Vec::new();
+        let first = NodeIn::Frame(hello_frame(&hello("zstd", true)));
+        assert!(!node.handle(&big_model(), first, &mut runs));
+        let written: Vec<Bytes> = runs.into_iter().flatten().map(Bytes::from).collect();
+        let [payload] = &written[..] else {
+            panic!("{} payloads written", written.len());
+        };
+        assert_eq!(payload[0], tag::REFUSED);
+        let refused: Refused = wire::decode_frame(&payload.slice(1..)).unwrap();
+        assert_eq!(refused.reason, RefuseReason::Encoding);
+        assert!(node.outcome.refused && !node.outcome.registered);
     }
 
     #[test]
@@ -2821,8 +2795,7 @@ mod tests {
         ToCloud::Register { session, link }
     }
 
-    /// An upload of an empty scene: the scripted cloud reads only its
-    /// header.
+    /// An upload of an empty scene.
     fn submit(session: u64, ticket: u64) -> ToCloud {
         let header = SubmitRequest {
             session,
@@ -2952,61 +2925,72 @@ mod tests {
         failed_dials: u32,
     }
 
-    /// One link to the explorer's scripted cloud.
-    #[derive(Default)]
-    struct ScriptedLink {
-        /// Submits read and not yet flushed, as (session, ticket).
-        queued: Vec<(u64, u64)>,
-        /// Frames the cloud wrote back, not yet read by the edge.
+    /// One link to the explorer's node: a real [`ServerConn`], whose
+    /// sessions' answers wait for their `FLUSH` (`max_batch` above any
+    /// link's submits).
+    struct NodeLink {
+        /// `None` once the node reads nothing more: the link was cut, or the
+        /// node ended the connection.
+        node: Option<ServerConn>,
+        /// Frames the node wrote, not yet read by the edge.
         inbox: VecDeque<Bytes>,
-        /// The cloud reads nothing more: the link was cut, or said `BYE`.
-        deaf: bool,
         /// Writes on the link fail.
         broken: bool,
         /// The edge reads EOF once the inbox is empty.
         eof: bool,
     }
 
-    impl ScriptedLink {
-        /// The cloud reads one payload, answering each flushed SUBMIT by
-        /// its ticket.
-        fn read(&mut self, payload: &Bytes) {
-            let body = payload.slice(1..);
-            match payload[0] {
-                tag::SUBMIT => {
-                    let s: WireSubmit = wire::decode_frame(&body).unwrap();
-                    self.queued.push((s.header.session, s.header.ticket));
-                }
-                tag::FLUSH => {
-                    let only = wire::decode_frame::<WireFlush>(&body).unwrap().session;
-                    let (now, later) = self.queued.drain(..).partition(|(s, _)| *s == only);
-                    self.queued = later;
-                    for (session, ticket) in now {
-                        let answer = msg_answer(session, ticket, &answer_frame(ticket));
-                        self.inbox.push_back(Bytes::from(answer));
-                    }
-                }
-                tag::BYE => {
-                    self.deaf = true;
-                    self.eof = true;
-                }
-                _ => {}
+    impl NodeLink {
+        /// Dials the node with a JSON hello declaring `mux`, and takes its
+        /// welcome.
+        fn dial(big: &dyn Detector, mux: bool) -> NodeLink {
+            let config = CloudConfig {
+                max_batch: 64,
+                ..CloudConfig::default()
+            };
+            let mut link = NodeLink {
+                node: Some(ServerConn::new(config)),
+                inbox: VecDeque::new(),
+                broken: false,
+                eof: false,
+            };
+            assert!(link.read(big, &hello_frame(&hello("json", mux))).is_none());
+            assert_eq!(
+                link.inbox.pop_front().expect("the welcome")[0],
+                tag::WELCOME
+            );
+            link
+        }
+
+        /// The node reads one payload and writes what it produced for the
+        /// edge to read; the outcome when that ended the connection.
+        fn read(&mut self, big: &dyn Detector, payload: &Bytes) -> Option<ConnOutcome> {
+            let node = self.node.as_mut()?;
+            let mut runs = Vec::new();
+            let open = node.handle(big, NodeIn::Frame(payload.clone()), &mut runs);
+            self.inbox
+                .extend(runs.into_iter().flatten().map(Bytes::from));
+            if open {
+                return None;
             }
+            self.eof = true;
+            self.node.take().map(|node| node.outcome)
         }
     }
 
     /// A writer ([`World::out`]) and a reader ([`World::pump_in`]), each
     /// holding its own link generation, taking turns on one thread against
-    /// scripted links, with `Host::step`'s dial loop and a scripted dialer.
+    /// a real node, with `Host::step`'s dial loop and a scripted dialer.
     /// `RemoteCloud`'s `Host` holds one generation for both; two that lag
     /// each other reach every stale-generation arm of the machine.
     struct World {
         s: Schedule,
         conn: ClientConn,
+        big: SimDetector,
         /// Every reply the machine left, in order, under its session.
         replies: Vec<(u64, Reply)>,
         /// Every link dialed, by generation.
-        links: Vec<ScriptedLink>,
+        links: Vec<NodeLink>,
         out_gen: u64,
         in_gen: u64,
         /// Payloads written so far, over every link.
@@ -3018,11 +3002,14 @@ mod tests {
 
     impl World {
         fn new(s: Schedule) -> World {
+            let big = big_model();
+            let link = NodeLink::dial(&big, s.mux);
             World {
                 s,
                 conn: ClientConn::new(Encoding::Json, s.mux, Some(EXPLORER_RETRY)),
+                big,
                 replies: Vec::new(),
-                links: vec![ScriptedLink::default()],
+                links: vec![link],
                 out_gen: 0,
                 in_gen: 0,
                 written: 0,
@@ -3040,8 +3027,7 @@ mod tests {
                     return false;
                 }
                 if self.written == self.s.cut_at {
-                    link.queued.clear();
-                    link.deaf = true;
+                    link.node = None;
                     link.eof = true;
                     link.broken = matches!(self.s.cut, Cut::WriteError);
                 }
@@ -3049,8 +3035,9 @@ mod tests {
                 if link.broken {
                     return false;
                 }
-                if !link.deaf {
-                    link.read(payload);
+                if let Some(outcome) = link.read(&self.big, payload) {
+                    let clean = payload[0] == tag::BYE && outcome.clean;
+                    assert!(clean, "{:?}: the node hung up: {outcome:?}", self.s);
                 }
             }
             true
@@ -3068,7 +3055,7 @@ mod tests {
                     self.conn.handle(In::Dialed(None), &mut acts);
                     continue;
                 }
-                self.links.push(ScriptedLink::default());
+                self.links.push(NodeLink::dial(&self.big, self.s.mux));
                 let agreed = Some((Encoding::Json, self.s.mux));
                 self.conn.handle(In::Dialed(agreed), &mut acts);
                 if let [Act::Write(replay), Act::Adopt(gen)] = &acts[..] {
@@ -3205,7 +3192,7 @@ mod tests {
         w.written
     }
 
-    /// Drives `ClientConn` against a scripted cloud over every schedule:
+    /// Drives `ClientConn` against a real node over every schedule:
     /// mux × 1–3 sessions (non-mux carries one) × 1–4 frames, cut at every
     /// outbound position as a write error and as an EOF, `BYE` before the
     /// cut (the cut lands on or after it) and after it, with the first dial
