@@ -644,9 +644,21 @@ impl ToCloud {
     }
 }
 
-/// The state behind a [`CloudMachine`]: admission, batch formation via
-/// the [`Scheduler`], timing, and the replies the host has not taken yet.
-struct CloudWorker {
+/// One cloud — its queue and its clocks — as a sans-IO state machine: feed
+/// it [`ToCloud`] messages in arrival order, with the big model that
+/// serves them, and it leaves every reply they produce, under its
+/// session's id and in service order, in one queue the host empties
+/// ([`CloudMachine::replies`]) after each call. The same messages give the
+/// same virtual clocks, RNG stream and replies whoever drives it. The
+/// machine owns its config and borrows no model, so a host may own the
+/// model (`Arc`) or borrow it. Three hosts drive one, each on its caller's
+/// thread: [`CloudServer`] files the queue into its sessions' [`Inbox`];
+/// the transport layer's node connection machine (`ServerConn`, hosted by
+/// [`crate::transport::serve_connection`] on a connection's thread) keeps
+/// one machine per session and encodes what each message produced as one
+/// run; and [`Inline`] (the fleet engine's shards and
+/// [`crate::run_system`]) pops the reply its depth-1 drive leaves.
+pub(crate) struct CloudMachine {
     config: CloudConfig,
     sched: SchedulerSlot,
     /// Each registered session's link (static links draw their uplink
@@ -665,9 +677,119 @@ struct CloudWorker {
     /// current version receives the artifact right before its next answer
     /// (which is also how a session that missed epochs catches up).
     pushed: IntMap<u64, u64>,
+    /// The static links' uplink draws.
+    rng: StdRng,
 }
 
-impl CloudWorker {
+impl CloudMachine {
+    pub(crate) fn new(config: CloudConfig, sched: SchedulerSlot) -> CloudMachine {
+        config.assert_valid();
+        let rng = StdRng::seed_from_u64(config.seed ^ 0xc10d);
+        CloudMachine {
+            sched,
+            sessions: IntMap::default(),
+            replies: VecDeque::new(),
+            server_free_at: 0.0,
+            next_seq: 0,
+            batch: Vec::new(),
+            stats: CloudStats::default(),
+            updates: config.updates.map(UpdatePublisher::new),
+            pushed: IntMap::default(),
+            config,
+            rng,
+        }
+    }
+
+    /// Processes one message on `big`, queueing the replies it produces.
+    pub(crate) fn handle(&mut self, big: &dyn Detector, msg: ToCloud) {
+        match msg {
+            ToCloud::Register { session, link } => {
+                self.stats.sessions += 1;
+                self.sessions.insert(session, link);
+            }
+            ToCloud::Frame(req, scene) => {
+                let link = (self.sessions.get(&req.session))
+                    .expect("frames only arrive from registered sessions");
+                // Traced sessions time their own uplink on the edge; static
+                // sessions keep the historical cloud-side draw (and only
+                // they consume this RNG stream, so mixing session kinds
+                // never perturbs a static session's jitter).
+                let uplink_s = req
+                    .uplink_s
+                    .unwrap_or_else(|| link.transfer_time(req.frame_bytes, &mut self.rng));
+                let arrival = req.sent_at + uplink_s;
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.sched.push(QueuedFrame {
+                    req,
+                    scene,
+                    uplink_s,
+                    arrival,
+                    seq,
+                });
+                self.dispatch_ready(big);
+            }
+            ToCloud::Probe { session, now } => {
+                // Effective depth = frames not yet in a batch, plus the
+                // server's virtual backlog relative to the probing session
+                // expressed in single-frame inference units. Without the
+                // backlog term an eagerly-dispatching scheduler (FIFO
+                // drains at `max_batch`) would cap the observable depth at
+                // `max_batch - 1` and any larger limit could never bind,
+                // even with the server minutes behind in virtual time.
+                let infer_s = self.config.device.inference_time(big.flops());
+                let backlog = if infer_s > 0.0 {
+                    ((self.server_free_at - now).max(0.0) / infer_s) as usize
+                } else {
+                    0
+                };
+                let queue_depth = self.sched.len() + backlog;
+                let admitted = self.config.queue_limit.is_none_or(|n| queue_depth < n);
+                if !admitted {
+                    self.stats.admission_rejects += 1;
+                }
+                // A session that hung up just loses its reply.
+                if self.sessions.contains_key(&session) {
+                    let reply = ProbeReply {
+                        admitted,
+                        queue_depth,
+                    };
+                    self.replies.push_back((session, Reply::Probe(reply)));
+                }
+            }
+            // The session id exists for the transport layer to route
+            // flushes on multiplexed connections; a machine owning one
+            // queue drains everything regardless of which session asked.
+            ToCloud::Flush { session: _ } => self.drain(big),
+            ToCloud::Deregister { session } => {
+                // Resolve anything queued (possibly other sessions' frames,
+                // whose replies stay under their own ids — cheaper than
+                // per-session bookkeeping, and deterministic).
+                self.drain(big);
+                self.sessions.remove(&session);
+            }
+        }
+    }
+
+    /// Serves everything queued (a flush, a deregister, the host's final
+    /// drain when its sessions are gone or it shuts down), one batch at a
+    /// time, in the scheduler's service order. After the final drain, take
+    /// its replies, then call [`CloudMachine::finish`].
+    pub(crate) fn drain(&mut self, big: &dyn Detector) {
+        while !self.sched.is_empty() && self.process_one_batch(big) > 0 {}
+    }
+
+    /// The replies queued since the host last emptied the queue, each
+    /// under its session's id, in service order.
+    pub(crate) fn replies(&mut self) -> std::collections::vec_deque::Drain<'_, (u64, Reply)> {
+        self.replies.drain(..)
+    }
+
+    /// The machine's stats, once its host is done with it.
+    pub(crate) fn finish(self) -> CloudStats {
+        self.stats
+    }
+
     /// Forms and serves one batch on `big` (a no-op on an empty queue).
     /// Returns the number of frames served.
     fn process_one_batch(&mut self, big: &dyn Detector) -> usize {
@@ -753,147 +875,6 @@ impl CloudWorker {
     fn dispatch_ready(&mut self, big: &dyn Detector) {
         while self.sched.ready(self.config.max_batch) && self.process_one_batch(big) > 0 {}
     }
-
-    /// Serves everything queued (flush, deregister, the host's final
-    /// drain), one batch at a time, in the scheduler's service order.
-    fn drain_all(&mut self, big: &dyn Detector) {
-        while !self.sched.is_empty() && self.process_one_batch(big) > 0 {}
-    }
-}
-
-/// One cloud — its queue and its clocks — as a sans-IO state machine: feed
-/// it [`ToCloud`] messages in arrival order, with the big model that
-/// serves them, and it leaves every reply they produce, under its
-/// session's id and in service order, in one queue the host empties
-/// ([`CloudMachine::replies`]) after each call. The same messages give the
-/// same virtual clocks, RNG stream and replies whoever drives it. The
-/// machine owns its config and borrows no model, so a host may own the
-/// model (`Arc`) or borrow it. Three hosts drive one, each on its caller's
-/// thread: [`CloudServer`] files the queue into its sessions' [`Inbox`];
-/// the transport layer's node connection machine (`ServerConn`, hosted by
-/// [`crate::transport::serve_connection`] on a connection's thread) keeps
-/// one machine per session and encodes what each message produced as one
-/// run; and [`Inline`] (the fleet engine's shards and
-/// [`crate::run_system`]) pops the reply its depth-1 drive leaves.
-pub(crate) struct CloudMachine {
-    w: CloudWorker,
-    rng: StdRng,
-}
-
-impl CloudMachine {
-    pub(crate) fn new(config: CloudConfig, sched: SchedulerSlot) -> CloudMachine {
-        config.assert_valid();
-        let rng = StdRng::seed_from_u64(config.seed ^ 0xc10d);
-        CloudMachine {
-            w: CloudWorker {
-                sched,
-                sessions: IntMap::default(),
-                replies: VecDeque::new(),
-                server_free_at: 0.0,
-                next_seq: 0,
-                batch: Vec::new(),
-                stats: CloudStats::default(),
-                updates: config.updates.map(UpdatePublisher::new),
-                pushed: IntMap::default(),
-                config,
-            },
-            rng,
-        }
-    }
-
-    /// Processes one message on `big`, queueing the replies it produces.
-    pub(crate) fn handle(&mut self, big: &dyn Detector, msg: ToCloud) {
-        let w = &mut self.w;
-        match msg {
-            ToCloud::Register { session, link } => {
-                w.stats.sessions += 1;
-                w.sessions.insert(session, link);
-            }
-            ToCloud::Frame(req, scene) => {
-                let link = w
-                    .sessions
-                    .get(&req.session)
-                    .expect("frames only arrive from registered sessions");
-                // Traced sessions time their own uplink on the edge; static
-                // sessions keep the historical cloud-side draw (and only
-                // they consume this RNG stream, so mixing session kinds
-                // never perturbs a static session's jitter).
-                let uplink_s = req
-                    .uplink_s
-                    .unwrap_or_else(|| link.transfer_time(req.frame_bytes, &mut self.rng));
-                let arrival = req.sent_at + uplink_s;
-                let seq = w.next_seq;
-                w.next_seq += 1;
-                w.sched.push(QueuedFrame {
-                    req,
-                    scene,
-                    uplink_s,
-                    arrival,
-                    seq,
-                });
-                w.dispatch_ready(big);
-            }
-            ToCloud::Probe { session, now } => {
-                // Effective depth = frames not yet in a batch, plus the
-                // server's virtual backlog relative to the probing session
-                // expressed in single-frame inference units. Without the
-                // backlog term an eagerly-dispatching scheduler (FIFO
-                // drains at `max_batch`) would cap the observable depth at
-                // `max_batch - 1` and any larger limit could never bind,
-                // even with the server minutes behind in virtual time.
-                let infer_s = w.config.device.inference_time(big.flops());
-                let backlog = if infer_s > 0.0 {
-                    ((w.server_free_at - now).max(0.0) / infer_s) as usize
-                } else {
-                    0
-                };
-                let queue_depth = w.sched.len() + backlog;
-                let admitted = w.config.queue_limit.is_none_or(|n| queue_depth < n);
-                if !admitted {
-                    w.stats.admission_rejects += 1;
-                }
-                // A session that hung up just loses its reply.
-                if w.sessions.contains_key(&session) {
-                    let reply = ProbeReply {
-                        admitted,
-                        queue_depth,
-                    };
-                    w.replies.push_back((session, Reply::Probe(reply)));
-                }
-            }
-            // The session id exists for the transport layer to route
-            // flushes on multiplexed connections; a machine owning one
-            // queue drains everything regardless of which session asked.
-            ToCloud::Flush { session: _ } => {
-                w.drain_all(big);
-            }
-            ToCloud::Deregister { session } => {
-                // Resolve anything queued (possibly other sessions' frames,
-                // whose replies stay under their own ids — cheaper than
-                // per-session bookkeeping, and deterministic).
-                w.drain_all(big);
-                w.sessions.remove(&session);
-            }
-        }
-    }
-
-    /// Serves everything still queued: the host's final drain, when its
-    /// sessions are gone or it shuts down. Take its replies, then call
-    /// [`CloudMachine::finish`].
-    pub(crate) fn drain(&mut self, big: &dyn Detector) {
-        self.w.drain_all(big);
-    }
-
-    /// The replies queued since the host last emptied the queue, each
-    /// under its session's id, in service order.
-    pub(crate) fn replies(&mut self) -> std::collections::vec_deque::Drain<'_, (u64, Reply)> {
-        self.w.replies.drain(..)
-    }
-
-    /// The machine's stats, once its host is done with it.
-    pub(crate) fn finish(self) -> CloudStats {
-        self.w.stats
-    }
 }
 
 /// The inline [`CloudPort`]: a [`CloudMachine`] and the big model it
@@ -914,14 +895,14 @@ impl CloudPort for Inline<'_> {
     }
 
     fn recv_answer(&mut self) -> Option<FromCloud> {
-        match self.machine.w.replies.pop_front()? {
+        match self.machine.replies.pop_front()? {
             (_, Reply::Cloud(msg)) => Some(msg),
             (_, Reply::Probe(_)) => unreachable!("a probe reply is taken by its probe"),
         }
     }
 
     fn recv_probe(&mut self) -> Option<ProbeReply> {
-        match self.machine.w.replies.pop_front()? {
+        match self.machine.replies.pop_front()? {
             (_, Reply::Probe(reply)) => Some(reply),
             (_, Reply::Cloud(_)) => unreachable!("depth-1 driving owes nothing before a probe"),
         }
@@ -1424,19 +1405,17 @@ impl<'a> EdgeSession<'a> {
         uplink: Uplink,
         admission: bool,
     ) -> EdgeSession<'a> {
+        // The machine checks the config first: one it refuses registers
+        // nothing on the cloud.
+        let link = cfg.link.clone();
+        let m = EdgeMachine::new(id, cfg, small, policy, admission, MetricsMode::Full);
         let mut port = SessionPort {
             uplink,
             session: id,
         };
-        let register = ToCloud::Register {
-            session: id,
-            link: cfg.link.clone(),
-        };
+        let register = ToCloud::Register { session: id, link };
         assert!(port.send(register), "cloud server alive");
-        EdgeSession {
-            m: EdgeMachine::new(id, cfg, small, policy, admission, MetricsMode::Full),
-            port,
-        }
+        EdgeSession { m, port }
     }
 
     /// The session id assigned by the cloud server.
@@ -2049,6 +2028,27 @@ mod tests {
             &small,
             Box::new(disc()),
         );
+    }
+
+    #[test]
+    fn refused_connect_registers_no_session() {
+        let (_, small, big) = fixture();
+        let mut cloud = CloudServer::spawn(CloudConfig::default(), big);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = cloud.connect(
+                SessionConfig {
+                    frame_size: (96, 0),
+                    ..SessionConfig::new(2)
+                },
+                &small,
+                Box::new(disc()),
+            );
+        }));
+        let panic = refused.expect_err("a zero frame size panics");
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("frame_size must be positive"), "{message}");
+        // ...before it registers a session on the cloud.
+        assert_eq!(cloud.shutdown().sessions, 0);
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub trait OffloadPolicy: Send {
         None
     }
 
-    /// Adopts a cloud-pushed [`CalibrationUpdate`](crate::CalibrationUpdate),
+    /// Applies a cloud-pushed [`CalibrationUpdate`](crate::CalibrationUpdate),
     /// returning `true` if the policy actually changed state. The runtime
     /// calls this *between* frames only (never mid-decision), so an
     /// implementation may replace itself wholesale. The default ignores

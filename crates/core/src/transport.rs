@@ -27,9 +27,9 @@
 //! Each half of a connection is a private, single-threaded sans-IO state
 //! machine, and its host only moves bytes:
 //!
-//! * `ClientConn`, [`RemoteCloud`]'s: session messages, link events (tagged
-//!   with the link's generation), dial results and a timer tick go in; runs
-//!   to write, answers, dials after a backoff and close come out. Give
+//! * `ClientConn`, [`RemoteCloud`]'s: session messages, its one link's
+//!   events (a frame, a write error, EOF) and dial results go in; runs to
+//!   write, answers and dials after a backoff come out. Give
 //!   [`ConnectOptions::dialer`] a redial closure and a dropped link is
 //!   redialed on [`ConnectOptions::retry`]'s wall-clock backoff, every
 //!   session re-registered and every unanswered frame replayed, its answer
@@ -1037,59 +1037,38 @@ enum Link {
     Closed,
 }
 
-/// One input to [`ClientConn`]. Link events carry the generation of the
-/// link the reporting host holds.
+/// One input to [`ClientConn`]. Link events are the current link's: a
+/// redial swaps its new link in before the host reads or writes again.
 enum In {
     /// A session's message.
-    Session {
-        gen: u64,
-        msg: ToCloud,
-    },
+    Session(ToCloud),
     /// Every session is gone: say `BYE` and close.
-    Bye {
-        gen: u64,
-    },
-    Frame {
-        gen: u64,
-        frame: Bytes,
-    },
-    WriteError {
-        gen: u64,
-    },
-    Eof {
-        gen: u64,
-    },
-    Tick {
-        gen: u64,
-    },
+    Bye,
+    Frame(Bytes),
+    WriteError,
+    Eof,
     /// A dial's outcome: what its handshake negotiated (encoding, mux), or
     /// `None` when the dial or the handshake failed.
     Dialed(Option<(Encoding, bool)>),
 }
 
-/// What [`ClientConn`] asks its hosts to do.
+/// What [`ClientConn`] asks its host to do. A close asks nothing: the host
+/// reads [`Link::Closed`], and a waiting session takes its inbox, then fails.
 #[derive(Debug)]
 enum Act {
-    /// Swap the caller's link for link `gen`, the one just dialed.
-    Adopt(u64),
-    /// Write these payloads, in order, as one run on the caller's link. In
-    /// answer to [`In::Dialed`]: the replay, for the link just dialed.
+    /// Write these payloads, in order, as one run on the link. In answer
+    /// to [`In::Dialed`]: the replay, for the new link before it is swapped in.
     Write(Vec<Bytes>),
     /// Wait, dial, handshake, and report back with [`In::Dialed`].
     Dial(Duration),
-    /// The connection is closed: a waiting session takes what its inbox
-    /// holds, then fails loudly.
-    Close,
 }
 
 /// The client half of a connection as a single-threaded sans-IO machine.
-/// Every rule about link generations, replay, answer deduplication and
-/// `BYE` sits in [`ClientConn::handle`]'s one `match`; its host only
-/// moves bytes, carries out the [`Act`]s it returns and files the replies
-/// it leaves, each under its session's id, in [`ClientConn::replies`].
+/// Every rule about redial, replay, answer deduplication and `BYE` sits
+/// in [`ClientConn::handle`]'s one `match`; its host only moves bytes,
+/// carries out the [`Act`]s it returns and files the replies it leaves,
+/// each under its session's id, in [`ClientConn::replies`].
 struct ClientConn {
-    /// The current link's generation, bumped by every successful redial.
-    gen: u64,
     link: Link,
     /// What the first handshake negotiated. A redial must agree, or frames
     /// already encoded one way would reach a peer expecting another.
@@ -1110,7 +1089,6 @@ struct ClientConn {
 impl ClientConn {
     fn new(encoding: Encoding, mux: bool, retry: Option<RetryConfig>) -> ClientConn {
         ClientConn {
-            gen: 0,
             link: Link::Up { spent: 0 },
             encoding,
             mux,
@@ -1124,21 +1102,15 @@ impl ClientConn {
     fn handle(&mut self, input: In, out: &mut Vec<Act>) {
         let closed = self.link == Link::Closed;
         match input {
-            In::Bye { gen } => {
+            In::Bye => {
                 // Closed before the BYE is written: the cloud drops the link
                 // once it reads it, and that EOF must find nothing to redial.
-                if gen < self.gen {
-                    out.push(Act::Adopt(self.gen));
-                }
                 out.push(Act::Write(vec![Bytes::from(msg_bare(tag::BYE))]));
-                self.close(out);
+                self.close();
             }
             // The message drops: nothing answers on a closed connection.
-            In::Session { .. } if closed => {}
-            In::Session { gen, msg: message } => {
-                if gen < self.gen {
-                    out.push(Act::Adopt(self.gen));
-                }
+            In::Session(_) if closed => {}
+            In::Session(message) => {
                 let enc = self.encoding;
                 let payload = match message {
                     ToCloud::Register { session, link } => {
@@ -1181,22 +1153,13 @@ impl ClientConn {
                 };
                 out.push(Act::Write(vec![payload]));
             }
-            In::Frame { .. } | In::WriteError { .. } | In::Eof { .. } | In::Tick { .. }
-                if closed =>
-            {
-                out.push(Act::Close);
-            }
-            In::Frame { gen, frame } => {
-                // A frame from a link already replaced still counts: its
-                // answer removes the pending entry, so the replay's twin
-                // finds none.
-                if gen < self.gen {
-                    out.push(Act::Adopt(self.gen));
-                } else if let Link::Up { spent } = &mut self.link {
+            In::Frame(_) | In::WriteError | In::Eof if closed => {}
+            In::Frame(frame) => {
+                if let Link::Up { spent } = &mut self.link {
                     *spent = 0;
                 }
                 let Some((t, inner)) = split_msg(&frame) else {
-                    return self.close(out);
+                    return self.close();
                 };
                 // Worker answers are JSON whatever the negotiated encoding
                 // (see the module docs). A payload that does not parse
@@ -1243,14 +1206,10 @@ impl ClientConn {
                     _ => Ok(()),
                 };
                 if routed.is_err() {
-                    self.close(out);
+                    self.close();
                 }
             }
-            In::WriteError { gen } | In::Eof { gen } | In::Tick { gen } if gen < self.gen => {
-                out.push(Act::Adopt(self.gen));
-            }
-            In::Tick { .. } => {}
-            In::WriteError { .. } | In::Eof { .. } => {
+            In::WriteError | In::Eof => {
                 if let Link::Up { spent } = self.link {
                     self.redial(spent, out);
                 }
@@ -1260,10 +1219,8 @@ impl ClientConn {
                     unreachable!("a dial result answers a Dial act");
                 };
                 if agreed == Some((self.encoding, self.mux)) {
-                    self.gen += 1;
                     self.link = Link::Up { spent: attempt + 1 };
                     out.push(Act::Write(self.replay()));
-                    out.push(Act::Adopt(self.gen));
                 } else {
                     self.redial(attempt + 1, out);
                 }
@@ -1308,17 +1265,16 @@ impl ClientConn {
                 };
                 out.push(Act::Dial(Duration::from_secs_f64(wait_s)));
             }
-            _ => self.close(out),
+            _ => self.close(),
         }
     }
 
     /// Closes for good: a waiting session then takes what its inbox holds
     /// and fails loudly instead of hanging.
-    fn close(&mut self, out: &mut Vec<Act>) {
+    fn close(&mut self) {
         self.link = Link::Closed;
         self.registers.clear();
         self.pending.clear();
-        out.push(Act::Close);
     }
 }
 
@@ -1345,9 +1301,10 @@ impl Host {
     }
 
     /// Feeds `input` to the machine, buffers what it asks to write, dials
-    /// here and files the replies it left. A new link's replay goes out
-    /// first and carries what it needs of the unwritten run (registers,
-    /// unanswered frames, flushes): drop it.
+    /// here and files the replies it left. A redial writes its replay on
+    /// the new link, then swaps that link in; the replay carries what the
+    /// new link needs of the unwritten run (registers, unanswered frames,
+    /// flushes), so the run is dropped.
     fn step(&mut self, input: In) {
         let mut acts = Vec::new();
         self.conn.handle(input, &mut acts);
@@ -1359,19 +1316,17 @@ impl Host {
                 continue;
             };
             self.conn.handle(In::Dialed(Some(agreed)), &mut acts);
-            if let [Act::Write(replay), Act::Adopt(gen)] = &acts[..] {
-                let gen = *gen;
+            if let [Act::Write(replay)] = &acts[..] {
                 let run: Vec<&[u8]> = replay.iter().map(|p| &p[..]).collect();
                 let written = tx.send_all(&run).is_ok();
                 (self.tx, self.rx) = (tx, rx);
                 self.run.clear();
                 acts.clear();
                 if !written {
-                    self.conn.handle(In::WriteError { gen }, &mut acts);
+                    self.conn.handle(In::WriteError, &mut acts);
                 }
             }
         }
-        // A close needs nothing more: the inbox keeps what it holds.
         for act in acts {
             if let Act::Write(payloads) = act {
                 self.run.extend(payloads);
@@ -1397,8 +1352,7 @@ impl Host {
             return false;
         }
         self.inbox.track(&msg);
-        let gen = self.conn.gen;
-        self.step(In::Session { gen, msg });
+        self.step(In::Session(msg));
         if self.run.len() >= FRAME_QUEUE_CAP / 2 {
             self.flush(false);
         }
@@ -1424,21 +1378,19 @@ impl Host {
     }
 
     /// Reads one frame, waiting at most `timeout` when given, and feeds it
-    /// to the machine; `false` when the wait timed out.
+    /// to the machine; `false`, feeding nothing, when the wait timed out.
     fn read(&mut self, timeout: Option<Duration>) -> bool {
-        let gen = self.conn.gen;
         let got = match timeout {
             None => self.rx.recv(),
             Some(t) => self.rx.recv_timeout(t),
         };
         let input = match got {
-            Ok(Some(frame)) => In::Frame { gen, frame },
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => In::Tick { gen },
-            Ok(None) | Err(_) => In::Eof { gen },
+            Ok(Some(frame)) => In::Frame(frame),
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => return false,
+            Ok(None) | Err(_) => In::Eof,
         };
-        let ticked = matches!(input, In::Tick { .. });
         self.step(input);
-        !ticked
+        true
     }
 
     /// Writes the run as **one** [`FrameTx::send_all`] (with a `BYE` last
@@ -1460,12 +1412,12 @@ impl Host {
             return self.run.clear();
         }
         if bye {
-            self.step(In::Bye { gen: self.conn.gen });
+            self.step(In::Bye);
         }
         let run = std::mem::take(&mut self.run);
         let payloads: Vec<&[u8]> = run.iter().map(|p| &p[..]).collect();
         if !run.is_empty() && self.tx.send_all(&payloads).is_err() {
-            self.step(In::WriteError { gen: self.conn.gen });
+            self.step(In::WriteError);
         }
     }
 }
@@ -2547,7 +2499,7 @@ mod tests {
         let mut conn = ClientConn::new(encoding, true, None);
         let mut acts = Vec::new();
         for msg in messages {
-            conn.handle(In::Session { gen: 0, msg }, &mut acts);
+            conn.handle(In::Session(msg), &mut acts);
         }
         acts.into_iter()
             .flat_map(|act| match act {
@@ -2664,11 +2616,11 @@ mod tests {
             for session in [0, 1] {
                 let msg = register(session);
                 inbox.track(&msg);
-                conn.handle(In::Session { gen: 0, msg }, &mut acts);
+                conn.handle(In::Session(msg), &mut acts);
             }
             for session in [0, 1] {
                 let msg = ToCloud::Probe { session, now: 0.0 };
-                conn.handle(In::Session { gen: 0, msg }, &mut acts);
+                conn.handle(In::Session(msg), &mut acts);
             }
             // Session 1's reply comes first although session 0 probed
             // first; each lands with the session its envelope names.
@@ -2679,7 +2631,7 @@ mod tests {
                 };
                 let inner = wire::encode_frame_as(&reply, encoding);
                 let frame = Bytes::from(msg_session(tag::PROBE_REPLY_MUX, session, &inner));
-                conn.handle(In::Frame { gen: 0, frame }, &mut acts);
+                conn.handle(In::Frame(frame), &mut acts);
                 inbox.extend(conn.replies.drain(..));
                 let got = inbox.probe(session).expect("filed under its session");
                 assert_eq!(got.queue_depth, queue_depth, "{encoding}");
@@ -2833,9 +2785,9 @@ mod tests {
             let mut conn = ClientConn::new(encoding, mux, Some(retry));
             let mut acts = Vec::new();
             let msg = register(0);
-            conn.handle(In::Session { gen: 0, msg }, &mut acts);
+            conn.handle(In::Session(msg), &mut acts);
             acts.clear();
-            conn.handle(In::Eof { gen: 0 }, &mut acts);
+            conn.handle(In::Eof, &mut acts);
             assert!(
                 matches!(acts[..], [Act::Dial(w)] if w.is_zero()),
                 "{acts:?}"
@@ -2851,11 +2803,11 @@ mod tests {
                     "{disagrees:?}: {acts:?}"
                 );
             }
-            // The same encoding and mux: the link is replayed and adopted.
+            // The same encoding and mux: the new link is replayed.
             acts.clear();
             conn.handle(In::Dialed(Some((encoding, mux))), &mut acts);
             match &acts[..] {
-                [Act::Write(replay), Act::Adopt(1)] => assert_eq!(replay.len(), 1, "the REGISTER"),
+                [Act::Write(replay)] => assert_eq!(replay.len(), 1, "the REGISTER"),
                 other => panic!("{other:?}"),
             }
         }
@@ -2874,13 +2826,13 @@ mod tests {
         let left = [register(0), register(1), submit(0, 0), submit(1, 0)];
         let left = left.into_iter().chain([ToCloud::Deregister { session: 0 }]);
         for msg in left {
-            conn.handle(In::Session { gen: 0, msg }, &mut acts);
+            conn.handle(In::Session(msg), &mut acts);
         }
         acts.clear();
-        conn.handle(In::Eof { gen: 0 }, &mut acts);
+        conn.handle(In::Eof, &mut acts);
         acts.clear();
         conn.handle(In::Dialed(Some((Encoding::Json, true))), &mut acts);
-        let [Act::Write(replay), Act::Adopt(1)] = &acts[..] else {
+        let [Act::Write(replay)] = &acts[..] else {
             panic!("{acts:?}");
         };
         // Session 1's REGISTER, its submit and its FLUSH; nothing of 0's.
@@ -2978,21 +2930,18 @@ mod tests {
         }
     }
 
-    /// A writer ([`World::out`]) and a reader ([`World::pump_in`]), each
-    /// holding its own link generation, taking turns on one thread against
-    /// a real node, with `Host::step`'s dial loop and a scripted dialer.
-    /// `RemoteCloud`'s `Host` holds one generation for both; two that lag
-    /// each other reach every stale-generation arm of the machine.
+    /// A writer ([`World::out`]) and a reader ([`World::pump_in`]) taking
+    /// turns on one thread against a real node, both on the current link,
+    /// with `Host::step`'s dial loop and a scripted dialer: the way
+    /// `RemoteCloud`'s `Host` drives the machine.
     struct World {
         s: Schedule,
         conn: ClientConn,
         big: SimDetector,
         /// Every reply the machine left, in order, under its session.
         replies: Vec<(u64, Reply)>,
-        /// Every link dialed, by generation.
+        /// Every link dialed, in order; the last is the current one.
         links: Vec<NodeLink>,
-        out_gen: u64,
-        in_gen: u64,
         /// Payloads written so far, over every link.
         written: usize,
         failed_dials: u32,
@@ -3010,8 +2959,6 @@ mod tests {
                 big,
                 replies: Vec::new(),
                 links: vec![link],
-                out_gen: 0,
-                in_gen: 0,
                 written: 0,
                 failed_dials: s.failed_dials,
                 dials: Vec::new(),
@@ -3019,9 +2966,9 @@ mod tests {
             }
         }
 
-        /// Writes `run` on link `gen`; `false` when a write fails.
-        fn write(&mut self, gen: u64, run: &[Bytes]) -> bool {
-            let link = &mut self.links[gen as usize];
+        /// Writes `run` on the current link; `false` when a write fails.
+        fn write(&mut self, run: &[Bytes]) -> bool {
+            let link = self.links.last_mut().expect("a link");
             for payload in run {
                 if link.broken {
                     return false;
@@ -3043,7 +2990,9 @@ mod tests {
             true
         }
 
-        fn step(&mut self, input: In) -> Vec<Act> {
+        /// Feeds `input`, carrying out every dial; returns the writes the
+        /// machine asked for.
+        fn step(&mut self, input: In) -> Vec<Bytes> {
             let mut acts = Vec::new();
             self.conn.handle(input, &mut acts);
             while let [Act::Dial(wait)] = acts[..] {
@@ -3058,78 +3007,60 @@ mod tests {
                 self.links.push(NodeLink::dial(&self.big, self.s.mux));
                 let agreed = Some((Encoding::Json, self.s.mux));
                 self.conn.handle(In::Dialed(agreed), &mut acts);
-                if let [Act::Write(replay), Act::Adopt(gen)] = &acts[..] {
-                    let (replay, gen) = (replay.clone(), *gen);
-                    acts = if self.write(gen, &replay) {
-                        vec![Act::Adopt(gen)]
-                    } else {
-                        let mut again = Vec::new();
-                        self.conn.handle(In::WriteError { gen }, &mut again);
-                        again
-                    };
+                let Some(Act::Write(replay)) = acts.pop() else {
+                    unreachable!("an agreed dial is replayed");
+                };
+                if !self.write(&replay) {
+                    self.conn.handle(In::WriteError, &mut acts);
                 }
             }
             self.replies.extend(self.conn.replies.drain(..));
-            acts
+            (acts.into_iter())
+                .flat_map(|act| match act {
+                    Act::Write(payloads) => payloads,
+                    Act::Dial(_) => unreachable!("step carries out every dial"),
+                })
+                .collect()
         }
 
         /// The writer: one batch of session messages (`None`: every session
-        /// is gone), written as one run on the writer's link.
+        /// is gone), written as one run on the current link.
         fn out(&mut self, batch: Vec<Option<ToCloud>>) {
             let mut run = Vec::new();
             for message in batch {
-                let gen = self.out_gen;
                 let input = match message {
-                    Some(msg) => In::Session { gen, msg },
+                    Some(msg) => In::Session(msg),
                     None => {
                         self.bye = true;
-                        In::Bye { gen }
+                        In::Bye
                     }
                 };
-                for act in self.step(input) {
-                    match act {
-                        Act::Adopt(g) => self.out_gen = g,
-                        Act::Write(payloads) => run.extend(payloads),
-                        Act::Close => {}
-                        Act::Dial(_) => unreachable!("step carries out every dial"),
-                    }
-                }
+                run.extend(self.step(input));
             }
-            if !self.write(self.out_gen, &run) {
-                for act in self.step(In::WriteError { gen: self.out_gen }) {
-                    match act {
-                        Act::Adopt(g) => self.out_gen = g,
-                        Act::Close => {}
-                        other => panic!("{:?}: {other:?} after a write error", self.s),
-                    }
-                }
+            if !self.write(&run) {
+                self.event(In::WriteError, "a write error");
             }
         }
 
-        /// The reader: reads its link until it is quiet and a tick adopts
-        /// nothing; returns whether the machine closed.
+        /// Feeds a link event, which asks for no write.
+        fn event(&mut self, input: In, what: &str) {
+            let more = self.step(input);
+            assert!(more.is_empty(), "{:?}: {more:?} after {what}", self.s);
+        }
+
+        /// The reader: reads the current link until it is quiet; returns
+        /// whether the machine closed.
         fn pump_in(&mut self) -> bool {
-            loop {
-                let gen = self.in_gen;
-                let link = &mut self.links[gen as usize];
+            while self.conn.link != Link::Closed {
+                let link = self.links.last_mut().expect("a link");
                 let input = match link.inbox.pop_front() {
-                    Some(frame) => In::Frame { gen, frame },
-                    None if link.eof => In::Eof { gen },
-                    None => In::Tick { gen },
+                    Some(frame) => In::Frame(frame),
+                    None if link.eof => In::Eof,
+                    None => return false,
                 };
-                let quiet = matches!(input, In::Tick { .. });
-                let mut adopted = false;
-                for act in self.step(input) {
-                    match act {
-                        Act::Adopt(g) => (self.in_gen, adopted) = (g, true),
-                        Act::Close => return true,
-                        other => panic!("{:?}: {other:?} after an inbound event", self.s),
-                    }
-                }
-                if quiet && !adopted {
-                    return false;
-                }
+                self.event(input, "an inbound event");
             }
+            true
         }
     }
 

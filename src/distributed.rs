@@ -26,7 +26,7 @@ use std::cell::Cell;
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,7 +36,8 @@ use modelzoo::{Detector, ModelKind, SimDetector};
 use serde::{Deserialize, Serialize};
 use simnet::{LinkModel, LinkTrace, RetryConfig};
 use smallbig_core::transport::{
-    memory_listener, serve, ConnectOptions, NodeStats, RemoteCloud, ServeOptions, Transport,
+    memory_listener, serve, ConnectOptions, Listener, NodeStats, RemoteCloud, ServeOptions,
+    Transport,
 };
 use smallbig_core::wire::Encoding;
 use smallbig_core::{
@@ -614,9 +615,13 @@ impl DeploymentReport {
 /// # Panics
 ///
 /// Panics if any session fails — in-process the transport cannot drop, so
-/// a failure is a bug, not weather.
+/// a failure is a bug, not weather. An edge thread's panic stops the
+/// serving thread, which would otherwise wait for sessions that never
+/// come, and goes on in the caller.
 pub fn run_fleet_in_memory(spec: &DeploymentSpec) -> DeploymentReport {
     let (mut listener, connector) = memory_listener();
+    let wake = listener.waker();
+    let stop = AtomicBool::new(false);
     let cloud_cfg = spec.cloud.build();
     let big: Arc<dyn Detector + Send + Sync> = Arc::new(spec.split.big_model());
     let opts = ServeOptions {
@@ -624,10 +629,7 @@ pub fn run_fleet_in_memory(spec: &DeploymentSpec) -> DeploymentReport {
         ..ServeOptions::default()
     };
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| {
-            let stop = AtomicBool::new(false);
-            serve(&mut listener, &cloud_cfg, &big, &opts, &stop)
-        });
+        let server = scope.spawn(|| serve(&mut listener, &cloud_cfg, &big, &opts, &stop));
         let mut edges = Vec::new();
         for e in 0..spec.edges {
             let connector = connector.clone();
@@ -661,8 +663,19 @@ pub fn run_fleet_in_memory(spec: &DeploymentSpec) -> DeploymentReport {
         }
         drop(connector);
         let mut sessions = Vec::new();
+        let mut panicked = None;
         for h in edges {
-            sessions.extend(h.join().expect("edge thread completes"));
+            match h.join() {
+                Ok(reports) => sessions.extend(reports),
+                Err(panic) => panicked = panicked.or(Some(panic)),
+            }
+        }
+        if let Some(panic) = panicked {
+            stop.store(true, Ordering::SeqCst);
+            wake();
+            // The edge's panic is the cause; the node's stats are moot.
+            let _ = server.join();
+            std::panic::resume_unwind(panic);
         }
         let cloud = server.join().expect("serve thread completes");
         DeploymentReport::merge(sessions, cloud)

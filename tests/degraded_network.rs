@@ -22,6 +22,9 @@ use smallbig::simnet::{FaultPlan, LinkTrace};
 use std::sync::Arc;
 use std::time::Duration;
 
+mod common;
+use common::bounded;
+
 fn fixture() -> (Dataset, SimDetector, SimDetector) {
     let test = Dataset::generate("degraded", &DatasetProfile::helmet(), 40, 9);
     let small = SimDetector::new(ModelKind::VggLiteSsd, SplitId::Helmet, 2);
@@ -399,8 +402,7 @@ fn session_drop_windows_force_retransmission() {
 /// answers (with traced downlinks that themselves retransmit) afterwards.
 #[test]
 fn shutdown_mid_outage_drains_buffered_answers() {
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    let handle = std::thread::spawn(move || {
+    let report = bounded("the shutdown soak", Duration::from_secs(60), || {
         let (test, small, big) = fixture();
         let big: Arc<dyn Detector + Send + Sync> = Arc::new(big);
         let mut cloud = CloudServer::spawn(
@@ -432,11 +434,7 @@ fn shutdown_mid_outage_drains_buffered_answers() {
         assert_eq!(session.outstanding(), 0);
         assert_eq!(stats.served, report.uploads);
         assert_eq!(report.frames, test.len());
-        done_tx.send(report).expect("main thread alive");
+        report
     });
-    let report = done_rx
-        .recv_timeout(Duration::from_secs(60))
-        .unwrap_or_else(|_| panic!("shutdown soak deadlocked"));
-    handle.join().expect("soak thread panicked");
     assert!(report.uploads > 0, "the outage ended; uploads flowed");
 }

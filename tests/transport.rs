@@ -31,6 +31,9 @@ use smallbig::modelzoo::Detector;
 use smallbig::simnet::RetryConfig;
 use smallbig_core::SchedulerConfig;
 
+mod common;
+use common::bounded;
+
 const CLOUD_BIN: &str = env!("CARGO_BIN_EXE_cloud-node");
 const EDGE_BIN: &str = env!("CARGO_BIN_EXE_edge-node");
 
@@ -221,15 +224,38 @@ fn tcp_sessions_match_channel_path_across_configs() {
             },
         ),
     ];
-    for (name, spec) in variants {
-        let (want, want_stats) = run_channel_single(&spec);
-        let (got, got_stats) = run_tcp_single(&spec);
-        assert_eq!(got, want, "variant `{name}` diverged from channel path");
-        assert_eq!(
-            got_stats.served, want_stats.served,
-            "variant `{name}` served a different frame count"
-        );
-    }
+    let test = "tcp_sessions_match_channel_path_across_configs";
+    bounded(test, Duration::from_secs(120), move || {
+        for (name, spec) in variants {
+            let (want, want_stats) = run_channel_single(&spec);
+            let (got, got_stats) = run_tcp_single(&spec);
+            assert_eq!(got, want, "variant `{name}` diverged from channel path");
+            assert_eq!(
+                got_stats.served, want_stats.served,
+                "variant `{name}` served a different frame count"
+            );
+        }
+    });
+}
+
+/// An edge that panics (here at attach: a zero frame size) ends the
+/// in-memory fleet with its panic, instead of leaving the serving thread
+/// waiting in `accept` for sessions that never come.
+#[test]
+#[should_panic(expected = "frame_size must be positive")]
+fn a_panicking_edge_ends_the_in_memory_fleet_with_its_panic() {
+    let base = small_fleet(2, 3);
+    let spec = DeploymentSpec {
+        edge: EdgeSpec {
+            frame_px: 0,
+            ..base.edge.clone()
+        },
+        ..base
+    };
+    let test = "a_panicking_edge_ends_the_in_memory_fleet_with_its_panic";
+    bounded(test, Duration::from_secs(30), move || {
+        run_fleet_in_memory(&spec)
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -913,21 +939,8 @@ fn stalled_reader_bounds_in_flight_frames_then_drains() {
 const BURST_SESSIONS: u64 = 8;
 const BURST_SUBMITS: usize = 10 * FRAME_QUEUE_CAP;
 
-/// Runs `f` on its own thread and returns what it returned, failing the
-/// test when it has not finished after 60 s (a hang, not a slow host).
-fn within_60_s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(Duration::from_secs(60)) {
-        Ok(out) => out,
-        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-            panic!("{what}: the burst did not resolve within 60 s")
-        }
-        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("{what}: the run panicked"),
-    }
-}
+/// A burst's bound: past it, the burst hangs rather than runs slow.
+const BURST_LIMIT: Duration = Duration::from_secs(60);
 
 /// Serves `listener` with `cloud` until the burst's sessions completed,
 /// connects through `connect`, and has [`BURST_SESSIONS`] mux sessions
@@ -1002,12 +1015,12 @@ fn a_burst_of_submits_before_any_poll_resolves_every_frame() {
             .expect("loopback handshake")
     };
     let runs = [
-        within_60_s("memory", move || {
+        bounded("the burst over memory", BURST_LIMIT, move || {
             let (listener, connector) = memory_listener();
             let cloud = CloudConfig::default();
             burst(Box::new(listener), cloud, connect_memory(connector))
         }),
-        within_60_s("tcp", move || {
+        bounded("the burst over tcp", BURST_LIMIT, move || {
             let listener = TcpWireListener::bind("127.0.0.1:0").expect("bind loopback");
             burst(Box::new(listener), CloudConfig::default(), connect_tcp)
         }),
@@ -1029,7 +1042,7 @@ fn a_burst_held_by_a_batching_cloud_resolves_every_frame() {
         max_batch: 4 * BURST_SUBMITS,
         ..CloudConfig::default()
     };
-    let (uploads, stats) = within_60_s("memory", move || {
+    let (uploads, stats) = bounded("the batching burst over memory", BURST_LIMIT, move || {
         let (listener, connector) = memory_listener();
         burst(Box::new(listener), cloud, move |_| {
             let transport = connector.connect().expect("listener alive");
