@@ -132,7 +132,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
 /// Version of the edge↔cloud wire protocol spoken by this build.
@@ -595,13 +595,15 @@ impl Transport for MemoryTransport {
 /// The accepting side of an in-memory "network" (see [`memory_listener`]).
 pub struct MemoryWireListener {
     rx: Receiver<MemoryTransport>,
-    tx: Sender<MemoryTransport>,
+    /// The connectors' sender, for [`Listener::waker`]. Weak, so that the
+    /// channel closes, and `accept` fails, once every connector is dropped.
+    tx: Weak<Sender<MemoryTransport>>,
 }
 
 /// Dials new connections into a [`MemoryWireListener`]; clone one per edge.
 #[derive(Clone)]
 pub struct MemoryConnector {
-    tx: Sender<MemoryTransport>,
+    tx: Arc<Sender<MemoryTransport>>,
 }
 
 impl MemoryConnector {
@@ -623,8 +625,12 @@ impl MemoryConnector {
 /// Creates an in-memory listener and a connector that dials it.
 pub fn memory_listener() -> (MemoryWireListener, MemoryConnector) {
     let (tx, rx) = channel::unbounded();
+    let tx = Arc::new(tx);
     (
-        MemoryWireListener { rx, tx: tx.clone() },
+        MemoryWireListener {
+            rx,
+            tx: Arc::downgrade(&tx),
+        },
         MemoryConnector { tx },
     )
 }
@@ -649,10 +655,13 @@ impl Listener for MemoryWireListener {
         Box::new(move || {
             // Deliver a connection whose far end is already gone: a handler
             // that sees it reads immediate EOF and exits silently, and the
-            // serve loop re-checks its stop flag.
-            let (local, remote) = memory_pair();
-            drop(local);
-            let _ = tx.send(remote);
+            // serve loop re-checks its stop flag. With every connector gone
+            // there is nothing to wake: `accept` fails already.
+            if let Some(tx) = tx.upgrade() {
+                let (local, remote) = memory_pair();
+                drop(local);
+                let _ = tx.send(remote);
+            }
         })
     }
 }

@@ -238,6 +238,24 @@ fn tcp_sessions_match_channel_path_across_configs() {
     });
 }
 
+/// A memory listener's `accept` fails with `BrokenPipe` once every
+/// connector is dropped, though a waker for it is still alive: the waker
+/// does not hold the listener's channel open.
+#[test]
+fn memory_accept_fails_once_every_connector_is_dropped_while_a_waker_lives() {
+    let test = "memory_accept_fails_once_every_connector_is_dropped_while_a_waker_lives";
+    let kind = bounded(test, Duration::from_secs(10), || {
+        let (mut listener, connector) = memory_listener();
+        let waker = listener.waker();
+        drop((connector.clone(), connector));
+        let kind = listener.accept().err().map(|e| e.kind());
+        // and a waker that outlives every connector wakes nothing
+        waker();
+        kind
+    });
+    assert_eq!(kind, Some(std::io::ErrorKind::BrokenPipe));
+}
+
 /// An edge that panics (here at attach: a zero frame size) ends the
 /// in-memory fleet with its panic, instead of leaving the serving thread
 /// waiting in `accept` for sessions that never come.
