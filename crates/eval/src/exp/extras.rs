@@ -1,18 +1,21 @@
-//! Beyond the numbered tables: the intro's partition motivation and the
-//! ablations of the serving stack (ROADMAP.md item 18 maps paper sections
-//! to modules).
+//! Beyond the numbered tables: the intro's partition motivation, the
+//! ablations of the paper's method (discriminator steps, `t_conf`, links,
+//! deadlines) and two extensions of it (per-class AP, automatic
+//! compression). ROADMAP.md item 18 maps paper sections to modules.
+//!
+//! Serving-stack scenarios (several edges on one cloud, degraded links,
+//! cloud scheduling, the model-update loop) are not experiments: each runs
+//! as an example under `examples/`.
 
 use crate::pairs::{pair_run, ExpConfig};
 use crate::table::{f2, Table};
 use crate::Report;
 use datagen::SplitId;
 use imaging::{encoded_size_bytes, render};
-use modelzoo::{Detector, ModelKind, PartitionAnalysis};
+use modelzoo::{ModelKind, PartitionAnalysis};
 use smallbig_core::{
-    run_system, CloudConfig, CloudServer, DifficultCaseDiscriminator, DiscriminatorConfig, Policy,
-    RuntimeConfig, RuntimeMode, SchedulerConfig, SessionConfig,
+    run_system, DifficultCaseDiscriminator, DiscriminatorConfig, Policy, RuntimeConfig, RuntimeMode,
 };
-use std::sync::Arc;
 
 /// The intro's motivation: partitioned execution of an object detector ships
 /// more bytes than the image itself at almost every split point.
@@ -410,486 +413,6 @@ pub fn ablation_deadline(cfg: &ExpConfig) -> Report {
     .with_note("tight deadlines trade detection quality for bounded per-frame latency")
 }
 
-/// Extension: the discriminator vs the fixed baselines when the link
-/// actually degrades — a step outage, Gilbert–Elliott bursty loss, and a
-/// diurnal capacity ramp over the paper's WLAN. Fixed seeds and virtual
-/// clocks make every cell deterministic; `link fallbacks` counts frames
-/// the policy wanted in the cloud but the link could not deliver (the edge
-/// answer was served instead).
-pub fn degraded(cfg: &ExpConfig) -> Report {
-    use simnet::LinkTrace;
-    let run = pair_run(
-        ModelKind::VggLiteSsd,
-        ModelKind::SsdVgg16,
-        SplitId::Helmet,
-        cfg,
-    );
-    let (small, big) = run.detectors(ModelKind::VggLiteSsd, ModelKind::SsdVgg16);
-    let disc = run.discriminator();
-    // Windows sized to bite at reduced --scale runs (a few virtual seconds
-    // of traffic) and still land inside full-scale ones.
-    let traces: [(&str, LinkTrace); 3] = [
-        ("outage 2–8s", LinkTrace::step_outage(2.0, 6.0)),
-        ("bursty loss", LinkTrace::bursty(11, 600.0, 3.0, 1.5, 0.9)),
-        ("diurnal ramp", LinkTrace::diurnal_ramp(8.0, 0.15, 8, 40)),
-    ];
-    let mut t = Table::new(vec![
-        "trace / policy".into(),
-        "mAP(%)".into(),
-        "total(s)".into(),
-        "upload(%)".into(),
-        "link fallbacks".into(),
-        "retransmit(s)".into(),
-    ]);
-    for (trace_name, trace) in traces {
-        for (policy_name, mode) in [
-            ("difficult-case", RuntimeMode::SmallBig),
-            ("cloud-only", RuntimeMode::CloudOnly),
-            ("edge-only", RuntimeMode::EdgeOnly),
-        ] {
-            let rt = RuntimeConfig {
-                link_trace: Some(trace.clone()),
-                frame_size: (300, 300),
-                ..Default::default()
-            };
-            let r = run_system(&run.split.test, &small, &big, &disc, mode, &rt);
-            t.add_row(vec![
-                format!("{trace_name} / {policy_name}"),
-                f2(r.map_pct),
-                f2(r.total_time_s),
-                f2(r.upload_ratio * 100.0),
-                format!("{}", r.link_fallbacks),
-                f2(r.latency.total.retransmit_s),
-            ]);
-        }
-    }
-    Report::new(
-        "degraded",
-        "Extension: offload policies under degraded networks (HELMET runtime, traced WLAN)",
-        t,
-    )
-    .with_note("selective upload degrades gracefully: fewer frames depend on the broken link")
-    .with_note("deterministic: piecewise traces over virtual time, seeded RNG streams")
-}
-
-/// Extension: the cloud scheduling control plane — FIFO vs deadline-aware
-/// vs difficulty-priority batch formation under bursty traffic and the
-/// degraded-network scenarios, plus an admission-control row. Every cell
-/// is a fixed-seed streaming session driven in bursts (eight frames in
-/// flight), so the cloud queue actually fills and the scheduler's service
-/// order matters.
-pub fn scheduling(cfg: &ExpConfig) -> Report {
-    use simnet::LinkTrace;
-    let run = pair_run(
-        ModelKind::VggLiteSsd,
-        ModelKind::SsdVgg16,
-        SplitId::Helmet,
-        cfg,
-    );
-    let (small, big) = run.detectors(ModelKind::VggLiteSsd, ModelKind::SsdVgg16);
-    let disc = run.discriminator();
-    let big: Arc<dyn Detector + Send + Sync> = Arc::new(big);
-
-    let drive = |scheduler, queue_limit: Option<usize>, trace: Option<LinkTrace>| {
-        let mut cloud = CloudServer::spawn(
-            CloudConfig {
-                max_batch: 4,
-                scheduler,
-                queue_limit,
-                ..CloudConfig::default()
-            },
-            Arc::clone(&big),
-        );
-        let frame_size = (cfg.render_size.0.max(96), cfg.render_size.1.max(96));
-        // A deadline-less cloud-only co-tenant keeps the cloud queue full:
-        // its frames carry no deadline and no difficulty score, so FIFO
-        // interleaves our frames behind them while the priority schedulers
-        // can serve ours (deadlined, scored) first.
-        let mut background = cloud.connect(
-            SessionConfig {
-                frame_size,
-                seed: 0x7e57,
-                ..SessionConfig::new(run.num_classes)
-            },
-            &small,
-            Box::new(Policy::CloudOnly),
-        );
-        let mut session = cloud.connect(
-            SessionConfig {
-                frame_size,
-                deadline_s: Some(1.0),
-                link_trace: trace,
-                ..SessionConfig::new(run.num_classes)
-            },
-            &small,
-            Box::new(disc.clone()),
-        );
-        // Burst drive: per round, four unpolled background frames and four
-        // of ours go up before the first poll, so batches really queue and
-        // the scheduler has frames to order.
-        for chunk in run.split.test.scenes().chunks(8) {
-            let (bg, ours) = chunk.split_at(chunk.len() / 2);
-            for s in bg {
-                background.submit(s);
-            }
-            let tickets: Vec<_> = ours.iter().map(|s| session.submit(s)).collect();
-            for t in tickets {
-                let _ = session.poll(t);
-            }
-        }
-        let report = session.drain();
-        background.drain();
-        drop((session, background));
-        (report, cloud.shutdown())
-    };
-
-    let scenarios: [(&str, Option<LinkTrace>); 3] = [
-        ("steady", None),
-        ("outage 2–8s", Some(LinkTrace::step_outage(2.0, 6.0))),
-        (
-            "bursty loss",
-            Some(LinkTrace::bursty(11, 600.0, 3.0, 1.5, 0.9)),
-        ),
-    ];
-    let schedulers = [
-        SchedulerConfig::Fifo,
-        SchedulerConfig::DeadlineAware { lookahead: 2 },
-        SchedulerConfig::DifficultyPriority { lookahead: 2 },
-    ];
-
-    let mut t = Table::new(vec![
-        "scenario / scheduler".into(),
-        "mAP(%)".into(),
-        "upload(%)".into(),
-        "deadline misses".into(),
-        "fallbacks".into(),
-        "mean latency(ms)".into(),
-    ]);
-    for (scenario_name, trace) in &scenarios {
-        for sched in schedulers {
-            let (r, _) = drive(sched, None, trace.clone());
-            t.add_row(vec![
-                format!("{scenario_name} / {}", sched.name()),
-                f2(r.map_pct),
-                f2(r.upload_ratio * 100.0),
-                format!("{}", r.deadline_misses),
-                format!("{}", r.link_fallbacks + r.admission_fallbacks),
-                f2(r.latency.mean_s() * 1000.0),
-            ]);
-        }
-    }
-    // Control-plane extra on the steady scenario: admission control.
-    let (adm, adm_stats) = drive(SchedulerConfig::Fifo, Some(2), None);
-    t.add_row(vec![
-        "steady / fifo + queue_limit 2".into(),
-        f2(adm.map_pct),
-        f2(adm.upload_ratio * 100.0),
-        format!("{}", adm.deadline_misses),
-        format!("{}", adm.link_fallbacks + adm.admission_fallbacks),
-        f2(adm.latency.mean_s() * 1000.0),
-    ]);
-
-    Report::new(
-        "scheduling",
-        "Extension: cloud scheduling control plane under bursty traffic (HELMET streaming)",
-        t,
-    )
-    .with_note(
-        "burst drive (8 in flight, max_batch 4): deadline-aware serves the tightest deadlines \
-         first, difficulty-priority the hardest cases first (both hold back 2 batches)",
-    )
-    .with_note(format!(
-        "admission row: {} of our frames (plus background's — {} rejects total) were refused at \
-         the queue limit and served edge-only with zero uplink spent",
-        adm.admission_fallbacks, adm_stats.admission_rejects
-    ))
-    .with_note("deterministic: virtual clocks, seeded RNG streams, randomness-free schedulers")
-}
-
-/// Extension: multi-edge serving — N edge sessions with heterogeneous links
-/// and policies sharing one batched cloud server, a scenario the paper's
-/// single-edge deployment (and our legacy `run_system`) cannot express.
-pub fn multiedge(cfg: &ExpConfig) -> Report {
-    let run = pair_run(
-        ModelKind::VggLiteSsd,
-        ModelKind::SsdVgg16,
-        SplitId::Helmet,
-        cfg,
-    );
-    let (small, big) = run.detectors(ModelKind::VggLiteSsd, ModelKind::SsdVgg16);
-    let disc = run.discriminator();
-    let big: Arc<dyn Detector + Send + Sync> = Arc::new(big);
-
-    let mut cloud = CloudServer::spawn(
-        CloudConfig {
-            max_batch: 4,
-            ..CloudConfig::default()
-        },
-        big,
-    );
-    let base = SessionConfig {
-        frame_size: (cfg.render_size.0.max(96), cfg.render_size.1.max(96)),
-        ..SessionConfig::new(run.num_classes)
-    };
-    let specs: [(
-        &str,
-        simnet::LinkModel,
-        Box<dyn smallbig_core::OffloadPolicy>,
-    ); 4] = [
-        (
-            "fast-wifi + discriminator",
-            simnet::LinkModel::fast_wifi(),
-            Box::new(disc.clone()),
-        ),
-        (
-            "wlan + discriminator",
-            simnet::LinkModel::wlan(),
-            Box::new(disc.clone()),
-        ),
-        (
-            "cellular + random 30%",
-            simnet::LinkModel::cellular(),
-            Box::new(Policy::Random {
-                upload_fraction: 0.3,
-                seed: 7,
-            }),
-        ),
-        (
-            "wlan + cloud-only",
-            simnet::LinkModel::wlan(),
-            Box::new(Policy::CloudOnly),
-        ),
-    ];
-    let mut names = Vec::new();
-    let mut sessions = Vec::new();
-    for (i, (name, link, policy)) in specs.into_iter().enumerate() {
-        names.push(name);
-        sessions.push(cloud.connect(
-            SessionConfig {
-                link,
-                seed: 1 + i as u64,
-                ..base.clone()
-            },
-            &small,
-            policy,
-        ));
-    }
-    // Skewed traffic: session k sees every (k+1)-th frame of the stream.
-    for (i, scene) in run.split.test.iter().enumerate() {
-        for (k, session) in sessions.iter_mut().enumerate() {
-            if i % (k + 1) == 0 {
-                session.submit(scene);
-            }
-        }
-    }
-
-    let mut t = Table::new(vec![
-        "edge session".into(),
-        "frames".into(),
-        "upload(%)".into(),
-        "mAP(%)".into(),
-        "total(s)".into(),
-        "mean latency(ms)".into(),
-    ]);
-    for (name, session) in names.iter().zip(sessions.iter_mut()) {
-        let r = session.drain();
-        t.add_row(vec![
-            (*name).into(),
-            r.frames.to_string(),
-            f2(r.upload_ratio * 100.0),
-            f2(r.map_pct),
-            f2(r.total_time_s),
-            f2(r.latency.mean_s() * 1000.0),
-        ]);
-    }
-    drop(sessions);
-    let stats = cloud.shutdown();
-    Report::new(
-        "multiedge",
-        "Extension: heterogeneous multi-edge serving against one batched cloud",
-        t,
-    )
-    .with_note(format!(
-        "cloud served {} frames in {} batches (max batch 4), busy {:.2}s",
-        stats.served, stats.batches, stats.busy_s
-    ))
-    .with_note("sessions share one FIFO scheduler; links and policies differ per edge")
-}
-
-/// Extension: calibration drift and the model-update loop (PR 10).
-///
-/// A HELMET camera lives through a day → night → dawn drift schedule
-/// (night: harsher blur and noise, dimmer illumination, smaller apparent
-/// objects). Both calibrations drive a streaming difficulty-quantile
-/// policy targeting 50% uploads:
-///
-/// * **static** keeps whatever score history it accumulates on-device —
-///   after the swap its long day history ranks nearly every night frame
-///   as upload-worthy (bandwidth blowout), and at dawn the accumulated
-///   night mass ranks day frames as easy, so truly difficult frames stay
-///   local (recall collapse);
-/// * **updated** receives the cloud's refit artifact at every window
-///   boundary — the `quantile_scores` replay `UpdatePublisher`'s epoch
-///   refit, so its adaptation lags each swap by exactly one window, like
-///   the real rollout.
-///
-/// Per window the table reports the realised upload ratio (target 50%)
-/// and difficult-case recall (fraction of truly difficult frames each
-/// stream uploaded).
-pub fn drift(cfg: &ExpConfig) -> Report {
-    use datagen::{Dataset, DatasetProfile, DriftPhase, DriftSchedule};
-    use modelzoo::SimDetector;
-    use smallbig_core::{
-        calibrate, detect_all, label_dataset_with, CalibrationUpdate, OffloadPolicy, PolicyInput,
-        QuantileStream, ScoreKind,
-    };
-
-    const WINDOW_S: f64 = 60.0;
-    const WINDOWS: usize = 9;
-    const TARGET: f64 = 0.5;
-    let day = DatasetProfile::helmet();
-    let schedule = DriftSchedule {
-        phases: vec![
-            DriftPhase {
-                start_s: 0.0,
-                profile: day.clone(),
-            },
-            DriftPhase {
-                start_s: 3.0 * WINDOW_S,
-                profile: day.night(),
-            },
-            DriftPhase {
-                start_s: 6.0 * WINDOW_S,
-                profile: day.clone(),
-            },
-        ],
-    };
-    schedule.validate().expect("well-formed schedule");
-    let num_classes = day.taxonomy.len();
-    let small = SimDetector::new(ModelKind::VggLiteSsd, SplitId::Helmet, num_classes);
-    let big = SimDetector::new(ModelKind::SsdVgg16, SplitId::Helmet, num_classes);
-    let n = ((400.0 * cfg.scale).round() as usize).max(24);
-
-    // Day-time calibration, as the factory would ship it: the confidence
-    // threshold for difficulty labelling plus a day score history warmed
-    // into both streams.
-    let train = Dataset::generate("drift-train", &day, n, 0xd21f7);
-    let (calibration, _) = calibrate(&train, &small, &big);
-    let t_conf = calibration.thresholds.conf;
-    let kind = ScoreKind::Difficulty { t_conf };
-    let mut static_stream = QuantileStream::new(kind, TARGET);
-    let mut updated_stream = QuantileStream::new(kind, TARGET);
-    // The camera has been deployed for a while: weeks of day traffic give
-    // the on-device history real inertia (several windows' worth of
-    // scores), which is exactly what makes it slow to track a swap.
-    for pass in 0..4u64 {
-        let warm_data = Dataset::generate("drift-warm", &day, n, 0xd21f7 ^ (pass << 40));
-        let warm = detect_all(&warm_data, &small, &big);
-        for (scene, (small_dets, _)) in warm_data.scenes().iter().zip(&warm) {
-            for stream in [&mut static_stream, &mut updated_stream] {
-                stream.decide(&PolicyInput {
-                    scene,
-                    small_dets,
-                    label: None,
-                    num_classes,
-                    link: None,
-                    cloud_queue: None,
-                });
-            }
-        }
-    }
-
-    let mut t = Table::new(vec![
-        "window / phase".into(),
-        "static upload(%)".into(),
-        "updated upload(%)".into(),
-        "static recall(%)".into(),
-        "updated recall(%)".into(),
-    ]);
-    let (mut static_dev, mut updated_dev) = (0.0f64, 0.0f64);
-    let mut recall_margin = Vec::new();
-    for w in 0..WINDOWS {
-        let t_s = w as f64 * WINDOW_S;
-        let phase = ["day", "night", "dawn"][schedule.phase_index(t_s)];
-        let window = Dataset::generate(
-            &format!("drift-w{w}"),
-            schedule.profile_at(t_s),
-            n,
-            0xd21f7 ^ ((w as u64 + 1) << 8),
-        );
-        let dets = detect_all(&window, &small, &big);
-        let examples = label_dataset_with(&window, &dets, t_conf);
-        // (uploads, difficult frames uploaded) per stream.
-        let mut counts = [(0usize, 0usize); 2];
-        let mut fresh_scores = Vec::with_capacity(window.len());
-        let difficult = examples.iter().filter(|e| e.label.is_difficult()).count();
-        for ((scene, (small_dets, _)), ex) in window.scenes().iter().zip(&dets).zip(&examples) {
-            let streams = [&mut static_stream, &mut updated_stream];
-            for (i, stream) in streams.into_iter().enumerate() {
-                let input = PolicyInput {
-                    scene,
-                    small_dets,
-                    label: None,
-                    num_classes,
-                    link: None,
-                    cloud_queue: None,
-                };
-                let upload = stream.decide(&input).is_upload();
-                if i == 1 {
-                    fresh_scores.push(stream.difficulty(&input).expect("quantile difficulty"));
-                }
-                counts[i].0 += upload as usize;
-                counts[i].1 += (upload && ex.label.is_difficult()) as usize;
-            }
-        }
-        let frac = |c: usize| c as f64 / window.len() as f64;
-        let recall = |c: usize| {
-            if difficult == 0 {
-                1.0
-            } else {
-                c as f64 / difficult as f64
-            }
-        };
-        static_dev += (frac(counts[0].0) - TARGET).abs();
-        updated_dev += (frac(counts[1].0) - TARGET).abs();
-        if phase == "dawn" {
-            recall_margin.push(recall(counts[1].1) - recall(counts[0].1));
-        }
-        t.add_row(vec![
-            format!("{w} / {phase}"),
-            f2(frac(counts[0].0) * 100.0),
-            f2(frac(counts[1].0) * 100.0),
-            f2(recall(counts[0].1) * 100.0),
-            f2(recall(counts[1].1) * 100.0),
-        ]);
-        // Window boundary: the cloud's refit artifact replaces the
-        // updated stream's score history, exactly as `apply_calibration`
-        // does on a live session.
-        fresh_scores.sort_by(|a, b| a.partial_cmp(b).expect("finite scores"));
-        let mut artifact = CalibrationUpdate::factory(calibration.thresholds);
-        artifact.version = w as u64 + 1;
-        artifact.quantile_scores = fresh_scores;
-        assert!(updated_stream.apply_calibration(&artifact));
-    }
-    let dawn_margin = 100.0 * recall_margin.iter().cloned().fold(f64::MIN, f64::max);
-    Report::new(
-        "drift",
-        "Extension: day→night→dawn drift — on-device history vs the model-update loop (HELMET, 50% target)",
-        t,
-    )
-    .with_note(format!(
-        "mean |upload − target|: static {} pp, update loop {} pp",
-        f2(100.0 * static_dev / WINDOWS as f64),
-        f2(100.0 * updated_dev / WINDOWS as f64)
-    ))
-    .with_note(format!(
-        "largest dawn-window difficult-case recall margin of the update loop: {} pp — \
-         the night-polluted on-device history keeps difficult day frames local",
-        f2(dawn_margin)
-    ))
-    .with_note("count/area thresholds stay put under this drift; the score distribution is what moves")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -935,35 +458,5 @@ mod tests {
     fn ablation_links_runs_three() {
         let r = ablation_links(&ExpConfig::quick());
         assert_eq!(r.table.num_rows(), 3);
-    }
-
-    #[test]
-    fn degraded_covers_three_traces_by_three_policies() {
-        let r = degraded(&ExpConfig::quick());
-        assert_eq!(r.table.num_rows(), 9);
-        let text = r.to_string();
-        assert!(text.contains("outage"));
-        assert!(text.contains("bursty"));
-        assert!(text.contains("diurnal"));
-    }
-
-    #[test]
-    fn drift_covers_nine_windows_and_reports_margins() {
-        let r = drift(&ExpConfig::quick());
-        assert_eq!(r.table.num_rows(), 9, "3 day + 3 night + 3 dawn windows");
-        let text = r.to_string();
-        assert!(text.contains("night"));
-        assert!(text.contains("dawn"));
-        assert!(text.contains("recall margin"));
-    }
-
-    #[test]
-    fn scheduling_covers_grid_and_control_rows() {
-        let r = scheduling(&ExpConfig::quick());
-        assert_eq!(r.table.num_rows(), 10, "3 scenarios × 3 schedulers + 1");
-        let text = r.to_string();
-        assert!(text.contains("deadline-aware"));
-        assert!(text.contains("difficulty-priority"));
-        assert!(text.contains("queue_limit"));
     }
 }

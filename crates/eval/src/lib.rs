@@ -1,7 +1,8 @@
 //! # eval — the experiment harness
 //!
 //! Regenerates **every table and figure** of the paper plus the intro's
-//! partition motivation and three ablations. Each experiment returns a
+//! partition motivation, four ablations and two extensions, all listed once
+//! in [`EXPERIMENTS`]. Each experiment returns a
 //! [`Report`] containing a rendered [`Table`] with `measured (paper)` cells.
 //!
 //! Run everything:
@@ -80,100 +81,74 @@ impl fmt::Display for Report {
     }
 }
 
-/// All experiment ids in presentation order.
-pub const ALL_EXPERIMENTS: [&str; 32] = [
-    "motivation",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "table8",
-    "table9",
-    "table10",
-    "table11",
-    "table12",
-    "table13",
-    "table14",
-    "table15",
-    "table16",
-    "table17",
-    "fig4",
-    "fig7",
-    "fig8",
-    "fig9",
-    "ablation-features",
-    "ablation-tconf",
-    "ablation-links",
-    "ablation-deadline",
-    "compress",
-    "perclass",
-    "multiedge",
-    "degraded",
-    "scheduling",
-    "drift",
-];
+/// What an experiment is: the function that regenerates its report.
+type Regenerate = fn(&ExpConfig) -> Report;
 
-/// Runs one experiment by id (or `"all"`).
+/// Every experiment, in presentation order: its id and the function that
+/// regenerates its report. This is the one list of ids: [`run_experiment`]
+/// looks ids up here, `"all"` runs every entry, and the CLI's `--help`
+/// prints the ids from it.
+pub const EXPERIMENTS: [(&str, Regenerate); 28] = {
+    use exp::{extras, figures, tables};
+    [
+        ("motivation", extras::motivation),
+        ("table1", tables::table1),
+        ("table2", tables::table2),
+        ("table3", tables::table3),
+        ("table4", tables::table4),
+        ("table5", tables::table5),
+        ("table6", tables::table6),
+        ("table7", tables::table7),
+        ("table8", tables::table8),
+        ("table9", tables::table9),
+        ("table10", tables::table10),
+        ("table11", tables::table11),
+        ("table12", tables::table12),
+        ("table13", tables::table13),
+        ("table14", tables::table14),
+        ("table15", tables::table15),
+        ("table16", tables::table16),
+        ("table17", tables::table17),
+        ("fig4", figures::fig4),
+        ("fig7", figures::fig7),
+        ("fig8", figures::fig8),
+        ("fig9", figures::fig9),
+        ("ablation-features", extras::ablation_features),
+        ("ablation-tconf", extras::ablation_tconf),
+        ("ablation-links", extras::ablation_links),
+        ("ablation-deadline", extras::ablation_deadline),
+        ("compress", extras::compress),
+        ("perclass", extras::perclass),
+    ]
+};
+
+/// Runs one experiment of [`EXPERIMENTS`] by id, or every one for `"all"`.
 ///
-/// `"all"` fans the experiments out across the harness workers (see
-/// [`smallbig_core::par`]); each experiment is deterministic and reports
-/// merge back in presentation order, so the output equals the sequential
-/// run. Experiments share the process-wide pair-run cache either way.
+/// `"all"` runs each registry entry through this same lookup, fanned out
+/// across the harness workers (see [`smallbig_core::par`]); each experiment
+/// is deterministic and reports merge back in registry order, so the output
+/// equals the sequential run. Experiments share the process-wide pair-run
+/// cache either way.
 ///
 /// # Errors
 ///
 /// Returns the unknown id as `Err` so the CLI can report it.
 pub fn run_experiment(id: &str, cfg: &ExpConfig) -> Result<Vec<Report>, String> {
-    use exp::{extras, figures, tables};
-    let report = match id {
-        "all" => {
-            let results = smallbig_core::par::ordered_map(ALL_EXPERIMENTS.len(), |i| {
-                run_experiment(ALL_EXPERIMENTS[i], cfg)
-            });
-            let mut out = Vec::new();
-            for result in results {
-                out.extend(result?);
-            }
-            return Ok(out);
+    if id == "all" {
+        let results = smallbig_core::par::ordered_map(EXPERIMENTS.len(), |i| {
+            run_experiment(EXPERIMENTS[i].0, cfg)
+        });
+        let mut out = Vec::new();
+        for result in results {
+            out.extend(result?);
         }
-        "motivation" => extras::motivation(cfg),
-        "table1" => tables::table1(cfg),
-        "table2" => tables::table2(cfg),
-        "table3" => tables::table3(cfg),
-        "table4" => tables::table4(cfg),
-        "table5" => tables::table5(cfg),
-        "table6" => tables::table6(cfg),
-        "table7" => tables::table7(cfg),
-        "table8" => tables::table8(cfg),
-        "table9" => tables::table9(cfg),
-        "table10" => tables::table10(cfg),
-        "table11" => tables::table11(cfg),
-        "table12" => tables::table12(cfg),
-        "table13" => tables::table13(cfg),
-        "table14" => tables::table14(cfg),
-        "table15" => tables::table15(cfg),
-        "table16" => tables::table16(cfg),
-        "table17" => tables::table17(cfg),
-        "fig4" => figures::fig4(cfg),
-        "fig7" => figures::fig7(cfg),
-        "fig8" => figures::fig8(cfg),
-        "fig9" => figures::fig9(cfg),
-        "ablation-features" => extras::ablation_features(cfg),
-        "ablation-tconf" => extras::ablation_tconf(cfg),
-        "ablation-links" => extras::ablation_links(cfg),
-        "ablation-deadline" => extras::ablation_deadline(cfg),
-        "compress" => extras::compress(cfg),
-        "perclass" => extras::perclass(cfg),
-        "multiedge" => extras::multiedge(cfg),
-        "degraded" => extras::degraded(cfg),
-        "scheduling" => extras::scheduling(cfg),
-        "drift" => extras::drift(cfg),
-        other => return Err(format!("unknown experiment id: {other}")),
-    };
-    Ok(vec![report])
+        return Ok(out);
+    }
+    let (_, run) = EXPERIMENTS
+        .iter()
+        .find(|(name, _)| *name == id)
+        .ok_or_else(|| format!("unknown experiment id: {id}"))?;
+    Ok(vec![run(cfg)])
 }
 
 #[cfg(test)]

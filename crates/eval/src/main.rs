@@ -34,17 +34,13 @@ fn main() -> ExitCode {
                     eprintln!("--render needs WxH (e.g. 128x96)");
                     return ExitCode::FAILURE;
                 };
-                let parts: Vec<&str> = v.split('x').collect();
-                match (parts.first(), parts.get(1)) {
-                    (Some(w), Some(h)) => match (w.parse::<usize>(), h.parse::<usize>()) {
-                        (Ok(w), Ok(h)) if w > 0 && h > 0 => cfg.render_size = (w, h),
-                        _ => {
-                            eprintln!("--render needs positive WxH");
-                            return ExitCode::FAILURE;
-                        }
-                    },
+                let size = v
+                    .split_once('x')
+                    .and_then(|(w, h)| Some((w.parse::<usize>().ok()?, h.parse::<usize>().ok()?)));
+                match size {
+                    Some((w, h)) if w > 0 && h > 0 => cfg.render_size = (w, h),
                     _ => {
-                        eprintln!("--render needs WxH (e.g. 128x96)");
+                        eprintln!("--render needs positive WxH (e.g. 128x96)");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -58,7 +54,8 @@ fn main() -> ExitCode {
             }
             "--help" | "-h" => {
                 println!("usage: eval [--scale S] [--render WxH] [--csv DIR] [ids...]");
-                println!("ids: {} or 'all'", eval::ALL_EXPERIMENTS.join(", "));
+                let ids: Vec<&str> = eval::EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+                println!("ids: {} or 'all'", ids.join(", "));
                 return ExitCode::SUCCESS;
             }
             other => ids.push(other.to_string()),

@@ -35,15 +35,14 @@
 //! earliest-deadline-first and difficulty-priority batch formation,
 //! and admission control ([`core::CloudConfig::queue_limit`]) that sheds
 //! over-limit frames to the edge before any uplink is spent (see
-//! `examples/cloud_scheduling.rs` and the `scheduling` experiment).
+//! `examples/cloud_scheduling.rs`).
 //!
 //! Networks need not be static: overlay any link with a
 //! [`simnet::LinkTrace`] (outages, diurnal ramps, Gilbert–Elliott bursty
 //! loss, seeded random walks) and schedule faults with a
 //! [`simnet::FaultPlan`]; traced sessions retransmit with backoff against
 //! their virtual clocks and fall back to the edge-only answer when the
-//! link cannot deliver (see `examples/degraded_network.rs` and the
-//! `degraded` experiment).
+//! link cannot deliver (see `examples/degraded_network.rs`).
 //!
 //! # Quickstart
 //!
@@ -191,11 +190,11 @@
 //! `updates: None` (the default) is bit-identical to builds that predate
 //! the loop; `tests/model_update.rs` pins the golden trajectories
 //! (lost-update replay, rollback-after-divergence, disabled-path
-//! identity), and the `drift` experiment measures a static calibration
+//! identity), and `examples/model_update.rs` measures a static calibration
 //! decaying under day/night drift while the update loop holds. Fleets get
 //! the same loop via `CloudSpec::updates` / `--update-epoch-s`, and
 //! `smallbig-orchestrate --assert-converged true` checks every session
-//! ended on the newest published version. See `examples/model_update.rs`.
+//! ended on the newest published version.
 //!
 //! # Distributed deployment
 //!

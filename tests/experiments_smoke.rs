@@ -1,25 +1,29 @@
 //! Every experiment in the harness must run at reduced scale.
 
-use smallbig::eval::{run_experiment, ExpConfig};
+use std::sync::OnceLock;
+
+use smallbig::eval::{run_experiment, ExpConfig, Report, EXPERIMENTS};
+
+/// One pass over the registry, shared by the tests below: `"all"` looks each
+/// id up through `run_experiment`, so every experiment runs exactly once per
+/// test binary however many tests read the reports.
+fn all_reports() -> &'static [Report] {
+    static REPORTS: OnceLock<Vec<Report>> = OnceLock::new();
+    REPORTS.get_or_init(|| run_experiment("all", &ExpConfig::quick()).unwrap())
+}
 
 #[test]
 fn every_table_and_figure_regenerates() {
-    let cfg = ExpConfig::quick();
-    for id in smallbig::eval::ALL_EXPERIMENTS {
-        let reports =
-            run_experiment(id, &cfg).unwrap_or_else(|e| panic!("experiment {id} failed: {e}"));
-        assert_eq!(reports.len(), 1, "{id}");
-        let text = reports[0].to_string();
-        assert!(text.contains("## "), "{id} renders a title");
-        assert!(reports[0].table.num_rows() > 0, "{id} has rows");
+    for (report, (id, _)) in all_reports().iter().zip(EXPERIMENTS) {
+        assert_eq!(report.id, id, "report at {id}'s position");
+        assert!(report.to_string().contains("## "), "{id} renders a title");
+        assert!(report.table.num_rows() > 0, "{id} has rows");
     }
 }
 
 #[test]
 fn all_alias_runs_everything() {
-    let cfg = ExpConfig::quick();
-    let reports = run_experiment("all", &cfg).unwrap();
-    assert_eq!(reports.len(), smallbig::eval::ALL_EXPERIMENTS.len());
+    assert_eq!(all_reports().len(), EXPERIMENTS.len());
 }
 
 #[test]
