@@ -10,8 +10,8 @@
 //! thread, and determinism follows from virtual time. It is the wrong shape
 //! at population scale — 10⁵ live facades, each with a full mAP evaluator
 //! and an inbox entry, buy nothing when time is virtual anyway. The fleet
-//! engine keeps the exact same state machines ([`EdgeMachine`] per
-//! session, [`CloudMachine`] per cloud shard) but drives them **inline**
+//! engine keeps the exact same state machines (`EdgeMachine` per
+//! session, `CloudMachine` per cloud shard) but drives them **inline**
 //! from a central event queue keyed on each session's next frame time. No
 //! facade, no lock, no inbox: a session is ~1 KB of state in a `Vec`,
 //! created at its first frame and dropped after its last.
@@ -19,7 +19,7 @@
 //! # Determinism and the facade contract
 //!
 //! Both runtimes execute the *same* per-session code against the same
-//! [`CloudPort`] seam, and the event queue replays the exact message
+//! `CloudPort` seam, and the event queue replays the exact message
 //! order the same sessions on [`CloudServer`]s would produce (each frame
 //! is submitted and resolved depth-1, in planned arrival order, ties
 //! broken by session id). [`run_fleet_sessions`] (event core) and
@@ -36,7 +36,7 @@
 //! encoded upload size), each holding a pure function of its scene, so
 //! whichever worker fills a cell first writes the value every other worker
 //! would have, and every later read takes no lock. Nothing else is shared:
-//! a shard's [`CloudMachine`] leaves each reply in its own queue and the
+//! a shard's `CloudMachine` leaves each reply in its own queue and the
 //! driven session pops it on the same call stack — no inbox, no lock per
 //! session. Restricting the global
 //! `(time, session)` event order to one shard's sessions therefore yields
@@ -229,7 +229,7 @@ pub struct FleetSpec {
     /// single static helmet pool, bit-identical to pre-drift builds.
     pub drift: Option<datagen::DriftSchedule>,
     /// Cloud shards; session `i` is served by shard `i % shards`. Each
-    /// shard is an independent [`CloudMachine`] with a derived seed.
+    /// shard is an independent `CloudMachine` with a derived seed.
     pub shards: usize,
     /// Per-shard cloud configuration (seed is xored with the shard id).
     pub cloud: CloudConfig,

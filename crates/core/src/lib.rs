@@ -39,9 +39,9 @@
 //!   [`EdgeSession::drain`] stream frames through it,
 //! * [`run_system`] — the legacy one-edge batch entry point, now one
 //!   session's machine driven against one cloud machine on the calling
-//!   thread (bit-identical reports),
-//! * [`wire`] — the length-prefixed frame format actually shipped between
-//!   the edge and cloud threads ([`wire::FrameReader`] reassembles it
+//!   thread, returning that session's [`SessionReport`],
+//! * [`wire`] — the length-prefixed frame format [`transport`] ships
+//!   between edge and cloud nodes ([`wire::FrameReader`] reassembles it
 //!   incrementally from arbitrary byte chunks),
 //! * [`transport`] — the same session protocol over a real byte stream:
 //!   object-safe [`Transport`](transport::Transport) /
@@ -109,20 +109,6 @@
 //! let stats = cloud.shutdown();
 //! assert_eq!(stats.served, a.uploads + b.uploads);
 //! ```
-//!
-//! # Migrating from the pre-session API
-//!
-//! The closed `Policy`-enum-only world became trait-based, and the
-//! dataset-at-a-time entry points became streaming:
-//!
-//! | before | after |
-//! |---|---|
-//! | match on `Policy` variants | implement [`OffloadPolicy`] |
-//! | `run_system(&dataset, …)` | [`CloudServer::spawn`] + [`EdgeSession::submit`]/[`poll`](EdgeSession::poll)/[`drain`](EdgeSession::drain) |
-//! | one edge, one link | N sessions, each with its own [`SessionConfig`] |
-//!
-//! `run_system`, `SmallBigSystem::run` and every report type are unchanged
-//! and produce bit-identical results (guarded by `tests/api_equivalence.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -140,7 +126,6 @@ mod runtime;
 mod scheduler;
 mod server;
 mod strategies;
-mod system;
 pub mod transport;
 mod update;
 pub mod wire;
@@ -160,7 +145,7 @@ pub use pipeline::{
     detect_all, discriminator_stats_on, discriminator_test_stats, evaluate, evaluate_detections,
     evaluate_streaming, DetectionPass, EvalConfig, EvalOutcome,
 };
-pub use runtime::{run_system, RuntimeConfig, RuntimeMode, RuntimeReport};
+pub use runtime::{run_system, RuntimeConfig, RuntimeMode};
 pub use scheduler::{
     DeadlineAware, DifficultyPriority, FifoBatcher, QueuedFrame, Scheduler, SchedulerConfig,
 };
@@ -169,7 +154,6 @@ pub use server::{
     SessionConfig, SessionReport,
 };
 pub use strategies::{Decision, OffloadPolicy, Policy, PolicyInput, QuantileStream, ScoreKind};
-pub use system::{SmallBigSystem, SmallBigSystemBuilder};
 pub use update::{CalibrationSnapshot, CalibrationUpdate, UpdateConfig, UPDATE_FORMAT};
 
 /// Support shared by the crate's unit tests.

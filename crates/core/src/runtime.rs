@@ -15,7 +15,8 @@
 use crate::fleet::MetricsMode;
 use crate::scheduler::{SchedulerConfig, SchedulerSlot};
 use crate::server::{
-    CloudConfig, CloudMachine, CloudPort, EdgeMachine, EdgePipeline, Inline, SessionConfig, ToCloud,
+    CloudConfig, CloudMachine, CloudPort, EdgeMachine, EdgePipeline, Inline, SessionConfig,
+    SessionReport, ToCloud,
 };
 use crate::strategies::OffloadPolicy;
 use crate::{DifficultCaseDiscriminator, Policy};
@@ -24,7 +25,7 @@ use detcore::ApProtocol;
 use detcore::CountingConfig;
 use modelzoo::Detector;
 use serde::{Deserialize, Serialize};
-use simnet::{DeviceModel, FaultPlan, LatencyStats, LinkModel, LinkTrace, RetryConfig};
+use simnet::{DeviceModel, FaultPlan, LinkModel, LinkTrace, RetryConfig};
 
 /// Routing mode for the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,7 +80,7 @@ pub struct RuntimeConfig {
     /// Admission control: cloud queue depth (queued frames plus virtual
     /// backlog, see [`crate::CloudConfig::queue_limit`]) beyond which
     /// uploads are refused and served edge-only
-    /// ([`RuntimeReport::admission_fallbacks`]). Note that `run_system`
+    /// ([`SessionReport::admission_fallbacks`]). Note that `run_system`
     /// drives its one session strictly poll-per-frame, so the cloud never
     /// falls behind it and only `Some(0)` can bind here; the streaming
     /// API is where admission control earns its keep. `None` (the
@@ -108,36 +109,8 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// What a runtime session reports (the paper's Table XI columns).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub struct RuntimeReport {
-    /// End-to-end mAP (%) of the results the edge device returned.
-    pub map_pct: f64,
-    /// Objects detected across the run.
-    pub detected: usize,
-    /// Ground-truth objects.
-    pub total_gt: usize,
-    /// Total (virtual) inference time for the whole run, seconds.
-    pub total_time_s: f64,
-    /// Fraction of images uploaded.
-    pub upload_ratio: f64,
-    /// Per-component latency totals.
-    pub latency: LatencyStats,
-    /// Total bytes shipped edge→cloud.
-    pub uplink_bytes: u64,
-    /// Uploads whose cloud answer missed the deadline (local fallback used).
-    pub deadline_misses: usize,
-    /// Frames routed to the cloud that the (traced) link could not deliver;
-    /// the edge served its local answer. Always zero on a static link.
-    pub link_fallbacks: usize,
-    /// Frames the cloud refused at admission
-    /// ([`RuntimeConfig::queue_limit`]); the edge served its local answer
-    /// and spent no uplink. Always zero without a queue limit.
-    pub admission_fallbacks: usize,
-}
-
-/// Runs the live system over a dataset and reports Table XI-style metrics.
+/// Runs the live system over a dataset and returns its one session's
+/// [`SessionReport`] (session 0): the paper's Table XI columns.
 ///
 /// The cloud keeps its own virtual busy-clock; requests queue if they
 /// arrive while the server is busy. The edge processes frames
@@ -172,7 +145,7 @@ pub fn run_system(
     discriminator: &DifficultCaseDiscriminator,
     mode: RuntimeMode,
     config: &RuntimeConfig,
-) -> RuntimeReport {
+) -> SessionReport {
     assert!(!test.is_empty(), "cannot run over an empty dataset");
     let num_classes = test.taxonomy().len();
 
@@ -232,18 +205,7 @@ pub fn run_system(
         stats.served == report.uploads,
         "server must have processed every uploaded image"
     );
-    RuntimeReport {
-        map_pct: report.map_pct,
-        detected: report.detected,
-        total_gt: report.total_gt,
-        total_time_s: report.total_time_s,
-        upload_ratio: report.upload_ratio,
-        latency: report.latency,
-        uplink_bytes: report.uplink_bytes,
-        deadline_misses: report.deadline_misses,
-        link_fallbacks: report.link_fallbacks,
-        admission_fallbacks: report.admission_fallbacks,
-    }
+    report
 }
 
 #[cfg(test)]

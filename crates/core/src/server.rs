@@ -411,8 +411,8 @@ pub struct FrameResult {
     pub admission_fallback: bool,
 }
 
-/// Everything one session measured (the per-edge analogue of
-/// [`crate::RuntimeReport`]).
+/// Everything one session measured: what [`EdgeSession::drain`] returns,
+/// and what [`crate::run_system`] returns for its one session.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct SessionReport {
@@ -1158,12 +1158,12 @@ impl CloudPort for SessionPort {
 /// [`drain`](Self::drain) absorbs the cloud's answer.
 ///
 /// Internally the session is a thin facade: all of the above state lives in
-/// an [`EdgeMachine`] — a compact, sans-IO state machine — wired here to a
-/// [`SessionPort`]: a [`CloudServer`] whose machine this session's thread
+/// an `EdgeMachine` — a compact, sans-IO state machine — wired here to a
+/// `SessionPort`: a [`CloudServer`] whose machine this session's thread
 /// runs, or a [`RemoteCloud`](crate::transport::RemoteCloud) connection
 /// whose socket this session's thread writes and reads. The fleet engine
 /// ([`crate::fleet`]) drives the same machines inline against sharded
-/// [`CloudMachine`]s, which is how one process carries 10⁵–10⁶ concurrent
+/// `CloudMachine`s, which is how one process carries 10⁵–10⁶ concurrent
 /// sessions without a facade, a lock or an inbox per session; the reports
 /// are the same, bit for bit.
 pub struct EdgeSession<'a> {

@@ -1,8 +1,8 @@
 //! Wire format for edge↔cloud messages: length-prefixed frames.
 //!
-//! The runtime (see [`crate::runtime`]) ships real serialized bytes between
-//! the edge and cloud threads, so payload sizes — and therefore simulated
-//! transfer times — come from actual encoded messages, not guesses.
+//! [`crate::transport`] ships these frames between an edge and a cloud
+//! node over real byte streams (in-memory pipes and TCP), so the bytes on
+//! the wire are actual encoded messages, not guesses.
 //!
 //! # Encodings and negotiation
 //!
@@ -244,16 +244,26 @@ pub fn encode_frame_into<T: Serialize>(buf: &mut Vec<u8>, value: &T) {
         let mut payload = scratch.borrow_mut();
         serde_json::to_string_into(&mut payload, value)
             .expect("message types serialize infallibly");
-        assert!(
-            payload.len() <= MAX_FRAME_BYTES,
-            "frame payload of {} bytes exceeds MAX_FRAME_BYTES",
-            payload.len()
-        );
-        buf.clear();
-        buf.reserve(4 + payload.len());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(payload.as_bytes());
+        write_frame(buf, payload.as_bytes());
     });
+}
+
+/// Replaces `buf` with `payload` behind its 4-byte little-endian length
+/// prefix: the one frame layout both encoders write.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds [`MAX_FRAME_BYTES`].
+fn write_frame(buf: &mut Vec<u8>, payload: &[u8]) {
+    assert!(
+        payload.len() <= MAX_FRAME_BYTES,
+        "frame payload of {} bytes exceeds MAX_FRAME_BYTES",
+        payload.len()
+    );
+    buf.clear();
+    buf.reserve(4 + payload.len());
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(payload);
 }
 
 /// Encodes a message as a length-prefixed frame in the given [`Encoding`].
@@ -285,15 +295,7 @@ pub fn encode_frame_into_as<T: Serialize>(buf: &mut Vec<u8>, value: &T, encoding
                 let mut payload = scratch.borrow_mut();
                 serde_json::to_vec_binary_into_with_dict(&mut payload, value, BINARY_STATIC_KEYS)
                     .expect("message types serialize infallibly");
-                assert!(
-                    payload.len() <= MAX_FRAME_BYTES,
-                    "frame payload of {} bytes exceeds MAX_FRAME_BYTES",
-                    payload.len()
-                );
-                buf.clear();
-                buf.reserve(4 + payload.len());
-                buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                buf.extend_from_slice(&payload);
+                write_frame(buf, &payload);
             });
         }
     }
@@ -328,18 +330,17 @@ pub fn decode_frame_with_limit_as<T: DeserializeOwned>(
     max_payload_bytes: usize,
     encoding: Encoding,
 ) -> Result<T, WireError> {
+    let payload = frame_payload(frame, max_payload_bytes)?;
     match encoding {
-        Encoding::Json => decode_frame_with_limit(frame, max_payload_bytes),
-        Encoding::Binary => {
-            let payload = frame_payload(frame, max_payload_bytes)?;
-            serde_json::from_slice_binary_with_dict(payload, BINARY_STATIC_KEYS)
-                .map_err(WireError::Malformed)
-        }
+        Encoding::Json => serde_json::from_slice(payload),
+        Encoding::Binary => serde_json::from_slice_binary_with_dict(payload, BINARY_STATIC_KEYS),
     }
+    .map_err(WireError::Malformed)
 }
 
-/// Shared prefix/limit/length validation for both encodings: returns the
-/// payload slice of a frame holding exactly `4 + len` bytes.
+/// The frame layout's prefix, limit and length checks, shared by both
+/// encodings: returns the payload slice of a frame holding exactly
+/// `4 + len` bytes.
 fn frame_payload(frame: &Bytes, max_payload_bytes: usize) -> Result<&[u8], WireError> {
     let buf = frame.chunk();
     if buf.len() < 4 {
@@ -401,24 +402,7 @@ pub fn decode_frame_with_limit<T: DeserializeOwned>(
     frame: &Bytes,
     max_payload_bytes: usize,
 ) -> Result<T, WireError> {
-    let mut buf = frame.clone();
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let len = buf.get_u32_le() as usize;
-    if len > max_payload_bytes {
-        return Err(WireError::Oversized(len));
-    }
-    if buf.remaining() < len {
-        return Err(WireError::Truncated);
-    }
-    if buf.remaining() > len {
-        return Err(WireError::TrailingBytes {
-            expected: len,
-            actual: buf.remaining(),
-        });
-    }
-    serde_json::from_slice(&buf.chunk()[..len]).map_err(WireError::Malformed)
+    decode_frame_with_limit_as(frame, max_payload_bytes, Encoding::Json)
 }
 
 /// Incremental decoder for a byte stream of length-prefixed frames.

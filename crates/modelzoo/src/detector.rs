@@ -330,7 +330,7 @@ impl Detector for SimDetector {
     }
 
     /// The hot path: every per-detector invariant (distributions, log/exp
-    /// bases, seed tag) comes from the [`SamplerCache`], the per-scene
+    /// bases, seed tag) comes from the `SamplerCache`, the per-scene
     /// clutter factor is computed once ahead of the object loop, and the
     /// output buffer is caller-owned — after warmup a `detect_into` call
     /// performs no allocation at all. Draw sequence and arithmetic are
@@ -458,7 +458,7 @@ impl Detector for SimDetector {
         }
     }
 
-    /// [`count_fast`](SimDetector::count_fast), falling back to
+    /// `count_fast`, falling back to
     /// [`detect`](Detector::detect) whenever it cannot vouch for the count.
     fn count_above(&self, scene: &Scene, threshold: f64) -> usize {
         self.count_fast(scene, threshold)

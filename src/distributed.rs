@@ -5,8 +5,7 @@
 //! sessions. The same [`DeploymentSpec`] drives both runners:
 //!
 //! * [`run_fleet_in_memory`] — every node in this process, connected over
-//!   [`core::transport::memory_listener`]. Deterministic and fast; the
-//!   reference result.
+//!   [`memory_listener`]. Deterministic and fast; the reference result.
 //! * [`run_fleet_processes`] — real OS processes (`cloud-node` + one
 //!   `edge-node` per edge) talking length-framed JSON over loopback TCP,
 //!   orchestrated through a line protocol on stdout (`LISTENING`/`REPORT`/
@@ -395,7 +394,8 @@ impl DeploymentSpec {
 
     /// Checks every field a run would otherwise trip over mid-flight: a
     /// zero count, batch or frame size, a deadline the wire cannot carry,
-    /// or an out-of-range scheduler or update config.
+    /// a retry backoff no dial can sleep, or an out-of-range scheduler or
+    /// update config.
     ///
     /// # Errors
     ///
@@ -417,6 +417,21 @@ impl DeploymentSpec {
                     "edge.deadline_s (--deadline-s) must be positive and finite, got {d}"
                 ));
             }
+        }
+        // An edge-node sleeps each backoff of a failed dial as a `Duration`.
+        let retry = &self.edge.retry;
+        for (field, value) in [("base_s", retry.base_s), ("multiplier", retry.multiplier)] {
+            if !(value >= 0.0 && value.is_finite()) {
+                return Err(format!(
+                    "edge.retry.{field} must be non-negative and finite, got {value}"
+                ));
+            }
+        }
+        let total_s = retry.total_backoff_s();
+        if Duration::try_from_secs_f64(total_s).is_err() {
+            return Err(format!(
+                "edge.retry backoff must total a representable wait, got {total_s} s"
+            ));
         }
         // The cloud's own check, its fields named as the CLI names them.
         self.cloud.build().validate().map_err(|e| {
@@ -1186,7 +1201,24 @@ mod tests {
             serde_json::to_string(&spec).unwrap()
         };
         let zero_batch = spec_json(&|s| s.cloud.max_batch = 0);
-        let cases: [(&[&str], &str); 12] = [
+        let retry = |base_s: f64, multiplier: f64| {
+            spec_json(&|s| {
+                s.edge.retry = RetryConfig {
+                    base_s,
+                    multiplier,
+                    max_retries: 6,
+                }
+            })
+        };
+        // A backoff an edge-node cannot sleep: negative, non-finite (JSON's
+        // `1e999` reads as infinity), or past what a `Duration` holds (here
+        // 1e30 s on the last retry).
+        let negative_base = retry(-0.05, 2.0);
+        let negative_multiplier = retry(0.05, -2.0);
+        let infinite_multiplier =
+            retry(0.05, 2.0).replace("\"multiplier\":2}", "\"multiplier\":1e999}");
+        let overflowing_total = retry(1e15, 1e3);
+        let cases: [(&[&str], &str); 16] = [
             (&["--max-batch", "0"], "cloud.max_batch"),
             (&["--scheduler", "deadline:0"], "--scheduler"),
             (&["--scheduler", "difficulty:0"], "--scheduler"),
@@ -1202,6 +1234,10 @@ mod tests {
             (&["--devices", "0"], "devices_per_edge"),
             (&["--frame-px", "0"], "edge.frame_px"),
             (&["--spec", &zero_batch], "cloud.max_batch"),
+            (&["--spec", &negative_base], "edge.retry.base_s"),
+            (&["--spec", &negative_multiplier], "edge.retry.multiplier"),
+            (&["--spec", &infinite_multiplier], "edge.retry.multiplier"),
+            (&["--spec", &overflowing_total], "edge.retry backoff"),
         ];
         for (args, field) in cases {
             match parse(args) {
@@ -1210,6 +1246,7 @@ mod tests {
             }
         }
         assert!(parse(&["--deadline-s", "0.25", "--update-epoch-s", "0.1"]).is_ok());
+        assert!(parse(&["--spec", &retry(0.0, 0.5)]).is_ok());
     }
 
     #[test]

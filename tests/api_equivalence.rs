@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 /// The seed implementation of `run_system`, transcribed verbatim (modulo
 /// visibility: `parking_lot::Mutex` → `std::sync::Mutex`, and the report is
-/// a local struct because `RuntimeReport` is `#[non_exhaustive]`).
+/// a local struct because `SessionReport` is `#[non_exhaustive]`).
 mod legacy {
     use crossbeam::channel;
     use rand::rngs::StdRng;
@@ -265,7 +265,7 @@ fn run_system_matches_seed_implementation_exactly() {
 
 /// `run_system` is documented as a thin wrapper over one blocking
 /// single-session `CloudServer`. Drive that session by hand and require the
-/// identical report — field for field, bit for bit.
+/// identical `SessionReport`, the whole of it, bit for bit.
 #[test]
 fn run_system_equals_manual_single_session() {
     let (test, small, big) = fixture();
@@ -274,7 +274,7 @@ fn run_system_equals_manual_single_session() {
         ..Default::default()
     };
 
-    let legacy = run_system(&test, &small, &big, &disc(), RuntimeMode::SmallBig, &config);
+    let run = run_system(&test, &small, &big, &disc(), RuntimeMode::SmallBig, &config);
 
     let big_arc: Arc<dyn Detector + Send + Sync> = Arc::new(big.clone());
     let mut cloud = CloudServer::spawn(
@@ -307,14 +307,7 @@ fn run_system_equals_manual_single_session() {
     let stats = cloud.shutdown();
 
     assert_eq!(stats.served, manual.uploads);
-    assert_eq!(legacy.map_pct, manual.map_pct);
-    assert_eq!(legacy.detected, manual.detected);
-    assert_eq!(legacy.total_gt, manual.total_gt);
-    assert_eq!(legacy.total_time_s, manual.total_time_s);
-    assert_eq!(legacy.upload_ratio, manual.upload_ratio);
-    assert_eq!(legacy.latency, manual.latency);
-    assert_eq!(legacy.uplink_bytes, manual.uplink_bytes);
-    assert_eq!(legacy.deadline_misses, manual.deadline_misses);
+    assert_eq!(run, manual);
 }
 
 /// All three legacy modes run bit-identically twice through the wrapper.

@@ -4,7 +4,7 @@
 //! piecewise schedules over virtual time, stochastic constructors expand at
 //! construction from their own RNG streams, and the session layer drives
 //! retransmissions against per-session virtual clocks. The golden tests pin
-//! fixed-seed [`RuntimeReport`]s — integer fields exactly, float aggregates
+//! fixed-seed [`SessionReport`]s — integer fields exactly, float aggregates
 //! to a 1e-9 relative tolerance (libm last-bit portability) — so any drift
 //! in trace semantics, retry accounting or scheduler behaviour
 //! fails loudly; the determinism tests re-run each scenario and require
@@ -15,7 +15,7 @@
 
 use smallbig::core::{
     run_system, CloudConfig, CloudServer, DifficultCaseDiscriminator, Policy, RuntimeConfig,
-    RuntimeMode, RuntimeReport, SessionConfig, Thresholds,
+    RuntimeMode, SessionConfig, SessionReport, Thresholds,
 };
 use smallbig::prelude::*;
 use smallbig::simnet::{FaultPlan, LinkTrace};
@@ -58,7 +58,7 @@ fn scenarios() -> [(&'static str, LinkTrace); 3] {
     ]
 }
 
-fn run_scenario(trace: LinkTrace) -> RuntimeReport {
+fn run_scenario(trace: LinkTrace) -> SessionReport {
     let (test, small, big) = fixture();
     run_system(
         &test,
