@@ -86,11 +86,11 @@
 use crate::intmap::IntMap;
 use crate::scheduler::SchedulerSlot;
 use crate::server::{
-    assert_frame_size, encoded_upload_bytes, CloudConfig, CloudMachine, CloudPort, CloudServer,
-    CloudStats, EdgeMachine, FrameResult, Inline, SessionConfig, SessionReport, ToCloud,
+    encoded_upload_bytes, CloudConfig, CloudMachine, CloudPort, CloudServer, CloudStats,
+    EdgeMachine, FrameResult, Inline, SessionConfig, SessionReport, ToCloud,
 };
 use crate::strategies::{OffloadPolicy, Policy};
-use crate::DifficultCaseDiscriminator;
+use crate::{ConfigError, DifficultCaseDiscriminator};
 use datagen::{Dataset, DatasetProfile, Scene, SplitId};
 use detcore::{count_detected, CountingConfig, ImageCount, ImageDetections};
 use modelzoo::{Detector, ModelKind, SimDetector};
@@ -330,35 +330,48 @@ impl FleetSpec {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.sessions > 0, "a fleet needs at least one session");
-        assert!(
-            self.sessions <= u32::MAX as usize,
-            "session ids are u32 in the planner"
-        );
-        assert!(self.tenants > 0, "a fleet needs at least one tenant");
-        assert!(self.zipf_exponent >= 0.0, "zipf exponent must be >= 0");
-        assert!(self.frames_per_session >= 1, "sessions need >= 1 frame");
-        assert!(self.frame_interval_s > 0.0, "frame interval must be > 0");
-        assert!(self.horizon_s > 0.0, "arrival window must be > 0");
-        assert!(self.scene_pool > 0, "scene pool must be non-empty");
-        assert!(self.shards >= 1, "need at least one cloud shard");
-        assert_frame_size(self.frame_size);
-        for (name, n) in [
-            ("device", self.device_mix.len()),
-            ("link", self.link_mix.len()),
-            ("policy", self.policy_mix.len()),
-            ("deadline", self.deadline_mix.len()),
-        ] {
-            assert!(n > 0, "{name} mix must be non-empty");
-            assert!(n <= 256, "{name} mix indexes as u8 (max 256 entries)");
+    /// Checks every field a run would trip over, once per run: the
+    /// session and cloud configs it derives are then valid.
+    fn validate(&self) -> Result<(), ConfigError> {
+        const ONE: &str = "must be at least 1";
+        const POSITIVE: &str = "must be positive";
+        const MIX: &str = "must hold 1 to 256 positive, finite weights";
+        fn mix<T>(m: &[T], w: fn(&T) -> f64) -> bool {
+            (1..=256).contains(&m.len()) && m.iter().all(|c| w(c) > 0.0 && w(c).is_finite())
         }
-        self.cloud.assert_valid();
-        if let Some(drift) = &self.drift {
-            if let Err(e) = drift.validate() {
-                panic!("invalid drift schedule: {e}");
+        let (w, h) = self.frame_size;
+        let sessions = (1..=u32::MAX as usize).contains(&self.sessions);
+        // `LinkTrace::diurnal_ramp`'s preconditions.
+        let arrival = match self.arrival {
+            ArrivalCurve::Uniform => true,
+            ArrivalCurve::Diurnal {
+                period_s: p,
+                floor_scale: f,
+            } => p > 0.0 && p.is_finite() && f > 0.0 && f <= 1.0,
+        };
+        for (path, valid, reason) in [
+            ("sessions", sessions, "must be 1 to u32::MAX"),
+            ("arrival", arrival, "period_s or floor_scale out of range"),
+            ("tenants", self.tenants > 0, ONE),
+            ("zipf_exponent", self.zipf_exponent >= 0.0, "must be >= 0"),
+            ("frames_per_session", self.frames_per_session > 0, ONE),
+            ("frame_interval_s", self.frame_interval_s > 0.0, POSITIVE),
+            ("horizon_s", self.horizon_s > 0.0, POSITIVE),
+            ("scene_pool", self.scene_pool > 0, ONE),
+            ("shards", self.shards > 0, ONE),
+            ("frame_size", w > 0 && h > 0, POSITIVE),
+            ("device_mix", mix(&self.device_mix, |c| c.weight), MIX),
+            ("link_mix", mix(&self.link_mix, |c| c.weight), MIX),
+            ("policy_mix", mix(&self.policy_mix, |c| c.weight), MIX),
+            ("deadline_mix", mix(&self.deadline_mix, |c| c.weight), MIX),
+        ] {
+            if !valid {
+                return Err(ConfigError::new(path, reason));
             }
         }
+        self.cloud.validate().map_err(|e| e.within("cloud"))?;
+        let drift = self.drift.as_ref().map_or(Ok(()), |d| d.validate());
+        drift.map_err(|reason| ConfigError::new("drift", reason))
     }
 
     /// The cloud configuration shard `shard` runs with (derived seed).
@@ -428,14 +441,12 @@ pub struct Population {
 /// Cumulative weights for a categorical draw by binary search.
 fn cumulative(weights: impl Iterator<Item = f64>) -> Vec<f64> {
     let mut acc = 0.0;
-    let cum: Vec<f64> = weights
+    weights
         .map(|w| {
-            assert!(w.is_finite() && w > 0.0, "mix weights must be positive");
             acc += w;
             acc
         })
-        .collect();
-    cum
+        .collect()
 }
 
 fn draw(cum: &[f64], rng: &mut StdRng) -> usize {
@@ -456,8 +467,18 @@ impl Population {
     /// `sessions` equal-mass slots (jittered within it), which keeps
     /// arrival order equal to id order and the empirical curve tight to
     /// the spec even for small fleets.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `invalid fleet spec:` and the spec's [`ConfigError`]
+    /// (the run functions return it).
     pub fn generate(spec: &FleetSpec) -> Population {
-        spec.validate();
+        crate::expect_valid(spec.validate(), "fleet spec");
+        Population::plan(spec)
+    }
+
+    /// [`Population::generate`] for a checked spec.
+    fn plan(spec: &FleetSpec) -> Population {
         let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x907a_7e0f);
         let tenant_cum =
             cumulative((0..spec.tenants).map(|t| ((t + 1) as f64).powf(-spec.zipf_exponent)));
@@ -821,22 +842,30 @@ struct Workload<'w> {
     memo: &'w PoolMemo,
 }
 
-/// A fleet run failed: one shard's drive panicked (a detector failing
-/// mid-frame, an unresolved frame, a machine invariant violation). The
-/// run surfaces the first failing
-/// shard (lowest id) with its panic diagnostic instead of tearing the
-/// process down — remaining shards complete normally.
+/// A fleet run failed: its spec was refused, or one shard's drive
+/// panicked (a detector failing mid-frame, an unresolved frame, a machine
+/// invariant violation). The run surfaces the first failing shard (lowest
+/// id) with its panic diagnostic instead of tearing the process down —
+/// remaining shards complete normally.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetError {
-    /// The cloud shard whose drive failed.
-    pub shard: usize,
-    /// The panic diagnostic.
-    pub message: String,
+pub enum FleetError {
+    /// The spec's refusal, before any session ran.
+    Config(ConfigError),
+    /// A shard's drive panicked.
+    Shard {
+        /// The cloud shard whose drive failed.
+        shard: usize,
+        /// The panic diagnostic.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for FleetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "fleet shard {} failed: {}", self.shard, self.message)
+        match self {
+            Self::Config(e) => write!(f, "invalid fleet spec: {e}"),
+            Self::Shard { shard, message } => write!(f, "fleet shard {shard} failed: {message}"),
+        }
     }
 }
 
@@ -853,7 +882,7 @@ fn shard_guard<T>(shard: usize, f: impl FnOnce() -> T) -> Result<T, FleetError> 
             .map(|s| s.to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "shard drive panicked with a non-string payload".to_string());
-        FleetError { shard, message }
+        FleetError::Shard { shard, message }
     })
 }
 
@@ -1041,7 +1070,8 @@ impl ShardConsumer for CollectSessions {
 pub fn run_fleet_sessions(
     spec: &FleetSpec,
 ) -> Result<(Vec<SessionReport>, Vec<CloudStats>), FleetError> {
-    let pop = Population::generate(spec);
+    spec.validate().map_err(FleetError::Config)?;
+    let pop = Population::plan(spec);
     let shards = run_event_core(spec, &pop, MetricsMode::Full, CollectSessions::default)?;
     let mut stats = Vec::with_capacity(spec.shards);
     let mut indexed: Vec<(u32, SessionReport)> = Vec::with_capacity(pop.sessions.len());
@@ -1308,7 +1338,8 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
 /// bit-identical reports (pinned in `tests/fleet.rs`); `Full` exists for
 /// before/after memory measurement and as the conservative fallback.
 pub fn run_fleet_with(spec: &FleetSpec, mode: MetricsMode) -> Result<FleetReport, FleetError> {
-    let pop = Population::generate(spec);
+    spec.validate().map_err(FleetError::Config)?;
+    let pop = Population::plan(spec);
     let (mut aggs, cloud): (Vec<Aggregate>, Vec<CloudStats>) =
         run_event_core(spec, &pop, mode, || Aggregate::new(spec.tenants))?
             .into_iter()
@@ -1416,12 +1447,30 @@ mod tests {
     /// Unvalidated, this is a shard-thread panic at the first upload — and
     /// an edge-only fleet never notices at all.
     #[test]
-    #[should_panic(expected = "frame_size must be positive")]
     fn zero_frame_size_fails_validation() {
-        let _ = run_fleet(&FleetSpec {
+        let err = run_fleet(&FleetSpec {
             frame_size: (0, 96),
             ..tiny_spec()
         });
+        let Err(FleetError::Config(e)) = err else {
+            panic!("a zero frame size must be refused, got {err:?}");
+        };
+        assert_eq!(e.path, "frame_size");
+    }
+
+    #[test]
+    fn a_diurnal_arrival_without_a_period_is_refused() {
+        let err = run_fleet(&FleetSpec {
+            arrival: ArrivalCurve::Diurnal {
+                period_s: 0.0,
+                floor_scale: 0.5,
+            },
+            ..tiny_spec()
+        });
+        let Err(FleetError::Config(e)) = err else {
+            panic!("a zero period must be refused, got {err:?}");
+        };
+        assert_eq!(e.path, "arrival");
     }
 
     #[test]
@@ -1672,7 +1721,7 @@ mod tests {
             assert!(!sessions.reports.is_empty());
         }
         let err = outcomes[1].as_ref().err().expect("shard 1 must fail");
-        let expected = FleetError {
+        let expected = FleetError::Shard {
             shard: 1,
             message: format!("big model failed on call {fail_on}"),
         };
@@ -1686,7 +1735,7 @@ mod tests {
         let err = shard_guard(7, || -> usize { panic!("boom {}", 9) }).unwrap_err();
         assert_eq!(
             err,
-            FleetError {
+            FleetError::Shard {
                 shard: 7,
                 message: "boom 9".to_string()
             }

@@ -156,6 +156,53 @@ pub use server::{
 pub use strategies::{Decision, OffloadPolicy, Policy, PolicyInput, QuantileStream, ScoreKind};
 pub use update::{CalibrationSnapshot, CalibrationUpdate, UpdateConfig, UPDATE_FORMAT};
 
+/// A config refused where it enters the library: `path` names the field
+/// from the config's root, like `edge.retry.base_s`, and `reason` what it
+/// must be.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending field's dotted path.
+    pub path: String,
+    /// What the field must be, and what it was.
+    pub reason: String,
+}
+
+impl ConfigError {
+    /// Refuses the field at `path`.
+    pub fn new(path: &str, reason: impl Into<String>) -> ConfigError {
+        let (path, reason) = (path.to_string(), reason.into());
+        ConfigError { path, reason }
+    }
+
+    /// This refusal seen from the config that holds it at `prefix` (an
+    /// empty `path` becomes `prefix`).
+    pub fn within(self, prefix: &str) -> ConfigError {
+        let path = format!("{prefix}.{}", self.path);
+        ConfigError::new(path.trim_end_matches('.'), self.reason)
+    }
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} {}", self.path, self.reason)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// Refuses a config where the entry's return type has no room for it.
+pub(crate) fn expect_valid(checked: Result<(), ConfigError>, what: &str) {
+    if let Err(e) = checked {
+        panic!("invalid {what}: {e}");
+    }
+}
+
+/// [`simnet::RetryConfig::validate`]'s refusal, under `retry`.
+pub(crate) fn check_retry(retry: &simnet::RetryConfig) -> Result<(), ConfigError> {
+    let refuse = |(field, reason)| ConfigError::new(field, reason).within("retry");
+    retry.validate().map_err(refuse)
+}
+
 /// Support shared by the crate's unit tests.
 #[cfg(test)]
 mod test_support {

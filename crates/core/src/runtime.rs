@@ -120,6 +120,11 @@ impl Default for RuntimeConfig {
 /// those types directly for incremental submission or multiple concurrent
 /// edges.
 ///
+/// # Panics
+///
+/// Panics on an empty `test`, or with the [`crate::ConfigError`] of a
+/// `config` that makes the cloud's or the session's config invalid.
+///
 /// # Examples
 ///
 /// ```
@@ -176,6 +181,8 @@ pub fn run_system(
         drop_windows: config.faults.drops_for(0),
         retry: config.retry,
     };
+    crate::expect_valid(cloud_cfg.validate(), "cloud config");
+    crate::expect_valid(session_cfg.validate(), "session config");
     let policy: Box<dyn OffloadPolicy + '_> = match mode {
         RuntimeMode::SmallBig => Box::new(discriminator.clone()),
         RuntimeMode::EdgeOnly => Box::new(Policy::EdgeOnly),

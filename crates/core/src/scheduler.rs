@@ -39,6 +39,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::server::SubmitRequest;
+use crate::ConfigError;
 
 /// A frame waiting cloud-side for its batch: what a [`Scheduler`] orders.
 ///
@@ -283,7 +284,7 @@ struct PriorityQueue {
 
 impl PriorityQueue {
     fn new(lookahead: usize) -> Self {
-        check_lookahead(lookahead).unwrap_or_else(|e| panic!("{e}"));
+        assert!(lookahead >= 1, "lookahead must be at least 1");
         PriorityQueue {
             queue: Vec::new(),
             lookahead,
@@ -464,22 +465,15 @@ impl SchedulerConfig {
     /// # Errors
     ///
     /// Names the field out of range.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         match *self {
-            SchedulerConfig::Fifo => Ok(()),
-            SchedulerConfig::DeadlineAware { lookahead }
-            | SchedulerConfig::DifficultyPriority { lookahead } => check_lookahead(lookahead),
+            SchedulerConfig::DeadlineAware { lookahead: 0 }
+            | SchedulerConfig::DifficultyPriority { lookahead: 0 } => {
+                Err(ConfigError::new("lookahead", "must be at least 1"))
+            }
+            _ => Ok(()),
         }
     }
-}
-
-/// The one range check behind [`SchedulerConfig::validate`] and the
-/// priority schedulers' constructors.
-fn check_lookahead(lookahead: usize) -> Result<(), String> {
-    if lookahead < 1 {
-        return Err("lookahead must be at least 1".into());
-    }
-    Ok(())
 }
 
 /// The cloud worker's scheduler seam, with a monomorphized fast path.
@@ -640,7 +634,8 @@ mod tests {
             SchedulerConfig::DeadlineAware { lookahead: 0 },
             SchedulerConfig::DifficultyPriority { lookahead: 0 },
         ] {
-            assert_eq!(cfg.validate(), Err("lookahead must be at least 1".into()));
+            let refused = ConfigError::new("lookahead", "must be at least 1");
+            assert_eq!(cfg.validate(), Err(refused));
         }
     }
 

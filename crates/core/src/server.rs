@@ -183,6 +183,7 @@ use crate::intmap::IntMap;
 use crate::scheduler::{QueuedFrame, Scheduler, SchedulerConfig, SchedulerSlot};
 use crate::strategies::{Decision, OffloadPolicy, PolicyInput};
 use crate::update::{CalibrationUpdate, UpdateClient, UpdatePublisher};
+use crate::ConfigError;
 use datagen::Scene;
 use detcore::{
     count_detected_with, ApProtocol, CountScratch, CountingConfig, DatasetCounter, GroundTruth,
@@ -281,22 +282,15 @@ impl CloudConfig {
     ///
     /// # Errors
     ///
-    /// Names the first offending field.
-    pub fn validate(&self) -> Result<(), String> {
+    /// The first offending field's refusal.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.max_batch < 1 {
-            return Err("max_batch must be at least 1".into());
+            return Err(ConfigError::new("max_batch", "must be at least 1"));
         }
-        (self.scheduler.validate()).map_err(|e| format!("scheduler: {e}"))?;
-        if let Some(u) = &self.updates {
-            u.validate().map_err(|e| format!("updates: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// Panics with [`CloudConfig::validate`]'s error.
-    pub(crate) fn assert_valid(&self) {
-        if let Err(e) = self.validate() {
-            panic!("invalid cloud config: {e}");
+        (self.scheduler.validate()).map_err(|e| e.within("scheduler"))?;
+        match &self.updates {
+            Some(u) => u.validate().map_err(|e| e.within("updates")),
+            None => Ok(()),
         }
     }
 }
@@ -369,18 +363,17 @@ impl SessionConfig {
             retry: RetryConfig::default(),
         }
     }
-}
 
-/// Rejects a frame size the renderer cannot draw. Called wherever a
-/// configuration carrying one is validated, so a zero dimension fails on
-/// the caller's thread instead of at the session's first upload.
-pub(crate) fn assert_frame_size(frame_size: (usize, usize)) {
-    assert!(
-        frame_size.0 > 0 && frame_size.1 > 0,
-        "frame_size must be positive in both dimensions, got {}x{}",
-        frame_size.0,
-        frame_size.1
-    );
+    /// Checks the frame size (an edge-only session never renders) and
+    /// the retry backoff.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        let (w, h) = self.frame_size;
+        if w == 0 || h == 0 {
+            let reason = format!("must be positive, got {w}x{h}");
+            return Err(ConfigError::new("frame_size", reason));
+        }
+        crate::check_retry(&self.retry)
+    }
 }
 
 /// Handle to one submitted frame, returned by [`EdgeSession::submit`].
@@ -682,8 +675,8 @@ pub(crate) struct CloudMachine {
 }
 
 impl CloudMachine {
+    /// The machine for a config its entry point checked.
     pub(crate) fn new(config: CloudConfig, sched: SchedulerSlot) -> CloudMachine {
-        config.assert_valid();
         let rng = StdRng::seed_from_u64(config.seed ^ 0xc10d);
         CloudMachine {
             sched,
@@ -982,11 +975,10 @@ impl CloudServer {
     ///
     /// # Panics
     ///
-    /// Panics with [`CloudConfig::validate`]'s message when `config` is
-    /// invalid.
+    /// Panics with `invalid cloud config:` and [`CloudConfig::validate`]'s
+    /// refusal.
     pub fn spawn(config: CloudConfig, big: Arc<dyn Detector + Send + Sync>) -> CloudServer {
-        // Validate before the scheduler is built from the config.
-        config.assert_valid();
+        crate::expect_valid(config.validate(), "cloud config");
         let sched = SchedulerSlot::from_config(&config.scheduler);
         CloudServer::spawn_slot(config, big, sched)
     }
@@ -1003,6 +995,7 @@ impl CloudServer {
         big: Arc<dyn Detector + Send + Sync>,
         scheduler: Box<dyn Scheduler>,
     ) -> CloudServer {
+        crate::expect_valid(config.validate(), "cloud config");
         CloudServer::spawn_slot(config, big, SchedulerSlot::Custom(scheduler))
     }
 
@@ -1034,6 +1027,11 @@ impl CloudServer {
     /// and panic if boxed directly as a streaming policy — pass
     /// [`Policy::into_stream()`](crate::Policy::into_stream) instead, which
     /// converts them to their online-quantile form.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `invalid session config:` and the [`ConfigError`] of an
+    /// invalid `config`, which registers nothing.
     pub fn connect<'a>(
         &mut self,
         config: SessionConfig,
@@ -1050,7 +1048,7 @@ impl CloudServer {
     /// [`RemoteCloud::attach_as`](crate::transport::RemoteCloud::attach_as),
     /// so a reference run can mirror the ids a transport fleet uses. Does
     /// not advance the auto-assigned counter; ids must be unique per
-    /// server.
+    /// server. Panics as [`CloudServer::connect`] does.
     pub fn connect_as<'a>(
         &mut self,
         session: u64,
@@ -1405,8 +1403,7 @@ impl<'a> EdgeSession<'a> {
         uplink: Uplink,
         admission: bool,
     ) -> EdgeSession<'a> {
-        // The machine checks the config first: one it refuses registers
-        // nothing on the cloud.
+        crate::expect_valid(cfg.validate(), "session config");
         let link = cfg.link.clone();
         let m = EdgeMachine::new(id, cfg, small, policy, admission, MetricsMode::Full);
         let mut port = SessionPort {
@@ -1515,7 +1512,8 @@ impl<'a> EdgeMachine<'a> {
     /// a `ToCloud::Register` for `id` must reach the cloud (through
     /// whatever port this machine will be driven with) before the first
     /// submit. `metrics` picks the session's quality bookkeeping (see
-    /// [`SessionMetrics`]); only the fleet engine asks for compact.
+    /// [`SessionMetrics`]); only the fleet engine asks for compact. Its
+    /// entry point checked `cfg`.
     pub(crate) fn new(
         id: u64,
         cfg: SessionConfig,
@@ -1524,7 +1522,6 @@ impl<'a> EdgeMachine<'a> {
         admission: bool,
         metrics: MetricsMode,
     ) -> EdgeMachine<'a> {
-        assert_frame_size(cfg.frame_size);
         let rng = StdRng::seed_from_u64(cfg.seed ^ 0xed6e);
         let metrics = SessionMetrics::new(metrics, &cfg);
         EdgeMachine {

@@ -698,8 +698,10 @@ impl TcpTransport {
     ///
     /// # Errors
     ///
-    /// Returns the final connect error once the schedule is exhausted.
+    /// Returns the final connect error once the schedule is exhausted, or
+    /// `InvalidInput` before any dial when [`RetryConfig::validate`] fails.
     pub fn dial_with_backoff(addr: &str, retry: &RetryConfig) -> io::Result<TcpTransport> {
+        crate::check_retry(retry).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let mut last = None;
         for attempt in 0..=retry.max_retries {
             if attempt > 0 {
@@ -1471,12 +1473,15 @@ impl RemoteCloud {
     ///
     /// Returns the typed [`HandshakeError`] when the cloud refuses, the
     /// encoding negotiation fails, or the connection fails before a
-    /// welcome.
+    /// welcome, and an `InvalidInput` [`HandshakeError::Io`] before the
+    /// hello when [`ConnectOptions::retry`] fails its check.
     pub fn connect(
         transport: Box<dyn Transport>,
         session: u64,
         opts: ConnectOptions,
     ) -> Result<RemoteCloud, HandshakeError> {
+        let invalid = |e| HandshakeError::Io(io::Error::new(io::ErrorKind::InvalidInput, e));
+        crate::check_retry(&opts.retry).map_err(invalid)?;
         let (mut tx, mut rx) = transport.split();
         let hello = Hello {
             magic: HELLO_MAGIC,
@@ -1514,8 +1519,9 @@ impl RemoteCloud {
     ///
     /// # Errors
     ///
-    /// Returns [`HandshakeError::Io`] when no connection could be made, or
-    /// any other [`HandshakeError`] from the handshake itself.
+    /// Returns [`HandshakeError::Io`] when no connection could be made (or
+    /// `retry` fails its check), or any other [`HandshakeError`] from the
+    /// handshake itself.
     pub fn connect_tcp(
         addr: &str,
         session: u64,
@@ -1937,13 +1943,14 @@ fn encode_reply(session: u64, reply: Reply, encoding: Encoding) -> Vec<u8> {
 /// [`ServeOptions::hello_timeout`], then frames until a peer ends the
 /// connection, and writes what each read produced before reading on. A big
 /// model that panics drops the connection instead of the node: the outcome
-/// is then unclean and carries no stats.
+/// is then unclean and carries no stats. Panics as [`serve`] does.
 pub fn serve_connection(
     conn: Box<dyn Transport>,
     config: &CloudConfig,
     big: &Arc<dyn Detector + Send + Sync>,
     opts: &ServeOptions,
 ) -> ConnOutcome {
+    crate::expect_valid(config.validate(), "cloud config");
     let (mut ftx, mut frx) = conn.split();
     let mut node = ServerConn::new(config.clone());
     let read = |got: io::Result<Option<Bytes>>| match got {
@@ -1981,8 +1988,8 @@ pub fn serve_connection(
 ///
 /// # Panics
 ///
-/// Panics on this thread, with [`CloudConfig::validate`]'s message and
-/// before accepting any connection, when `config` is invalid.
+/// Panics on this thread, with `invalid cloud config:` and
+/// [`CloudConfig::validate`]'s refusal, before accepting any connection.
 pub fn serve(
     listener: &mut dyn Listener,
     config: &CloudConfig,
@@ -1990,7 +1997,7 @@ pub fn serve(
     opts: &ServeOptions,
     stop: &AtomicBool,
 ) -> NodeStats {
-    config.assert_valid();
+    crate::expect_valid(config.validate(), "cloud config");
     let waker = listener.waker();
     let agg = Mutex::new(NodeStats::default());
     let completed = AtomicUsize::new(0);

@@ -41,7 +41,7 @@
 //! build without this module, and an update-enabled run replays
 //! bit-identically from its seeds.
 
-use crate::{calibrate_count_area, LabeledExample, Thresholds};
+use crate::{calibrate_count_area, ConfigError, LabeledExample, Thresholds};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -146,28 +146,23 @@ impl UpdateConfig {
     /// # Errors
     ///
     /// Names the first field out of range.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.epoch_s > 0.0 && self.epoch_s.is_finite()) {
-            return Err("update epoch_s must be positive and finite".into());
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let (epoch_s, divergence) = (self.epoch_s, self.divergence);
+        if !(epoch_s > 0.0 && epoch_s.is_finite()) {
+            let reason = format!("must be positive and finite, got {epoch_s}");
+            return Err(ConfigError::new("epoch_s", reason));
         }
         if self.min_examples < 1 {
-            return Err("min_examples must be at least 1".into());
+            return Err(ConfigError::new("min_examples", "must be at least 1"));
         }
         if self.holdout < 1 {
-            return Err("holdout must be at least 1".into());
+            return Err(ConfigError::new("holdout", "must be at least 1"));
         }
-        if !(0.0..=1.0).contains(&self.divergence) {
-            return Err("divergence bound must be in [0, 1]".into());
+        if !(0.0..=1.0).contains(&divergence) {
+            let reason = format!("must be in [0, 1], got {divergence}");
+            return Err(ConfigError::new("divergence", reason));
         }
         Ok(())
-    }
-
-    /// Panics with [`UpdateConfig::validate`]'s error — called at spawn
-    /// time so a bad configuration fails on the caller's thread.
-    pub(crate) fn assert_valid(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
     }
 }
 
@@ -216,8 +211,8 @@ pub(crate) struct UpdatePublisher {
 }
 
 impl UpdatePublisher {
+    /// A publisher for a config its cloud's entry point has checked.
     pub(crate) fn new(cfg: UpdateConfig) -> Self {
-        cfg.assert_valid();
         UpdatePublisher {
             cfg,
             epoch: 0,
@@ -603,11 +598,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "epoch_s")]
     fn zero_epoch_rejected() {
-        let _ = UpdatePublisher::new(UpdateConfig {
+        let zero = UpdateConfig {
             epoch_s: 0.0,
             ..UpdateConfig::default()
-        });
+        };
+        assert_eq!(zero.validate().unwrap_err().path, "epoch_s");
     }
 }

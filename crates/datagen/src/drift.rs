@@ -143,18 +143,18 @@ impl DriftSchedule {
     /// weights matching its taxonomy.
     pub fn validate(&self) -> Result<(), String> {
         if self.phases.is_empty() {
-            return Err("drift schedule has no phases".to_string());
+            return Err("must have at least one phase".to_string());
         }
         if self.phases[0].start_s != 0.0 {
             return Err(format!(
-                "first drift phase must start at 0.0, not {}",
+                "first phase must start at 0.0, not {}",
                 self.phases[0].start_s
             ));
         }
         for pair in self.phases.windows(2) {
             if !(pair[1].start_s > pair[0].start_s && pair[1].start_s.is_finite()) {
                 return Err(format!(
-                    "drift phase starts must be finite and strictly increasing \
+                    "phase starts must be finite and strictly increasing \
                      ({} then {})",
                     pair[0].start_s, pair[1].start_s
                 ));
@@ -163,7 +163,7 @@ impl DriftSchedule {
         for (i, p) in self.phases.iter().enumerate() {
             if p.profile.class_weights.len() != p.profile.taxonomy.len() {
                 return Err(format!(
-                    "drift phase {i}: {} class weights for a {}-class taxonomy",
+                    "phase {i} has {} class weights for a {}-class taxonomy",
                     p.profile.class_weights.len(),
                     p.profile.taxonomy.len()
                 ));

@@ -31,7 +31,6 @@ mod profile;
 mod scene;
 mod splits;
 mod stats;
-mod video;
 
 pub use dataset::Dataset;
 pub use drift::{DriftPhase, DriftSchedule};
@@ -39,4 +38,3 @@ pub use profile::{AreaModel, CameraModel, CountModel, DatasetProfile, Difficulty
 pub use scene::{Scene, SceneObject};
 pub use splits::{Split, SplitId};
 pub use stats::DatasetStats;
-pub use video::{VideoProfile, VideoSequence};

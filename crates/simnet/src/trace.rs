@@ -547,6 +547,23 @@ impl RetryConfig {
     pub fn total_backoff_s(&self) -> f64 {
         (1..=self.max_retries).map(|a| self.backoff_s(a)).sum()
     }
+
+    /// Checks that every backoff is a wait a [`std::time::Duration`] holds:
+    /// `base_s` and `multiplier` non-negative and finite, and their total
+    /// representable. Returns the offending field (empty for the whole
+    /// schedule) and why.
+    pub fn validate(&self) -> Result<(), (&'static str, String)> {
+        for (field, value) in [("base_s", self.base_s), ("multiplier", self.multiplier)] {
+            if !(value >= 0.0 && value.is_finite()) {
+                return Err((field, format!("must be finite and >= 0, got {value}")));
+            }
+        }
+        let total_s = self.total_backoff_s();
+        match std::time::Duration::try_from_secs_f64(total_s) {
+            Ok(_) => Ok(()),
+            Err(_) => Err(("", format!("backoff must fit a Duration, got {total_s} s"))),
+        }
+    }
 }
 
 /// A half-open window `[start_s, end_s)` of virtual time.

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::{FaultPlan, LinkAttempt, LinkModel, LinkTrace, RetryConfig};
+use std::time::Duration;
 
 /// Every constructor must satisfy the trace invariants: non-negative
 /// scales, loss overrides in `[0, 1]`, strictly monotone virtual time
@@ -162,7 +163,9 @@ proptest! {
     }
 
     /// `next_available` lands outside every stall window and never moves
-    /// time backwards; the retry schedule is positive and monotone.
+    /// time backwards; the retry schedule is positive and monotone, and
+    /// any schedule its check passes, hostile draws included, waits only
+    /// for what a `Duration` holds.
     #[test]
     fn fault_plan_and_retry_invariants(
         starts in prop::collection::vec((0.0f64..200.0, 0.1f64..30.0), 0..6),
@@ -170,6 +173,12 @@ proptest! {
         base in 0.001f64..1.0,
         multiplier in 1.0f64..4.0,
         max_retries in 1u32..10,
+        wild_base in (-1.0f64..1.0, 0i32..40),
+        wild_multiplier in (-1.0f64..8.0, 0i32..12),
+        special_base in prop::option::of(prop::sample::select(vec![
+            f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0, f64::MAX,
+        ])),
+        wild_retries in 0u32..64,
     ) {
         let mut plan = FaultPlan::new();
         for (s, d) in &starts {
@@ -188,5 +197,18 @@ proptest! {
             prev = b;
         }
         prop_assert!(retry.total_backoff_s() >= retry.backoff_s(max_retries));
+        prop_assert!(retry.validate().is_ok());
+
+        let wild = RetryConfig {
+            base_s: special_base.unwrap_or(wild_base.0 * 10f64.powi(wild_base.1)),
+            multiplier: wild_multiplier.0 * 10f64.powi(wild_multiplier.1),
+            max_retries: wild_retries,
+        };
+        if wild.validate().is_ok() {
+            for attempt in 1..=wild.max_retries {
+                let wait = Duration::try_from_secs_f64(wild.backoff_s(attempt));
+                prop_assert!(wait.is_ok(), "{wild:?} passed, attempt {attempt}");
+            }
+        }
     }
 }

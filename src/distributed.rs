@@ -40,8 +40,8 @@ use smallbig_core::transport::{
 };
 use smallbig_core::wire::Encoding;
 use smallbig_core::{
-    CloudConfig, DifficultCaseDiscriminator, EdgePipeline, OffloadPolicy, Policy, SchedulerConfig,
-    SessionConfig, SessionReport, UpdateConfig,
+    CloudConfig, ConfigError, DifficultCaseDiscriminator, EdgePipeline, OffloadPolicy, Policy,
+    SchedulerConfig, SessionConfig, SessionReport, UpdateConfig,
 };
 
 // ---------------------------------------------------------------------------
@@ -394,54 +394,44 @@ impl DeploymentSpec {
 
     /// Checks every field a run would otherwise trip over mid-flight: a
     /// zero count, batch or frame size, a deadline the wire cannot carry,
-    /// a retry backoff no dial can sleep, or an out-of-range scheduler or
-    /// update config.
+    /// an outage trace no link can follow, a retry backoff no dial can
+    /// sleep, or an out-of-range scheduler or update config.
     ///
     /// # Errors
     ///
-    /// Names the first offending field, with its CLI flag where it has one.
-    pub fn validate(&self) -> Result<(), String> {
-        for (field, value) in [
-            ("edges (--edges)", self.edges),
-            ("devices_per_edge (--devices)", self.devices_per_edge),
-            ("frames_per_device (--frames)", self.frames_per_device),
-            ("edge.frame_px (--frame-px)", self.edge.frame_px),
+    /// Names the first offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        for (path, value) in [
+            ("edges", self.edges),
+            ("devices_per_edge", self.devices_per_edge),
+            ("frames_per_device", self.frames_per_device),
+            ("edge.frame_px", self.edge.frame_px),
         ] {
             if value == 0 {
-                return Err(format!("{field} must be at least 1"));
+                return Err(ConfigError::new(path, "must be at least 1"));
             }
         }
-        if let Some(d) = self.edge.deadline_s {
-            if !(d > 0.0 && d.is_finite()) {
-                return Err(format!(
-                    "edge.deadline_s (--deadline-s) must be positive and finite, got {d}"
-                ));
+        let deadline = self.edge.deadline_s.unwrap_or(1.0);
+        if !(deadline > 0.0 && deadline.is_finite()) {
+            let reason = format!("must be positive and finite, got {deadline}");
+            return Err(ConfigError::new("edge.deadline_s", reason));
+        }
+        if let TraceSpec::Outage {
+            start_s,
+            duration_s,
+        } = self.edge.trace
+        {
+            // What `LinkTrace::step_outage` asserts of its segment starts.
+            let end_s = start_s + duration_s;
+            if !(start_s >= 0.0 && end_s > start_s && end_s.is_finite()) {
+                let reason = format!("must have 0 <= start < end < inf, got {start_s}..{end_s}");
+                return Err(ConfigError::new("edge.trace", reason));
             }
         }
         // An edge-node sleeps each backoff of a failed dial as a `Duration`.
-        let retry = &self.edge.retry;
-        for (field, value) in [("base_s", retry.base_s), ("multiplier", retry.multiplier)] {
-            if !(value >= 0.0 && value.is_finite()) {
-                return Err(format!(
-                    "edge.retry.{field} must be non-negative and finite, got {value}"
-                ));
-            }
-        }
-        let total_s = retry.total_backoff_s();
-        if Duration::try_from_secs_f64(total_s).is_err() {
-            return Err(format!(
-                "edge.retry backoff must total a representable wait, got {total_s} s"
-            ));
-        }
-        // The cloud's own check, its fields named as the CLI names them.
-        self.cloud.build().validate().map_err(|e| {
-            for (field, flag) in [("max_batch", "--max-batch"), ("scheduler", "--scheduler")] {
-                if let Some(rest) = e.strip_prefix(field) {
-                    return format!("cloud.{field} ({flag}){rest}");
-                }
-            }
-            format!("cloud.{e}")
-        })
+        let retry = self.edge.retry.validate();
+        retry.map_err(|(field, reason)| ConfigError::new(field, reason).within("edge.retry"))?;
+        self.cloud.build().validate().map_err(|e| e.within("cloud"))
     }
 
     /// The dataset device `session` streams.
@@ -629,11 +619,14 @@ impl DeploymentReport {
 ///
 /// # Panics
 ///
-/// Panics if any session fails — in-process the transport cannot drop, so
-/// a failure is a bug, not weather. An edge thread's panic stops the
-/// serving thread, which would otherwise wait for sessions that never
-/// come, and goes on in the caller.
+/// Panics with `invalid fleet spec:` and [`DeploymentSpec::validate`]'s
+/// refusal before any node starts, and if any session fails — in-process
+/// the transport cannot drop, so a failure is a bug, not weather. An edge
+/// thread's panic stops the serving thread, which would otherwise wait
+/// for sessions that never come, and goes on in the caller.
 pub fn run_fleet_in_memory(spec: &DeploymentSpec) -> DeploymentReport {
+    spec.validate()
+        .unwrap_or_else(|e| panic!("invalid fleet spec: {e}"));
     let (mut listener, connector) = memory_listener();
     let wake = listener.waker();
     let stop = AtomicBool::new(false);
@@ -791,14 +784,17 @@ fn wait_with_timeout(
 ///
 /// # Errors
 ///
-/// Fails when a child cannot be spawned, exits non-zero, breaks the line
-/// protocol, or blows `timeout` (every child is killed on the way out).
+/// Fails (`InvalidInput`) when [`DeploymentSpec::validate`] refuses
+/// `spec`, and when a child cannot be spawned, exits non-zero, breaks the
+/// line protocol, or blows `timeout` (every child is killed on the way out).
 pub fn run_fleet_processes(
     spec: &DeploymentSpec,
     cloud_bin: &Path,
     edge_bin: &Path,
     timeout: Duration,
 ) -> io::Result<DeploymentReport> {
+    spec.validate()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let deadline = Instant::now() + timeout;
     let spec_json = serde_json::to_string(spec).map_err(|e| proto_err(e.to_string()))?;
 
@@ -996,9 +992,26 @@ impl CliArgs {
 pub fn deployment_spec_from_args(args: &CliArgs) -> Result<DeploymentSpec, String> {
     let spec = spec_from_args(args)?;
     spec.validate()
-        .map_err(|e| format!("invalid fleet spec: {e}"))?;
+        .map_err(|e| match FLAGS.iter().find(|(path, _)| *path == e.path) {
+            Some((path, flag)) => format!("invalid fleet spec: {path} ({flag}) {}", e.reason),
+            None => format!("invalid fleet spec: {e}"),
+        })?;
     Ok(spec)
 }
+
+/// The CLI flag that sets each field a refusal may name.
+const FLAGS: [(&str, &str); 10] = [
+    ("edges", "--edges"),
+    ("devices_per_edge", "--devices"),
+    ("frames_per_device", "--frames"),
+    ("edge.frame_px", "--frame-px"),
+    ("edge.deadline_s", "--deadline-s"),
+    ("edge.trace", "--trace"),
+    ("cloud.max_batch", "--max-batch"),
+    ("cloud.scheduler.lookahead", "--scheduler"),
+    ("cloud.updates.epoch_s", "--update-epoch-s"),
+    ("cloud.updates.min_examples", "--update-min-examples"),
+];
 
 /// [`deployment_spec_from_args`] before validation.
 fn spec_from_args(args: &CliArgs) -> Result<DeploymentSpec, String> {
@@ -1218,7 +1231,7 @@ mod tests {
         let infinite_multiplier =
             retry(0.05, 2.0).replace("\"multiplier\":2}", "\"multiplier\":1e999}");
         let overflowing_total = retry(1e15, 1e3);
-        let cases: [(&[&str], &str); 16] = [
+        let cases: [(&[&str], &str); 19] = [
             (&["--max-batch", "0"], "cloud.max_batch"),
             (&["--scheduler", "deadline:0"], "--scheduler"),
             (&["--scheduler", "difficulty:0"], "--scheduler"),
@@ -1233,6 +1246,9 @@ mod tests {
             (&["--edges", "0"], "edges"),
             (&["--devices", "0"], "devices_per_edge"),
             (&["--frame-px", "0"], "edge.frame_px"),
+            (&["--trace", "outage:5,-1"], "edge.trace"),
+            (&["--trace", "outage:-1,5"], "edge.trace"),
+            (&["--trace", "outage:NaN,5"], "edge.trace"),
             (&["--spec", &zero_batch], "cloud.max_batch"),
             (&["--spec", &negative_base], "edge.retry.base_s"),
             (&["--spec", &negative_multiplier], "edge.retry.multiplier"),

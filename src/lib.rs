@@ -261,9 +261,9 @@ pub mod prelude {
     };
     pub use smallbig_core::{
         calibrate, evaluate, evaluate_streaming, run_system, CaseKind, CloudConfig, CloudServer,
-        DifficultCaseDiscriminator, EdgeSession, EvalConfig, OffloadPolicy, Policy, RuntimeConfig,
-        RuntimeMode, Scheduler, SchedulerConfig, SessionConfig, SessionReport, Thresholds,
-        UpdateConfig,
+        ConfigError, DifficultCaseDiscriminator, EdgeSession, EvalConfig, OffloadPolicy, Policy,
+        RuntimeConfig, RuntimeMode, Scheduler, SchedulerConfig, SessionConfig, SessionReport,
+        Thresholds, UpdateConfig,
     };
 }
 

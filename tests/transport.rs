@@ -259,16 +259,18 @@ fn memory_accept_fails_once_every_connector_is_dropped_while_a_waker_lives() {
     assert_eq!(kind, Some(std::io::ErrorKind::BrokenPipe));
 }
 
-/// An edge that panics (here at attach: a zero frame size) ends the
-/// in-memory fleet with its panic, instead of leaving the serving thread
-/// waiting in `accept` for sessions that never come.
+/// An edge that panics ends the in-memory fleet with its panic, instead
+/// of leaving the serving thread waiting in `accept` for sessions that
+/// never come. Here the edge renders its first upload at 2^32 x 2^32
+/// pixels, a size the spec check lets through and the renderer refuses.
 #[test]
-#[should_panic(expected = "frame_size must be positive")]
+#[should_panic(expected = "overflow usize")]
 fn a_panicking_edge_ends_the_in_memory_fleet_with_its_panic() {
     let base = small_fleet(2, 3);
     let spec = DeploymentSpec {
         edge: EdgeSpec {
-            frame_px: 0,
+            policy: PolicySpec::CloudOnly,
+            frame_px: 1 << 32,
             ..base.edge.clone()
         },
         ..base
@@ -1244,6 +1246,36 @@ fn dial_with_backoff_rides_out_a_late_listener() {
         );
         assert!(result.is_err(), "nothing ever binds, so dialing must fail");
     });
+}
+
+/// A retry schedule no dial can sleep (a negative base) is refused before
+/// any dial or sleep: `dial_with_backoff` returns `InvalidInput` and
+/// `connect_tcp_with` an error, where each panicked in
+/// `Duration::from_secs_f64` after the first failed dial.
+#[test]
+fn a_retry_schedule_no_dial_can_sleep_is_refused_before_dialing() {
+    let test = "a_retry_schedule_no_dial_can_sleep_is_refused_before_dialing";
+    let (dial, connect, elapsed) = bounded(test, Duration::from_secs(10), move || {
+        let retry = RetryConfig {
+            base_s: -0.05,
+            ..quick_retry()
+        };
+        let start = Instant::now();
+        let dial = TcpTransport::dial_with_backoff("127.0.0.1:9", &retry).map(|_| ());
+        let connect =
+            RemoteCloud::connect_tcp_with("127.0.0.1:9", 0, &retry, Encoding::Json, false);
+        (dial, connect.map(|_| ()), start.elapsed())
+    });
+    assert_eq!(
+        dial.map_err(|e| e.kind()),
+        Err(std::io::ErrorKind::InvalidInput)
+    );
+    match connect {
+        Err(HandshakeError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+        other => panic!("connect_tcp_with must refuse the schedule, got {other:?}"),
+    }
+    // Eight retries of the schedule's magnitude would sleep over 2 s.
+    assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
 }
 
 /// A spec whose retry backoff no dial can sleep (a negative base) is
